@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race chaos fuzz bench bench-dispatch bench-obs bench-batch bench-serve bench-ingress bench-generate bench-tenants bench-controller bench-router experiments experiments-full vet staticcheck lint fmt clean
+.PHONY: all build test test-short benchmark-check race chaos fuzz bench bench-dispatch bench-obs bench-batch bench-serve bench-ingress bench-generate bench-tenants bench-controller bench-router experiments experiments-full vet staticcheck lint fmt clean
 
 all: build test
 
@@ -15,14 +15,22 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# benchmark/ is its own module (it imports internal/ through a replace),
+# so the root build and tests do not see it: this is the check that an
+# internal API change has not broken the benchmark.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 race:
 	$(GO) test -race ./internal/queue/ ./internal/dispatch/ ./internal/cluster/ ./internal/serve/ ./internal/core/ ./internal/multistream/ ./internal/metrics/ ./internal/tokenizer/ ./internal/obs/ ./internal/failover/ ./internal/chaos/ ./internal/batcher/ ./internal/ring/ ./internal/wire/ ./internal/trace/ ./internal/model/ ./internal/tenant/ ./internal/controller/ ./internal/allocator/ ./internal/router/
 
 # The deterministic fault-injection harness: 500 seeded runs of the live
 # cluster under scripted crashes, slowdowns and cancellations, with the
 # conservation invariants audited after every run. The ManySeeds pattern
-# also matches the generative sweep (continuous batching, per-iteration
-# conservation plus full-token-count audit).
+# also matches the batched, generative (continuous batching, per-iteration
+# conservation plus full-token-count audit), tenant (encoder and
+# generative arms) and controller sweeps; in every sweep odd seeds enter
+# through the ingress rings and even seeds through Cluster.SubmitCtx.
 chaos:
 	$(GO) test -race -run 'TestConservationManySeeds|TestScripted|TestRecovery|TestCrossCheck' -v ./internal/chaos/
 

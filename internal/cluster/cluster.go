@@ -1,8 +1,10 @@
 // Package cluster is the real-time counterpart of the discrete-event
 // simulator: the "testbed" of this reproduction. Each GPU instance is a
-// goroutine that executes requests sequentially on the wall clock,
-// emulating computation with the calibrated latency model; dispatching
-// runs through the same multi-level queue and policies as the simulator.
+// goroutine running one iteration-level worker loop (worker.go) on the
+// wall clock — sequentially with one slot, as run-to-completion or
+// continuous batches with more — emulating computation with the
+// calibrated latency model; dispatching runs through the same multi-level
+// queue and policies as the simulator.
 // The section 5.2.1 calibration experiment replays one trace through both
 // this prototype and the simulator and compares the distributions.
 //
@@ -28,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"arlo/internal/batcher"
 	"arlo/internal/dispatch"
 	"arlo/internal/failover"
 	"arlo/internal/metrics"
@@ -61,12 +62,6 @@ var (
 	ErrUnserviceable = errors.New("cluster: request unserviceable after repeated failures")
 )
 
-// ErrClosed is returned by Submit after Close.
-//
-// Deprecated: ErrClosed is an alias of ErrClusterClosed, kept for
-// existing identity comparisons.
-var ErrClosed = ErrClusterClosed
-
 // Config describes a real-time cluster.
 type Config struct {
 	// Profile defines the runtimes and SLO.
@@ -96,8 +91,8 @@ type Config struct {
 	// MaxBatch enables dynamic batching: an idle worker coalesces up to
 	// B_i = min(MaxBatch, Runtime.BatchWithinSLO(MaxBatch)) queued
 	// requests and executes them as one emulated kernel at the sub-linear
-	// batched cost (Runtime.BatchCostOf). 0 or 1 disables batching and
-	// keeps the sequential worker loop byte-for-byte.
+	// batched cost (Runtime.BatchCostOf). 0 or 1 disables batching: the
+	// worker loop runs with one slot and spans carry no batch fields.
 	MaxBatch int
 	// BatchDelay bounds the batch-collection window in modeled time
 	// (scaled by TimeScale like execution): a worker holding a partial
@@ -130,7 +125,6 @@ type Config struct {
 type Cluster struct {
 	cfg     Config
 	ml      *queue.MultiLevel
-	disp    dispatch.Dispatcher
 	dispCtx dispatch.ContextDispatcher
 	// dispStale is the amortized group-dispatch interface when the policy
 	// supports it (nil otherwise; SubmitBatch then falls back to the
@@ -142,9 +136,10 @@ type Cluster struct {
 	budget    int
 
 	// maxBatch and batchDelay are the normalized batching knobs (1 / 0
-	// when batching is off); batchSeq numbers executed batches for span
-	// correlation. continuous selects the iteration-level worker loop and
-	// meanOut is its capacity-model output-length hint.
+	// when batching is off); batchSeq numbers executed iterations for span
+	// correlation. continuous lets the worker loop admit and release
+	// sequences mid-flight and meanOut is its capacity-model output-length
+	// hint.
 	maxBatch   int
 	batchDelay time.Duration
 	batchSeq   atomic.Int64
@@ -322,22 +317,6 @@ func (w *worker) health() obs.Health {
 	return obs.Healthy
 }
 
-// plainDispatcher adapts a Dispatcher that predates the context-aware
-// interface: the decision degrades to "served at the chosen level" with
-// no demotion attribution.
-type plainDispatcher struct {
-	dispatch.Dispatcher
-}
-
-func (p plainDispatcher) DispatchCtx(_ context.Context, length int) (*queue.Instance, dispatch.Decision, error) {
-	in, err := p.Dispatch(length)
-	if err != nil {
-		return nil, dispatch.Decision{}, err
-	}
-	lvl := in.Runtime
-	return in, dispatch.Decision{IdealLevel: lvl, Level: lvl, Peeked: 1}, nil
-}
-
 // New starts the cluster's workers.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Profile == nil || len(cfg.Profile.Runtimes) == 0 {
@@ -367,6 +346,10 @@ func New(cfg Config) (*Cluster, error) {
 	disp, err := cfg.Dispatcher(ml)
 	if err != nil {
 		return nil, err
+	}
+	dispCtx, ok := disp.(dispatch.ContextDispatcher)
+	if !ok {
+		return nil, fmt.Errorf("cluster: dispatcher %T does not implement dispatch.ContextDispatcher", disp)
 	}
 	scale := cfg.TimeScale
 	if scale <= 0 {
@@ -407,7 +390,7 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:        cfg,
 		ml:         ml,
-		disp:       disp,
+		dispCtx:    dispCtx,
 		workers:    make(map[int]*worker),
 		failed:     make(map[int]*failedInstance),
 		overhead:   overhead,
@@ -418,11 +401,6 @@ func New(cfg Config) (*Cluster, error) {
 		batchDelay: batchDelay,
 		continuous: cfg.Continuous,
 		meanOut:    meanOut,
-	}
-	if cd, ok := disp.(dispatch.ContextDispatcher); ok {
-		c.dispCtx = cd
-	} else {
-		c.dispCtx = plainDispatcher{disp}
 	}
 	if cfg.Tenants != nil {
 		c.tenants = cfg.Tenants
@@ -473,300 +451,20 @@ func (c *Cluster) addWorker(rtIdx int) error {
 	w.slow.Store(math.Float64bits(1))
 	c.workers[inst.ID] = w
 	c.wg.Add(1)
-	switch {
-	case c.continuous:
-		go c.runWorkerContinuous(w, rt)
-	case bcap > 1:
-		go c.runWorkerBatched(w, rt)
-	default:
-		go c.runWorker(w, rt)
-	}
+	go c.runWorker(w, rt)
 	return nil
 }
 
 // batchCapFor returns the effective per-instance batch cap B_i for one
 // runtime: the configured cap clamped to the profiled SLO headroom
 // (Runtime.BatchWithinSLO), or 1 when batching is disabled. Long runtimes
-// whose kernels already fill the SLO keep the sequential loop even in a
-// batched cluster.
+// whose kernels already fill the SLO run with one slot even in a batched
+// cluster. This is the worker loop's slot count.
 func (c *Cluster) batchCapFor(rt profiler.Runtime) int {
 	if c.maxBatch <= 1 {
 		return 1
 	}
 	return rt.BatchWithinSLO(c.maxBatch)
-}
-
-// spinGuard is how much of each emulated execution is busy-waited instead
-// of slept: time.Sleep overshoots by OS-timer granularity, which at
-// millisecond kernel times would distort tail latencies, so the final
-// stretch spins to the deadline.
-const spinGuard = 200 * time.Microsecond
-
-// runWorker executes the worker's queue sequentially, emulating the scaled
-// modeled computation time per request (sleep + spin to the deadline).
-// Completion accounting is lock-free (atomic decrement on the instance).
-//
-// The state CAS against the submitter implements cancellation-while-
-// queued: a job whose context fired before the worker reached it is
-// discarded without executing (its submitter already returned), and a job
-// abandoned mid-execution completes normally but is recycled here instead
-// of being delivered.
-//
-// A crash (FailInstance) closes w.kill and sets w.dead before closing the
-// channel: the in-flight emulated kernel is interrupted mid-sleep (the
-// computation is lost, as on a real GPU) and restarted from scratch
-// through the failover demotion path, and the drain loop requeues every
-// queued job the same way instead of executing it.
-func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
-	defer c.wg.Done()
-	// The reusable sleep timer starts stopped; Reset arms it per job.
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	for j := range w.ch {
-		if w.dead.Load() {
-			// Crashed: this worker no longer executes. Revert the dispatch
-			// accounting and push the job back through the normal dispatch
-			// path (or discard it if its submitter already cancelled).
-			c.ml.OnComplete(w.inst)
-			if j.state.Load() == jobCancelled {
-				jobPool.Put(j)
-				continue
-			}
-			c.redispatch(j, obs.RequeueQueued)
-			continue
-		}
-		if !j.state.CompareAndSwap(jobPending, jobRunning) {
-			// Cancelled while queued: dequeue and discard.
-			c.ml.OnComplete(w.inst)
-			jobPool.Put(j)
-			continue
-		}
-		execStart := time.Now()
-		modeled := rt.CostOf(j.length)
-		if j.maxNew > 1 {
-			// Generative request on a sequential worker: run-to-completion,
-			// prefill plus maxNew-1 decode steps as one emulated kernel.
-			modeled = rt.GenCostOf(j.length, j.maxNew)
-		}
-		cost := time.Duration(float64(modeled) * c.scale * w.slowFactor())
-		interrupted := c.emulate(w, timer, execStart, cost)
-		c.ml.OnComplete(w.inst)
-		if interrupted {
-			// The instance died mid-execution: the computation is lost.
-			// Hand the job back to pending and restart it elsewhere, unless
-			// the submitter abandoned it concurrently.
-			if j.state.CompareAndSwap(jobRunning, jobPending) {
-				c.redispatch(j, obs.RequeueInflight)
-			} else {
-				jobPool.Put(j)
-			}
-			continue
-		}
-		lat := time.Since(j.started)
-		// Report in modeled time: un-scale the measured wall time so a
-		// compressed run still yields model-scale latencies.
-		lat = time.Duration(float64(lat) / c.scale)
-		j.wait = time.Duration(float64(execStart.Sub(j.started)) / c.scale)
-		j.exec = time.Duration(float64(time.Since(execStart)) / c.scale)
-		if j.maxNew >= 1 {
-			// First token lands at the end of the prefill; the execution is
-			// emulated from the same model, so the split is the model's.
-			j.ttft = j.wait + rt.CostOf(j.length)
-			j.outTokens = j.maxNew
-		}
-		if j.state.CompareAndSwap(jobRunning, jobDone) {
-			j.done <- lat + c.overhead
-		} else {
-			// Abandoned mid-execution: the submitter is gone; nothing to
-			// deliver.
-			jobPool.Put(j)
-		}
-	}
-}
-
-// emulate executes one kernel of the given wall-clock cost: sleep to
-// within spinGuard of the deadline, then spin out the residue. Returns
-// true when the worker was killed mid-kernel (the computation is lost, as
-// on a real GPU).
-func (c *Cluster) emulate(w *worker, timer *time.Timer, start time.Time, cost time.Duration) bool {
-	deadline := start.Add(cost)
-	if cost > spinGuard {
-		timer.Reset(cost - spinGuard)
-		select {
-		case <-timer.C:
-		case <-w.kill:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			return true
-		}
-	}
-	for time.Now().Before(deadline) {
-		// Busy-wait the residue for sub-millisecond accuracy, yielding
-		// each pass: on a single-CPU host a long batched kernel would
-		// otherwise starve the other workers' batch formers (and the
-		// submitters feeding them) for its whole spin. The dead check
-		// keeps crash interruption bounded even for kernels short enough
-		// to skip the sleep.
-		if w.dead.Load() {
-			return true
-		}
-		runtime.Gosched()
-	}
-	return false
-}
-
-// runWorkerBatched is the dynamic-batching worker loop: a batch former
-// coalesces up to B_i queued requests under the bounded collection window
-// (never past the slack a member's deadline leaves), and the whole batch
-// executes as one emulated kernel at the sub-linear batched cost.
-//
-// Lifecycle semantics compose per member:
-//
-//   - cancellation: each member is promoted pending -> running by CAS at
-//     execution start; a lost CAS means the submitter's context fired
-//     during formation, and only that member is dropped;
-//   - crash: a killed instance loses the entire in-flight batch — every
-//     member whose submitter has not abandoned it re-enters the failover
-//     demotion path against its own requeue budget, and the drain loop
-//     requeues still-queued work exactly like the sequential worker.
-func (c *Cluster) runWorkerBatched(w *worker, rt profiler.Runtime) {
-	defer c.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	maxBatch := c.batchCapFor(rt)
-	// The deadline slack a member must keep after formation: one full
-	// batched kernel, in wall time.
-	execEstimate := time.Duration(float64(rt.BatchDrainTime(maxBatch, maxBatch)) * c.scale)
-	maxDelay := time.Duration(float64(c.batchDelay) * c.scale)
-	if c.tenants != nil {
-		// SLO-class window policy: batch-class members may stretch the
-		// window up to MaxWindowFactor x the configured delay, interactive
-		// members shrink it. The per-member Window cap below enforces each
-		// class's bound; MaxDelay is sized for the most patient class.
-		maxDelay = time.Duration(float64(maxDelay) * tenant.MaxWindowFactor)
-	}
-	former := &batcher.Former[*job]{
-		Source: w.ch,
-		Policy: batcher.Policy{
-			MaxSize:  maxBatch,
-			MaxDelay: maxDelay,
-		},
-		Deadline: func(j *job) (time.Time, bool) {
-			if j.deadline.IsZero() {
-				return time.Time{}, false
-			}
-			return j.deadline.Add(-execEstimate), true
-		},
-		Interrupt: w.kill,
-	}
-	if c.tenants != nil {
-		former.Window = func(j *job) (time.Duration, bool) { return j.window, j.window > 0 }
-	}
-	var batch, run []*job
-	var lengths, outs []int
-	for {
-		var ok bool
-		batch, ok = former.Next(batch[:0])
-		if !ok {
-			return
-		}
-		if w.dead.Load() {
-			// Crashed: drain instead of executing, exactly like the
-			// sequential worker but for every collected member.
-			for _, j := range batch {
-				c.ml.OnComplete(w.inst)
-				if j.state.Load() == jobCancelled {
-					jobPool.Put(j)
-					continue
-				}
-				c.redispatch(j, obs.RequeueQueued)
-			}
-			continue
-		}
-		// Promote members; a lost CAS is a cancellation during formation
-		// and drops only that member.
-		run, lengths, outs = run[:0], lengths[:0], outs[:0]
-		anyGen := false
-		for _, j := range batch {
-			if !j.state.CompareAndSwap(jobPending, jobRunning) {
-				c.ml.OnComplete(w.inst)
-				jobPool.Put(j)
-				continue
-			}
-			run = append(run, j)
-			lengths = append(lengths, j.length)
-			out := j.maxNew
-			if out < 1 {
-				out = 1
-			} else {
-				anyGen = true
-			}
-			outs = append(outs, out)
-		}
-		if len(run) == 0 {
-			continue
-		}
-		formWait := time.Duration(float64(former.FormedIn()) / c.scale)
-		batchID := c.batchSeq.Add(1)
-		c.obsRec.Load().RecordBatch(rt.Index, len(run))
-		execStart := time.Now()
-		modeled := rt.BatchCostOf(lengths)
-		if anyGen {
-			// Run-to-completion generative semantics: every slot stays held
-			// until the longest output finishes — the baseline the
-			// continuous loop is benchmarked against.
-			modeled = rt.GenBatchCostOf(lengths, outs)
-		}
-		cost := time.Duration(float64(modeled) * c.scale * w.slowFactor())
-		interrupted := c.emulate(w, timer, execStart, cost)
-		for range run {
-			c.ml.OnComplete(w.inst)
-		}
-		if interrupted {
-			// Batch-level crash semantics: the kernel died with every
-			// member's computation; each restarts from scratch through the
-			// failover path unless its submitter abandoned it concurrently.
-			for _, j := range run {
-				if j.state.CompareAndSwap(jobRunning, jobPending) {
-					c.redispatch(j, obs.RequeueInflight)
-				} else {
-					jobPool.Put(j)
-				}
-			}
-			continue
-		}
-		execEnd := time.Now()
-		var prefill time.Duration
-		if anyGen {
-			prefill = rt.BatchCostOf(lengths)
-		}
-		for _, j := range run {
-			lat := time.Duration(float64(execEnd.Sub(j.started)) / c.scale)
-			j.wait = time.Duration(float64(execStart.Sub(j.started)) / c.scale)
-			j.exec = time.Duration(float64(execEnd.Sub(execStart)) / c.scale)
-			j.formWait = formWait
-			j.batchID = batchID
-			j.batchSize = len(run)
-			if j.maxNew >= 1 {
-				// Every member's first token lands when the shared prefill
-				// kernel ends (modeled split of the emulated execution).
-				j.ttft = j.wait + prefill
-				j.outTokens = j.maxNew
-			}
-			if j.state.CompareAndSwap(jobRunning, jobDone) {
-				j.done <- lat + c.overhead
-			} else {
-				jobPool.Put(j)
-			}
-		}
-	}
 }
 
 // Request describes one submission to the cluster.
@@ -823,36 +521,43 @@ func (c *Cluster) Submit(length int) (time.Duration, error) {
 // allocation-free via the job pool.
 func (c *Cluster) SubmitCtx(ctx context.Context, req Request) (Result, error) {
 	rec := c.obsRec.Load()
-	if err := ctx.Err(); err != nil {
-		// Dead-on-arrival contexts still count as one submission attempt
-		// with a cancelled outcome, so the recorder's books balance.
-		rec.RecordSubmit()
-		rec.RecordCancel()
-		return Result{}, cancelErr(err)
+	j, err := c.lease(ctx, rec, req)
+	if err != nil {
+		return Result{}, err
 	}
-	t, aerr := c.admitTenant(req.Tenant, req.Length+req.MaxNewTokens)
-	if aerr != nil {
-		// Rejected at the door: the request never leases a job or touches
-		// the queue.
-		c.rejectAdmission(rec)
-		return Result{}, aerr
+	if err := c.submit(ctx, j, rec); err != nil {
+		return Result{}, err
+	}
+	return c.await(ctx, j, rec)
+}
+
+// lease opens one submission — the shared front half of SubmitCtx,
+// Ingress.SubmitCtx, SubmitBatch and Replay. It books the attempt, runs
+// tenant admission, and leases a pooled job stamped with the request's
+// fields, the context's deadline (the batch former bounds its collection
+// window by the slack it leaves) and the tenant's class policy. A context
+// that is already done, or an admission refusal, resolves the request
+// here with its typed error and its outcome on the books: no job is
+// leased and the queue is never touched.
+func (c *Cluster) lease(ctx context.Context, rec *obs.Recorder, req Request) (*job, error) {
+	rec.RecordSubmit()
+	if err := ctx.Err(); err != nil {
+		rec.RecordCancel()
+		return nil, cancelErr(err)
+	}
+	t, err := c.admitTenant(req.Tenant, req.Length+req.MaxNewTokens)
+	if err != nil {
+		rec.RecordReject(obs.RejectRateLimited)
+		return nil, err
 	}
 	j := newJob(req.Length)
 	j.tokenize = req.Tokenize
 	if req.MaxNewTokens > 0 {
 		j.maxNew = req.MaxNewTokens
 	}
-	if d, ok := ctx.Deadline(); ok {
-		// The batch former bounds its collection window by the slack this
-		// deadline leaves.
-		j.deadline = d
-	}
+	j.deadline, _ = ctx.Deadline()
 	c.applyTenant(j, t)
-	if err := c.submit(ctx, j); err != nil {
-		jobPool.Put(j)
-		return Result{}, err
-	}
-	return c.await(ctx, j, rec)
+	return j, nil
 }
 
 // await blocks until a routed job completes or its context fires — the
@@ -965,51 +670,61 @@ func rejectReason(err error) obs.RejectReason {
 	}
 }
 
-// SubmitAsync dispatches one request and returns a channel that yields its
-// latency on completion. The channel escapes to the caller and is not
-// pooled; latency-sensitive callers that wait inline should prefer Submit.
-// A request that becomes unserviceable under repeated instance failures
-// yields a negative latency on the channel instead of completing.
-func (c *Cluster) SubmitAsync(length int) (<-chan time.Duration, error) {
-	j := &job{length: length, started: time.Now(), done: make(chan time.Duration, 1)}
-	if err := c.submit(context.Background(), j); err != nil {
-		return nil, err
-	}
-	return j.done, nil
-}
-
-// submit routes one job to a worker, recording the submission and any
-// rejection or demotion on the observer.
-func (c *Cluster) submit(ctx context.Context, j *job) (err error) {
-	rec := c.obsRec.Load()
-	rec.RecordSubmit()
-	defer func() {
-		if err != nil {
-			rec.RecordReject(rejectReason(err))
-		}
-	}()
+// submit places a freshly leased job: in its tenant's fair turn when a
+// registry is configured, inline otherwise. On failure the rejection is
+// recorded and the job recycled.
+func (c *Cluster) submit(ctx context.Context, j *job, rec *obs.Recorder) error {
+	var err error
 	if c.fairQ != nil {
-		// Multi-tenant mode: the job takes its fair turn in the pump's
-		// dispatch order instead of routing inline.
-		return c.fairEnqueue(j)
+		err = c.fairEnqueue(j)
+	} else {
+		err = c.route(ctx, j)
 	}
-	return c.route(ctx, j)
+	if err != nil {
+		rec.RecordReject(rejectReason(err))
+		jobPool.Put(j)
+	}
+	return err
 }
 
-// route dispatches one job and hands it to the chosen worker — the shared
-// placement step of first submission and failure requeue. It holds the
-// topology lock shared so submissions run concurrently with each other
-// (the queue stripes its own locks) while Close and worker removal are
+// route places one job under the shared topology lock — first submission,
+// the fair pump and failure requeue all come through here. Holding the
+// lock shared lets submissions run concurrently with each other (the
+// queue stripes its own locks) while Close and worker removal are
 // excluded — the channel send can never race a close.
 func (c *Cluster) route(ctx context.Context, j *job) error {
-	rec := c.obsRec.Load()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
 		return ErrClusterClosed
 	}
+	return c.place(ctx, j, nil)
+}
+
+// place is the placement core: dispatch, stamp the decision on the job,
+// record a demotion, and hand the job to the chosen worker without
+// blocking. Caller holds c.mu shared and has checked c.closed. A non-nil
+// touched selects the amortized group dispatch when the policy has one:
+// the level dispatched into is added to the bitmask and the caller owes
+// each set level one Reheap before releasing the lock. On success the job
+// belongs to its worker and must not be touched again.
+func (c *Cluster) place(ctx context.Context, j *job, touched *uint64) error {
+	var (
+		inst *queue.Instance
+		dec  dispatch.Decision
+		err  error
+	)
 	t0 := time.Now()
-	inst, dec, err := c.dispCtx.DispatchCtx(ctx, j.length)
+	if touched != nil && c.dispStale != nil {
+		inst, dec, err = c.dispStale.DispatchStale(j.length)
+		if err == nil && dec.Level < 64 {
+			*touched |= 1 << uint(dec.Level)
+		} else if err == nil {
+			c.ml.Reheap(dec.Level) // beyond the bitmask's reach; repair now
+		}
+	} else {
+		inst, dec, err = c.dispCtx.DispatchCtx(ctx, j.length)
+	}
 	if err != nil {
 		return err
 	}
@@ -1017,7 +732,7 @@ func (c *Cluster) route(ctx context.Context, j *job) error {
 	j.dec = dec
 	j.instID = inst.ID
 	if dec.Level > dec.IdealLevel {
-		rec.RecordDemotion(dec.IdealLevel, dec.Level)
+		c.obsRec.Load().RecordDemotion(dec.IdealLevel, dec.Level)
 	}
 	w := c.workers[inst.ID]
 	if w == nil {
@@ -1033,7 +748,7 @@ func (c *Cluster) route(ctx context.Context, j *job) error {
 	default:
 		// Worker queue overflow: account the drop and fail loudly rather
 		// than distorting latency by blocking the caller.
-		c.ml.OnComplete(w.inst)
+		c.ml.OnComplete(inst)
 		return fmt.Errorf("%w: worker %d queue overflow", ErrCongested, inst.ID)
 	}
 }
@@ -1047,37 +762,56 @@ const redispatchBackoff = 200 * time.Microsecond
 // dispatch path — the failover demotion rule (see internal/failover): no
 // special placement, the active policy decides, so work from a dead
 // small-runtime instance degrades into larger runtimes exactly like a
-// congestion demotion. Each attempt consumes one unit of the request's
-// requeue budget; exhaustion, closure and permanent dispatch errors
-// terminate the job with a typed error instead of livelocking it.
+// congestion demotion. The displacement and every transient retry consume
+// one unit of the request's requeue budget; exhaustion, closure and
+// permanent dispatch errors terminate the job with a typed error instead
+// of livelocking it.
 //
 // Runs on the dying worker's goroutine, never on a submitter's.
 func (c *Cluster) redispatch(j *job, reason obs.RequeueReason) {
-	rec := c.obsRec.Load()
-	rec.RecordRequeue(reason)
+	if j.state.Load() == jobCancelled {
+		// The submitter cancelled while the job was queued; it already
+		// returned, so the requeuer owns (and discards) the job.
+		jobPool.Put(j)
+		return
+	}
+	c.obsRec.Load().RecordRequeue(reason)
+	if j.requeues >= c.budget {
+		c.failJob(j, fmt.Errorf("%w: displaced %d times (budget %d)",
+			ErrUnserviceable, j.requeues, c.budget))
+		return
+	}
+	j.requeues++
+	c.reroute(j, &j.requeues, false)
+}
+
+// reroute places a job that is between owners — displaced by a crash, or
+// popped by the fair pump — retrying transient dispatch failures
+// (congestion; no instance up yet mid-recovery, unless noInstancesFatal)
+// after a backoff, each retry charged to *spent against the requeue
+// budget. It reports whether the job reached a worker; if not it was
+// resolved here: discarded because its submitter cancelled, or failed
+// with a typed error through its done channel.
+func (c *Cluster) reroute(j *job, spent *int, noInstancesFatal bool) bool {
 	for {
 		if j.state.Load() == jobCancelled {
-			// The submitter cancelled while the job was between workers;
-			// it already returned, so the requeuer owns the job.
 			jobPool.Put(j)
-			return
+			return false
 		}
-		if j.requeues >= c.budget {
-			c.failJob(j, fmt.Errorf("%w: displaced %d times (budget %d)",
-				ErrUnserviceable, j.requeues, c.budget))
-			return
-		}
-		j.requeues++
 		err := c.route(context.Background(), j)
-		if err == nil {
-			return
-		}
-		if errors.Is(err, ErrClusterClosed) || errors.Is(err, dispatch.ErrTooLong) {
+		switch {
+		case err == nil:
+			return true
+		case errors.Is(err, ErrClusterClosed), errors.Is(err, dispatch.ErrTooLong),
+			noInstancesFatal && errors.Is(err, dispatch.ErrNoInstances):
 			c.failJob(j, err)
-			return
+			return false
+		case *spent >= c.budget:
+			c.failJob(j, fmt.Errorf("%w: placement retries spent (budget %d): %w",
+				ErrUnserviceable, c.budget, err))
+			return false
 		}
-		// Transient (congested, no instances mid-recovery): retry against
-		// the remaining budget.
+		*spent++
 		time.Sleep(redispatchBackoff)
 	}
 }
@@ -1219,17 +953,20 @@ type ReplayResult struct {
 // Replay drives the cluster with a trace in (scaled) real time: each
 // request is submitted at its scaled arrival offset from a driver
 // goroutine and measured to completion. Replay blocks until every request
-// finishes. Jobs are pooled: each completion goroutine returns its job
-// after recording the latency.
+// finishes. Each request takes the same lease -> submit -> await path as
+// SubmitCtx; only the wait runs on its own goroutine, so arrivals dispatch
+// in trace order.
 func (c *Cluster) Replay(tr *trace.Trace) (*ReplayResult, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("cluster: nil trace")
 	}
 	var (
 		mu       sync.Mutex
-		rec      = metrics.NewRecorder(len(tr.Requests))
+		lats     = metrics.NewRecorder(len(tr.Requests))
 		rejected int
 		wg       sync.WaitGroup
+		ctx      = context.Background()
+		rec      = c.obsRec.Load()
 	)
 	start := time.Now()
 	for i := range tr.Requests {
@@ -1238,25 +975,11 @@ func (c *Cluster) Replay(tr *trace.Trace) (*ReplayResult, error) {
 		if wait := time.Until(start.Add(at)); wait > 0 {
 			time.Sleep(wait)
 		}
-		var tn *tenant.Tenant
-		if c.tenants != nil {
-			var aerr error
-			tn, aerr = c.admitTenant(r.Tenant, r.Length+r.OutTokens)
-			if aerr != nil {
-				c.rejectAdmission(c.obsRec.Load())
-				mu.Lock()
-				rejected++
-				mu.Unlock()
-				continue
-			}
+		j, err := c.lease(ctx, rec, Request{Length: r.Length, MaxNewTokens: r.OutTokens, Tenant: r.Tenant})
+		if err == nil {
+			err = c.submit(ctx, j, rec)
 		}
-		j := newJob(r.Length)
-		if r.OutTokens > 0 {
-			j.maxNew = r.OutTokens
-		}
-		c.applyTenant(j, tn)
-		if err := c.submit(context.Background(), j); err != nil {
-			jobPool.Put(j)
+		if err != nil {
 			mu.Lock()
 			rejected++
 			mu.Unlock()
@@ -1265,28 +988,23 @@ func (c *Cluster) Replay(tr *trace.Trace) (*ReplayResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lat := <-j.done
-			if lat == failedLatency {
-				// Displaced by failures past the requeue budget (or the
-				// cluster closed mid-requeue): counts as a rejection, not a
-				// completion.
-				jobPool.Put(j)
-				mu.Lock()
-				rejected++
-				mu.Unlock()
-				return
-			}
-			c.finish(j, lat, c.obsRec.Load())
-			jobPool.Put(j)
+			// A job displaced past its requeue budget (or caught by Close
+			// mid-requeue) resolves to an error: a rejection, not a
+			// completion.
+			res, err := c.await(ctx, j, rec)
 			mu.Lock()
-			rec.Record(lat)
+			if err != nil {
+				rejected++
+			} else {
+				lats.Record(res.Latency)
+			}
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
 	return &ReplayResult{
-		Latency:  rec,
-		Summary:  rec.Summarize(c.cfg.Profile.SLO),
+		Latency:  lats,
+		Summary:  lats.Summarize(c.cfg.Profile.SLO),
 		Rejected: rejected,
 	}, nil
 }

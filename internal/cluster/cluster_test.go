@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,31 @@ import (
 
 func rsFactory(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
 	return dispatch.NewRequestScheduler(ml)
+}
+
+// submitAsync is the tests' fire-and-collect submission: SubmitCtx's three
+// steps with only the wait on a goroutine, so the request is dispatched —
+// or refused, with the error returned here — before this returns, and a
+// burst of calls queues up in microseconds. A failure after dispatch
+// yields a negative latency on the channel.
+func submitAsync(c *Cluster, length int) (<-chan time.Duration, error) {
+	ctx, rec := context.Background(), c.obsRec.Load()
+	j, err := c.lease(ctx, rec, Request{Length: length})
+	if err == nil {
+		err = c.submit(ctx, j, rec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	done := make(chan time.Duration, 1)
+	go func() {
+		res, err := c.await(ctx, j, rec)
+		if err != nil {
+			res.Latency = -1
+		}
+		done <- res.Latency
+	}()
+	return done, nil
 }
 
 func testProfile(t testing.TB, lengths []int) *profiler.Profile {
@@ -112,7 +138,7 @@ func TestQueueingAccumulates(t *testing.T) {
 	const n = 5
 	chans := make([]<-chan time.Duration, n)
 	for i := 0; i < n; i++ {
-		ch, err := c.SubmitAsync(100)
+		ch, err := submitAsync(c, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +172,7 @@ func TestDispatchSpreadsAcrossWorkers(t *testing.T) {
 	var wg sync.WaitGroup
 	latencies := make([]time.Duration, n)
 	for i := 0; i < n; i++ {
-		ch, err := c.SubmitAsync(100)
+		ch, err := submitAsync(c, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +206,8 @@ func TestSubmitErrors(t *testing.T) {
 		t.Error("over-long request should fail")
 	}
 	c.Close()
-	if _, err := c.Submit(10); err != ErrClosed {
-		t.Errorf("submit after close = %v, want ErrClosed", err)
+	if _, err := c.Submit(10); err != ErrClusterClosed {
+		t.Errorf("submit after close = %v, want ErrClusterClosed", err)
 	}
 	c.Close() // double close is safe
 }
@@ -200,7 +226,7 @@ func TestQueueOverflow(t *testing.T) {
 	defer c.Close()
 	overflowed := false
 	for i := 0; i < 10; i++ {
-		if _, err := c.SubmitAsync(100); err != nil {
+		if _, err := submitAsync(c, 100); err != nil {
 			overflowed = true
 			break
 		}
@@ -269,7 +295,7 @@ func TestInstances(t *testing.T) {
 
 // TestConcurrentSubmitClose races many submitters against Close. The
 // RWMutex submission protocol must make this safe: every Submit either
-// completes or reports ErrClosed — never a send on a closed channel.
+// completes or reports ErrClusterClosed — never a send on a closed channel.
 func TestConcurrentSubmitClose(t *testing.T) {
 	p := testProfile(t, []int{512})
 	c, err := New(Config{
@@ -291,7 +317,7 @@ func TestConcurrentSubmitClose(t *testing.T) {
 			<-start
 			for i := 0; i < 50; i++ {
 				if _, err := c.Submit(1 + i%512); err != nil {
-					if err == ErrClosed {
+					if err == ErrClusterClosed {
 						return
 					}
 					continue // overflow etc. is fine; crashes are not
@@ -303,8 +329,8 @@ func TestConcurrentSubmitClose(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	c.Close()
 	wg.Wait()
-	if _, err := c.Submit(10); err != ErrClosed {
-		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	if _, err := c.Submit(10); err != ErrClusterClosed {
+		t.Errorf("Submit after Close = %v, want ErrClusterClosed", err)
 	}
 }
 

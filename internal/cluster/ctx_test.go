@@ -31,7 +31,7 @@ func TestSubmitCtxCancelWhileQueued(t *testing.T) {
 	defer c.Close()
 
 	// Occupy the single worker with a long request, then queue one more.
-	blocker, err := c.SubmitAsync(512)
+	blocker, err := submitAsync(c, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSubmitCtxRecordsDemotion(t *testing.T) {
 	for attempt := 0; attempt < 5 && !sawDemotion; attempt++ {
 		var pending []<-chan time.Duration
 		for i := 0; i < 85; i++ {
-			ch, err := c.SubmitAsync(100)
+			ch, err := submitAsync(c, 100)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,9 +304,5 @@ func TestSubmitCtxAfterClose(t *testing.T) {
 	_, err = c.SubmitCtx(context.Background(), Request{Length: 10})
 	if !errors.Is(err, ErrClusterClosed) {
 		t.Errorf("err = %v, want ErrClusterClosed", err)
-	}
-	// The deprecated alias must stay identity-comparable.
-	if !errors.Is(err, ErrClosed) {
-		t.Errorf("err = %v, want ErrClosed alias match", err)
 	}
 }

@@ -12,7 +12,7 @@ func (c *Cluster) AddInstance(rtIdx int) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return 0, ErrClosed
+		return 0, ErrClusterClosed
 	}
 	if rtIdx < 0 || rtIdx >= len(c.cfg.Profile.Runtimes) {
 		return 0, fmt.Errorf("cluster: runtime %d outside [0, %d)", rtIdx, len(c.cfg.Profile.Runtimes))
@@ -32,7 +32,7 @@ func (c *Cluster) RemoveInstance(rtIdx int) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return 0, ErrClosed
+		return 0, ErrClusterClosed
 	}
 	var victim *worker
 	victimOut := 0

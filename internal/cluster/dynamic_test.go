@@ -49,7 +49,7 @@ func TestRemoveInstanceAnyPicksLeastBusy(t *testing.T) {
 	// Load the 64 instance with a few requests; the idle 512 instance is
 	// then the least busy and should be removed first.
 	for i := 0; i < 3; i++ {
-		if _, err := c.SubmitAsync(20); err != nil {
+		if _, err := submitAsync(c, 20); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,11 +72,11 @@ func TestRemoveInstanceErrors(t *testing.T) {
 		t.Error("removing from an empty runtime should fail")
 	}
 	c.Close()
-	if _, err := c.RemoveInstance(0); err != ErrClosed {
-		t.Errorf("remove after close = %v, want ErrClosed", err)
+	if _, err := c.RemoveInstance(0); err != ErrClusterClosed {
+		t.Errorf("remove after close = %v, want ErrClusterClosed", err)
 	}
-	if _, err := c.AddInstance(0); err != ErrClosed {
-		t.Errorf("add after close = %v, want ErrClosed", err)
+	if _, err := c.AddInstance(0); err != ErrClusterClosed {
+		t.Errorf("add after close = %v, want ErrClusterClosed", err)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestRemovedWorkerDrainsItsQueue(t *testing.T) {
 	defer c.Close()
 	chans := make([]<-chan time.Duration, 3)
 	for i := range chans {
-		ch, err := c.SubmitAsync(100)
+		ch, err := submitAsync(c, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestOutstandingTracksLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ch, err := c.SubmitAsync(100)
+	ch, err := submitAsync(c, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

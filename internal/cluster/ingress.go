@@ -4,10 +4,10 @@
 // per member — cancellation-while-queued, typed errors, pooled jobs, and
 // spans that now also carry the ingress_wait stage.
 //
-//	producer goroutines        ring consumers           workers
-//	SubmitCtx ──enqueue──► [shard 0..P-1] ──drain G──► submitBatch ──► w.ch
-//	   │                                                   │
-//	   └────────────── await(j.done) ◄─────────────────────┘
+//	producer goroutines              ring consumers           workers
+//	SubmitCtx ─lease─enqueue──► [shard 0..P-1] ──drain G──► submitBatch ──► w.ch
+//	   │                                                        │
+//	   └────────────────── await(j.done) ◄──────────────────────┘
 //
 // submitBatch is where the amortization happens: one topology RLock per
 // group, and (with a GroupDispatcher policy) the queue stripe locks are
@@ -22,9 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"arlo/internal/dispatch"
 	"arlo/internal/obs"
-	"arlo/internal/queue"
 	"arlo/internal/ring"
 )
 
@@ -49,79 +47,38 @@ type BatchResult struct {
 func (c *Cluster) SubmitBatch(ctx context.Context, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	rec := c.obsRec.Load()
-	if err := ctx.Err(); err != nil {
-		for i := range out {
-			rec.RecordSubmit()
-			rec.RecordCancel()
-			out[i].Err = cancelErr(err)
-		}
-		return out
-	}
-	deadline, hasDeadline := ctx.Deadline()
 	jobs := make([]*job, len(reqs))
 	for i, r := range reqs {
-		rec.RecordSubmit()
-		t, aerr := c.admitTenant(r.Tenant, r.Length+r.MaxNewTokens)
-		if aerr != nil {
-			// Rejected at the door: the member resolves without ever leasing
-			// a job; its slot stays nil through the group dispatch.
-			rec.RecordReject(obs.RejectRateLimited)
-			out[i].Err = aerr
-			continue
-		}
-		j := newJob(r.Length)
-		j.tokenize = r.Tokenize
-		if r.MaxNewTokens > 0 {
-			j.maxNew = r.MaxNewTokens
-		}
-		if hasDeadline {
-			j.deadline = deadline
-		}
-		c.applyTenant(j, t)
-		jobs[i] = j
+		// A member refused at the door resolves here; its slot stays nil
+		// through the group dispatch.
+		jobs[i], out[i].Err = c.lease(ctx, rec, r)
 	}
 	c.submitBatch(jobs)
 	for i, j := range jobs {
-		if j == nil {
-			continue // admission-rejected member, already resolved
+		if j != nil {
+			out[i].Result, out[i].Err = c.await(ctx, j, rec)
 		}
-		out[i].Result, out[i].Err = c.await(ctx, j, rec)
 	}
 	return out
 }
 
-// submitBatch routes one drained group of jobs — the amortized counterpart
-// of route(): the topology lock is taken shared once for the whole group,
-// and with a GroupDispatcher policy each touched level's stripe lock is
-// taken once (the deferred Reheap) instead of once per member. Every job
-// is resolved exactly once: handed to a worker, discarded if its
-// submitter already cancelled, or failed with a typed error through its
-// done channel. Callers must have recorded the submissions already.
+// submitBatch places one group of leased jobs — a SubmitBatch call or a
+// ring drain — the amortized counterpart of route: the topology lock is
+// taken shared once for the whole group, and with a GroupDispatcher
+// policy each touched level's stripe lock is taken once (the deferred
+// Reheap) instead of once per member. With a tenant registry members take
+// their fair turn through the pump instead of placing inline. Every job is
+// resolved exactly once: handed on, discarded if its submitter already
+// cancelled, or failed with a typed error through its done channel. nil
+// slots are members lease already resolved.
 func (c *Cluster) submitBatch(jobs []*job) {
-	rec := c.obsRec.Load()
-	if c.fairQ != nil {
-		// Multi-tenant mode: the group takes its fair turns through the
-		// pump instead of dispatching inline.
-		c.submitBatchFair(jobs)
-		return
-	}
 	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		for _, j := range jobs {
-			if j == nil {
-				continue
-			}
-			c.failJob(j, ErrClusterClosed)
-		}
-		return
-	}
+	defer c.mu.RUnlock()
 	now := time.Now()
-	stale := c.dispStale
-	var touched uint64 // bitmask of levels dispatched via DispatchStale
+	var touched uint64 // levels dispatched into via DispatchStale
 	for _, j := range jobs {
 		if j == nil {
-			continue // admission-rejected member of a SubmitBatch group
+			continue
 		}
 		if j.state.Load() == jobCancelled {
 			// The submitter's context fired while the job sat in the ring;
@@ -129,51 +86,25 @@ func (c *Cluster) submitBatch(jobs []*job) {
 			jobPool.Put(j)
 			continue
 		}
-		if !j.deadline.IsZero() && !now.Before(j.deadline) {
+		var err error
+		switch {
+		case c.closed:
+			err = ErrClusterClosed
+		case !j.deadline.IsZero() && !now.Before(j.deadline):
 			// The member's deadline was spent while it waited for its
 			// group: reject before touching the queue, mirroring the batch
 			// former's per-member CAS rule.
-			c.failJob(j, cancelErr(context.DeadlineExceeded))
-			continue
-		}
-		j.ingressWait = now.Sub(j.started)
-		t0 := time.Now()
-		var (
-			inst *queue.Instance
-			dec  dispatch.Decision
-			err  error
-		)
-		if stale != nil {
-			inst, dec, err = stale.DispatchStale(j.length)
-		} else {
-			inst, dec, err = c.dispCtx.DispatchCtx(context.Background(), j.length)
+			err = cancelErr(context.DeadlineExceeded)
+		default:
+			j.ingressWait = now.Sub(j.started)
+			if c.fairQ != nil {
+				err = c.fairEnqueue(j)
+			} else {
+				err = c.place(context.Background(), j, &touched)
+			}
 		}
 		if err != nil {
 			c.failJob(j, err)
-			continue
-		}
-		j.dispatch = time.Since(t0)
-		j.dec = dec
-		j.instID = inst.ID
-		if dec.Level > dec.IdealLevel {
-			rec.RecordDemotion(dec.IdealLevel, dec.Level)
-		}
-		if stale != nil && dec.Level < 64 {
-			touched |= 1 << uint(dec.Level)
-		} else if stale != nil {
-			c.ml.Reheap(dec.Level) // beyond the bitmask's reach; repair now
-		}
-		w := c.workers[inst.ID]
-		if w == nil {
-			c.ml.OnComplete(inst)
-			c.failJob(j, fmt.Errorf("%w: instance %d no longer deployed", ErrCongested, inst.ID))
-			continue
-		}
-		select {
-		case w.ch <- j:
-		default:
-			c.ml.OnComplete(w.inst)
-			c.failJob(j, fmt.Errorf("%w: worker %d queue overflow", ErrCongested, inst.ID))
 		}
 	}
 	// The deferred stripe-lock half of the bargain: one Reheap per level
@@ -183,7 +114,6 @@ func (c *Cluster) submitBatch(jobs []*job) {
 		touched &^= 1 << uint(k)
 		c.ml.Reheap(k)
 	}
-	c.mu.RUnlock()
 }
 
 // IngressConfig tunes an Ingress. The zero value gives GOMAXPROCS shards
@@ -270,32 +200,15 @@ func (g *Ingress) consume(shard int) {
 // is discarded by the drain without touching the queue.
 func (g *Ingress) SubmitCtx(ctx context.Context, req Request) (Result, error) {
 	rec := g.c.obsRec.Load()
-	if err := ctx.Err(); err != nil {
-		rec.RecordSubmit()
-		rec.RecordCancel()
-		return Result{}, cancelErr(err)
-	}
 	if g.closed.Load() {
 		rec.RecordSubmit()
 		rec.RecordReject(obs.RejectClosed)
 		return Result{}, ErrClusterClosed
 	}
-	t, aerr := g.c.admitTenant(req.Tenant, req.Length+req.MaxNewTokens)
-	if aerr != nil {
-		// Rejected at the door: the request never enters the ring.
-		g.c.rejectAdmission(rec)
-		return Result{}, aerr
+	j, err := g.c.lease(ctx, rec, req)
+	if err != nil {
+		return Result{}, err
 	}
-	rec.RecordSubmit()
-	j := newJob(req.Length)
-	j.tokenize = req.Tokenize
-	if req.MaxNewTokens > 0 {
-		j.maxNew = req.MaxNewTokens
-	}
-	if d, ok := ctx.Deadline(); ok {
-		j.deadline = d
-	}
-	g.c.applyTenant(j, t)
 	if _, ok := g.r.Enqueue(j); !ok {
 		jobPool.Put(j)
 		rec.RecordReject(obs.RejectCongested)

@@ -7,10 +7,10 @@
 // path allocation-free and unchanged. With a registry configured:
 //
 //  1. Every submit path (SubmitCtx, SubmitBatch, the ingress rings,
-//     Replay) resolves the request's tenant and runs token-bucket
-//     admission *before* leasing queue state: a rejected request never
-//     touches the multi-level queue, so a bursting tenant cannot trigger
-//     λ-congestion demotions for everyone else.
+//     Replay) comes through lease, which resolves the request's tenant
+//     and runs token-bucket admission *before* leasing queue state: a
+//     rejected request never touches the multi-level queue, so a bursting
+//     tenant cannot trigger λ-congestion demotions for everyone else.
 //  2. Admitted jobs flow through a start-time-fair queue (queue.Fair)
 //     drained by a single pump goroutine, so dispatch order interleaves
 //     tenants by weight x class bias instead of arrival order: a
@@ -18,15 +18,12 @@
 //     share rather than ahead of it.
 //  3. The tenant's SLO class stamps per-request policy: an implicit
 //     deadline for interactive requests and a batching-window factor the
-//     batched worker's Former honors per member.
+//     worker loop's Former honors per member.
 package cluster
 
 import (
-	"context"
-	"errors"
 	"time"
 
-	"arlo/internal/dispatch"
 	"arlo/internal/obs"
 	"arlo/internal/tenant"
 )
@@ -56,14 +53,6 @@ func (c *Cluster) admitTenant(id string, tokens int) (*tenant.Tenant, error) {
 	return t, nil
 }
 
-// rejectAdmission books one admission rejection: a submission attempt
-// with a rate-limited outcome, matching the submit/reject pairing every
-// other refusal path keeps.
-func (c *Cluster) rejectAdmission(rec *obs.Recorder) {
-	rec.RecordSubmit()
-	rec.RecordReject(obs.RejectRateLimited)
-}
-
 // applyTenant stamps tenant policy onto a freshly leased job: the record
 // itself (for fair-share accounting and the span label), the class's
 // implicit deadline when the submitter brought none, and the class's
@@ -84,14 +73,10 @@ func (c *Cluster) applyTenant(j *job, t *tenant.Tenant) {
 	}
 }
 
-// fairEnqueue hands an admitted job to the fair queue in place of direct
-// routing. The pump drains it in weighted-fair order. Jobs submitted
-// without tenant resolution (SubmitAsync, internal paths) are accounted
-// to the default tenant.
+// fairEnqueue hands an admitted job to the fair queue in place of inline
+// placement; the pump drains it in weighted-fair order. lease resolved the
+// job's tenant.
 func (c *Cluster) fairEnqueue(j *job) error {
-	if j.tenant == nil {
-		j.tenant = c.tenants.Get(tenant.DefaultID)
-	}
 	t := j.tenant
 	weight := t.Weight() * t.Class().PriorityBias()
 	cost := float64(j.length + j.maxNew)
@@ -102,12 +87,13 @@ func (c *Cluster) fairEnqueue(j *job) error {
 }
 
 // runFairPump is the single dispatch pump of a multi-tenant cluster: it
-// pops jobs in weighted-fair order and routes them through the normal
-// dispatch path. Transient dispatch failures (congestion, no instances
-// mid-recovery) retry against the requeue budget; terminal ones fail the
-// job through the done channel exactly like a failover displacement.
-// After Close the queue drains — leftover jobs fail with ErrClusterClosed
-// so every submitter returns.
+// pops jobs in weighted-fair order and places them through reroute.
+// Congestion retries against a per-job budget, holding the pump (and with
+// it every tenant) for at most budget * redispatchBackoff — a saturated
+// cluster is already not making fair progress; terminal errors, here
+// including an empty level, fail the job through the done channel exactly
+// like a failover displacement. After Close the queue drains — leftover
+// jobs fail with ErrClusterClosed so every submitter returns.
 func (c *Cluster) runFairPump() {
 	defer c.wg.Done()
 	for {
@@ -115,43 +101,13 @@ func (c *Cluster) runFairPump() {
 		if !ok {
 			return
 		}
-		if j.state.Load() == jobCancelled {
-			// The submitter cancelled while the job waited its fair turn; it
-			// already returned, so the pump owns (and discards) the job.
-			jobPool.Put(j)
-			continue
-		}
-		c.pumpDispatch(j)
-	}
-}
-
-// pumpDispatch routes one fairly-ordered job, bounded-retrying transients.
-func (c *Cluster) pumpDispatch(j *job) {
-	// Once route succeeds the job belongs to its worker and submitter — it
-	// can complete and be pool-recycled before this returns — so capture
-	// the accounting fields while the pump still owns it.
-	t := j.tenant
-	cost := j.length + j.maxNew
-	for attempt := 0; ; attempt++ {
-		err := c.route(context.Background(), j)
-		if err == nil {
-			if t != nil {
-				t.RecordDispatched(cost)
-			}
-			return
-		}
-		if errors.Is(err, ErrClusterClosed) || errors.Is(err, dispatch.ErrTooLong) ||
-			errors.Is(err, dispatch.ErrNoInstances) || attempt >= c.budget {
-			c.failJob(j, err)
-			return
-		}
-		// Congested: back off briefly and retry. This holds the pump (and
-		// with it every tenant) for at most budget * redispatchBackoff — a
-		// saturated cluster is already not making fair progress.
-		time.Sleep(redispatchBackoff)
-		if j.state.Load() == jobCancelled {
-			jobPool.Put(j)
-			return
+		// Once placed the job belongs to its worker and submitter — it can
+		// complete and be pool-recycled before reroute returns — so capture
+		// the accounting fields while the pump still owns it.
+		t, cost := j.tenant, j.length+j.maxNew
+		retries := 0
+		if c.reroute(j, &retries, true) {
+			t.RecordDispatched(cost)
 		}
 	}
 }
@@ -188,29 +144,4 @@ func (c *Cluster) tenantSnapshot() []obs.TenantStat {
 		}
 	}
 	return out
-}
-
-// submitBatchFair is submitBatch's multi-tenant counterpart: each live
-// member of a drained group takes its fair turn through the pump instead
-// of dispatching inline. nil slots are SubmitBatch members already
-// resolved by admission.
-func (c *Cluster) submitBatchFair(jobs []*job) {
-	now := time.Now()
-	for _, j := range jobs {
-		if j == nil {
-			continue
-		}
-		if j.state.Load() == jobCancelled {
-			jobPool.Put(j)
-			continue
-		}
-		if !j.deadline.IsZero() && !now.Before(j.deadline) {
-			c.failJob(j, cancelErr(context.DeadlineExceeded))
-			continue
-		}
-		j.ingressWait = now.Sub(j.started)
-		if err := c.fairEnqueue(j); err != nil {
-			c.failJob(j, err)
-		}
-	}
 }

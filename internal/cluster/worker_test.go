@@ -1,0 +1,182 @@
+package cluster
+
+import (
+	"context"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"arlo/internal/dispatch"
+	"arlo/internal/model"
+	"arlo/internal/profiler"
+	"arlo/internal/queue"
+	"arlo/internal/tenant"
+)
+
+// TestIterationPricingMatchesClosedForms is the wall-clock-free property
+// behind the single worker loop: summed over a sequence's residency, the
+// loop's per-iteration prices equal the closed-form references exactly
+// (integer nanoseconds) — Runtime.GenCostOf for one slot, and
+// Runtime.GenBatchCostOf for a run-to-completion batch, where nobody
+// leaves before the longest member. Decode step t is priced at context
+// prompt + t, like model.GenerateLatency.
+func TestIterationPricingMatchesClosedForms(t *testing.T) {
+	static := testProfile(t, []int{512}).Runtimes[0]
+	dyn, err := profiler.DynamicProfile(model.BertBase(), []int{64, 256, 512}, 150*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtimes := map[string]profiler.Runtime{
+		"static":      static,
+		"dynamic":     dyn.Runtimes[0],
+		"handwritten": {MaxLength: 512, Latency: 3 * time.Millisecond},
+	}
+	// total drives the loop's pricing to the end of a run-to-completion
+	// batch admitted together.
+	total := func(rt profiler.Runtime, lengths, outs []int) time.Duration {
+		var res residents
+		for i := range lengths {
+			res.seqs = append(res.seqs, newSeq(&job{length: lengths[i], maxNew: outs[i]}))
+		}
+		var sum time.Duration
+		for {
+			sum += res.price(rt)
+			if res.advance() == 0 {
+				return sum
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	for name, rt := range runtimes {
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.Intn(8)
+			lengths, outs := make([]int, n), make([]int, n)
+			for i := range lengths {
+				lengths[i] = 1 + rng.Intn(512) // long prompts cross the context clamp
+				outs[i] = rng.Intn(48)         // 0 is an encoder request
+			}
+			if got, want := total(rt, lengths[:1], outs[:1]), rt.GenCostOf(lengths[0], outs[0]); got != want {
+				t.Fatalf("%s: one slot, length %d out %d: iterations sum to %d ns, GenCostOf %d ns",
+					name, lengths[0], outs[0], got, want)
+			}
+			if got, want := total(rt, lengths, outs), rt.GenBatchCostOf(lengths, outs); got != want {
+				t.Fatalf("%s: batch lengths %v outs %v: iterations sum to %d ns, GenBatchCostOf %d ns",
+					name, lengths, outs, got, want)
+			}
+		}
+	}
+}
+
+// TestTTFTMeasuredInEveryMode: the first token lands when the prefill
+// iteration actually ends, so a degraded instance's slowdown shows in
+// TTFT whatever the batching mode (it used to be the modeled prefill in
+// the two non-continuous loops).
+func TestTTFTMeasuredInEveryMode(t *testing.T) {
+	p := testProfile(t, []int{512})
+	prefill := p.Runtimes[0].CostOf(200)
+	for _, m := range []struct {
+		name       string
+		maxBatch   int
+		continuous bool
+	}{
+		{"sequential", 0, false},
+		{"run-to-completion", 4, false},
+		{"continuous", 4, true},
+	} {
+		c, err := New(Config{
+			Profile:           p,
+			InitialAllocation: []int{1},
+			Dispatcher:        rsFactory,
+			Overhead:          -1,
+			MaxBatch:          m.maxBatch,
+			BatchDelay:        -1,
+			Continuous:        m.continuous,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.SlowInstance(0, 2); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.SubmitCtx(context.Background(), Request{Length: 200, MaxNewTokens: 4})
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if res.Span.TTFT < 2*prefill {
+			t.Errorf("%s: TTFT %v on a 2x-slowed instance, want >= 2 x modeled prefill %v", m.name, res.Span.TTFT, prefill)
+		}
+		if res.Span.TTFT >= res.Span.Total || res.Span.OutTokens != 4 {
+			t.Errorf("%s: TTFT %v, total %v, out tokens %d", m.name, res.Span.TTFT, res.Span.Total, res.Span.OutTokens)
+		}
+		if batched := res.Span.BatchSize > 0; batched != (m.maxBatch > 1) {
+			t.Errorf("%s: batch size %d on the span", m.name, res.Span.BatchSize)
+		}
+	}
+}
+
+// TestContinuousHonorsWindowPolicy pins the one Former construction: a
+// continuous worker with every slot empty forms its batch under the same
+// window policy as a run-to-completion one. A lone request waits out its
+// tenant class's collection window — short for interactive, stretched for
+// batch — and the wait is reported on the span (the continuous loop used
+// to ignore the class window and report a zero form wait).
+func TestContinuousHonorsWindowPolicy(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	reg := testRegistry(t,
+		tenant.Config{ID: "int", SLOClass: "interactive"},
+		tenant.Config{ID: "bat", SLOClass: "batch"},
+	)
+	c, err := New(Config{
+		Profile:           testProfile(t, []int{512}),
+		InitialAllocation: []int{1},
+		Dispatcher:        rsFactory,
+		Overhead:          -1,
+		MaxBatch:          4,
+		BatchDelay:        delay,
+		Continuous:        true,
+		Tenants:           reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	formWait := func(id string) time.Duration {
+		res, err := c.SubmitCtx(context.Background(), Request{Length: 100, MaxNewTokens: 2, Tenant: id})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return res.Span.FormWait
+	}
+	interactive, batch := formWait("int"), formWait("bat")
+	if interactive <= 0 || interactive >= delay {
+		t.Errorf("interactive member held %v, want its class window (%v), well inside the %v delay",
+			interactive, delay/4, delay)
+	}
+	if batch < 2*delay {
+		t.Errorf("batch member held %v, want its stretched window (%v)", batch, delay*tenant.MaxWindowFactor)
+	}
+}
+
+// plainPolicy implements dispatch.Dispatcher only.
+type plainPolicy struct{}
+
+func (plainPolicy) Dispatch(int) (*queue.Instance, error) { return nil, dispatch.ErrNoInstances }
+func (plainPolicy) Name() string                          { return "plain" }
+
+// TestNewRequiresContextDispatcher: every policy in the repo reports its
+// decision, so one that cannot is a configuration error, not something to
+// adapt around.
+func TestNewRequiresContextDispatcher(t *testing.T) {
+	_, err := New(Config{
+		Profile:           testProfile(t, []int{512}),
+		InitialAllocation: []int{1},
+		Dispatcher: func(*queue.MultiLevel) (dispatch.Dispatcher, error) {
+			return plainPolicy{}, nil
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "ContextDispatcher") {
+		t.Fatalf("New with a context-less dispatcher: err = %v", err)
+	}
+}

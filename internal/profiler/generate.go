@@ -1,10 +1,11 @@
 package profiler
 
 // Generative (prefill + decode) profiling: the per-iteration cost queries
-// the continuous-batching worker loop consumes, plus the run-to-completion
-// generative batch cost it is benchmarked against, and the gen-aware M_i
-// that keeps the queue's lambda-congestion estimate honest once instances
-// hold decode slots for many iterations.
+// the cluster's worker loop consumes (DecodeStepCost, with BatchCostOf),
+// the closed-form whole-request costs its per-iteration pricing is tested
+// against (GenCostOf, GenBatchCostOf), and the gen-aware M_i that keeps
+// the queue's lambda-congestion estimate honest once instances hold
+// decode slots for many iterations.
 
 import "time"
 
