@@ -1,27 +1,19 @@
-// The router's JSON front end: the same /v1/infer and /v1/generate
-// surface a single arlo-server exposes, answered by forwarding over the
-// wire protocol to a shard. Error envelopes reuse serve's exported types
-// and the wire status' stable code strings, so a shard's typed rejection
-// (rate_limited with Retry-After, unserviceable, congested, too_long)
-// reaches the HTTP client byte-compatible with the router-less path —
-// never rewrapped into a generic 502.
+// The router's own HTTP surface: its mux, the reply types a client of a
+// routed /v1/infer or /v1/generate decodes, and the /healthz aggregation.
+// The two inference endpoints themselves are serve.Frontend's handlers —
+// the code a shard runs — so a shard's typed rejection (rate_limited with
+// Retry-After, unserviceable, congested, too_long) reaches the HTTP
+// client exactly as the router-less path would write it, never rewrapped
+// into a generic 502; the router's OK replies add the route fields below.
 
 package router
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"math"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"arlo/internal/serve"
-	"arlo/internal/wire"
 )
 
 // InferResponse is the router's reply to POST /v1/infer: the shard's
@@ -46,144 +38,8 @@ type GenerateResponse struct {
 	Hops    int     `json:"hops,omitempty"`
 }
 
-// inferLabels mirrors the emulated classifier's label strings; wire
-// responses carry the index.
-var inferLabels = [3]string{"negative", "neutral", "positive"}
-
 // ServeHTTP implements http.Handler.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.ServeHTTP(w, req) }
-
-func (r *Router) handleInfer(w http.ResponseWriter, hr *http.Request) {
-	if hr.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(hr.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "read error")
-		return
-	}
-	var jreq serve.InferRequest
-	if err := json.Unmarshal(body, &jreq); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid JSON")
-		return
-	}
-	if jreq.Text == "" {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "empty text")
-		return
-	}
-	wreq := wire.Request{
-		Kind:   wire.KindRequestV2,
-		Mode:   wire.ModeTokens,
-		Tenant: tenantOf(hr, jreq.Tenant),
-	}
-	r.finishInfer(w, hr, &wreq, jreq.Text)
-}
-
-func (r *Router) handleGenerate(w http.ResponseWriter, hr *http.Request) {
-	if hr.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(hr.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "read error")
-		return
-	}
-	var jreq serve.GenerateRequest
-	if err := decodeStrict(body, &jreq); err != nil {
-		// Unknown fields are the versioning rejection, not a malformed
-		// body — the same split the shards' own /v1/generate makes.
-		if errors.Is(err, serve.ErrUnsupportedField) {
-			writeError(w, http.StatusBadRequest, serve.CodeUnsupportedField, err.Error())
-		} else {
-			writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid JSON")
-		}
-		return
-	}
-	if jreq.Text == "" {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "empty text")
-		return
-	}
-	if jreq.MaxNewTokens < 1 || jreq.MaxNewTokens > serve.MaxNewTokensLimit {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest,
-			fmt.Sprintf("max_new_tokens must be in [1, %d], got %d", serve.MaxNewTokensLimit, jreq.MaxNewTokens))
-		return
-	}
-	wreq := wire.Request{
-		Kind:         wire.KindGenRequestV2,
-		Mode:         wire.ModeTokens,
-		MaxNewTokens: uint32(jreq.MaxNewTokens),
-		Tenant:       tenantOf(hr, jreq.Tenant),
-	}
-	r.finishInfer(w, hr, &wreq, jreq.Text)
-}
-
-// finishInfer tokenizes, routes and answers one HTTP request whose wire
-// header (kind, tenant, generation budget) is already built.
-func (r *Router) finishInfer(w http.ResponseWriter, hr *http.Request, wreq *wire.Request, text string) {
-	ids := r.tok.Encode(text, r.cfg.MaxLength)
-	wreq.Tokens = make([]uint32, len(ids))
-	for i, id := range ids {
-		wreq.Tokens[i] = uint32(id)
-	}
-	ctx := hr.Context()
-	if dl, ok := ctx.Deadline(); ok {
-		wreq.Deadline = dl.UnixNano()
-	}
-	resp, info := r.route(ctx, wreq, len(ids))
-	if resp.Status != wire.StatusOK {
-		writeWireError(w, &resp)
-		return
-	}
-	label := ""
-	if int(resp.Label) < len(inferLabels) {
-		label = inferLabels[resp.Label]
-	}
-	if wreq.Kind == wire.KindGenRequestV2 {
-		out := GenerateResponse{
-			GenerateResponse: serve.GenerateResponse{
-				Label:          label,
-				SequenceLength: int(resp.SeqLen),
-				OutputTokens:   int(resp.OutTokens),
-				TTFTMS:         float64(resp.TTFTNS) / float64(time.Millisecond),
-				LatencyMS:      float64(resp.LatencyNS) / float64(time.Millisecond),
-				QueueMS:        float64(resp.QueueNS) / float64(time.Millisecond),
-				ExecMS:         float64(resp.ExecNS) / float64(time.Millisecond),
-				DemotionHops:   int(resp.DemotionHops),
-				Instance:       int(resp.Instance),
-				Runtime:        int(resp.Runtime),
-				Batch:          resp.Batch,
-				BatchSize:      int(resp.BatchSize),
-			},
-			RouteMS: float64(info.route) / float64(time.Millisecond),
-			Shard:   info.shard,
-			Hops:    info.hops,
-		}
-		if resp.OutTokens > 1 && resp.LatencyNS > resp.TTFTNS {
-			out.TPOTMS = float64(resp.LatencyNS-resp.TTFTNS) / float64(resp.OutTokens-1) / float64(time.Millisecond)
-		}
-		writeJSON(w, out)
-		return
-	}
-	writeJSON(w, InferResponse{
-		InferResponse: serve.InferResponse{
-			Label:          label,
-			SequenceLength: int(resp.SeqLen),
-			LatencyMS:      float64(resp.LatencyNS) / float64(time.Millisecond),
-			QueueMS:        float64(resp.QueueNS) / float64(time.Millisecond),
-			ExecMS:         float64(resp.ExecNS) / float64(time.Millisecond),
-			DemotionHops:   int(resp.DemotionHops),
-			Instance:       int(resp.Instance),
-			Runtime:        int(resp.Runtime),
-			Batch:          resp.Batch,
-			BatchSize:      int(resp.BatchSize),
-		},
-		RouteMS: float64(info.route) / float64(time.Millisecond),
-		Shard:   info.shard,
-		Hops:    info.hops,
-	})
-}
 
 // ShardHealth is one shard's state in the router's /healthz aggregation.
 type ShardHealth struct {
@@ -236,74 +92,4 @@ func (r *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(resp)
-}
-
-// writeWireError renders a shard's (or the router's own) typed non-OK
-// status as the JSON error envelope the shard itself would have written,
-// including the Retry-After hint on rate_limited answers.
-func writeWireError(w http.ResponseWriter, resp *wire.Response) {
-	if resp.Status == wire.StatusRateLimited && resp.RetryAfterNS > 0 {
-		secs := int64(math.Ceil(time.Duration(resp.RetryAfterNS).Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	writeError(w, wireHTTPStatus(resp.Status), resp.Status.String(), resp.Message)
-}
-
-// wireHTTPStatus maps a binary status onto the HTTP status the shard's
-// own JSON endpoint would have used.
-func wireHTTPStatus(s wire.Status) int {
-	switch s {
-	case wire.StatusInvalid, wire.StatusUnsupportedField:
-		return http.StatusBadRequest
-	case wire.StatusTooLong:
-		return http.StatusRequestEntityTooLarge
-	case wire.StatusDeadline:
-		return http.StatusGatewayTimeout
-	case wire.StatusCongested, wire.StatusNoInstances, wire.StatusUnavailable, wire.StatusUnserviceable:
-		return http.StatusServiceUnavailable
-	case wire.StatusRateLimited:
-		return http.StatusTooManyRequests
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// tenantOf resolves the submitting tenant: the X-Arlo-Tenant header wins
-// over the body field, matching the shards' precedence.
-func tenantOf(hr *http.Request, bodyTenant string) string {
-	if h := hr.Header.Get(serve.TenantHeader); h != "" {
-		return h
-	}
-	return bodyTenant
-}
-
-// decodeStrict is the shards' strict JSON decode: unknown fields are
-// typed serve.ErrUnsupportedField, other decode failures plain errors.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if strings.Contains(err.Error(), "unknown field") {
-			return fmt.Errorf("%w: %v", serve.ErrUnsupportedField, err)
-		}
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON object")
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(serve.ErrorEnvelope{Error: serve.ErrorBody{Code: code, Message: msg}})
 }

@@ -280,3 +280,184 @@ func TestTenant429ThroughRouter(t *testing.T) {
 		t.Fatal("tight tenant never hit the rate limit")
 	}
 }
+
+// TestRouterRepliesLikeShard: the validation paths of the shared front
+// end, driven through a router and against the shard itself. Each row
+// asserts the expected code and that the router's reply equals the
+// direct server's — status, code, message, Retry-After; the route fields
+// aside. (A load probe is the one frame the two answer differently: the
+// shard with a snapshot, the router, which has none, as an unknown kind.)
+func TestRouterRepliesLikeShard(t *testing.T) {
+	p, err := profiler.StaticProfile(model.BertBase(), []int{128, 512}, 150*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Refill 0 makes the refusal's hint (and so its message) constant.
+	reg, err := tenant.NewRegistry(tenant.Config{ID: "tight", Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(cluster.Config{
+		Profile:           p,
+		InitialAllocation: []int{1, 1},
+		TimeScale:         0.01,
+		Tenants:           reg,
+		Dispatcher: func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
+			return dispatch.NewRequestScheduler(ml)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	srv, err := serve.New(tokenizer.New(), cl, serve.WithMaxLength(512), serve.WithShardName("s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	listen := func(serveWire func(net.Listener) error) string {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = serveWire(l) }()
+		return l.Addr().String()
+	}
+	shardWire := listen(srv.ServeWire)
+	r := newRouter(t, Config{
+		Shards:                  []ShardConfig{{Name: "s", Addr: shardWire}},
+		SnapshotRefreshInterval: 5 * time.Millisecond,
+	})
+	routerWire := listen(r.ServeWire)
+	direct, routed := httptest.NewServer(srv), httptest.NewServer(r)
+	defer direct.Close()
+	defer routed.Close()
+
+	// reply is what must not differ between the two paths.
+	type reply struct {
+		id           uint64 // the echoed frame id (0 over HTTP)
+		status       int    // HTTP status, or the wire status
+		code         string
+		message      string
+		retryAfter   string
+		label        string
+		sequenceLen  int
+		outputTokens int
+	}
+	overHTTP := func(base, path, tenantHeader, body string) reply {
+		req, err := http.NewRequest(http.MethodPost, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tenantHeader != "" {
+			req.Header.Set(serve.TenantHeader, tenantHeader)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out := reply{status: resp.StatusCode, code: "ok", retryAfter: resp.Header.Get("Retry-After")}
+		var body200 GenerateResponse // a superset of InferResponse's fields
+		var env serve.ErrorEnvelope
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&body200)
+			out.label, out.sequenceLen, out.outputTokens = body200.Label, body200.SequenceLength, body200.OutputTokens
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			out.code, out.message = env.Error.Code, env.Error.Message
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	overWire := func(addr string, payload []byte) reply {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if _, err := nc.Write(wire.AppendFrame(nil, payload)); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := wire.ReadFrame(bufio.NewReader(nc), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeResponse(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := reply{id: resp.ID, status: int(resp.Status), code: resp.Status.String(), message: resp.Message,
+			sequenceLen: int(resp.SeqLen), outputTokens: int(resp.OutTokens)}
+		if resp.RetryAfterNS != 0 {
+			out.retryAfter = time.Duration(resp.RetryAfterNS).String()
+		}
+		return out
+	}
+	frame := func(req wire.Request) []byte {
+		req.ID = 9
+		return wire.AppendRequest(nil, &req)
+	}
+	// corrupt returns a valid text frame with one header byte overwritten.
+	corrupt := func(req wire.Request, at int, b byte) []byte {
+		req.Mode, req.Text = wire.ModeText, "some words"
+		p := frame(req)
+		p[at] = b
+		return p
+	}
+
+	for _, tc := range []struct {
+		name               string
+		path, tenant, body string // an HTTP request, or
+		payload            []byte // a frame
+		wantCode           string
+	}{
+		{name: "generate unknown field", path: "/v1/generate",
+			body: `{"text":"x","max_new_tokens":4,"temperature":0.7}`, wantCode: "unsupported_field"},
+		{name: "generate zero budget", path: "/v1/generate",
+			body: `{"text":"x","max_new_tokens":0}`, wantCode: "invalid_request"},
+		{name: "generate huge budget", path: "/v1/generate",
+			body: `{"text":"x","max_new_tokens":1000000}`, wantCode: "invalid_request"},
+		{name: "generate served", path: "/v1/generate",
+			body: `{"text":"some words","max_new_tokens":3}`, wantCode: "ok"},
+		{name: "infer empty text", path: "/v1/infer", body: `{"text":""}`, wantCode: "invalid_request"},
+		{name: "infer bad json", path: "/v1/infer", body: `{"text":`, wantCode: "invalid_request"},
+		{name: "header tenant beats body", path: "/v1/infer", tenant: "tight",
+			body: `{"text":"some words","tenant":"default"}`, wantCode: "rate_limited"},
+		{name: "body tenant without header", path: "/v1/infer",
+			body: `{"text":"some words","tenant":"tight"}`, wantCode: "rate_limited"},
+		{name: "header tenant beats limited body", path: "/v1/infer", tenant: "default",
+			body: `{"text":"some words","tenant":"tight"}`, wantCode: "ok"},
+
+		{name: "frame gen zero budget",
+			payload: frame(wire.Request{Kind: wire.KindGenRequest, Mode: wire.ModeText, Text: "x"}), wantCode: "invalid_request"},
+		{name: "frame gen huge budget",
+			payload: frame(wire.Request{Kind: wire.KindGenRequest, Mode: wire.ModeText, Text: "x", MaxNewTokens: 1 << 20}), wantCode: "invalid_request"},
+		{name: "frame unknown kind", payload: corrupt(wire.Request{}, 0, 99), wantCode: "unsupported_field"},
+		{name: "frame unknown mode", payload: corrupt(wire.Request{}, 17, 7), wantCode: "unsupported_field"},
+		{name: "frame unknown version", payload: corrupt(wire.Request{Tenant: "default"}, 1, 3), wantCode: "unsupported_field"},
+		{name: "frame truncated", payload: frame(wire.Request{Mode: wire.ModeTokens, Tokens: []uint32{1, 2}})[:22], wantCode: "invalid_request"},
+		{name: "frame empty text", payload: frame(wire.Request{Mode: wire.ModeText}), wantCode: "invalid_request"},
+		{name: "frame empty tokens", payload: frame(wire.Request{Mode: wire.ModeTokens}), wantCode: "invalid_request"},
+		{name: "frame tenant refused", payload: frame(wire.Request{Mode: wire.ModeText, Text: "some words", Tenant: "tight"}), wantCode: "rate_limited"},
+		{name: "frame tokens served", payload: frame(wire.Request{Mode: wire.ModeTokens, Tokens: []uint32{5, 6, 7}}), wantCode: "ok"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var viaShard, viaRouter reply
+			if tc.payload != nil {
+				viaShard, viaRouter = overWire(shardWire, tc.payload), overWire(routerWire, tc.payload)
+			} else {
+				viaShard = overHTTP(direct.URL, tc.path, tc.tenant, tc.body)
+				viaRouter = overHTTP(routed.URL, tc.path, tc.tenant, tc.body)
+			}
+			if viaShard.code != tc.wantCode {
+				t.Errorf("shard answered %+v, want code %q", viaShard, tc.wantCode)
+			}
+			if viaRouter != viaShard {
+				t.Errorf("router's reply differs from the shard's:\n router %+v\n shard  %+v", viaRouter, viaShard)
+			}
+		})
+	}
+}

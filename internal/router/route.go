@@ -1,39 +1,51 @@
-// The routing loop shared by both front ends: pick a shard, forward,
-// and on transport failure or an unavailable shard re-route under the
-// hop budget. The outcome is always a typed wire.Response — the front
-// ends only translate it into their protocol, never invent statuses —
-// so a shard's rate_limited or unserviceable answer reaches the client
-// exactly as the shard wrote it.
+// The Router as a serve.Backend, and the routing loop behind it: pick a
+// shard, forward, and on transport failure or an unavailable shard
+// re-route under the hop budget. The outcome is always a typed
+// wire.Response — the front end only renders it in the client's
+// protocol, never invents statuses — so a shard's rate_limited or
+// unserviceable answer reaches the client exactly as the shard wrote it.
 
 package router
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
+	"arlo/internal/serve"
 	"arlo/internal/wire"
 )
 
-// routeInfo is the route-stage accounting attached to a reply: which
-// shard answered, how many reroute hops it took, and the time spent
-// routing (everything before the successful forward began).
-type routeInfo struct {
-	shard string
-	hops  int
-	route time.Duration
+// Do implements serve.Backend: tokenize text router-side (one
+// tokenization per request; pre-encoded ids are clamped to the same
+// maximum), so the request is bucketed by its real length, and forward it
+// as a ModeTokens frame. Tenant, deadline and generation budget ride
+// along whichever frame revision the client spoke — the encoder picks the
+// revision from the fields.
+func (r *Router) Do(ctx context.Context, req wire.Request) (wire.Response, serve.Hop) {
+	if req.Mode == wire.ModeText {
+		ids := r.tok.Encode(req.Text, r.cfg.MaxLength)
+		req.Tokens = make([]uint32, len(ids))
+		for i, id := range ids {
+			req.Tokens[i] = uint32(id)
+		}
+		req.Mode, req.Text = wire.ModeTokens, ""
+	} else if len(req.Tokens) > r.cfg.MaxLength {
+		req.Tokens = req.Tokens[:r.cfg.MaxLength]
+	}
+	return r.route(ctx, &req, len(req.Tokens))
 }
 
 // route forwards one request, rerouting on transport failures and
 // StatusUnavailable answers until a shard replies, the hop budget is
 // spent, or no shard remains. length is the request's token count (the
-// bucketing key); req.ID is clobbered per attempt and must be restored
-// by the caller before answering its client.
-func (r *Router) route(ctx context.Context, req *wire.Request, length int) (wire.Response, routeInfo) {
+// bucketing key); req.ID is clobbered per attempt. The Hop names the
+// shard that answered, the reroute hops before it, and the time spent
+// routing (everything before the successful forward began).
+func (r *Router) route(ctx context.Context, req *wire.Request, length int) (wire.Response, serve.Hop) {
 	start := time.Now()
 	tried := make([]bool, len(r.shards))
-	var info routeInfo
+	var info serve.Hop
 	for hops := 0; ; hops++ {
 		if hops > 0 {
 			r.reroutes.Add(1)
@@ -57,18 +69,21 @@ func (r *Router) route(ctx context.Context, req *wire.Request, length int) (wire
 		resp, err := r.forward(ctx, sh, req)
 		sh.inflight.Add(-1)
 		if err == nil && resp.Status != wire.StatusUnavailable {
-			info.shard, info.hops, info.route = sh.name, hops, attemptStart.Sub(start)
-			r.routeHist.observe(info.route)
+			info = serve.Hop{Shard: sh.name, Hops: hops, Route: attemptStart.Sub(start)}
+			r.routeHist.observe(info.Route)
 			r.noteHops(hops)
 			return resp, info
 		}
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if cerr := ctx.Err(); cerr != nil {
 				// The client's own deadline fired mid-flight: a typed
 				// deadline answer, not a reroute (re-executing a request
-				// whose deadline is spent helps nobody).
+				// whose deadline is spent helps nobody). Asked of ctx, not
+				// of err: a shard dial that hits its one-second bound also
+				// matches context.DeadlineExceeded, and that is a transport
+				// failure to route around.
 				r.noteHops(hops)
-				return wire.Response{Status: wire.StatusDeadline, Message: err.Error()}, info
+				return wire.Response{Status: wire.StatusDeadline, Message: cerr.Error()}, info
 			}
 			// Transport failure: the shard is unreachable until a probe
 			// says otherwise.
@@ -86,7 +101,7 @@ func (r *Router) forward(ctx context.Context, sh *shard, req *wire.Request) (wir
 	if err != nil {
 		return wire.Response{}, err
 	}
-	return c.roundTrip(ctx, req)
+	return c.RoundTrip(ctx, req)
 }
 
 // noteHops records a request's hop count into the max-hops watermark.

@@ -1,9 +1,10 @@
 // Package router is the stateless routing tier fronting N arlo-server
 // shards: clients talk to the router over the same two protocols a
-// single server speaks (JSON HTTP and internal/wire frames), and the
+// single server speaks (JSON HTTP and internal/wire frames) — through the
+// same code, serve.Frontend, with the Router as its backend — and the
 // router forwards each request to one shard over a pipelined wire
-// connection, choosing the shard with length-aware least-loaded scoring
-// against periodically refreshed load snapshots.
+// connection (a serve.WireClient), choosing the shard with length-aware
+// least-loaded scoring against periodically refreshed load snapshots.
 //
 // The staleness trade-off is explicit: snapshots refresh asynchronously
 // every SnapshotRefreshInterval (the exemplar systems' config knob)
@@ -25,15 +26,16 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"arlo/internal/failover"
+	"arlo/internal/serve"
 	"arlo/internal/tokenizer"
 	"arlo/internal/wire"
 )
@@ -121,10 +123,11 @@ type shard struct {
 	name string
 	addr string
 
-	// connMu guards conn replacement; the conn itself is internally
-	// synchronized for pipelined use.
+	// connMu guards conn replacement; the client itself is safe for
+	// pipelined concurrent use. Every forwarded request and load probe to
+	// the shard shares it, under connection-local ids.
 	connMu sync.Mutex
-	conn   *conn
+	conn   *serve.WireClient
 
 	// snap is the latest load snapshot with its receipt time.
 	snap atomic.Pointer[snapEntry]
@@ -151,9 +154,11 @@ type snapEntry struct {
 	at   time.Time
 }
 
-// Router fronts a set of shards. It is an http.Handler (the JSON front
-// end) and serves the binary protocol via ServeWire.
+// Router fronts a set of shards: the serve.Backend behind its embedded
+// Frontend, which supplies the /v1/infer and /v1/generate handlers and
+// ServeWire. It is an http.Handler.
 type Router struct {
+	*serve.Frontend
 	cfg    Config
 	tok    *tokenizer.Tokenizer
 	shards []*shard
@@ -167,12 +172,9 @@ type Router struct {
 	maxHops   atomic.Int64  // max hops any single request took
 	routeHist histogram     // route-stage latency
 
-	closing   atomic.Bool
+	closeOnce sync.Once
 	stop      chan struct{}
 	wg        sync.WaitGroup
-	listMu    sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{}
 }
 
 // New builds a router over cfg's shards. With a positive
@@ -205,6 +207,7 @@ func New(cfg Config) (*Router, error) {
 		mux:  http.NewServeMux(),
 		stop: make(chan struct{}),
 	}
+	r.Frontend = serve.NewFrontend(r)
 	seen := make(map[string]bool, len(cfg.Shards))
 	for _, sc := range cfg.Shards {
 		if sc.Addr == "" {
@@ -220,8 +223,8 @@ func New(cfg Config) (*Router, error) {
 		seen[name] = true
 		r.shards = append(r.shards, &shard{name: name, addr: sc.Addr})
 	}
-	r.mux.HandleFunc("/v1/infer", r.handleInfer)
-	r.mux.HandleFunc("/v1/generate", r.handleGenerate)
+	r.mux.HandleFunc("/v1/infer", r.HandleInfer)
+	r.mux.HandleFunc("/v1/generate", r.HandleGenerate)
 	r.mux.HandleFunc("/healthz", r.handleHealth)
 	r.mux.HandleFunc("/metrics", r.handleMetrics)
 	if cfg.SnapshotRefreshInterval > 0 {
@@ -236,31 +239,19 @@ func New(cfg Config) (*Router, error) {
 // Close stops the refresh loops, the wire listeners and every shard
 // connection. Idempotent.
 func (r *Router) Close() error {
-	if r.closing.Swap(true) {
-		return nil
-	}
-	close(r.stop)
-	r.listMu.Lock()
-	ls := r.listeners
-	r.listeners = nil
-	cs := r.conns
-	r.conns = nil
-	r.listMu.Unlock()
-	for _, l := range ls {
-		_ = l.Close()
-	}
-	for c := range cs {
-		_ = c.Close()
-	}
-	for _, sh := range r.shards {
-		sh.connMu.Lock()
-		if sh.conn != nil {
-			sh.conn.close(errRouterClosed)
-			sh.conn = nil
+	r.closeOnce.Do(func() {
+		close(r.stop)
+		_ = r.Frontend.Close()
+		for _, sh := range r.shards {
+			sh.connMu.Lock()
+			if sh.conn != nil {
+				_ = sh.conn.Close()
+				sh.conn = nil
+			}
+			sh.connMu.Unlock()
 		}
-		sh.connMu.Unlock()
-	}
-	r.wg.Wait()
+		r.wg.Wait()
+	})
 	return nil
 }
 
@@ -273,15 +264,20 @@ func (r *Router) MaxHops() int { return int(r.maxHops.Load()) }
 // HopBudget returns the effective per-request reroute budget.
 func (r *Router) HopBudget() int { return r.cfg.HopBudget }
 
-// getConn returns the shard's live connection, dialing when absent or
-// dead. A dial failure marks the shard down.
-func (sh *shard) getConn() (*conn, error) {
+// dialWire dials a shard; a test swaps it to inject dial failures.
+var dialWire = serve.DialWireContext
+
+// getConn returns the shard's live connection, dialing (for at most a
+// second) when absent or dead. A dial failure marks the shard down.
+func (sh *shard) getConn() (*serve.WireClient, error) {
 	sh.connMu.Lock()
 	defer sh.connMu.Unlock()
-	if sh.conn != nil && !sh.conn.isDead() {
+	if sh.conn != nil && sh.conn.Alive() {
 		return sh.conn, nil
 	}
-	c, err := dialShard(sh.addr)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	c, err := dialWire(ctx, sh.addr)
 	if err != nil {
 		sh.down.Store(true)
 		return nil, err
@@ -321,7 +317,9 @@ func (r *Router) refreshShard(sh *shard) {
 	if timeout <= 0 || timeout > time.Second {
 		timeout = time.Second
 	}
-	snap, err := c.loadProbe(timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	snap, err := c.Load(ctx)
 	if err != nil {
 		sh.down.Store(true)
 		return

@@ -2,9 +2,12 @@ package router
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -213,6 +216,58 @@ func TestRouterHTTPGenerate(t *testing.T) {
 	}
 }
 
+// The front end splices the route fields into an OK reply by hand
+// (serve.appendHop); the types a client decodes them into are declared
+// here. This pins the one to the other: a routed body is byte for byte
+// json.Marshal of the struct it decodes into — names, order, hops omitted
+// when zero, the shard name escaped.
+func TestRoutedReplyBytes(t *testing.T) {
+	a := startShard(t, "a", []int{1, 1}, 0.01)
+	gone := startShard(t, "gone", []int{1, 1}, 0.01)
+	gone.kill()
+	const name = `a"<é>`
+	for _, tc := range []struct {
+		path, body string
+		reply      func() any
+	}{
+		{"/v1/infer", `{"text":"pin the routed reply bytes"}`, func() any { return new(InferResponse) }},
+		{"/v1/generate", `{"text":"pin the routed reply bytes","max_new_tokens":3}`, func() any { return new(GenerateResponse) }},
+	} {
+		// Round-robin over two candidates starts at the second: the first
+		// request takes one hop past the dead shard, the next ones none.
+		r := newRouter(t, Config{
+			Shards: []ShardConfig{{Name: name, Addr: a.addr}, {Name: "gone", Addr: gone.addr}},
+			Policy: PolicyRoundRobin,
+		})
+		for _, hops := range []int{1, 0} {
+			rec := httptest.NewRecorder()
+			r.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+			body := rec.Body.Bytes()
+			var route struct {
+				Shard string `json:"shard"`
+				Hops  int    `json:"hops"`
+			}
+			if err := json.Unmarshal(body, &route); err != nil || rec.Code != 200 || route.Shard != name || route.Hops != hops {
+				t.Fatalf("%s: status %d, shard %q after %d hops (%v), want %q after %d: %s",
+					tc.path, rec.Code, route.Shard, route.Hops, err, name, hops, body)
+			}
+			reply := tc.reply()
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(reply); err != nil {
+				t.Fatalf("%s: %v: %s", tc.path, err, body)
+			}
+			want, err := json.Marshal(reply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(body) != string(want)+"\n" {
+				t.Errorf("%s reply diverged from %T:\n got: %s\nwant: %s", tc.path, reply, body, want)
+			}
+		}
+	}
+}
+
 func TestRouterWireFrontEndToEnd(t *testing.T) {
 	a := startShard(t, "a", []int{1, 1}, 0.01)
 	b := startShard(t, "b", []int{1, 1}, 0.01)
@@ -402,6 +457,49 @@ func TestRouterMetrics(t *testing.T) {
 	}
 }
 
+// nopResponseWriter swallows the reply so AllocsPerRun sees the handler's
+// allocations, not a fresh recorder per call.
+type nopResponseWriter struct{ h http.Header }
+
+func (w *nopResponseWriter) Header() http.Header         { return w.h }
+func (w *nopResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *nopResponseWriter) WriteHeader(int)             {}
+
+// TestRouterInferAllocGuard is serve's TestInferAllocGuard for the routed
+// JSON path: the router's /v1/infer is the shared handler (pooled body
+// read, hand-rolled encode), and this keeps it from quietly returning to
+// ReadAll + reflection. It bounds the whole hop — router handler,
+// forward, the in-process shard's wire loop, reply — as allocations over
+// the same shard's own handler, which cancels what both paths share (the
+// cluster, and sync.Pool's drops under -race): measured 16 here, 23 for
+// the router's hand-written handler before the front ends were merged.
+func TestRouterInferAllocGuard(t *testing.T) {
+	a := startShard(t, "a", []int{1, 1}, 1e-9)
+	// An hourly refresh keeps probe traffic out of the measurement.
+	r := newRouter(t, Config{Shards: shardConfigs(a), SnapshotRefreshInterval: time.Hour})
+	waitRefresh(t, r, 1)
+	body := []byte(`{"text":"a mid sized request body for the allocation guard"}`)
+	w := &nopResponseWriter{h: make(http.Header)}
+	rd := bytes.NewReader(body)
+	req, err := http.NewRequest(http.MethodPost, "/v1/infer", io.NopCloser(rd))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(handle http.HandlerFunc) float64 {
+		run := func() {
+			rd.Reset(body)
+			handle(w, req)
+		}
+		run() // warm the pools and dial the shard
+		return testing.AllocsPerRun(300, run)
+	}
+	const maxHop = 19
+	if routed, direct := allocs(r.HandleInfer), allocs(a.srv.HandleInfer); routed-direct > maxHop {
+		t.Errorf("routed /v1/infer = %.1f allocs/op against %.1f direct, want <= %d more (JSON hot-path diet regressed)",
+			routed, direct, maxHop)
+	}
+}
+
 func TestRouterImmediateMode(t *testing.T) {
 	a := startShard(t, "a", []int{1, 1}, 0.01)
 	b := startShard(t, "b", []int{1, 1}, 0.01)
@@ -428,6 +526,44 @@ func TestRouterImmediateMode(t *testing.T) {
 	}
 	if fresh == 0 {
 		t.Error("immediate mode fetched no snapshots")
+	}
+}
+
+// A shard dial that hits its one-second bound fails with an error that
+// matches context.DeadlineExceeded (net's timeout error does). That is a
+// transport failure to route around, not the client's deadline; only a
+// finished client context is answered deadline_exceeded.
+func TestDialTimeoutReroutes(t *testing.T) {
+	a := startShard(t, "a", []int{1, 1}, 0.01)
+	dial := dialWire
+	t.Cleanup(func() { dialWire = dial })
+	dialWire = func(ctx context.Context, addr string) (*serve.WireClient, error) {
+		if addr == "blackhole" {
+			return nil, &net.OpError{Op: "dial", Net: "tcp", Err: context.DeadlineExceeded}
+		}
+		return dial(ctx, addr)
+	}
+	// Round-robin over two candidates starts at the second.
+	r := newRouter(t, Config{
+		Shards: []ShardConfig{{Name: "a", Addr: a.addr}, {Name: "b", Addr: "blackhole"}},
+		Policy: PolicyRoundRobin,
+	})
+	req := wire.Request{Mode: wire.ModeText, Text: "routed around the shard that cannot be dialed"}
+	resp, hop := r.Do(context.Background(), req)
+	if resp.Status != wire.StatusOK || hop.Shard != "a" || hop.Hops != 1 {
+		t.Errorf("dial timeout: status %v (%s) from shard %q after %d hops, want ok from a after 1",
+			resp.Status, resp.Message, hop.Shard, hop.Hops)
+	}
+	if !r.shards[1].down.Load() {
+		t.Error("dial timeout did not mark the shard down")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := r.Reroutes()
+	if resp, _ := r.Do(ctx, req); resp.Status != wire.StatusDeadline || r.Reroutes() != before {
+		t.Errorf("finished client context: status %v with %d reroutes, want deadline_exceeded with none",
+			resp.Status, r.Reroutes()-before)
 	}
 }
 

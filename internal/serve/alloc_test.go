@@ -69,13 +69,13 @@ func TestInferAllocGuard(t *testing.T) {
 	}
 	run := func() {
 		rd.Reset(body)
-		srv.handleInfer(w, req)
+		srv.HandleInfer(w, req)
 	}
 	run() // warm pools and the cluster's job pool
 	allocs := testing.AllocsPerRun(300, run)
 	const maxAllocs = 24
 	if allocs > maxAllocs {
-		t.Errorf("handleInfer allocs/op = %.1f, want <= %d (JSON hot-path diet regressed)", allocs, maxAllocs)
+		t.Errorf("HandleInfer allocs/op = %.1f, want <= %d (JSON hot-path diet regressed)", allocs, maxAllocs)
 	}
 }
 
@@ -93,7 +93,7 @@ func BenchmarkInferJSONHandler(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rd.Reset(body)
-		srv.handleInfer(w, req)
+		srv.HandleInfer(w, req)
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 	"strconv"
 	"time"
 
-	"arlo/internal/cluster"
-	"arlo/internal/dispatch"
+	"arlo/internal/wire"
 )
 
 // defaultHTTPClient replaces http.DefaultClient as the zero-config
@@ -84,25 +83,10 @@ func (e *APIError) Error() string {
 }
 
 // Is maps envelope codes back onto the sentinels the server mapped them
-// from.
+// from, through the same table (wireStatus) it used.
 func (e *APIError) Is(target error) bool {
-	switch target {
-	case cluster.ErrCongested:
-		return e.Code == CodeCongested
-	case cluster.ErrDeadlineExceeded:
-		return e.Code == CodeDeadlineExceeded
-	case cluster.ErrClusterClosed:
-		return e.Code == CodeUnavailable
-	case cluster.ErrUnserviceable:
-		return e.Code == CodeUnserviceable
-	case dispatch.ErrTooLong:
-		return e.Code == CodeTooLong
-	case dispatch.ErrNoInstances:
-		return e.Code == CodeNoInstances
-	case ErrRateLimited:
-		return e.Code == CodeRateLimited
-	}
-	return false
+	st := wireStatus(target)
+	return st != wire.StatusInternal && e.Code == st.String()
 }
 
 // retryable reports whether a reply status is worth another attempt: the

@@ -1,31 +1,17 @@
 package serve
 
-// The generative endpoint: POST /v1/generate submits a prompt with a
-// requested output budget through the same dispatch path as /v1/infer,
-// and reports the generative latency decomposition — time-to-first-token
-// (TTFT) and time-per-output-token (TPOT) — alongside the lifecycle span.
-// The generated text itself is emulated (the system under study is the
-// scheduler); the response carries the token count, not token strings.
-//
-// Unlike /v1/infer, whose decoder tolerates unknown JSON fields for
-// compatibility with older clients, /v1/generate rejects them: generation
-// parameters silently ignored (a sampling knob the server does not
-// implement, a typo'd field) would change what the caller gets back, so an
-// unknown field is a typed ErrUnsupportedField mapped to the
-// unsupported_field envelope code with HTTP 400.
+// The generative endpoint's types: POST /v1/generate (Frontend.HandleGenerate)
+// submits a prompt with a requested output budget through the same
+// dispatch path as /v1/infer, and reports the generative latency
+// decomposition — time-to-first-token (TTFT) and time-per-output-token
+// (TPOT) — alongside the lifecycle span. The generated text itself is
+// emulated (the system under study is the scheduler); the response
+// carries the token count, not token strings.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"net/http"
-	"strings"
-	"time"
-
-	"arlo/internal/cluster"
 )
 
 // ErrUnsupportedField reports a /v1/generate request carrying a field the
@@ -83,92 +69,6 @@ type GenerateResponse struct {
 	Runtime      int   `json:"runtime"`
 	Batch        int64 `json:"batch,omitempty"`
 	BatchSize    int   `json:"batch_size,omitempty"`
-}
-
-// decodeStrict unmarshals a /v1/generate body, rejecting unknown fields
-// with ErrUnsupportedField (carrying the offending field name) and
-// malformed JSON with a plain error.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if strings.Contains(err.Error(), "unknown field") {
-			return fmt.Errorf("%w: %v", ErrUnsupportedField, err)
-		}
-		return err
-	}
-	// Trailing garbage after the object is malformed too.
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON object")
-	}
-	return nil
-}
-
-func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "read error")
-		return
-	}
-	var req GenerateRequest
-	if err := decodeStrict(body, &req); err != nil {
-		if errors.Is(err, ErrUnsupportedField) {
-			writeError(w, http.StatusBadRequest, CodeUnsupportedField, err.Error())
-			return
-		}
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "invalid JSON")
-		return
-	}
-	if req.Text == "" {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "empty text")
-		return
-	}
-	if req.MaxNewTokens < 1 || req.MaxNewTokens > MaxNewTokensLimit {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest,
-			fmt.Sprintf("max_new_tokens must be in [1, %d], got %d", MaxNewTokensLimit, req.MaxNewTokens))
-		return
-	}
-	ctx := r.Context()
-	if s.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.reqTimeout)
-		defer cancel()
-	}
-	tokStart := time.Now()
-	ids := s.tok.Encode(req.Text, s.maxLen)
-	res, err := s.submit(ctx, cluster.Request{
-		Length:       len(ids),
-		Tokenize:     time.Since(tokStart),
-		MaxNewTokens: req.MaxNewTokens,
-		Tenant:       tenantOf(r, req.Tenant),
-	})
-	if err != nil {
-		s.rejected.Add(1)
-		writeMappedError(w, err)
-		return
-	}
-	s.served.Add(1)
-	s.window.Record(res.Latency)
-	s.notify(len(ids), res.Latency)
-	writeJSON(w, GenerateResponse{
-		Label:          classify(ids),
-		SequenceLength: len(ids),
-		OutputTokens:   res.Span.OutTokens,
-		TTFTMS:         float64(res.Span.TTFT) / float64(time.Millisecond),
-		TPOTMS:         float64(res.Span.TPOT()) / float64(time.Millisecond),
-		LatencyMS:      float64(res.Latency) / float64(time.Millisecond),
-		QueueMS:        float64(res.Span.Queue) / float64(time.Millisecond),
-		ExecMS:         float64(res.Span.Exec) / float64(time.Millisecond),
-		DemotionHops:   res.Span.DemotionHops(),
-		Instance:       res.Span.Instance,
-		Runtime:        res.Span.Level,
-		Batch:          res.Span.Batch,
-		BatchSize:      res.Span.BatchSize,
-	})
 }
 
 // Generate posts one generative request with background context.

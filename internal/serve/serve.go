@@ -6,7 +6,15 @@
 // The classifier output itself is emulated (deterministic over the token
 // ids) — the system under study is the scheduler, not the model.
 //
-// Endpoints:
+// The package also holds the protocol front end itself (frontend.go,
+// wire_serve.go): the /v1/infer + /v1/generate handlers and the binary
+// frame listener are written once against a Backend, which Server
+// implements over its cluster and router.Router over its shards.
+//
+// Endpoints. The first two, and the binary listener (ServeWire), are the
+// Frontend's, so a router serves them too — same validation, statuses and
+// envelope, plus route_ms/shard/hops on its OK replies; the rest are the
+// server's own (a router has its own /healthz and /metrics):
 //
 //	POST /v1/infer   — classify text; errors use the versioned envelope
 //	                   {"error":{"code":..., "message":...}}
@@ -33,26 +41,22 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"arlo/internal/cluster"
 	"arlo/internal/controller"
-	"arlo/internal/dispatch"
 	"arlo/internal/metrics"
 	"arlo/internal/obs"
 	"arlo/internal/tokenizer"
+	"arlo/internal/wire"
 )
 
 // InferRequest is the body of POST /v1/infer.
@@ -113,7 +117,8 @@ type ErrorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
 
-// Stable error codes of the envelope.
+// Stable error codes of the envelope. Those with a wire.Status twin are
+// that status' String().
 const (
 	CodeInvalidRequest   = "invalid_request"
 	CodeTooLong          = "too_long"
@@ -145,8 +150,10 @@ type Observer interface {
 	Observe(length int, lat time.Duration)
 }
 
-// Server routes inference requests into a cluster.
+// Server routes inference requests into a cluster: the Backend behind
+// its embedded Frontend, plus the operator endpoints.
 type Server struct {
+	*Frontend
 	tok        *tokenizer.Tokenizer
 	cluster    *cluster.Cluster
 	maxLen     int
@@ -168,16 +175,6 @@ type Server struct {
 	// Cluster.SubmitCtx.
 	ingress    *cluster.Ingress
 	ingressCfg *cluster.IngressConfig
-
-	// closing gates the wire accept loops; listeners holds every listener
-	// handed to ServeWire so Close can unblock them, and conns every
-	// accepted wire connection so Close drops in-flight peers too (a
-	// killed shard must look dead to its routers, not merely stop
-	// accepting new dials).
-	closing   atomic.Bool
-	listMu    sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{}
 
 	window *metrics.Window
 
@@ -299,6 +296,7 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 		mux:     http.NewServeMux(),
 		window:  metrics.NewWindow(60 * time.Second),
 	}
+	s.Frontend = NewFrontend(s)
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
@@ -319,8 +317,8 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 	if s.ingressCfg != nil {
 		s.ingress = cluster.NewIngress(cl, *s.ingressCfg)
 	}
-	s.mux.HandleFunc("/v1/infer", s.handleInfer)
-	s.mux.HandleFunc("/v1/generate", s.handleGenerate)
+	s.mux.HandleFunc("/v1/infer", s.HandleInfer)
+	s.mux.HandleFunc("/v1/generate", s.HandleGenerate)
 	s.mux.HandleFunc("/v1/tenants", s.handleTenants)
 	s.mux.HandleFunc("/v1/tenants/", s.handleTenant)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -367,46 +365,11 @@ func (s *Server) submit(ctx context.Context, req cluster.Request) (cluster.Resul
 // stops the ingress (when configured). The cluster itself stays up — the
 // caller owns it. Idempotent.
 func (s *Server) Close() error {
-	s.closing.Store(true)
-	s.listMu.Lock()
-	ls := s.listeners
-	s.listeners = nil
-	cs := s.conns
-	s.conns = nil
-	s.listMu.Unlock()
-	for _, l := range ls {
-		_ = l.Close()
-	}
-	for c := range cs {
-		_ = c.Close()
-	}
+	_ = s.Frontend.Close()
 	if s.ingress != nil {
 		s.ingress.Close()
 	}
 	return nil
-}
-
-// trackConn registers an accepted wire connection for Close; it reports
-// false (and closes the connection) when the server is already closing.
-func (s *Server) trackConn(c net.Conn) bool {
-	s.listMu.Lock()
-	if s.closing.Load() {
-		s.listMu.Unlock()
-		_ = c.Close()
-		return false
-	}
-	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
-	}
-	s.conns[c] = struct{}{}
-	s.listMu.Unlock()
-	return true
-}
-
-func (s *Server) untrackConn(c net.Conn) {
-	s.listMu.Lock()
-	delete(s.conns, c)
-	s.listMu.Unlock()
 }
 
 func (s *Server) notify(length int, lat time.Duration) {
@@ -421,161 +384,64 @@ func (s *Server) notify(length int, lat time.Duration) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// bufPool recycles the request-read and response-encode buffers of the
-// JSON hot path, so steady-state serving does not grow one garbage buffer
-// pair per request.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST required")
-		return
+// Do implements Backend over the cluster: tokenize text (or clamp
+// pre-encoded ids to the model maximum, mirroring the tokenizer's cap),
+// classify, submit through the ring or directly under the server's
+// request timeout, account the outcome, and build the reply — a
+// KindGenResponse with TTFT and the generated token count for a
+// generative request.
+func (s *Server) Do(ctx context.Context, req wire.Request) (wire.Response, Hop) {
+	creq := cluster.Request{Tenant: req.Tenant}
+	var label uint8
+	if req.Mode == wire.ModeText {
+		tokStart := time.Now()
+		ids := s.tok.Encode(req.Text, s.maxLen)
+		creq.Tokenize = time.Since(tokStart)
+		creq.Length, label = len(ids), classify(ids)
+	} else {
+		if len(req.Tokens) > s.maxLen {
+			req.Tokens = req.Tokens[:s.maxLen]
+		}
+		creq.Length, label = len(req.Tokens), classify(req.Tokens)
 	}
-	rb := bufPool.Get().(*bytes.Buffer)
-	rb.Reset()
-	defer bufPool.Put(rb)
-	if _, err := rb.ReadFrom(io.LimitReader(r.Body, 1<<20)); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "read error")
-		return
+	if req.Gen() {
+		creq.MaxNewTokens = int(req.MaxNewTokens)
 	}
-	var req InferRequest
-	if err := json.Unmarshal(rb.Bytes(), &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "invalid JSON")
-		return
-	}
-	if req.Text == "" {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "empty text")
-		return
-	}
-	ctx := r.Context()
 	if s.reqTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.reqTimeout)
 		defer cancel()
 	}
-	tokStart := time.Now()
-	ids := s.tok.Encode(req.Text, s.maxLen)
-	res, err := s.submit(ctx, cluster.Request{
-		Length:   len(ids),
-		Tokenize: time.Since(tokStart),
-		Tenant:   tenantOf(r, req.Tenant),
-	})
+	res, err := s.submit(ctx, creq)
 	if err != nil {
 		s.rejected.Add(1)
-		writeMappedError(w, err)
-		return
+		return wire.Response{
+			Status:       wireStatus(err),
+			Message:      err.Error(),
+			RetryAfterNS: uint64(retryAfterOf(err)),
+		}, Hop{}
 	}
 	s.served.Add(1)
 	s.window.Record(res.Latency)
-	s.notify(len(ids), res.Latency)
-	resp := InferResponse{
-		Label:          classify(ids),
-		SequenceLength: len(ids),
-		LatencyMS:      float64(res.Latency) / float64(time.Millisecond),
-		QueueMS:        float64(res.Span.Queue) / float64(time.Millisecond),
-		ExecMS:         float64(res.Span.Exec) / float64(time.Millisecond),
-		DemotionHops:   res.Span.DemotionHops(),
-		Instance:       res.Span.Instance,
-		Runtime:        res.Span.Level,
-		Batch:          res.Span.Batch,
-		BatchSize:      res.Span.BatchSize,
+	s.notify(creq.Length, res.Latency)
+	resp := wire.Response{
+		Label:        label,
+		SeqLen:       uint32(creq.Length),
+		LatencyNS:    uint64(res.Latency),
+		QueueNS:      uint64(res.Span.Queue),
+		ExecNS:       uint64(res.Span.Exec),
+		DemotionHops: uint16(res.Span.DemotionHops()),
+		Instance:     uint32(res.Span.Instance),
+		Runtime:      uint32(res.Span.Level),
+		Batch:        res.Span.Batch,
+		BatchSize:    uint32(res.Span.BatchSize),
 	}
-	// Hand-rolled encode on a pooled buffer: every field is a number or
-	// one of three fixed labels, so reflection-based marshalling buys
-	// nothing but allocations here.
-	bp := encPool.Get().(*[]byte)
-	b := appendInferResponse((*bp)[:0], &resp)
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(b)
-	*bp = b[:0] // keep any grown capacity with the pool
-	encPool.Put(bp)
-}
-
-// encPool recycles response-encode buffers across requests.
-var encPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-// appendInferResponse encodes an InferResponse as the exact JSON
-// encoding/json would produce for it (field order, omitempty pair).
-func appendInferResponse(dst []byte, r *InferResponse) []byte {
-	dst = append(dst, `{"label":"`...)
-	dst = append(dst, r.Label...)
-	dst = append(dst, `","sequence_length":`...)
-	dst = strconv.AppendInt(dst, int64(r.SequenceLength), 10)
-	dst = append(dst, `,"latency_ms":`...)
-	dst = appendJSONFloat(dst, r.LatencyMS)
-	dst = append(dst, `,"queue_ms":`...)
-	dst = appendJSONFloat(dst, r.QueueMS)
-	dst = append(dst, `,"exec_ms":`...)
-	dst = appendJSONFloat(dst, r.ExecMS)
-	dst = append(dst, `,"demotion_hops":`...)
-	dst = strconv.AppendInt(dst, int64(r.DemotionHops), 10)
-	dst = append(dst, `,"instance":`...)
-	dst = strconv.AppendInt(dst, int64(r.Instance), 10)
-	dst = append(dst, `,"runtime":`...)
-	dst = strconv.AppendInt(dst, int64(r.Runtime), 10)
-	if r.Batch != 0 {
-		dst = append(dst, `,"batch":`...)
-		dst = strconv.AppendInt(dst, r.Batch, 10)
+	if req.Gen() {
+		resp.Kind = wire.KindGenResponse
+		resp.TTFTNS = uint64(res.Span.TTFT)
+		resp.OutTokens = uint32(res.Span.OutTokens)
 	}
-	if r.BatchSize != 0 {
-		dst = append(dst, `,"batch_size":`...)
-		dst = strconv.AppendInt(dst, int64(r.BatchSize), 10)
-	}
-	dst = append(dst, '}', '\n')
-	return dst
-}
-
-// appendJSONFloat matches encoding/json's float formatting (shortest
-// round-trip form, 'e' only for extreme exponents).
-func appendJSONFloat(dst []byte, f float64) []byte {
-	abs := f
-	if abs < 0 {
-		abs = -abs
-	}
-	fmtByte := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		fmtByte = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, fmtByte, -1, 64)
-	if fmtByte == 'e' {
-		// encoding/json cleans e-09 up to e-9; match it byte for byte.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-// mapError translates dispatch-path errors into the envelope's stable
-// code and HTTP status. Transient conditions map to 503 so clients retry;
-// a spent deadline maps to 504 so they do not.
-func mapError(err error) (status int, code string) {
-	switch {
-	case errors.Is(err, ErrUnsupportedField):
-		return http.StatusBadRequest, CodeUnsupportedField
-	case errors.Is(err, dispatch.ErrTooLong):
-		return http.StatusRequestEntityTooLarge, CodeTooLong
-	case errors.Is(err, cluster.ErrDeadlineExceeded):
-		return http.StatusGatewayTimeout, CodeDeadlineExceeded
-	case errors.Is(err, cluster.ErrUnserviceable):
-		// The requeue budget is bounded, not the outage: once instances
-		// rejoin a retry can succeed, so keep it in the retryable family.
-		return http.StatusServiceUnavailable, CodeUnserviceable
-	case errors.Is(err, cluster.ErrCongested):
-		return http.StatusServiceUnavailable, CodeCongested
-	case errors.Is(err, dispatch.ErrNoInstances):
-		return http.StatusServiceUnavailable, CodeNoInstances
-	case errors.Is(err, cluster.ErrClusterClosed):
-		return http.StatusServiceUnavailable, CodeUnavailable
-	case errors.Is(err, ErrRateLimited):
-		return http.StatusTooManyRequests, CodeRateLimited
-	default:
-		return http.StatusInternalServerError, CodeInternal
-	}
+	return resp, Hop{}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -744,32 +610,4 @@ func (s *Server) handleChaosRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, ChaosResponse{Instance: req.Instance})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg}})
-}
-
-// inferLabels are the emulated classifier's output classes; wire
-// responses carry the index, JSON responses the string.
-var inferLabels = [3]string{"negative", "neutral", "positive"}
-
-// classify is the emulated discriminative head: a deterministic label over
-// the token ids (FNV-style fold), standing in for BERT's classifier. Two
-// identical inputs always classify identically.
-func classify(ids []int) string {
-	h := uint64(14695981039346656037)
-	for _, id := range ids {
-		h ^= uint64(id)
-		h *= 1099511628211
-	}
-	return inferLabels[h%3]
 }

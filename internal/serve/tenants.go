@@ -22,9 +22,7 @@ package serve
 import (
 	"errors"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -39,34 +37,6 @@ var ErrRateLimited = tenant.ErrRateLimited
 // TenantHeader is the request header carrying the tenant id; it takes
 // precedence over the body field.
 const TenantHeader = "X-Arlo-Tenant"
-
-// tenantOf resolves a request's tenant id: header first, body field
-// second, empty (→ default tenant) otherwise.
-func tenantOf(r *http.Request, bodyTenant string) string {
-	if h := r.Header.Get(TenantHeader); h != "" {
-		return h
-	}
-	return bodyTenant
-}
-
-// writeMappedError renders a dispatch-path error through the envelope,
-// adding the Retry-After header (whole seconds, rounded up, at least 1)
-// on rate-limited rejections so well-behaved clients back off by the
-// bucket's actual refill horizon.
-func writeMappedError(w http.ResponseWriter, err error) {
-	status, code := mapError(err)
-	if status == http.StatusTooManyRequests {
-		var rl *tenant.RateLimitError
-		if errors.As(err, &rl) {
-			secs := int64(math.Ceil(rl.RetryAfter.Seconds()))
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		}
-	}
-	writeError(w, status, code, err.Error())
-}
 
 // TenantRecord is the admin API's view of one tenant: its config plus
 // live admission counters.
@@ -152,11 +122,7 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {
 		}
 		var cfg tenant.Config
 		if err := decodeStrict(body, &cfg); err != nil {
-			if errors.Is(err, ErrUnsupportedField) {
-				writeError(w, http.StatusBadRequest, CodeUnsupportedField, err.Error())
-				return
-			}
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, "invalid JSON")
+			writeDecodeError(w, err)
 			return
 		}
 		// The path is the identity; a body id may only agree with it.
@@ -178,7 +144,7 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {
 }
 
 // retryAfterOf extracts the rate-limit retry hint from an error, 0 when
-// absent — the wire path encodes it as retry_after_ns.
+// absent — a reply carries it as retry_after_ns (Retry-After over HTTP).
 func retryAfterOf(err error) time.Duration {
 	var rl *tenant.RateLimitError
 	if errors.As(err, &rl) {

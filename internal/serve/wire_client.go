@@ -8,12 +8,10 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,12 +19,17 @@ import (
 	"arlo/internal/wire"
 )
 
-// WireClient is a pipelining binary-protocol client. Safe for concurrent
-// use; every in-flight Infer shares the connection. The policy fields
-// (Tenant, MaxRetries, Backoff) must be set before the first call.
+// WireClient is a pipelining binary-protocol client, in two layers. The
+// raw layer — RoundTrip, Load, Alive — moves frames and fails only when
+// the transport does; it is what a router forwards over. The policy layer
+// on top — Infer, Generate and their variants — stamps the client's
+// tenant, retries retryable statuses and turns a non-OK reply into an
+// *APIError. Safe for concurrent use; every in-flight call shares the
+// connection. The policy fields (Tenant, MaxRetries, Backoff) must be set
+// before the first call.
 type WireClient struct {
-	// Tenant, when non-empty, upgrades every request to a V2 frame
-	// carrying it — the binary twin of the X-Arlo-Tenant header.
+	// Tenant, when non-empty, is stamped on every policy-layer request —
+	// the binary twin of the X-Arlo-Tenant header.
 	Tenant string
 	// MaxRetries is how many times a retryable non-OK status (congested,
 	// rate-limited, ...) is retried. Zero means a single attempt.
@@ -37,36 +40,51 @@ type WireClient struct {
 	Backoff time.Duration
 
 	conn net.Conn
-
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	wbuf []byte
+	fw   *frameWriter
 
 	mu      sync.Mutex
-	pending map[uint64]chan wire.Response
-	readErr error
-	closed  bool
+	pending map[uint64]chan wireReply
+	// err is why the connection is dead (a read or write failure, or
+	// Close); nil while it is alive.
+	err error
 
 	nextID atomic.Uint64
 }
 
-// DialWire connects to a server's binary listener.
+// wireReply is one demultiplexed reply frame: an inference response, or
+// the snapshot of a load-snapshot frame.
+type wireReply struct {
+	resp wire.Response
+	load *wire.LoadSnapshot
+}
+
+var errWireClosed = errors.New("serve: wire client closed")
+
+// DialWire connects to a server's (or router's) binary listener.
 func DialWire(addr string) (*WireClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	return DialWireContext(context.Background(), addr)
+}
+
+// DialWireContext is DialWire bounded by ctx.
+func DialWireContext(ctx context.Context, addr string) (*WireClient, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	c := &WireClient{
 		conn:    conn,
-		bw:      bufio.NewWriterSize(conn, 32<<10),
-		pending: make(map[uint64]chan wire.Response),
+		fw:      newFrameWriter(conn),
+		pending: make(map[uint64]chan wireReply),
 	}
 	go c.readLoop()
 	return c, nil
 }
 
-// readLoop delivers response frames to their waiting callers until the
-// connection dies, then fails every pending call.
+// readLoop delivers reply frames to their waiting callers until the
+// connection dies, then fails every pending call. A frame that is
+// neither a response nor a load snapshot means the stream cannot be
+// trusted, and kills the connection like a read error.
 func (c *WireClient) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 32<<10)
 	var buf []byte
@@ -75,45 +93,150 @@ func (c *WireClient) readLoop() {
 		var err error
 		payload, buf, err = wire.ReadFrame(br, buf)
 		if err != nil {
-			c.fail(err)
+			_ = c.fail(err)
 			return
 		}
-		resp, err := wire.DecodeResponse(payload)
+		var r wireReply
+		var id uint64
+		if len(payload) > 0 && payload[0] == wire.KindLoadResponse {
+			var snap wire.LoadSnapshot
+			snap, err = wire.DecodeLoadSnapshot(payload)
+			r.load, id = &snap, snap.ID
+		} else {
+			r.resp, err = wire.DecodeResponse(payload)
+			id = r.resp.ID
+		}
 		if err != nil {
-			c.fail(err)
+			_ = c.fail(err)
 			return
 		}
 		c.mu.Lock()
-		ch := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
+		ch := c.pending[id]
+		delete(c.pending, id)
 		c.mu.Unlock()
 		if ch != nil {
-			ch <- resp // buffered; never blocks the read loop
+			ch <- r // buffered; never blocks the read loop
 		}
 	}
 }
 
-// fail poisons the client: every pending and future call returns err.
-func (c *WireClient) fail(err error) {
+// fail poisons the client and closes its connection: every pending and
+// future call returns err. Only the first failure counts.
+func (c *WireClient) fail(err error) error {
 	c.mu.Lock()
-	if c.readErr == nil {
-		c.readErr = err
+	if c.err != nil {
+		c.mu.Unlock()
+		return nil
 	}
+	c.err = err
 	for id, ch := range c.pending {
 		delete(c.pending, id)
 		close(ch)
 	}
 	c.mu.Unlock()
+	return c.conn.Close()
 }
 
 // Close tears down the connection; in-flight calls return an error.
-func (c *WireClient) Close() error {
+func (c *WireClient) Close() error { return c.fail(errWireClosed) }
+
+// Alive reports whether the connection can still carry requests: it has
+// not failed and has not been closed.
+func (c *WireClient) Alive() bool {
 	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	err := c.conn.Close()
-	c.fail(fmt.Errorf("serve: wire client closed"))
-	return err
+	defer c.mu.Unlock()
+	return c.err == nil
+}
+
+// register allocates a connection-local id and the slot its reply will
+// be delivered to. It fails on a dead connection, and on a finished ctx
+// before anything is sent.
+func (c *WireClient) register(ctx context.Context) (uint64, chan wireReply, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, nil, err
+	}
+	id := c.nextID.Add(1)
+	ch := make(chan wireReply, 1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return 0, nil, c.dead()
+	}
+	c.pending[id] = ch
+	return id, ch, nil
+}
+
+// await waits for the reply to the frame just sent under id (sendErr is
+// that send's outcome), for ctx, or for the connection's death; it errs
+// only when no reply arrived. A write error poisons the connection: its
+// buffered writer would fail every later frame anyway.
+func (c *WireClient) await(ctx context.Context, id uint64, ch chan wireReply, sendErr error) (wireReply, error) {
+	if sendErr != nil {
+		_ = c.fail(sendErr)
+	} else {
+		select {
+		case r, ok := <-ch:
+			if ok {
+				return r, nil
+			}
+		case <-ctx.Done():
+			// The peer still answers (its side of the deadline fires
+			// too); drop the pending entry so the read loop discards
+			// that reply.
+			c.mu.Lock()
+			delete(c.pending, id)
+			c.mu.Unlock()
+			return wireReply{}, ctx.Err()
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return wireReply{}, c.dead()
+}
+
+// dead wraps the failure that killed the connection; c.mu is held.
+func (c *WireClient) dead() error {
+	return fmt.Errorf("serve: wire connection dead: %w", c.err)
+}
+
+// RoundTrip sends one request frame — req.ID is overwritten with a
+// connection-local id and req.Deadline with ctx's deadline, when it has
+// one — and returns the peer's reply. It errs only when no reply arrived
+// (transport failure, ctx); a typed non-OK reply is returned as a value.
+// The request is encoded straight into the connection's write buffer.
+func (c *WireClient) RoundTrip(ctx context.Context, req *wire.Request) (wire.Response, error) {
+	id, ch, err := c.register(ctx)
+	if err != nil {
+		return wire.Response{}, err
+	}
+	req.ID = id
+	if d, ok := ctx.Deadline(); ok {
+		req.Deadline = d.UnixNano()
+	}
+	r, err := c.await(ctx, id, ch,
+		c.fw.send(func(dst []byte) []byte { return wire.AppendRequest(dst, req) }))
+	if err == nil && r.load != nil {
+		err = errors.New("serve: load snapshot in reply to a request")
+	}
+	return r.resp, err
+}
+
+// Load asks the peer for its load snapshot (a shard answers; a router
+// does not, and the error then carries its unsupported_field reply).
+func (c *WireClient) Load(ctx context.Context) (wire.LoadSnapshot, error) {
+	id, ch, err := c.register(ctx)
+	if err != nil {
+		return wire.LoadSnapshot{}, err
+	}
+	r, err := c.await(ctx, id, ch,
+		c.fw.send(func(dst []byte) []byte { return wire.AppendLoadRequest(dst, id) }))
+	if err != nil {
+		return wire.LoadSnapshot{}, err
+	}
+	if r.load == nil {
+		return wire.LoadSnapshot{}, fmt.Errorf("serve: load probe answered %v: %s", r.resp.Status, r.resp.Message)
+	}
+	return *r.load, nil
 }
 
 // Infer sends one raw-text request with background context.
@@ -123,13 +246,22 @@ func (c *WireClient) Infer(text string) (*InferResponse, error) {
 
 // InferCtx sends one raw-text request; the server tokenizes.
 func (c *WireClient) InferCtx(ctx context.Context, text string) (*InferResponse, error) {
-	return c.do(ctx, &wire.Request{Mode: wire.ModeText, Text: text})
+	return c.infer(ctx, &wire.Request{Mode: wire.ModeText, Text: text})
 }
 
 // InferTokensCtx sends pre-encoded token ids, skipping server-side
 // tokenization — the lowest-overhead submit path.
 func (c *WireClient) InferTokensCtx(ctx context.Context, tokens []uint32) (*InferResponse, error) {
-	return c.do(ctx, &wire.Request{Mode: wire.ModeTokens, Tokens: tokens})
+	return c.infer(ctx, &wire.Request{Mode: wire.ModeTokens, Tokens: tokens})
+}
+
+func (c *WireClient) infer(ctx context.Context, req *wire.Request) (*InferResponse, error) {
+	resp, err := c.do(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	out := inferResponse(&resp)
+	return &out, nil
 }
 
 // Generate sends one generative request with background context.
@@ -140,7 +272,7 @@ func (c *WireClient) Generate(text string, maxNewTokens int) (*GenerateResponse,
 // GenerateCtx sends one KindGenRequest frame and decodes the
 // KindGenResponse trailer (TTFT, generated token count).
 func (c *WireClient) GenerateCtx(ctx context.Context, text string, maxNewTokens int) (*GenerateResponse, error) {
-	resp, err := c.doRaw(ctx, &wire.Request{
+	resp, err := c.do(ctx, &wire.Request{
 		Kind:         wire.KindGenRequest,
 		Mode:         wire.ModeText,
 		Text:         text,
@@ -149,61 +281,37 @@ func (c *WireClient) GenerateCtx(ctx context.Context, text string, maxNewTokens 
 	if err != nil {
 		return nil, err
 	}
-	label := ""
-	if int(resp.Label) < len(inferLabels) {
-		label = inferLabels[resp.Label]
-	}
-	out := &GenerateResponse{
-		Label:          label,
-		SequenceLength: int(resp.SeqLen),
-		OutputTokens:   int(resp.OutTokens),
-		TTFTMS:         float64(resp.TTFTNS) / float64(time.Millisecond),
-		LatencyMS:      float64(resp.LatencyNS) / float64(time.Millisecond),
-		QueueMS:        float64(resp.QueueNS) / float64(time.Millisecond),
-		ExecMS:         float64(resp.ExecNS) / float64(time.Millisecond),
-		DemotionHops:   int(resp.DemotionHops),
-		Instance:       int(resp.Instance),
-		Runtime:        int(resp.Runtime),
-		Batch:          resp.Batch,
-		BatchSize:      int(resp.BatchSize),
-	}
-	if resp.OutTokens > 1 && resp.LatencyNS > resp.TTFTNS {
-		out.TPOTMS = float64(resp.LatencyNS-resp.TTFTNS) / float64(resp.OutTokens-1) / float64(time.Millisecond)
-	}
-	return out, nil
+	out := generateResponse(&resp)
+	return &out, nil
 }
 
-func (c *WireClient) do(ctx context.Context, req *wire.Request) (*InferResponse, error) {
-	resp, err := c.doRaw(ctx, req)
-	if err != nil {
-		return nil, err
+// do is the policy layer over RoundTrip: it stamps the client's tenant
+// (the encoder then picks the V2 frame), turns a non-OK reply into an
+// *APIError with the JSON client's status and stable code — so errors.Is
+// against the cluster sentinels behaves identically across protocols —
+// and retries retryable statuses. Each attempt is a fresh frame with a
+// fresh id; transport and context errors are not retried.
+func (c *WireClient) do(ctx context.Context, req *wire.Request) (wire.Response, error) {
+	if c.Tenant != "" {
+		req.Tenant = c.Tenant
 	}
-	return wireToInfer(resp)
-}
-
-// doRaw sends req, retrying retryable non-OK statuses under the client's
-// policy. Each attempt is a fresh frame with a fresh id.
-func (c *WireClient) doRaw(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	backoff := c.Backoff
 	if backoff <= 0 {
 		backoff = 50 * time.Millisecond
 	}
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		resp, err := c.doOnce(ctx, req)
-		if err == nil {
-			return resp, nil
+		resp, err := c.RoundTrip(ctx, req)
+		if err != nil || resp.Status == wire.StatusOK {
+			return resp, err
 		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, lastErr
+		apiErr := &APIError{
+			Status:     wireHTTPStatus(resp.Status),
+			Code:       resp.Status.String(),
+			Message:    resp.Message,
+			RetryAfter: time.Duration(resp.RetryAfterNS),
 		}
-		var apiErr *APIError
-		if !errors.As(err, &apiErr) || !retryable(apiErr.Status) {
-			return nil, lastErr
-		}
-		if attempt >= c.MaxRetries {
-			return nil, lastErr
+		if ctx.Err() != nil || !retryable(apiErr.Status) || attempt >= c.MaxRetries {
+			return resp, apiErr
 		}
 		wait := time.Duration(rand.Int63n(int64(backoff))) + 1
 		if apiErr.RetryAfter > wait {
@@ -212,124 +320,8 @@ func (c *WireClient) doRaw(ctx context.Context, req *wire.Request) (*wire.Respon
 		select {
 		case <-time.After(wait):
 		case <-ctx.Done():
-			return nil, lastErr
+			return resp, apiErr
 		}
 		backoff *= 2
-	}
-}
-
-func (c *WireClient) doOnce(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	if c.Tenant != "" {
-		req.Tenant = c.Tenant
-		switch req.Kind {
-		case 0, wire.KindRequest:
-			req.Kind = wire.KindRequestV2
-		case wire.KindGenRequest:
-			req.Kind = wire.KindGenRequestV2
-		}
-	}
-	req.ID = c.nextID.Add(1)
-	if d, ok := ctx.Deadline(); ok {
-		req.Deadline = d.UnixNano()
-	}
-	ch := make(chan wire.Response, 1)
-	c.mu.Lock()
-	if err := c.readErr; err != nil {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("serve: wire connection dead: %w", err)
-	}
-	if c.closed {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("serve: wire client closed")
-	}
-	c.pending[req.ID] = ch
-	c.mu.Unlock()
-
-	c.wmu.Lock()
-	c.wbuf = wire.AppendRequest(c.wbuf[:0], req)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(c.wbuf)))
-	_, err := c.bw.Write(hdr[:])
-	if err == nil {
-		_, err = c.bw.Write(c.wbuf)
-	}
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		return nil, err
-	}
-
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.readErr
-			c.mu.Unlock()
-			return nil, fmt.Errorf("serve: wire connection dead: %w", err)
-		}
-		if resp.Status != wire.StatusOK {
-			return nil, &APIError{
-				Status:     wireHTTPStatus(resp.Status),
-				Code:       resp.Status.String(),
-				Message:    resp.Message,
-				RetryAfter: time.Duration(resp.RetryAfterNS),
-			}
-		}
-		return &resp, nil
-	case <-ctx.Done():
-		// The server still answers (its side of the deadline fires too);
-		// drop the pending entry so the read loop discards that reply.
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		return nil, ctx.Err()
-	}
-}
-
-// wireToInfer translates an ok binary response into the JSON client's
-// types; doRaw already turned error statuses into *APIError with the same
-// stable code, so errors.Is against the cluster sentinels behaves
-// identically across protocols.
-func wireToInfer(resp *wire.Response) (*InferResponse, error) {
-	label := ""
-	if int(resp.Label) < len(inferLabels) {
-		label = inferLabels[resp.Label]
-	}
-	return &InferResponse{
-		Label:          label,
-		SequenceLength: int(resp.SeqLen),
-		LatencyMS:      float64(resp.LatencyNS) / float64(time.Millisecond),
-		QueueMS:        float64(resp.QueueNS) / float64(time.Millisecond),
-		ExecMS:         float64(resp.ExecNS) / float64(time.Millisecond),
-		DemotionHops:   int(resp.DemotionHops),
-		Instance:       int(resp.Instance),
-		Runtime:        int(resp.Runtime),
-		Batch:          resp.Batch,
-		BatchSize:      int(resp.BatchSize),
-	}, nil
-}
-
-// wireHTTPStatus maps a binary status onto the HTTP status the JSON
-// endpoint would have used, keeping APIError semantics (retryable checks,
-// logging) protocol-independent.
-func wireHTTPStatus(s wire.Status) int {
-	switch s {
-	case wire.StatusInvalid, wire.StatusUnsupportedField:
-		return http.StatusBadRequest
-	case wire.StatusTooLong:
-		return http.StatusRequestEntityTooLarge
-	case wire.StatusDeadline:
-		return http.StatusGatewayTimeout
-	case wire.StatusCongested, wire.StatusNoInstances, wire.StatusUnavailable, wire.StatusUnserviceable:
-		return http.StatusServiceUnavailable
-	case wire.StatusRateLimited:
-		return http.StatusTooManyRequests
-	default:
-		return http.StatusInternalServerError
 	}
 }

@@ -1,5 +1,5 @@
-// Binary-protocol front end: the same inference semantics as POST
-// /v1/infer served over internal/wire's length-prefixed frames on a
+// The front end's binary surface: the same inference semantics as the
+// JSON endpoints served over internal/wire's length-prefixed frames on a
 // second listener. One connection carries many in-flight requests —
 // clients pipeline and responses return as each request completes,
 // matched by id — so the per-request cost is one frame each way instead
@@ -12,52 +12,91 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"arlo/internal/cluster"
-	"arlo/internal/dispatch"
 	"arlo/internal/wire"
 )
 
 // ServeWire accepts binary-protocol connections on l until the listener
-// fails or the server is closed (Close closes l and returns nil here).
+// fails or the front end is closed (Close closes l and returns nil here).
 // Run it on its own goroutine next to the HTTP listener.
-func (s *Server) ServeWire(l net.Listener) error {
-	s.listMu.Lock()
-	if s.closing.Load() {
-		s.listMu.Unlock()
+func (f *Frontend) ServeWire(l net.Listener) error {
+	f.listMu.Lock()
+	if f.closing.Load() {
+		f.listMu.Unlock()
 		_ = l.Close()
 		return nil
 	}
-	s.listeners = append(s.listeners, l)
-	s.listMu.Unlock()
+	f.listeners = append(f.listeners, l)
+	f.listMu.Unlock()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			if s.closing.Load() {
+			if f.closing.Load() {
 				return nil
 			}
 			return err
 		}
-		go s.serveWireConn(conn)
+		go f.serveWireConn(conn)
 	}
 }
 
-// serveWireConn runs one connection: a single read loop decodes frames
-// and fans each request out to its own goroutine, which submits to the
-// cluster and writes its response frame under the shared write lock —
-// out-of-order completion is the point of the id field.
-func (s *Server) serveWireConn(conn net.Conn) {
-	if !s.trackConn(conn) {
+// Close stops the wire listeners and drops accepted wire connections.
+// Idempotent.
+func (f *Frontend) Close() error {
+	f.closing.Store(true)
+	f.listMu.Lock()
+	ls := f.listeners
+	f.listeners = nil
+	cs := f.conns
+	f.conns = nil
+	f.listMu.Unlock()
+	for _, l := range ls {
+		_ = l.Close()
+	}
+	for c := range cs {
+		_ = c.Close()
+	}
+	return nil
+}
+
+// trackConn registers an accepted wire connection for Close; it reports
+// false (and closes the connection) when the front end is already closing.
+func (f *Frontend) trackConn(c net.Conn) bool {
+	f.listMu.Lock()
+	defer f.listMu.Unlock()
+	if f.closing.Load() {
+		_ = c.Close()
+		return false
+	}
+	if f.conns == nil {
+		f.conns = make(map[net.Conn]struct{})
+	}
+	f.conns[c] = struct{}{}
+	return true
+}
+
+func (f *Frontend) untrackConn(c net.Conn) {
+	f.listMu.Lock()
+	delete(f.conns, c)
+	f.listMu.Unlock()
+}
+
+// serveWireConn runs one connection: a single read loop decodes and
+// validates frames (answering the rejects itself) and fans each request
+// out to its own goroutine, which runs it through the backend and writes
+// its response frame under the shared write lock — out-of-order
+// completion is the point of the id field.
+func (f *Frontend) serveWireConn(conn net.Conn) {
+	if !f.trackConn(conn) {
 		return
 	}
-	defer s.untrackConn(conn)
+	defer f.untrackConn(conn)
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 32<<10)
-	ww := &wireWriter{bw: bufio.NewWriterSize(conn, 32<<10)}
+	fw := newFrameWriter(conn)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	var buf []byte
@@ -73,215 +112,82 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		// Load-snapshot probes are answered inline: building a snapshot is
 		// a handful of atomic reads, and routers poll on an interval, so a
 		// goroutine per probe would cost more than the probe.
-		if len(payload) > 0 && payload[0] == wire.KindLoadRequest {
+		if f.load != nil && len(payload) > 0 && payload[0] == wire.KindLoadRequest {
 			id, err := wire.DecodeLoadRequest(payload)
 			if err != nil {
-				ww.send(&wire.Response{Status: wire.StatusInvalid, Message: "malformed load request"})
+				fw.response(&wire.Response{Status: wire.StatusInvalid, Message: "malformed load request"})
 				continue
 			}
-			snap := s.LoadSnapshot()
+			snap := f.load.LoadSnapshot()
 			snap.ID = id
-			ww.sendRaw(wire.AppendLoadSnapshot(nil, &snap))
+			_ = fw.send(func(dst []byte) []byte { return wire.AppendLoadSnapshot(dst, &snap) }) // a dead peer ends the read loop
 			continue
 		}
-		// Decode aliases the read buffer only for fields we copy below
-		// (Text is copied by string conversion, Tokens decode into a fresh
-		// slice), so the next ReadFrame may reuse buf while the request is
-		// still in flight.
+		// The decoded request owns its memory, so the next ReadFrame may
+		// reuse buf while the request is still in flight.
 		req, err := wire.DecodeRequest(payload, nil)
 		if err != nil {
-			// A kind or mode this server does not speak is the binary twin
-			// of an unknown JSON field: reject it as unsupported rather than
-			// malformed, so versioned clients can tell the two apart.
+			resp := wire.Response{ID: req.ID, Status: wire.StatusInvalid, Message: "malformed request"}
+			// A kind, mode or frame version this front end does not speak
+			// is the binary twin of an unknown JSON field: reject it as
+			// unsupported rather than malformed, so versioned clients can
+			// tell the two apart.
 			if errors.Is(err, wire.ErrBadKind) || errors.Is(err, wire.ErrBadMode) ||
 				errors.Is(err, wire.ErrBadVersion) {
-				ww.send(&wire.Response{ID: req.ID, Status: wire.StatusUnsupportedField, Message: err.Error()})
-				continue
+				resp.Status, resp.Message = wire.StatusUnsupportedField, err.Error()
 			}
-			ww.send(&wire.Response{ID: req.ID, Status: wire.StatusInvalid, Message: "malformed request"})
+			fw.response(&resp)
+			continue
+		}
+		if msg := invalid(&req, int64(req.MaxNewTokens)); msg != "" {
+			fw.response(&wire.Response{ID: req.ID, Status: wire.StatusInvalid, Message: msg})
 			continue
 		}
 		wg.Add(1)
 		go func(req wire.Request) {
 			defer wg.Done()
-			resp := s.inferWire(&req)
-			ww.send(&resp)
+			ctx := context.Background()
+			if req.Deadline != 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithDeadline(ctx, time.Unix(0, req.Deadline))
+				defer cancel()
+			}
+			resp, _ := f.backend.Do(ctx, req)
+			resp.ID = req.ID
+			fw.response(&resp)
 		}(req)
 	}
 }
 
-// wireWriter serializes response frames from concurrent request
-// goroutines onto one buffered connection writer.
-type wireWriter struct {
+// frameWriter is the one frame writer: it serializes frames from
+// concurrent goroutines onto a buffered connection writer, each as length
+// prefix + payload followed by a flush.
+type frameWriter struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
-	buf []byte
+	buf []byte // the frame being built, reused across sends
 }
 
-// sendRaw frames and writes an already-encoded payload (load snapshots,
-// which have their own encoder) under the same write lock as send.
-func (w *wireWriter) sendRaw(payload []byte) {
+func newFrameWriter(c net.Conn) *frameWriter {
+	return &frameWriter{bw: bufio.NewWriterSize(c, 32<<10)}
+}
+
+// send has appendPayload encode one payload straight into the writer's
+// buffer, behind its length prefix, then writes the frame and flushes.
+func (w *frameWriter) send(appendPayload func(dst []byte) []byte) error {
 	w.mu.Lock()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	_, err := w.bw.Write(hdr[:])
-	if err == nil {
-		_, err = w.bw.Write(payload)
-	}
+	defer w.mu.Unlock()
+	w.buf = appendPayload(append(w.buf[:0], 0, 0, 0, 0))
+	binary.LittleEndian.PutUint32(w.buf, uint32(len(w.buf)-4))
+	_, err := w.bw.Write(w.buf)
 	if err == nil {
 		err = w.bw.Flush()
 	}
-	w.mu.Unlock()
-	_ = err // a dead peer surfaces as the read loop's error
+	return err
 }
 
-func (w *wireWriter) send(resp *wire.Response) {
-	w.mu.Lock()
-	w.buf = wire.AppendResponse(w.buf[:0], resp)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(w.buf)))
-	_, err := w.bw.Write(hdr[:])
-	if err == nil {
-		_, err = w.bw.Write(w.buf)
-	}
-	if err == nil {
-		err = w.bw.Flush()
-	}
-	w.mu.Unlock()
-	_ = err // a dead peer surfaces as the read loop's error
-}
-
-// inferWire is handleInfer (or, for KindGenRequest frames, handleGenerate)
-// for one decoded binary request: gen requests carry their output budget
-// through the cluster and are answered with a KindGenResponse frame whose
-// trailer holds TTFT and the generated token count.
-func (s *Server) inferWire(req *wire.Request) wire.Response {
-	gen := req.Kind == wire.KindGenRequest || req.Kind == wire.KindGenRequestV2
-	if gen && (req.MaxNewTokens < 1 || req.MaxNewTokens > MaxNewTokensLimit) {
-		return wire.Response{ID: req.ID, Status: wire.StatusInvalid,
-			Message: fmt.Sprintf("max_new_tokens must be in [1, %d], got %d", MaxNewTokensLimit, req.MaxNewTokens)}
-	}
-	var (
-		length   int
-		tokTime  time.Duration
-		labelIdx uint8
-	)
-	switch req.Mode {
-	case wire.ModeText:
-		if req.Text == "" {
-			return wire.Response{ID: req.ID, Status: wire.StatusInvalid, Message: "empty text"}
-		}
-		tokStart := time.Now()
-		ids := s.tok.Encode(req.Text, s.maxLen)
-		tokTime = time.Since(tokStart)
-		length = len(ids)
-		labelIdx = classifyIndex(ids)
-	case wire.ModeTokens:
-		if len(req.Tokens) == 0 {
-			return wire.Response{ID: req.ID, Status: wire.StatusInvalid, Message: "empty token ids"}
-		}
-		if len(req.Tokens) > s.maxLen {
-			// Mirror the tokenizer's cap on the pre-encoded path.
-			req.Tokens = req.Tokens[:s.maxLen]
-		}
-		length = len(req.Tokens)
-		labelIdx = classifyTokens(req.Tokens)
-	default:
-		return wire.Response{ID: req.ID, Status: wire.StatusInvalid, Message: "unknown mode"}
-	}
-
-	ctx := context.Background()
-	if req.Deadline != 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, req.Deadline))
-		defer cancel()
-	}
-	if s.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.reqTimeout)
-		defer cancel()
-	}
-	creq := cluster.Request{Length: length, Tokenize: tokTime, Tenant: req.Tenant}
-	if gen {
-		creq.MaxNewTokens = int(req.MaxNewTokens)
-	}
-	res, err := s.submit(ctx, creq)
-	if err != nil {
-		s.rejected.Add(1)
-		eresp := wire.Response{ID: req.ID, Status: wireStatus(err), Message: err.Error()}
-		if eresp.Status == wire.StatusRateLimited {
-			eresp.RetryAfterNS = uint64(retryAfterOf(err))
-		}
-		return eresp
-	}
-	s.served.Add(1)
-	s.window.Record(res.Latency)
-	s.notify(length, res.Latency)
-	resp := wire.Response{
-		ID:           req.ID,
-		Status:       wire.StatusOK,
-		Label:        labelIdx,
-		SeqLen:       uint32(length),
-		LatencyNS:    uint64(res.Latency),
-		QueueNS:      uint64(res.Span.Queue),
-		ExecNS:       uint64(res.Span.Exec),
-		DemotionHops: uint16(res.Span.DemotionHops()),
-		Instance:     uint32(res.Span.Instance),
-		Runtime:      uint32(res.Span.Level),
-		Batch:        res.Span.Batch,
-		BatchSize:    uint32(res.Span.BatchSize),
-	}
-	if gen {
-		resp.Kind = wire.KindGenResponse
-		resp.TTFTNS = uint64(res.Span.TTFT)
-		resp.OutTokens = uint32(res.Span.OutTokens)
-	}
-	return resp
-}
-
-// wireStatus is mapError's binary twin.
-func wireStatus(err error) wire.Status {
-	switch {
-	case errors.Is(err, ErrUnsupportedField):
-		return wire.StatusUnsupportedField
-	case errors.Is(err, dispatch.ErrTooLong):
-		return wire.StatusTooLong
-	case errors.Is(err, cluster.ErrDeadlineExceeded):
-		return wire.StatusDeadline
-	case errors.Is(err, cluster.ErrUnserviceable):
-		return wire.StatusUnserviceable
-	case errors.Is(err, cluster.ErrCongested):
-		return wire.StatusCongested
-	case errors.Is(err, dispatch.ErrNoInstances):
-		return wire.StatusNoInstances
-	case errors.Is(err, cluster.ErrClusterClosed):
-		return wire.StatusUnavailable
-	case errors.Is(err, ErrRateLimited):
-		return wire.StatusRateLimited
-	default:
-		return wire.StatusInternal
-	}
-}
-
-// classifyIndex is classify returning the label index instead of the
-// string.
-func classifyIndex(ids []int) uint8 {
-	h := uint64(14695981039346656037)
-	for _, id := range ids {
-		h ^= uint64(id)
-		h *= 1099511628211
-	}
-	return uint8(h % 3)
-}
-
-// classifyTokens folds pre-encoded token ids with the same hash so a
-// ModeTokens request classifies identically to the ModeText request it
-// was encoded from.
-func classifyTokens(ids []uint32) uint8 {
-	h := uint64(14695981039346656037)
-	for _, id := range ids {
-		h ^= uint64(id)
-		h *= 1099511628211
-	}
-	return uint8(h % 3)
+// response sends one response frame from the serving side, where a failed
+// write needs no handling: a dead peer surfaces as the read loop's error.
+func (w *frameWriter) response(resp *wire.Response) {
+	_ = w.send(func(dst []byte) []byte { return wire.AppendResponse(dst, resp) })
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"arlo/internal/cluster"
+	"arlo/internal/wire"
 )
 
 // startWire attaches a binary listener to the server and returns its
@@ -50,7 +51,7 @@ func TestWireInferEndToEnd(t *testing.T) {
 
 	// The binary reply must agree with the JSON endpoint's semantics:
 	// identical input classifies identically.
-	want := classify(srv.tok.Encode("the data team won the game today", srv.maxLen))
+	want := inferLabels[classify(srv.tok.Encode("the data team won the game today", srv.maxLen))]
 	if resp.Label != want {
 		t.Errorf("label %q, want %q", resp.Label, want)
 	}
@@ -77,7 +78,7 @@ func TestWireInferTokensSkipsTokenizer(t *testing.T) {
 	if resp.SequenceLength != len(ids) {
 		t.Errorf("sequence length = %d, want %d", resp.SequenceLength, len(ids))
 	}
-	if want := classify(ids); resp.Label != want {
+	if want := inferLabels[classify(ids)]; resp.Label != want {
 		t.Errorf("label %q, want %q (token mode must classify like text mode)", resp.Label, want)
 	}
 }
@@ -231,5 +232,67 @@ func TestWireGenerateEndToEnd(t *testing.T) {
 	// A budget outside [1, MaxNewTokensLimit] is invalid, not unsupported.
 	if _, err := c.Generate("hi", 0); err == nil {
 		t.Error("zero max_new_tokens should fail")
+	}
+}
+
+// TestWireClientRawLayer covers what a router forwards over: RoundTrip
+// returns a typed non-OK reply as a value (an error only when no reply
+// arrived), Load fetches the snapshot over the same connection, and
+// Alive flips once the client is closed.
+func TestWireClientRawLayer(t *testing.T) {
+	srv, _ := testServerOpts(t, WithShardName("raw"))
+	c, err := DialWire(startWire(t, srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	resp, err := c.RoundTrip(ctx, &wire.Request{Kind: wire.KindGenRequest, Mode: wire.ModeText, Text: "hi"})
+	if err != nil || resp.Status != wire.StatusInvalid {
+		t.Fatalf("zero budget: resp %+v err %v, want an invalid_request reply as a value", resp, err)
+	}
+	resp, err = c.RoundTrip(ctx, &wire.Request{Mode: wire.ModeText, Text: "a served request"})
+	if err != nil || resp.Status != wire.StatusOK || resp.SeqLen == 0 {
+		t.Fatalf("served request: resp %+v err %v", resp, err)
+	}
+	snap, err := c.Load(ctx)
+	if err != nil || snap.Shard != "raw" || snap.Completed == 0 {
+		t.Fatalf("load probe: snap %+v err %v", snap, err)
+	}
+	if !c.Alive() {
+		t.Fatal("live connection reports dead")
+	}
+	_ = c.Close()
+	if c.Alive() {
+		t.Error("closed connection reports alive")
+	}
+	if _, err := c.RoundTrip(ctx, &wire.Request{Mode: wire.ModeText, Text: "x"}); err == nil {
+		t.Error("RoundTrip on a closed client should fail")
+	}
+}
+
+// brokenConn is a connection whose writes fail.
+type brokenConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *brokenConn) Write([]byte) (int, error) { c.writes++; return 0, errors.New("broken pipe") }
+func (c *brokenConn) Close() error              { return nil }
+
+// TestWireClientWriteErrorPoisons: a failed write kills the connection —
+// its buffered writer would fail every later frame anyway — so the next
+// call fails fast and a router redials instead of reusing it.
+func TestWireClientWriteErrorPoisons(t *testing.T) {
+	nc := &brokenConn{}
+	c := &WireClient{conn: nc, fw: newFrameWriter(nc), pending: make(map[uint64]chan wireReply)}
+	req := &wire.Request{Mode: wire.ModeText, Text: "x"}
+	if _, err := c.RoundTrip(context.Background(), req); err == nil {
+		t.Fatal("RoundTrip over a broken connection should fail")
+	}
+	if c.Alive() {
+		t.Error("connection still alive after a write error")
+	}
+	if _, err := c.RoundTrip(context.Background(), req); err == nil || nc.writes != 1 {
+		t.Errorf("second RoundTrip: err %v after %d writes, want a failure without touching the connection", err, nc.writes)
 	}
 }

@@ -19,6 +19,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(AppendRequest(nil, &Request{Kind: KindGenRequest, ID: 7, Mode: ModeTokens, Tokens: []uint32{9, 9}, MaxNewTokens: 1}))
 	f.Add(AppendResponse(nil, &Response{Kind: KindGenResponse, ID: 8, Status: StatusOK, SeqLen: 32, LatencyNS: 2, TTFTNS: 1, OutTokens: 4}))
 	f.Add(AppendResponse(nil, &Response{Kind: KindGenResponse, ID: 9, Status: StatusUnsupportedField, Message: "unknown frame kind"}))
+	f.Add(AppendRequest(nil, &Request{ID: 10, Mode: ModeText, Text: "tenant on kind 0", Tenant: "a"}))
+	f.Add(AppendRequest(nil, &Request{Kind: KindGenRequest, ID: 11, Mode: ModeText, Text: "tenant on a V1 gen kind", MaxNewTokens: 2, Tenant: "a"}))
 	f.Add([]byte{})
 	f.Add([]byte{KindRequest})
 	f.Add([]byte{KindResponse, 0, 0, 0, 0, 0, 0, 0, 0, 0xff})

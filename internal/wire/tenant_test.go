@@ -132,3 +132,26 @@ func TestRateLimitedResponseRoundTrip(t *testing.T) {
 		t.Fatalf("String() = %q", StatusRateLimited.String())
 	}
 }
+
+// TestTenantDerivesRevision: the encoder picks the frame revision from
+// the fields, so a sender that sets Tenant on a V1 kind (or on no kind at
+// all) gets the V2 twin and its tenant arrives — it is never dropped.
+func TestTenantDerivesRevision(t *testing.T) {
+	for _, tc := range []struct {
+		req      Request
+		wantKind uint8
+	}{
+		{Request{ID: 1, Mode: ModeText, Text: "hi", Tenant: "a"}, KindRequestV2},
+		{Request{Kind: KindRequest, ID: 2, Mode: ModeText, Text: "hi", Tenant: "a"}, KindRequestV2},
+		{Request{Kind: KindGenRequest, ID: 3, Mode: ModeText, Text: "hi", MaxNewTokens: 4, Tenant: "a"}, KindGenRequestV2},
+	} {
+		got, err := DecodeRequest(AppendRequest(nil, &tc.req), nil)
+		if err != nil {
+			t.Fatalf("decode %+v: %v", tc.req, err)
+		}
+		if got.Kind != tc.wantKind || got.Tenant != "a" || got.ID != tc.req.ID ||
+			got.Text != "hi" || got.MaxNewTokens != tc.req.MaxNewTokens || got.Gen() != tc.req.Gen() {
+			t.Errorf("tenant on kind %d: got %+v, want kind %d with the tenant", tc.req.Kind, got, tc.wantKind)
+		}
+	}
+}

@@ -41,7 +41,16 @@
 //
 // V1 request frames (kinds 1 and 3) still decode byte-for-byte — an old
 // client never has to change; servers predating V2 answer the unknown
-// kinds with StatusUnsupportedField, which V2 clients can detect.
+// kinds with StatusUnsupportedField, which V2 clients can detect. The
+// encoder derives the revision from the fields: a Request with a Tenant
+// encodes as the V2 twin of its kind, one without keeps the kind it was
+// given, so no sender carries an upgrade switch and a tenant is never
+// dropped silently.
+//
+// Decoded values own their memory: DecodeRequest, DecodeResponse and
+// DecodeLoadSnapshot copy every string and decode token ids into a fresh
+// slice, so a read loop may reuse its frame buffer while the request is
+// still in flight on another goroutine.
 // Rate-limited responses (StatusRateLimited) carry a retry hint before
 // the error message:
 //
@@ -164,7 +173,7 @@ func (s Status) Retryable() bool {
 
 // Request is one decoded inference request.
 type Request struct {
-	// Kind is KindRequest or KindGenRequest; 0 encodes as KindRequest.
+	// Kind is one of the four request kinds; 0 encodes as KindRequest.
 	Kind uint8
 	// ID is the client-chosen multiplexing id, echoed on the response.
 	ID uint64
@@ -172,16 +181,19 @@ type Request struct {
 	Deadline int64
 	// Mode is ModeText or ModeTokens.
 	Mode uint8
-	// MaxNewTokens is the generative output budget (KindGenRequest only).
+	// MaxNewTokens is the generative output budget (Gen requests only).
 	MaxNewTokens uint32
 	// Text is the input to tokenize (ModeText).
 	Text string
 	// Tokens are the pre-encoded token ids (ModeTokens).
 	Tokens []uint32
-	// Tenant is the submitting tenant id (V2 kinds only; at most 255
-	// bytes on the wire). Encoding a non-empty Tenant requires a V2 kind.
+	// Tenant is the submitting tenant id (at most 255 bytes on the wire).
+	// A non-empty Tenant encodes as the V2 twin of Kind.
 	Tenant string
 }
+
+// Gen reports whether the request is generative (either frame revision).
+func (r *Request) Gen() bool { return r.Kind == KindGenRequest || r.Kind == KindGenRequestV2 }
 
 // Response is one decoded inference reply; the fields mirror the JSON
 // InferResponse with durations in nanoseconds.
@@ -222,11 +234,9 @@ var (
 )
 
 const (
-	reqHeaderLen     = 1 + 8 + 8 + 1 // kind, id, deadline, mode
-	genReqHeaderLen  = reqHeaderLen + 4
+	reqHeaderLen     = 1 + 8 + 8 + 1     // kind, id, deadline, mode
 	reqV2HeaderLen   = 1 + 1 + 8 + 8 + 1 // kind, version, id, deadline, mode
-	genReqV2FixedLen = reqV2HeaderLen + 4
-	respHeaderLen    = 1 + 8 + 1 // kind, id, status
+	respHeaderLen    = 1 + 8 + 1         // kind, id, status
 	respOKLen        = respHeaderLen + 1 + 4 + 8 + 8 + 8 + 2 + 4 + 4 + 8 + 4
 	genRespOKLen     = respOKLen + 8 + 4
 	genRespTrailerAt = respOKLen // offset of ttft_ns in a gen ok payload
@@ -266,12 +276,21 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 }
 
 // AppendRequest appends the encoded request payload (no length prefix).
-// Kind 0 encodes as KindRequest; KindGenRequest adds the generation
-// parameters.
+// Kind 0 encodes as KindRequest; a generative kind adds the generation
+// parameters; a non-empty Tenant encodes as the V2 twin of the kind (an
+// explicit V2 kind stays V2 with an empty tenant).
 func AppendRequest(dst []byte, r *Request) []byte {
 	kind := r.Kind
 	if kind == 0 {
 		kind = KindRequest
+	}
+	if r.Tenant != "" {
+		switch kind {
+		case KindRequest:
+			kind = KindRequestV2
+		case KindGenRequest:
+			kind = KindGenRequestV2
+		}
 	}
 	v2 := kind == KindRequestV2 || kind == KindGenRequestV2
 	dst = append(dst, kind)
@@ -281,7 +300,7 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, r.ID)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Deadline))
 	dst = append(dst, r.Mode)
-	if kind == KindGenRequest || kind == KindGenRequestV2 {
+	if r.Gen() {
 		dst = binary.LittleEndian.AppendUint32(dst, r.MaxNewTokens)
 	}
 	if v2 {
@@ -304,30 +323,20 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	return dst
 }
 
-// DecodeRequest parses a request payload. The returned Request aliases p
-// (Text and Tokens reference its bytes where possible) — copy before
-// reusing the read buffer if the request outlives the frame. Tokens are
-// decoded into tokens[:0] when a scratch slice is supplied.
+// DecodeRequest parses a request payload. The returned Request owns its
+// memory — Text and Tenant are copied out of p and Tokens decode into
+// tokens[:0] (a fresh slice when tokens is nil) — so p may be reused while
+// the request is still in flight.
 func DecodeRequest(p []byte, tokens []uint32) (Request, error) {
 	var r Request
 	if len(p) < reqHeaderLen {
 		return r, ErrShortPayload
 	}
-	var body []byte
+	// The revisions share the id, deadline and mode that end the header;
+	// V2 adds a version byte after the kind and a tenant before the body.
+	hdr := reqHeaderLen
 	switch p[0] {
 	case KindRequest, KindGenRequest:
-		r.Kind = p[0]
-		r.ID = binary.LittleEndian.Uint64(p[1:])
-		r.Deadline = int64(binary.LittleEndian.Uint64(p[9:]))
-		r.Mode = p[17]
-		body = p[reqHeaderLen:]
-		if r.Kind == KindGenRequest {
-			if len(p) < genReqHeaderLen {
-				return r, ErrShortPayload
-			}
-			r.MaxNewTokens = binary.LittleEndian.Uint32(p[reqHeaderLen:])
-			body = p[genReqHeaderLen:]
-		}
 	case KindRequestV2, KindGenRequestV2:
 		if len(p) < reqV2HeaderLen {
 			return r, ErrShortPayload
@@ -335,18 +344,24 @@ func DecodeRequest(p []byte, tokens []uint32) (Request, error) {
 		if p[1] != FrameVersion {
 			return r, ErrBadVersion
 		}
-		r.Kind = p[0]
-		r.ID = binary.LittleEndian.Uint64(p[2:])
-		r.Deadline = int64(binary.LittleEndian.Uint64(p[10:]))
-		r.Mode = p[18]
-		body = p[reqV2HeaderLen:]
-		if r.Kind == KindGenRequestV2 {
-			if len(p) < genReqV2FixedLen {
-				return r, ErrShortPayload
-			}
-			r.MaxNewTokens = binary.LittleEndian.Uint32(p[reqV2HeaderLen:])
-			body = p[genReqV2FixedLen:]
+		hdr = reqV2HeaderLen
+	default:
+		return r, ErrBadKind
+	}
+	r.Kind = p[0]
+	fixed := p[hdr-17 : hdr] // u64 id | i64 deadline | u8 mode
+	r.ID = binary.LittleEndian.Uint64(fixed)
+	r.Deadline = int64(binary.LittleEndian.Uint64(fixed[8:]))
+	r.Mode = fixed[16]
+	body := p[hdr:]
+	if r.Gen() {
+		if len(body) < 4 {
+			return r, ErrShortPayload
 		}
+		r.MaxNewTokens = binary.LittleEndian.Uint32(body)
+		body = body[4:]
+	}
+	if hdr == reqV2HeaderLen {
 		if len(body) < 1 {
 			return r, ErrShortPayload
 		}
@@ -357,8 +372,6 @@ func DecodeRequest(p []byte, tokens []uint32) (Request, error) {
 		}
 		r.Tenant = string(body[:tn])
 		body = body[tn:]
-	default:
-		return r, ErrBadKind
 	}
 	switch r.Mode {
 	case ModeText:
@@ -417,8 +430,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 	return dst
 }
 
-// DecodeResponse parses a response payload. Message aliases p on error
-// statuses.
+// DecodeResponse parses a response payload. Message is copied out of p.
 func DecodeResponse(p []byte) (Response, error) {
 	var r Response
 	if len(p) < respHeaderLen {

@@ -159,3 +159,30 @@ func TestDecodeRequestReusesTokenScratch(t *testing.T) {
 		t.Error("decode did not reuse the scratch slice")
 	}
 }
+
+// TestDecodedRequestOwnsItsMemory pins the contract both read loops rely
+// on: a decoded request shares nothing with the frame buffer, so the next
+// ReadFrame may overwrite it while the request is still in flight.
+func TestDecodedRequestOwnsItsMemory(t *testing.T) {
+	for _, want := range []Request{
+		{Kind: KindRequestV2, ID: 1, Mode: ModeText, Text: "the quick brown fox", Tenant: "acme"},
+		{Kind: KindRequestV2, ID: 2, Mode: ModeTokens, Tokens: []uint32{101, 2023, 102}, Tenant: "acme"},
+	} {
+		buf := AppendRequest(nil, &want)
+		got, err := DecodeRequest(buf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		if got.Text != want.Text || got.Tenant != want.Tenant || len(got.Tokens) != len(want.Tokens) {
+			t.Fatalf("decoded request changed with its buffer: %+v, want %+v", got, want)
+		}
+		for i := range want.Tokens {
+			if got.Tokens[i] != want.Tokens[i] {
+				t.Fatalf("token %d changed with the buffer: %d, want %d", i, got.Tokens[i], want.Tokens[i])
+			}
+		}
+	}
+}
