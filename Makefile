@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short benchmark-check race chaos fuzz bench bench-dispatch bench-obs bench-batch bench-serve bench-ingress bench-generate bench-tenants bench-controller bench-router experiments experiments-full vet staticcheck lint fmt clean
+.PHONY: all build test test-short benchmark-check race chaos fuzz bench bench-dispatch bench-obs bench-serve bench-claims experiments experiments-full vet staticcheck lint fmt clean
 
 all: build test
 
@@ -61,52 +61,19 @@ bench-dispatch:
 bench-obs:
 	$(GO) test -bench 'Fig9Dispatch1200Instances|Fig9DispatchObserver' -benchmem -count 3 -run=^$$ .
 
-# Dynamic batching win on the live cluster: drains the Fig. 9 uniform
-# burst at batch cap 1 vs 8, then holds 1.25x the sequential throughput
-# while checking sustained p99 against the SLO. Writes BENCH_batch.json.
-bench-batch:
-	$(GO) run ./cmd/arlobench -exp bench-batch
-
 # JSON hot-path allocation guard plus handler- and socket-level serving
 # benchmarks (allocs/op is the number to watch).
 bench-serve:
 	$(GO) test -run TestInferAllocGuard -v ./internal/serve/
 	$(GO) test -bench 'InferJSON' -benchmem -run '^$$' ./internal/serve/
 
-# Ingress hot path at the socket: closed-loop RPS/p50/p99/mallocs per
-# protocol (JSON vs binary wire), an open-loop target-RPS sweep, and the
-# grouped vs per-request submit layer. Writes BENCH_ingress.json.
-bench-ingress:
-	$(GO) run ./cmd/arlobench -exp bench-ingress
-
-# Continuous (iteration-level) batching vs run-to-completion on a
-# generative burst: same prompts and output budgets through both worker
-# loops; continuous must win throughput at equal-or-better p99 TTFT.
-# Writes BENCH_generate.json.
-bench-generate:
-	$(GO) run ./cmd/arlobench -exp bench-generate
-
-# Noisy-neighbor isolation on the live cluster: a steady victim tenant
-# against a 9x bursting tenant, baseline (shared queue) vs token-bucket
-# admission + weighted fair dispatch. The victim's p99 must improve and
-# every noisy rejection must be the typed 429. Writes BENCH_tenants.json.
-bench-tenants:
-	$(GO) run ./cmd/arlobench -exp bench-tenants
-
-# Sharded-tier routing quality: the policy x snapshot-staleness grid
-# (length-aware vs round-robin vs least-loaded at immediate/10ms/100ms/1s
-# refresh) over three heterogeneous in-process shards, plus a shard-kill
-# run whose conservation audit must lose zero requests. Writes
-# BENCH_router.json.
-bench-router:
-	$(GO) run ./cmd/arlobench -exp bench-router
-
-# Closing the control loop on the live cluster: a drifting length mix
-# served by a frozen allocation vs the replanning controller (budgeted
-# minimal replacements from the observed sliding window). The controller
-# arm must win SLO attainment after the drift. Writes BENCH_controller.json.
-bench-controller:
-	$(GO) run ./cmd/arlobench -exp bench-controller
+# The asserted A/B claims about the live serving stack (batching,
+# continuous batching, tenant isolation, the control loop, routing on
+# stale snapshots): every arm runs under the conservation audit, each
+# claim is the median of 3 repetitions against a threshold, and the exit
+# code is the verdict. Nothing is written to disk; ~1 min.
+bench-claims:
+	$(GO) run ./cmd/arlobench -exp claim-batch,claim-generate,claim-tenants,claim-controller,claim-router
 
 # Regenerate every table and figure of the paper (quick mode, ~1 min).
 experiments:

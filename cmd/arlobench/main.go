@@ -1,14 +1,17 @@
-// Command arlobench regenerates the paper's tables and figures.
+// Command arlobench regenerates the paper's tables and figures and checks
+// the asserted claims about the live serving stack.
 //
 // Usage:
 //
 //	arlobench -list
 //	arlobench -exp fig6 [-seed 42] [-full]
+//	arlobench -exp claim-batch,claim-tenants
 //	arlobench -exp all
 //
 // Quick mode (default) scales trace durations down so the whole suite
 // finishes in a few minutes; -full runs paper-scale workloads. All
-// workloads are deterministic for a given seed.
+// workloads are deterministic for a given seed. A claim that is not met,
+// or an arm whose conservation audit fails, exits non-zero.
 package main
 
 import (
@@ -23,13 +26,10 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "", "experiment id (fig1..fig12, table2..table4, calib, ablation-rs) or \"all\"")
-		seed       = flag.Int64("seed", 42, "workload seed")
-		full       = flag.Bool("full", false, "run paper-scale durations and rates")
-		list       = flag.Bool("list", false, "list available experiments")
-		batchSize  = flag.Int("batch-size", 0, "dynamic batching cap for batched-cluster experiments (0 = experiment default)")
-		batchDelay = flag.Duration("batch-delay", 0, "batch collection window (0 = SLO-aware default, negative = greedy)")
-		routerTier = flag.Bool("router", false, "drive socket-level harnesses through a router fronting 3 shards instead of a single server")
+		exp  = flag.String("exp", "", "experiment ids, comma-separated (fig1..fig12, table2..table4, calib, ablation-*, claim-*), or \"all\"")
+		seed = flag.Int64("seed", 42, "workload seed")
+		full = flag.Bool("full", false, "run paper-scale durations and rates")
+		list = flag.Bool("list", false, "list available experiments")
 	)
 	flag.Parse()
 
@@ -44,7 +44,7 @@ func main() {
 		return
 	}
 
-	opt := experiments.Options{Seed: *seed, Full: *full, BatchSize: *batchSize, BatchDelay: *batchDelay, Router: *routerTier}
+	opt := experiments.Options{Seed: *seed, Full: *full}
 	var specs []experiments.Spec
 	if *exp == "all" {
 		specs = experiments.All()

@@ -89,32 +89,51 @@ type Config struct {
 	// cluster.Config.BatchDelay).
 	BatchDelay time.Duration
 	// Generative switches the cluster to the continuous (iteration-level)
-	// batching loop and gives every request an output budget: the trace's
-	// own OutTokens when set, otherwise a seeded draw from
-	// [1, MaxNewTokens]. Conservation extends to the iteration level — a
-	// completed request must deliver its full token count (crash-displaced
-	// partial generations restart, they do not leak).
+	// batching loop and draws an output budget from [1, MaxNewTokens] for
+	// every request whose trace entry has none. A budget the trace carries
+	// (OutTokens) is honoured in every mode, so a run-to-completion arm is
+	// MaxBatch > 1 with Generative off on a generative trace. Conservation
+	// extends to the iteration level — a completed request must deliver
+	// its full token count (crash-displaced partial generations restart,
+	// they do not leak).
 	Generative bool
 	// MaxNewTokens bounds the drawn output budgets (default 32; only read
 	// when Generative).
 	MaxNewTokens int
-	// Controller runs the closed control loop during the run: at every
-	// ControllerPeriod of modeled time the loop re-solves the allocation
-	// program from the observed length distribution and applies the
-	// replacement plan — so replans race the scripted failures, slowdowns
-	// and rejoins. The conservation audit is unchanged: a replacement that
-	// displaces in-flight work must still deliver every request exactly
-	// once or reject it with a typed error.
-	Controller bool
+	// Controller, when non-nil, runs the closed control loop during the
+	// run with these options: at every ControllerPeriod of modeled time the
+	// loop re-solves the allocation program from the observed length
+	// distribution and applies the replacement plan — so replans race the
+	// scripted failures, slowdowns and rejoins. Run fills DemandScale from
+	// TimeScale and sets the recorder's window to one period of wall time.
+	// The conservation audit is unchanged: a replacement that displaces
+	// in-flight work must still deliver every request exactly once or
+	// reject it with a typed error.
+	Controller *controller.Options
 	// ControllerPeriod is the replanning cadence in modeled time (default
 	// Trace.Duration/4; only read when Controller).
 	ControllerPeriod time.Duration
 	// Tenants, when non-empty, runs the cluster in multi-tenant mode:
-	// every request is assigned a seeded tenant draw from this list, and
-	// the conservation audit extends per tenant — token-bucket rejections
-	// must be typed, counted exactly once, and agree with the registry's
-	// own books.
+	// every request the trace leaves untagged is assigned a seeded tenant
+	// draw from this list, and the conservation audit extends per tenant —
+	// token-bucket rejections must be typed, counted exactly once, and
+	// agree with the registry's own books.
 	Tenants []tenant.Config
+}
+
+// Sample is one submitted request's outcome, for callers that summarise
+// latencies rather than audit books.
+type Sample struct {
+	// At is the modeled arrival offset.
+	At time.Duration
+	// Tenant is the trace's tag (or the seeded draw in multi-tenant
+	// runs), set whether or not a registry is configured.
+	Tenant string
+	// Span is a completion's lifecycle record; Span.Total is its modeled
+	// end-to-end latency.
+	Span obs.Span
+	// Err is a refusal's error; nil marks a completion.
+	Err error
 }
 
 // Report is the audited outcome of one run. Submitted is partitioned
@@ -158,6 +177,12 @@ type Report struct {
 	FinalAllocation []int
 	// FinalHealth summarizes instance health at the end of the run.
 	FinalHealth cluster.HealthSummary
+
+	// Samples holds one entry per submitted request, in schedule order.
+	Samples []Sample
+	// Elapsed is the wall time from the first submission to the last
+	// outcome.
+	Elapsed time.Duration
 }
 
 // TenantBooks is one tenant's outcome partition in a multi-tenant run.
@@ -282,6 +307,12 @@ func Run(cfg Config) (*Report, error) {
 			return nil, err
 		}
 	}
+	// The continuous capacity hint is the mean of the budgets the run will
+	// submit: the trace's own when it carries them, else the draw's.
+	meanOut := cfg.Trace.MeanOutTokens()
+	if meanOut == 0 {
+		meanOut = float64(maxNew+1) / 2
+	}
 	rec := obs.NewRecorder(len(cfg.Profile.MaxLengths()))
 	cl, err := cluster.New(cluster.Config{
 		Profile:           cfg.Profile,
@@ -294,7 +325,7 @@ func Run(cfg Config) (*Report, error) {
 		MaxBatch:          cfg.MaxBatch,
 		BatchDelay:        cfg.BatchDelay,
 		Continuous:        cfg.Generative,
-		MeanOutTokens:     float64(maxNew+1) / 2,
+		MeanOutTokens:     meanOut,
 		Tenants:           reg,
 	})
 	if err != nil {
@@ -312,28 +343,31 @@ func Run(cfg Config) (*Report, error) {
 		submit = ing.SubmitCtx
 	}
 
-	// The control loop shares the run's recorder and cluster, replanning
-	// with no hysteresis or budget so every period exercises the Replace
-	// path. Replace errors are expected mid-schedule (the plan races
-	// failures); Step already tolerates them and replans next period.
+	// The control loop shares the run's recorder and cluster. Replace
+	// errors are expected mid-schedule (the plan races failures); Step
+	// already tolerates them and replans next period. The recorder's window
+	// covers one period of wall time, so the demand estimate tracks the
+	// load instead of averaging the whole run.
 	var ctrl *controller.Controller
-	if cfg.Controller {
+	period := cfg.ControllerPeriod
+	if cfg.Controller != nil {
+		if period <= 0 {
+			period = cfg.Trace.Duration / 4
+		}
+		rec.SetWindow(time.Duration(float64(period) * scale))
 		solver, err := allocator.NewSolver(cfg.Profile)
 		if err != nil {
 			return nil, err
 		}
-		ctrl, err = controller.New(cl, solver, rec, controller.Options{
-			Hysteresis:      -1,
-			MaxReplacements: -1,
-			DemandScale:     scale,
-		})
-		if err != nil {
+		opts := *cfg.Controller
+		opts.DemandScale = scale
+		if ctrl, err = controller.New(cl, solver, rec, opts); err != nil {
 			return nil, err
 		}
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	rep := &Report{Recorder: rec}
+	rep := &Report{Recorder: rec, Samples: make([]Sample, len(cfg.Trace.Requests))}
 	if reg != nil {
 		rep.PerTenant = make(map[string]*TenantBooks, len(cfg.Tenants))
 		for _, tc := range cfg.Tenants {
@@ -358,15 +392,9 @@ func Run(cfg Config) (*Report, error) {
 		ev := &cfg.Events[i]
 		steps = append(steps, step{at: ev.At, ev: ev})
 	}
-	if ctrl != nil {
-		period := cfg.ControllerPeriod
-		if period <= 0 {
-			period = cfg.Trace.Duration / 4
-		}
-		if period > 0 {
-			for at := period; at <= cfg.Trace.Duration; at += period {
-				steps = append(steps, step{at: at, ctrl: true})
-			}
+	if ctrl != nil && period > 0 {
+		for at := period; at <= cfg.Trace.Duration; at += period {
+			steps = append(steps, step{at: at, ctrl: true})
 		}
 	}
 	sort.SliceStable(steps, func(i, j int) bool { return steps[i].at < steps[j].at })
@@ -384,17 +412,13 @@ func Run(cfg Config) (*Report, error) {
 			// Tight enough to race queueing and the failure windows.
 			deadlines[i] = time.Duration(1+rng.Intn(5)) * time.Millisecond
 		}
-		if cfg.Generative {
-			budgets[i] = st.req.OutTokens
-			if budgets[i] < 1 {
-				budgets[i] = 1 + rng.Intn(maxNew)
-			}
+		budgets[i] = st.req.OutTokens
+		if cfg.Generative && budgets[i] < 1 {
+			budgets[i] = 1 + rng.Intn(maxNew)
 		}
-		if reg != nil {
-			tenants[i] = st.req.Tenant
-			if tenants[i] == "" {
-				tenants[i] = cfg.Tenants[rng.Intn(len(cfg.Tenants))].ID
-			}
+		tenants[i] = st.req.Tenant
+		if reg != nil && tenants[i] == "" {
+			tenants[i] = cfg.Tenants[rng.Intn(len(cfg.Tenants))].ID
 		}
 	}
 
@@ -448,6 +472,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	start := time.Now()
+	var firstSubmit time.Time
 	for i, st := range steps {
 		if wait := time.Until(start.Add(time.Duration(float64(st.at) * scale))); wait > 0 {
 			time.Sleep(wait)
@@ -478,6 +503,11 @@ func Run(cfg Config) (*Report, error) {
 				_, _ = cl.SlowInstance(st.ev.Runtime, st.ev.Factor)
 			}
 			continue
+		}
+		sample := &rep.Samples[rep.Submitted]
+		*sample = Sample{At: st.at, Tenant: tenants[i]}
+		if rep.Submitted == 0 {
+			firstSubmit = time.Now()
 		}
 		rep.Submitted++
 		length := st.req.Length
@@ -510,10 +540,14 @@ func Run(cfg Config) (*Report, error) {
 				// partial leaked through as finished.
 				err = fmt.Errorf("chaos: completed with %d of %d tokens", res.Span.OutTokens, budget)
 			}
+			sample.Span, sample.Err = res.Span, err
 			classify(tn, err)
 		}()
 	}
 	wg.Wait()
+	if rep.Submitted > 0 {
+		rep.Elapsed = time.Since(firstSubmit)
+	}
 
 	if reg != nil {
 		rep.TenantStats = reg.Stats()

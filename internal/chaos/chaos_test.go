@@ -251,3 +251,67 @@ func TestCrossCheckAgainstSimulator(t *testing.T) {
 		t.Errorf("live runtime 1 allocation = %d, want 1", rep.FinalAllocation[1])
 	}
 }
+
+// TestSamplesCarryTraceTags runs an event-free, registry-free arm on a
+// tenant-tagged trace: every request yields one sample, in arrival order,
+// carrying the trace's own tag and a completion span, and the run reports
+// how long it took on the wall.
+func TestSamplesCarryTraceTags(t *testing.T) {
+	cfg := trace.Stable(17, 300, 200*time.Millisecond)
+	cfg.Tenants = trace.WeightedTenants{IDs: []string{"a", "b"}}
+	tr, err := trace.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(Config{Profile: testProfile(t), Allocation: []int{1, 2}, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Samples) != len(tr.Requests) {
+		t.Fatalf("%d samples for %d requests", len(rep.Samples), len(tr.Requests))
+	}
+	if rep.PerTenant != nil {
+		t.Error("per-tenant books kept without a registry")
+	}
+	for i, s := range rep.Samples {
+		r := tr.Requests[i]
+		if s.At != r.At || s.Tenant != r.Tenant || s.Tenant == "" {
+			t.Fatalf("sample %d = {%v %q}, trace has {%v %q}", i, s.At, s.Tenant, r.At, r.Tenant)
+		}
+		if s.Err != nil || s.Span.Total <= 0 || s.Span.Length != r.Length {
+			t.Fatalf("sample %d: err %v, span %+v; want a completion of length %d", i, s.Err, s.Span, r.Length)
+		}
+	}
+	if rep.Elapsed <= 0 {
+		t.Errorf("elapsed = %v, want positive", rep.Elapsed)
+	}
+}
+
+// TestRunToCompletionHonoursTraceBudgets pins that the trace's output
+// budgets are submitted, and the full-token-count audit applied, outside
+// continuous mode too: a batched run-to-completion arm on a generative
+// trace completes every request with exactly the tokens it asked for.
+func TestRunToCompletionHonoursTraceBudgets(t *testing.T) {
+	tr, err := trace.Generate(trace.Generative(19, 120, 200*time.Millisecond, 8, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(Config{Profile: testProfile(t), Allocation: []int{1, 2}, Trace: tr, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != len(tr.Requests) {
+		t.Fatalf("completed %d of %d", rep.Completed, len(tr.Requests))
+	}
+	for i, s := range rep.Samples {
+		if want := tr.Requests[i].OutTokens; want < 1 || s.Span.OutTokens != want {
+			t.Fatalf("sample %d generated %d tokens, trace budget %d", i, s.Span.OutTokens, want)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package chaos
 import (
 	"testing"
 	"time"
+
+	"arlo/internal/controller"
 )
 
 // TestConservationManySeedsController re-runs the conservation sweep with
@@ -27,12 +29,16 @@ func TestConservationManySeedsController(t *testing.T) {
 			// Deliberately lopsided for the mostly-short Twitter lengths:
 			// the solver wants GPUs on the small runtime, so replans have
 			// real replacements to apply while the schedule fires.
-			Allocation:     []int{1, 3},
-			Trace:          testTrace(t, int64(seed), 150, 200*time.Millisecond),
-			TimeScale:      0.02,
+			Allocation: []int{1, 3},
+			Trace:      testTrace(t, int64(seed), 150, 200*time.Millisecond),
+			// One control period is a quarter of the trace, and Run sizes
+			// the recorder's window to it in wall time: 2.5 ms here. At the
+			// other sweeps' 0.02 it would be 1 ms, inside scheduler jitter,
+			// and a seed could find every window empty and never replan.
+			TimeScale:      0.05,
 			Seed:           int64(seed),
 			CancelFraction: 0.2,
-			Controller:     true,
+			Controller:     &controller.Options{Hysteresis: -1, MaxReplacements: -1},
 			Events: []Event{
 				{At: 20 * time.Millisecond, Kind: Slow, Runtime: 1, Factor: 3},
 				{At: 50 * time.Millisecond, Kind: Fail, Runtime: 1, Downtime: 60 * time.Millisecond},
@@ -62,19 +68,20 @@ func TestConservationManySeedsController(t *testing.T) {
 }
 
 // TestControllerReplansConverge pins the control loop's steady-state
-// effect without faults: the light load needs only one small-runtime
-// instance, and the solver parks spare capacity on the max-length runtime
-// (it can absorb any demotion), so periodic replans drain the deliberately
-// overweight small runtime toward the big one — and the books still
-// balance afterwards.
+// effect without faults: the start is lopsided against the mostly-short
+// Twitter lengths, the windowed demand estimate (one control period of
+// wall time, sized by Run) sees that, and periodic replans move GPUs from
+// the overweight max-length runtime to the small one — and the books still
+// balance afterwards. The time scale keeps one period at 10 ms of wall
+// time, well clear of scheduler jitter.
 func TestControllerReplansConverge(t *testing.T) {
 	p := testProfile(t)
 	rep, err := Run(Config{
 		Profile:          p,
-		Allocation:       []int{3, 1},
+		Allocation:       []int{1, 3},
 		Trace:            testTrace(t, 5, 300, 400*time.Millisecond),
-		TimeScale:        0.02,
-		Controller:       true,
+		TimeScale:        0.2,
+		Controller:       &controller.Options{Hysteresis: -1, MaxReplacements: -1},
 		ControllerPeriod: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -89,8 +96,8 @@ func TestControllerReplansConverge(t *testing.T) {
 	if rep.Replacements == 0 {
 		t.Error("controller applied no replacements from a lopsided start")
 	}
-	if got := rep.FinalAllocation[1]; got < 2 {
-		t.Errorf("final allocation %v: runtime 1 should have absorbed the spare GPUs", rep.FinalAllocation)
+	if got := rep.FinalAllocation[0]; got < 2 {
+		t.Errorf("final allocation %v: runtime 0 should have gained GPUs for the short-heavy mix", rep.FinalAllocation)
 	}
 	gpus := 0
 	for _, n := range rep.FinalAllocation {
@@ -98,5 +105,8 @@ func TestControllerReplansConverge(t *testing.T) {
 	}
 	if gpus != 4 {
 		t.Errorf("replanning must conserve the GPU pool: final %v sums to %d, want 4", rep.FinalAllocation, gpus)
+	}
+	if want := time.Duration(float64(50*time.Millisecond) * 0.2); rep.Recorder.WindowSpan() != want {
+		t.Errorf("recorder window = %v, want one control period of wall time (%v)", rep.Recorder.WindowSpan(), want)
 	}
 }

@@ -2,12 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"arlo/internal/chaos"
+	"arlo/internal/cluster"
 	"arlo/internal/model"
+	"arlo/internal/obs"
+	"arlo/internal/profiler"
 	"arlo/internal/trace"
 )
 
@@ -34,7 +39,8 @@ func TestRegistry(t *testing.T) {
 		t.Error("unknown id should not resolve")
 	}
 	for _, want := range []string{"fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "fig11", "fig12", "table2", "table3", "table4", "calib"} {
+		"fig9", "fig10", "fig11", "fig12", "table2", "table3", "table4", "calib",
+		"claim-batch", "claim-generate", "claim-tenants", "claim-controller", "claim-router"} {
 		if !seen[want] {
 			t.Errorf("experiment %s missing from registry", want)
 		}
@@ -188,5 +194,109 @@ func TestRelDiff(t *testing.T) {
 	}
 	if got := relDiff(0, time.Second); got != 0 {
 		t.Errorf("relDiff with zero base = %v, want 0", got)
+	}
+}
+
+// TestClaimRunnerMechanics pins the runner's exit-code rule on the one
+// claim cheap enough for tier-1 (the tenants arms replay in modeled time,
+// ~0.2 s): it is met as shipped; the same arms under a threshold that
+// cannot hold fail with an error naming the claim; a missed timing side
+// condition is judged by the median like any low reading; and an arm
+// whose ledger does not balance fails on its audit before any value is
+// looked at. The real-time claims stay out of `go test` — `make bench-claims`
+// runs them.
+func TestClaimRunnerMechanics(t *testing.T) {
+	var tenants claim
+	for _, c := range claims() {
+		if c.id == "claim-tenants" {
+			tenants = c
+		}
+	}
+	var out bytes.Buffer
+	if err := runClaims(&out, Options{Seed: 3}, tenants); err != nil {
+		t.Fatalf("claim-tenants as shipped: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"envelope: go", "seed=3 quick reps=3", "claim-tenants", ">= 2.00", "ok"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+
+	unmeetable := tenants
+	unmeetable.atLeast = 1e6
+	out.Reset()
+	err := runClaims(&out, Options{Seed: 3}, unmeetable)
+	if err == nil || !strings.Contains(err.Error(), "claim-tenants") {
+		t.Errorf("unmeetable threshold: error %v, want one naming claim-tenants", err)
+	}
+	if !strings.Contains(out.String(), "NOT MET") {
+		t.Errorf("unmeetable threshold: row should read NOT MET:\n%s", out.String())
+	}
+
+	// A timing side condition that fails reads as zero: one such
+	// repetition is outvoted by the median, two are not.
+	for misses, wantErr := range []bool{false, false, true, true} {
+		n := 0
+		stalls := claim{id: "claim-stalls", atLeast: 2, measure: func(Options) (float64, string, error) {
+			if n++; n <= misses {
+				return miss("stalled")
+			}
+			return 5, "", nil
+		}}
+		if err := runClaims(io.Discard, Options{}, stalls); (err != nil) != wantErr {
+			t.Errorf("%d of 3 repetitions missed: error %v, want error %v", misses, err, wantErr)
+		}
+	}
+
+	p, err := profiler.StaticProfile(model.BertBase(), []int{128, 512}, claimSLO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Generate(trace.Stable(3, 200, 100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := claim{id: "claim-tampered", measure: func(Options) (float64, string, error) {
+		rep, err := chaos.Run(chaos.Config{Profile: p, Allocation: []int{1, 1}, Trace: tr})
+		if err != nil {
+			return 0, "", err
+		}
+		rep.Completed++
+		if _, err := audited(rep, nil); err != nil {
+			return 0, "", err
+		}
+		t.Error("a report with a broken ledger got past the audit")
+		return 1, "", nil
+	}}
+	err = runClaims(io.Discard, Options{}, tampered)
+	if err == nil || !strings.Contains(err.Error(), "claim-tampered") || !strings.Contains(err.Error(), "conservation") {
+		t.Errorf("tampered ledger: error %v, want the conservation audit naming claim-tampered", err)
+	}
+}
+
+// TestSummarizeOneUnitSystem pins the one attainment rule: latencies are
+// modeled time compared with the modeled SLO (never a time-scaled budget,
+// whatever scale the arm ran at), a refusal counts as a miss, and
+// percentiles are nearest-rank over completions.
+func TestSummarizeOneUnitSystem(t *testing.T) {
+	// As a TimeScale 0.05 arm reports them: 10 ms and 200 ms modeled.
+	samples := []chaos.Sample{
+		{Span: obs.Span{Total: 10 * time.Millisecond}},
+		{Span: obs.Span{Total: 200 * time.Millisecond}},
+		{Err: cluster.ErrRateLimited},
+	}
+	s := summarize(samples, claimSLO, nil)
+	if s.requests != 3 || s.completed != 2 {
+		t.Errorf("requests %d completed %d, want 3 and 2", s.requests, s.completed)
+	}
+	if s.attainment != 1.0/3 {
+		t.Errorf("attainment = %v, want 1/3", s.attainment)
+	}
+	if s.p50 != 10*time.Millisecond || s.p99 != 200*time.Millisecond {
+		t.Errorf("p50 %v p99 %v, want 10ms and 200ms", s.p50, s.p99)
+	}
+	refused := summarize(samples, claimSLO, func(sm chaos.Sample) bool { return errors.Is(sm.Err, cluster.ErrRateLimited) })
+	if refused.requests != 1 || refused.completed != 0 || refused.attainment != 0 || refused.p99 != 0 {
+		t.Errorf("refusals only: %+v, want one request, nothing completed or attained", refused)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -371,6 +372,58 @@ func TestRouterPolicies(t *testing.T) {
 				for _, sh := range r.shards {
 					if sh.requests.Load() == 0 {
 						t.Errorf("round-robin left shard %s unused", sh.name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPolicySharesOnFrozenSnapshots is the deterministic twin of the
+// routing claim's herding arm (arlobench -exp claim-router): three shards
+// of 2, 6 and 8 instances whose one snapshot shows empty queues and never
+// refreshes, no sockets, and 3,000 decisions with nothing completing in
+// between, so only the router's own in-flight count tells the shards
+// apart. Least-loaded reads the frozen snapshot and herds onto one shard;
+// length-aware's local correction spreads the picks by capacity;
+// round-robin splits them evenly whatever the capacity.
+func TestPolicySharesOnFrozenSnapshots(t *testing.T) {
+	instances := []uint16{2, 6, 8}
+	const picks, fleet = 3000, 16
+	for _, policy := range []Policy{PolicyLengthAware, PolicyRoundRobin, PolicyLeastLoaded} {
+		t.Run(policy.String(), func(t *testing.T) {
+			r := &Router{
+				cfg: Config{Policy: policy, SnapshotRefreshInterval: time.Second, MaxLength: 512},
+				rng: rand.New(rand.NewSource(7)),
+			}
+			for _, n := range instances {
+				sh := &shard{}
+				sh.snap.Store(&snapEntry{at: time.Now(), snap: wire.LoadSnapshot{Healthy: n, Levels: []wire.LoadLevel{
+					{MaxLength: 128, Instances: n / 2}, {MaxLength: 512, Instances: n / 2}}}})
+				r.shards = append(r.shards, sh)
+			}
+			lengths := rand.New(rand.NewSource(11))
+			for i := 0; i < picks; i++ {
+				length := 16 + lengths.Intn(104)
+				if lengths.Float64() < 0.3 {
+					length = 320 + lengths.Intn(180)
+				}
+				r.shards[r.pick(length, make([]bool, len(r.shards)))].inflight.Add(1)
+			}
+			for i, sh := range r.shards {
+				share := float64(sh.inflight.Load()) / picks
+				switch policy {
+				case PolicyLeastLoaded:
+					if got := sh.inflight.Load(); got != 0 && got != picks {
+						t.Errorf("shard %d took %d picks; least-loaded on a frozen snapshot should herd onto one shard", i, got)
+					}
+				case PolicyRoundRobin:
+					if got := sh.inflight.Load(); got != picks/3 {
+						t.Errorf("shard %d took %d picks, want exactly %d", i, got, picks/3)
+					}
+				default:
+					if want := float64(instances[i]) / fleet; share < want-0.10 || share > want+0.10 {
+						t.Errorf("shard %d took %.3f of the picks, want its capacity share %.3f within 0.10", i, share, want)
 					}
 				}
 			}

@@ -98,8 +98,8 @@ func BenchmarkInferJSONHandler(b *testing.B) {
 }
 
 // BenchmarkInferJSONSocket measures the same request through a real HTTP
-// server and the tuned client transport — the socket-level JSON number
-// bench-ingress compares against the wire protocol.
+// server and the tuned client transport — the in-package view of what the
+// benchmark's json_direct workload measures against wire_direct.
 func BenchmarkInferJSONSocket(b *testing.B) {
 	srv := allocServer(b)
 	ts := httptest.NewServer(srv)
