@@ -62,10 +62,15 @@ bench-obs:
 	$(GO) test -bench 'Fig9Dispatch1200Instances|Fig9DispatchObserver' -benchmem -count 3 -run=^$$ .
 
 # JSON hot-path allocation guard plus handler- and socket-level serving
-# benchmarks (allocs/op is the number to watch).
+# benchmarks (allocs/op is the number to watch), then the tokenizer every
+# request goes through first: its allocation guard and Encode over the
+# 8x-sentence text and over harness-like pool text (EncodePool, which
+# weights whole-word vocabulary hits the way the benchmark's pool does).
 bench-serve:
 	$(GO) test -run TestInferAllocGuard -v ./internal/serve/
 	$(GO) test -bench 'InferJSON' -benchmem -run '^$$' ./internal/serve/
+	$(GO) test -run TestEncodeAllocGuard -v ./internal/tokenizer/
+	$(GO) test -bench 'BenchmarkEncode$$|BenchmarkEncodePool|BenchmarkSequenceLength' -benchmem -run '^$$' ./internal/tokenizer/
 
 # The asserted A/B claims about the live serving stack (batching,
 # continuous batching, tenant isolation, the control loop, routing on

@@ -202,9 +202,7 @@ const (
 )
 
 type job struct {
-	length  int
-	started time.Time
-	done    chan time.Duration
+	done chan time.Duration
 
 	state atomic.Int32
 
@@ -222,26 +220,15 @@ type job struct {
 	// batch former never holds the job past the slack it leaves.
 	deadline time.Time
 
-	// Span ingredients, written by the submitter (tokenize, dec, instID)
-	// or by the worker before the done send (wait, exec, batch fields) —
-	// the channel send orders them before the submitter's reads.
-	tokenize    time.Duration
-	dispatch    time.Duration
-	wait        time.Duration
-	exec        time.Duration
-	formWait    time.Duration
-	ingressWait time.Duration
-	batchID     int64
-	batchSize   int
-	dec         dispatch.Decision
-	instID      int
+	// span is the request's lifecycle record, written in place: by the
+	// submitter side (length, submission time, tokenize, tenant, the
+	// dispatch decision, ingress wait) and then by the worker before the
+	// done send (queue wait, exec, batch fields, TTFT, output tokens) — the
+	// channel send orders the worker's writes before deliver reads them.
+	span obs.Span
 
-	// maxNew is the request's output token budget (0 = encoder request);
-	// ttft and outTokens are the generative results the worker writes
-	// before the done send.
-	maxNew    int
-	ttft      time.Duration
-	outTokens int
+	// maxNew is the request's output token budget (0 = encoder request).
+	maxNew int
 
 	// tenant is the resolved tenant record (nil without a registry);
 	// window is the SLO class's batch-collection cap in wall time (0 means
@@ -264,27 +251,10 @@ var jobPool = sync.Pool{
 
 func newJob(length int) *job {
 	j := jobPool.Get().(*job)
-	j.length = length
-	j.started = time.Now()
 	j.state.Store(jobPending)
-	j.requeues = 0
-	j.err = nil
-	j.deadline = time.Time{}
-	j.tokenize = 0
-	j.dispatch = 0
-	j.wait = 0
-	j.exec = 0
-	j.formWait = 0
-	j.ingressWait = 0
-	j.batchID = 0
-	j.batchSize = 0
-	j.dec = dispatch.Decision{}
-	j.instID = 0
-	j.maxNew = 0
-	j.ttft = 0
-	j.outTokens = 0
-	j.tenant = nil
-	j.window = 0
+	j.requeues, j.err, j.deadline = 0, nil, time.Time{}
+	j.span = obs.Span{Length: length, Enqueued: time.Now()}
+	j.maxNew, j.tenant, j.window = 0, nil, 0
 	return j
 }
 
@@ -519,16 +489,17 @@ func (c *Cluster) Submit(length int) (time.Duration, error) {
 //
 // With a plain background context the path is identical to Submit:
 // allocation-free via the job pool.
-func (c *Cluster) SubmitCtx(ctx context.Context, req Request) (Result, error) {
+func (c *Cluster) SubmitCtx(ctx context.Context, req Request) (res Result, err error) {
 	rec := c.obsRec.Load()
 	j, err := c.lease(ctx, rec, req)
 	if err != nil {
-		return Result{}, err
+		return res, err
 	}
 	if err := c.submit(ctx, j, rec); err != nil {
-		return Result{}, err
+		return res, err
 	}
-	return c.await(ctx, j, rec)
+	err = c.await(ctx, j, rec, &res)
+	return res, err
 }
 
 // lease opens one submission — the shared front half of SubmitCtx,
@@ -551,7 +522,7 @@ func (c *Cluster) lease(ctx context.Context, rec *obs.Recorder, req Request) (*j
 		return nil, err
 	}
 	j := newJob(req.Length)
-	j.tokenize = req.Tokenize
+	j.span.Tokenize = req.Tokenize
 	if req.MaxNewTokens > 0 {
 		j.maxNew = req.MaxNewTokens
 	}
@@ -561,17 +532,21 @@ func (c *Cluster) lease(ctx context.Context, rec *obs.Recorder, req Request) (*j
 }
 
 // await blocks until a routed job completes or its context fires — the
-// shared back half of SubmitCtx, Ingress.SubmitCtx and SubmitBatch. On
-// cancellation it races the worker for the job's state: winning the CAS
-// hands ownership to whichever goroutine holds the job next (worker, ring
+// shared back half of SubmitCtx, Ingress.SubmitCtx and SubmitBatch. A
+// completion is written into *res, which is otherwise left alone: the
+// 192-byte Result travels by pointer because on the wire surface this
+// chain runs on a fresh goroutine stack per request, where every by-value
+// hop is frame the runtime has to grow the stack for. On cancellation
+// await races the worker for the job's state: winning the CAS hands
+// ownership to whichever goroutine holds the job next (worker, ring
 // consumer or requeuer), which discards it.
-func (c *Cluster) await(ctx context.Context, j *job, rec *obs.Recorder) (Result, error) {
+func (c *Cluster) await(ctx context.Context, j *job, rec *obs.Recorder, res *Result) error {
 	if ctx.Done() == nil {
-		return c.deliver(j, <-j.done, rec)
+		return c.deliver(j, <-j.done, rec, res)
 	}
 	select {
 	case lat := <-j.done:
-		return c.deliver(j, lat, rec)
+		return c.deliver(j, lat, rec, res)
 	case <-ctx.Done():
 		for {
 			if j.state.CompareAndSwap(jobPending, jobCancelled) ||
@@ -579,7 +554,7 @@ func (c *Cluster) await(ctx context.Context, j *job, rec *obs.Recorder) (Result,
 				// The worker now owns the job (it will discard or recycle
 				// it); the submitter must not touch j again.
 				rec.RecordCancel()
-				return Result{}, cancelErr(ctx.Err())
+				return cancelErr(ctx.Err())
 			}
 			// Neither CAS won: the job either terminated (its result is on
 			// the channel) or a failure requeue flipped it running ->
@@ -587,7 +562,7 @@ func (c *Cluster) await(ctx context.Context, j *job, rec *obs.Recorder) (Result,
 			// retry — the state settles within a few iterations.
 			select {
 			case lat := <-j.done:
-				return c.deliver(j, lat, rec)
+				return c.deliver(j, lat, rec, res)
 			default:
 				runtime.Gosched()
 			}
@@ -597,46 +572,19 @@ func (c *Cluster) await(ctx context.Context, j *job, rec *obs.Recorder) (Result,
 
 // deliver consumes a value received from the job's done channel: a
 // failure sentinel yields the job's terminal error, anything else is a
-// normal completion. Either way the job returns to the pool.
-func (c *Cluster) deliver(j *job, lat time.Duration, rec *obs.Recorder) (Result, error) {
+// normal completion, whose span is closed, recorded and copied — once —
+// into the caller's Result. Either way the job returns to the pool.
+func (c *Cluster) deliver(j *job, lat time.Duration, rec *obs.Recorder, res *Result) error {
 	if lat == failedLatency {
 		err := j.err
 		jobPool.Put(j)
-		return Result{}, err
+		return err
 	}
-	res := c.finish(j, lat, rec)
+	j.span.Total = lat
+	rec.RecordSpan(&j.span)
+	res.Latency, res.Span = lat, j.span
 	jobPool.Put(j)
-	return res, nil
-}
-
-// finish assembles the completed job's span, records it, and builds the
-// result. Caller still owns j.
-func (c *Cluster) finish(j *job, lat time.Duration, rec *obs.Recorder) Result {
-	span := obs.Span{
-		Length:      j.length,
-		Enqueued:    j.started,
-		Tokenize:    j.tokenize,
-		Dispatch:    j.dispatch,
-		Queue:       j.wait,
-		Exec:        j.exec,
-		Total:       lat,
-		IdealLevel:  j.dec.IdealLevel,
-		Level:       j.dec.Level,
-		Instance:    j.instID,
-		Peeked:      j.dec.Peeked,
-		Fallback:    j.dec.Fallback,
-		Batch:       j.batchID,
-		BatchSize:   j.batchSize,
-		FormWait:    j.formWait,
-		IngressWait: j.ingressWait,
-		OutTokens:   j.outTokens,
-		TTFT:        j.ttft,
-	}
-	if j.tenant != nil {
-		span.Tenant = j.tenant.ID()
-	}
-	rec.RecordSpan(&span)
-	return Result{Latency: lat, Span: span}
+	return nil
 }
 
 // cancelErr maps a context error to the cluster's sentinel while keeping
@@ -716,21 +664,22 @@ func (c *Cluster) place(ctx context.Context, j *job, touched *uint64) error {
 	)
 	t0 := time.Now()
 	if touched != nil && c.dispStale != nil {
-		inst, dec, err = c.dispStale.DispatchStale(j.length)
+		inst, dec, err = c.dispStale.DispatchStale(j.span.Length)
 		if err == nil && dec.Level < 64 {
 			*touched |= 1 << uint(dec.Level)
 		} else if err == nil {
 			c.ml.Reheap(dec.Level) // beyond the bitmask's reach; repair now
 		}
 	} else {
-		inst, dec, err = c.dispCtx.DispatchCtx(ctx, j.length)
+		inst, dec, err = c.dispCtx.DispatchCtx(ctx, j.span.Length)
 	}
 	if err != nil {
 		return err
 	}
-	j.dispatch = time.Since(t0)
-	j.dec = dec
-	j.instID = inst.ID
+	sp := &j.span
+	sp.Dispatch = time.Since(t0)
+	sp.IdealLevel, sp.Level, sp.Peeked, sp.Fallback = dec.IdealLevel, dec.Level, dec.Peeked, dec.Fallback
+	sp.Instance = inst.ID
 	if dec.Level > dec.IdealLevel {
 		c.obsRec.Load().RecordDemotion(dec.IdealLevel, dec.Level)
 	}
@@ -991,7 +940,8 @@ func (c *Cluster) Replay(tr *trace.Trace) (*ReplayResult, error) {
 			// A job displaced past its requeue budget (or caught by Close
 			// mid-requeue) resolves to an error: a rejection, not a
 			// completion.
-			res, err := c.await(ctx, j, rec)
+			var res Result
+			err := c.await(ctx, j, rec, &res)
 			mu.Lock()
 			if err != nil {
 				rejected++

@@ -33,8 +33,8 @@ func submitAsync(c *Cluster, length int) (<-chan time.Duration, error) {
 	}
 	done := make(chan time.Duration, 1)
 	go func() {
-		res, err := c.await(ctx, j, rec)
-		if err != nil {
+		var res Result
+		if err := c.await(ctx, j, rec, &res); err != nil {
 			res.Latency = -1
 		}
 		done <- res.Latency

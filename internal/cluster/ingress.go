@@ -56,7 +56,7 @@ func (c *Cluster) SubmitBatch(ctx context.Context, reqs []Request) []BatchResult
 	c.submitBatch(jobs)
 	for i, j := range jobs {
 		if j != nil {
-			out[i].Result, out[i].Err = c.await(ctx, j, rec)
+			out[i].Err = c.await(ctx, j, rec, &out[i].Result)
 		}
 	}
 	return out
@@ -96,7 +96,7 @@ func (c *Cluster) submitBatch(jobs []*job) {
 			// former's per-member CAS rule.
 			err = cancelErr(context.DeadlineExceeded)
 		default:
-			j.ingressWait = now.Sub(j.started)
+			j.span.IngressWait = now.Sub(j.span.Enqueued)
 			if c.fairQ != nil {
 				err = c.fairEnqueue(j)
 			} else {
@@ -198,31 +198,32 @@ func (g *Ingress) consume(shard int) {
 // with the handoff amortized. A full ring returns ErrCongested
 // immediately (backpressure); a request whose context fires while ringed
 // is discarded by the drain without touching the queue.
-func (g *Ingress) SubmitCtx(ctx context.Context, req Request) (Result, error) {
+func (g *Ingress) SubmitCtx(ctx context.Context, req Request) (res Result, err error) {
 	rec := g.c.obsRec.Load()
 	if g.closed.Load() {
 		rec.RecordSubmit()
 		rec.RecordReject(obs.RejectClosed)
-		return Result{}, ErrClusterClosed
+		return res, ErrClusterClosed
 	}
 	j, err := g.c.lease(ctx, rec, req)
 	if err != nil {
-		return Result{}, err
+		return res, err
 	}
 	if _, ok := g.r.Enqueue(j); !ok {
 		jobPool.Put(j)
 		rec.RecordReject(obs.RejectCongested)
-		return Result{}, fmt.Errorf("%w: ingress ring full", ErrCongested)
+		return res, fmt.Errorf("%w: ingress ring full", ErrCongested)
 	}
 	if g.closed.Load() {
 		// Close may already have swept the rings; reclaim the job if the
 		// sweep has not resolved it, so this submitter cannot hang.
 		if j.state.CompareAndSwap(jobPending, jobCancelled) {
 			rec.RecordReject(obs.RejectClosed)
-			return Result{}, ErrClusterClosed
+			return res, ErrClusterClosed
 		}
 	}
-	return g.c.await(ctx, j, rec)
+	err = g.c.await(ctx, j, rec, &res)
+	return res, err
 }
 
 // Close stops the consumers, drains the rings, and fails anything still

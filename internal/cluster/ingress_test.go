@@ -146,14 +146,15 @@ func TestSubmitBatchSpentDeadline(t *testing.T) {
 	jobs[0].deadline = time.Now().Add(-time.Second) // spent before drain
 	c.submitBatch(jobs)
 
-	_, err := c.await(context.Background(), jobs[0], rec)
+	var res Result
+	err := c.await(context.Background(), jobs[0], rec, &res)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("spent-deadline member: err = %v, want ErrDeadlineExceeded", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, should also match context.DeadlineExceeded", err)
 	}
-	if res, err := c.await(context.Background(), jobs[1], rec); err != nil || res.Latency <= 0 {
+	if err := c.await(context.Background(), jobs[1], rec, &res); err != nil || res.Latency <= 0 {
 		t.Fatalf("live member: res=%v err=%v, want completion", res, err)
 	}
 	if got := rec.RejectedFor(obs.RejectDeadline); got != 1 {
@@ -179,7 +180,8 @@ func TestSubmitBatchCancelledMemberDiscarded(t *testing.T) {
 	}
 	live := newJob(100)
 	c.submitBatch([]*job{j, live})
-	if res, err := c.await(context.Background(), live, rec); err != nil || res.Latency <= 0 {
+	var res Result
+	if err := c.await(context.Background(), live, rec, &res); err != nil || res.Latency <= 0 {
 		t.Fatalf("live member: res=%v err=%v, want completion", res, err)
 	}
 	if got := c.Outstanding(); got != 0 {

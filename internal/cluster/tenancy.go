@@ -61,7 +61,7 @@ func (c *Cluster) applyTenant(j *job, t *tenant.Tenant) {
 	if t == nil {
 		return
 	}
-	j.tenant = t
+	j.tenant, j.span.Tenant = t, t.ID()
 	class := t.Class()
 	if j.deadline.IsZero() {
 		if d := class.DeadlineDefault(c.cfg.Profile.SLO); d > 0 {
@@ -79,7 +79,7 @@ func (c *Cluster) applyTenant(j *job, t *tenant.Tenant) {
 func (c *Cluster) fairEnqueue(j *job) error {
 	t := j.tenant
 	weight := t.Weight() * t.Class().PriorityBias()
-	cost := float64(j.length + j.maxNew)
+	cost := float64(j.span.Length + j.maxNew)
 	if !c.fairQ.Push(t.ID(), weight, cost, j) {
 		return ErrClusterClosed
 	}
@@ -104,7 +104,7 @@ func (c *Cluster) runFairPump() {
 		// Once placed the job belongs to its worker and submitter — it can
 		// complete and be pool-recycled before reroute returns — so capture
 		// the accounting fields while the pump still owns it.
-		t, cost := j.tenant, j.length+j.maxNew
+		t, cost := j.tenant, j.span.Length+j.maxNew
 		retries := 0
 		if c.reroute(j, &retries, true) {
 			t.RecordDispatched(cost)

@@ -52,7 +52,7 @@ type seq struct {
 // newSeq seats a promoted job: an encoder request (no output budget) is a
 // sequence that owes no decode steps.
 func newSeq(j *job) seq {
-	return seq{j: j, remain: max(j.maxNew, 1) - 1, ctx: j.length}
+	return seq{j: j, remain: max(j.maxNew, 1) - 1, ctx: j.span.Length}
 }
 
 // residents is a worker's occupied slots, with the scratch its pricing
@@ -243,11 +243,11 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 			if s.prefilled {
 				continue
 			}
-			j := s.j
-			j.wait = time.Duration(float64(start.Sub(j.started)) / c.scale)
-			j.formWait, j.batchID, j.batchSize = formWait, batchID, width
-			if j.maxNew >= 1 {
-				j.ttft = time.Duration(float64(end.Sub(j.started)) / c.scale)
+			sp := &s.j.span
+			sp.Queue = time.Duration(float64(start.Sub(sp.Enqueued)) / c.scale)
+			sp.FormWait, sp.Batch, sp.BatchSize = formWait, batchID, width
+			if s.j.maxNew >= 1 {
+				sp.TTFT = time.Duration(float64(end.Sub(sp.Enqueued)) / c.scale)
 			}
 		}
 		if owing := res.advance(); owing > 0 && !c.continuous {
@@ -266,9 +266,9 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 			c.ml.OnComplete(w.inst)
 			// Report in modeled time: un-scale the measured wall time so a
 			// compressed run still yields model-scale latencies.
-			lat := time.Duration(float64(end.Sub(j.started)) / c.scale)
-			j.exec = lat - j.wait
-			j.outTokens = j.maxNew
+			lat := time.Duration(float64(end.Sub(j.span.Enqueued)) / c.scale)
+			j.span.Exec = lat - j.span.Queue
+			j.span.OutTokens = j.maxNew
 			if j.state.CompareAndSwap(jobRunning, jobDone) {
 				j.done <- lat + c.overhead
 			} else {

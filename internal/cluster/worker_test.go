@@ -9,6 +9,7 @@ import (
 
 	"arlo/internal/dispatch"
 	"arlo/internal/model"
+	"arlo/internal/obs"
 	"arlo/internal/profiler"
 	"arlo/internal/queue"
 	"arlo/internal/tenant"
@@ -37,7 +38,7 @@ func TestIterationPricingMatchesClosedForms(t *testing.T) {
 	total := func(rt profiler.Runtime, lengths, outs []int) time.Duration {
 		var res residents
 		for i := range lengths {
-			res.seqs = append(res.seqs, newSeq(&job{length: lengths[i], maxNew: outs[i]}))
+			res.seqs = append(res.seqs, newSeq(&job{span: obs.Span{Length: lengths[i]}, maxNew: outs[i]}))
 		}
 		var sum time.Duration
 		for {

@@ -10,6 +10,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"arlo/internal/serve"
@@ -24,11 +25,9 @@ import (
 // revision from the fields.
 func (r *Router) Do(ctx context.Context, req wire.Request) (wire.Response, serve.Hop) {
 	if req.Mode == wire.ModeText {
-		ids := r.tok.Encode(req.Text, r.cfg.MaxLength)
-		req.Tokens = make([]uint32, len(ids))
-		for i, id := range ids {
-			req.Tokens[i] = uint32(id)
-		}
+		// One exact-size copy out of the tokenizer's buffer is the []uint32
+		// the forwarded frame carries.
+		r.tok.Borrow(req.Text, r.cfg.MaxLength, func(ids []uint32) { req.Tokens = slices.Clone(ids) })
 		req.Mode, req.Text = wire.ModeTokens, ""
 	} else if len(req.Tokens) > r.cfg.MaxLength {
 		req.Tokens = req.Tokens[:r.cfg.MaxLength]

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -174,6 +175,40 @@ func TestRouterHTTPInferEndToEnd(t *testing.T) {
 	if dout.Label != out.Label || dout.SequenceLength != out.SequenceLength {
 		t.Errorf("routed (%q, %d) != direct (%q, %d)",
 			out.Label, out.SequenceLength, dout.Label, dout.SequenceLength)
+	}
+}
+
+// TestRouterTextAndTokensAgree: the router appends a text's ids straight
+// into the frame it forwards; the shard must answer it exactly as it
+// answers the same ids sent pre-encoded, and as it answers the text sent
+// to it directly — truncation to the model maximum included.
+func TestRouterTextAndTokensAgree(t *testing.T) {
+	a := startShard(t, "a", []int{1, 1}, 0.001)
+	r := newRouter(t, Config{Shards: shardConfigs(a), SnapshotRefreshInterval: 10 * time.Millisecond})
+	tok := tokenizer.New()
+	for _, text := range []string{
+		"x",
+		"the router forwards this request to a shard",
+		"!?!?!?!?!?!?!?!?!?!?!?!?", // a token a byte
+		strings.Repeat("serving latency, ", 400),
+	} {
+		var ids []uint32
+		tok.Borrow(text, r.cfg.MaxLength, func(lent []uint32) { ids = slices.Clone(lent) })
+		routedText, _ := r.Do(context.Background(), wire.Request{Mode: wire.ModeText, Text: text})
+		routedTokens, _ := r.Do(context.Background(), wire.Request{Mode: wire.ModeTokens, Tokens: ids})
+		direct, _ := a.srv.Do(context.Background(), wire.Request{Mode: wire.ModeText, Text: text})
+		for name, got := range map[string]wire.Response{"routed tokens": routedTokens, "direct text": direct} {
+			if got.Status != wire.StatusOK || routedText.Status != wire.StatusOK {
+				t.Fatalf("%.20q: status %v (routed text), %v (%s)", text, routedText.Status, got.Status, name)
+			}
+			if got.SeqLen != routedText.SeqLen || got.Label != routedText.Label {
+				t.Errorf("%.20q: routed text got (%d, %d), %s got (%d, %d)", text,
+					routedText.SeqLen, routedText.Label, name, got.SeqLen, got.Label)
+			}
+		}
+		if int(routedText.SeqLen) != len(ids) {
+			t.Errorf("%.20q: sequence length %d, the tokenizer says %d", text, routedText.SeqLen, len(ids))
+		}
 	}
 }
 

@@ -327,7 +327,7 @@ var inferLabels = [3]string{"negative", "neutral", "positive"}
 // index over the token ids (FNV-style fold), standing in for BERT's
 // classifier. Two identical inputs always classify identically, whether
 // they arrived as text or as pre-encoded ids.
-func classify[T int | uint32](ids []T) uint8 {
+func classify(ids []uint32) uint8 {
 	h := uint64(14695981039346656037)
 	for _, id := range ids {
 		h ^= uint64(id)

@@ -394,10 +394,13 @@ func (s *Server) Do(ctx context.Context, req wire.Request) (wire.Response, Hop) 
 	creq := cluster.Request{Tenant: req.Tenant}
 	var label uint8
 	if req.Mode == wire.ModeText {
+		// Only the length and the label outlive the call, so the ids stay
+		// in the tokenizer's pooled buffer.
 		tokStart := time.Now()
-		ids := s.tok.Encode(req.Text, s.maxLen)
+		s.tok.Borrow(req.Text, s.maxLen, func(ids []uint32) {
+			creq.Length, label = len(ids), classify(ids)
+		})
 		creq.Tokenize = time.Since(tokStart)
-		creq.Length, label = len(ids), classify(ids)
 	} else {
 		if len(req.Tokens) > s.maxLen {
 			req.Tokens = req.Tokens[:s.maxLen]

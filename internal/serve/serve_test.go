@@ -180,14 +180,14 @@ func TestClientErrorPaths(t *testing.T) {
 }
 
 func TestClassifyDeterministic(t *testing.T) {
-	a := classify([]int{1, 2, 3})
-	b := classify([]int{1, 2, 3})
+	a := classify([]uint32{1, 2, 3})
+	b := classify([]uint32{1, 2, 3})
 	if a != b {
 		t.Error("classify must be deterministic")
 	}
-	if classify([]int{1, 2, 3}) == classify([]int{3, 2, 1}) &&
-		classify([]int{5}) == classify([]int{6}) &&
-		classify([]int{7}) == classify([]int{8}) {
+	if classify([]uint32{1, 2, 3}) == classify([]uint32{3, 2, 1}) &&
+		classify([]uint32{5}) == classify([]uint32{6}) &&
+		classify([]uint32{7}) == classify([]uint32{8}) {
 		t.Error("classify looks constant across distinct inputs")
 	}
 }

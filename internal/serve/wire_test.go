@@ -51,7 +51,7 @@ func TestWireInferEndToEnd(t *testing.T) {
 
 	// The binary reply must agree with the JSON endpoint's semantics:
 	// identical input classifies identically.
-	want := inferLabels[classify(srv.tok.Encode("the data team won the game today", srv.maxLen))]
+	want := inferLabels[classify(asTokens(srv, "the data team won the game today").Tokens)]
 	if resp.Label != want {
 		t.Errorf("label %q, want %q", resp.Label, want)
 	}
@@ -78,7 +78,7 @@ func TestWireInferTokensSkipsTokenizer(t *testing.T) {
 	if resp.SequenceLength != len(ids) {
 		t.Errorf("sequence length = %d, want %d", resp.SequenceLength, len(ids))
 	}
-	if want := inferLabels[classify(ids)]; resp.Label != want {
+	if want := inferLabels[classify(toks)]; resp.Label != want {
 		t.Errorf("label %q, want %q (token mode must classify like text mode)", resp.Label, want)
 	}
 }

@@ -1,6 +1,7 @@
 package tokenizer
 
 import (
+	"slices"
 	"testing"
 	"unicode/utf8"
 )
@@ -17,7 +18,10 @@ import (
 //     agrees exactly with the untruncated encoding, which itself agrees
 //     with Tokenize's piece count;
 //   - truncation only ever shortens: the truncated encoding is the full
-//     encoding's prefix with [SEP] re-appended.
+//     encoding's prefix with [SEP] re-appended;
+//   - the ids are the reference's (reference_test.go: greedy longest match
+//     over a string map, truncated after the fact), with and without
+//     truncation, and Tokenize is their decoding.
 func FuzzTokenizerEncode(f *testing.F) {
 	f.Add("", 0)
 	f.Add("hello world", 128)
@@ -31,8 +35,12 @@ func FuzzTokenizerEncode(f *testing.F) {
 	f.Add("@#$%^&*()[]{};:'\",.<>/?\\|`~", 1)
 
 	tok := New()
+	ref := newReference(tok)
 	f.Fuzz(func(t *testing.T, text string, maxLen int) {
 		ids := tok.Encode(text, maxLen)
+		if want := ref.referenceEncode(text, maxLen); !slices.Equal(ids, want) {
+			t.Fatalf("Encode(%q, %d) = %v, reference %v", text, maxLen, ids, want)
+		}
 
 		if len(ids) < 2 {
 			t.Fatalf("Encode(%q, %d) = %d ids, want >= 2 ([CLS] and [SEP])", text, maxLen, len(ids))
@@ -67,6 +75,13 @@ func FuzzTokenizerEncode(f *testing.F) {
 		// The untruncated encoding is the ground truth the other paths
 		// must agree with.
 		full := tok.Encode(text, 0)
+		want := ref.referenceEncode(text, 0)
+		if !slices.Equal(full, want) {
+			t.Fatalf("Encode(%q, 0) = %v, reference %v", text, full, want)
+		}
+		if got, want := tok.Tokenize(text), tok.Decode(want[1:len(want)-1]); !slices.Equal(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, reference decodes to %q", text, got, want)
+		}
 		if got, want := tok.SequenceLength(text), len(full); got != want {
 			t.Fatalf("SequenceLength(%q) = %d, Encode length = %d", text, got, want)
 		}

@@ -1,9 +1,18 @@
 // Package tokenizer implements a greedy longest-match WordPiece tokenizer
 // in the style of BERT's, with a compact built-in vocabulary. The paper
 // excludes tokenization from its latency accounting (modern tokenizers
-// process gigabytes per second, section 5); this package exists so the
-// serving path — text in, sequence length out, dispatch by length — is
-// end-to-end real in the examples and the HTTP front end.
+// process gigabytes per second, section 5); here every request enters as
+// text — the server and the router both tokenize it to learn its real
+// length — so the tokenizer is on every request's bill.
+//
+// The vocabulary is compiled once into a byte-level double-array trie
+// (trie.go) and text is encoded in one pass: each word is lowercased and
+// walked down the trie as it is read, so a word that is itself a
+// vocabulary entry costs one table step per byte, and only a word that
+// falls off is split, by longest-match walks from the "##" continuation
+// root. What the ids must be is defined by the plain greedy longest-match
+// over a string map kept in the test file (referenceEncode); the fuzz
+// target holds this implementation to it on every input.
 package tokenizer
 
 import (
@@ -21,18 +30,16 @@ const (
 	SepToken = "[SEP]"
 )
 
+// maxWordLen caps per-word matching work, as in BERT's reference
+// implementation: a word of more lowercased bytes becomes [UNK].
+const maxWordLen = 100
+
 // Tokenizer splits text into WordPiece tokens and maps them to vocabulary
 // ids. It is safe for concurrent use after construction.
 type Tokenizer struct {
-	vocab map[string]int
-	ids   []string
-	pad   int
-	unk   int
-	cls   int
-	sep   int
-	// maxWordLen caps per-word matching work, as in BERT's reference
-	// implementation (longer words become [UNK]).
-	maxWordLen int
+	trie
+	ids                []string
+	pad, unk, cls, sep uint32
 }
 
 // NewFromVocab builds a tokenizer from an explicit vocabulary. The
@@ -42,33 +49,25 @@ func NewFromVocab(vocab []string) (*Tokenizer, error) {
 	if len(vocab) == 0 {
 		return nil, fmt.Errorf("tokenizer: empty vocabulary")
 	}
-	t := &Tokenizer{
-		vocab:      make(map[string]int, len(vocab)),
-		ids:        make([]string, len(vocab)),
-		maxWordLen: 100,
-	}
 	for i, tok := range vocab {
 		if tok == "" {
 			return nil, fmt.Errorf("tokenizer: empty token at index %d", i)
 		}
-		if _, dup := t.vocab[tok]; dup {
-			return nil, fmt.Errorf("tokenizer: duplicate token %q", tok)
+	}
+	t := &Tokenizer{ids: append([]string(nil), vocab...)}
+	var err error
+	if t.trie, err = compile(t.ids); err != nil {
+		return nil, err
+	}
+	for _, special := range []struct {
+		name string
+		id   *uint32
+	}{{PadToken, &t.pad}, {UnkToken, &t.unk}, {ClsToken, &t.cls}, {SepToken, &t.sep}} {
+		id := t.lookup(special.name)
+		if id < 0 {
+			return nil, fmt.Errorf("tokenizer: vocabulary missing %s", special.name)
 		}
-		t.vocab[tok] = i
-		t.ids[i] = tok
-	}
-	var ok bool
-	if t.pad, ok = t.vocab[PadToken]; !ok {
-		return nil, fmt.Errorf("tokenizer: vocabulary missing %s", PadToken)
-	}
-	if t.unk, ok = t.vocab[UnkToken]; !ok {
-		return nil, fmt.Errorf("tokenizer: vocabulary missing %s", UnkToken)
-	}
-	if t.cls, ok = t.vocab[ClsToken]; !ok {
-		return nil, fmt.Errorf("tokenizer: vocabulary missing %s", ClsToken)
-	}
-	if t.sep, ok = t.vocab[SepToken]; !ok {
-		return nil, fmt.Errorf("tokenizer: vocabulary missing %s", SepToken)
+		*special.id = uint32(id)
 	}
 	return t, nil
 }
@@ -86,184 +85,181 @@ func New() *Tokenizer {
 func (t *Tokenizer) VocabSize() int { return len(t.ids) }
 
 // PadID returns the [PAD] id.
-func (t *Tokenizer) PadID() int { return t.pad }
+func (t *Tokenizer) PadID() int { return int(t.pad) }
 
-// scratch holds per-call working buffers so the hot tokenize/encode path
-// allocates nothing beyond its output slice. Pooled because tokenization
-// runs on every request goroutine in the front end.
-type scratch struct {
-	word     []rune // current basic token, lowercased
-	buf      []byte // "##" + utf8(word): the matching arena
-	offs     []int  // buf offset of each rune in word, plus end sentinel
-	pieceIDs []int  // vocabulary ids of the current word's pieces
-}
+// asciiLower maps the ASCII letters and digits — the bytes that extend a
+// word — to their lowercase and every other byte to 0: one load classifies
+// and lowercases on the fast path, which also dodges the unicode range
+// tables that dominate the per-rune cost on typical English input.
+var asciiLower = func() (tab [256]byte) {
+	for c := '0'; c <= '9'; c++ {
+		tab[c] = byte(c)
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		tab[c], tab[c-'a'+'A'] = byte(c), byte(c)
+	}
+	return tab
+}()
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// Tokenize splits text into WordPiece tokens: lowercase basic
-// (whitespace + punctuation) tokenization followed by greedy
-// longest-match subword splitting.
-func (t *Tokenizer) Tokenize(text string) []string {
-	sc := scratchPool.Get().(*scratch)
-	out := make([]string, 0, len(text)/5+4)
-	t.eachWord(text, sc, func() {
-		if t.matchWord(sc) {
-			for _, id := range sc.pieceIDs {
-				out = append(out, t.ids[id]) // canonical spelling, no alloc
-			}
-		} else {
-			out = append(out, UnkToken)
-		}
-	})
-	scratchPool.Put(sc)
-	return out
-}
-
-// eachWord performs basic tokenization — lowercase, split on whitespace,
-// punctuation and symbols as standalone single-rune words — accumulating
-// each word into sc.word and invoking flush for it. Unlike a
-// Builder+Fields pass it never copies the text.
-func (t *Tokenizer) eachWord(text string, sc *scratch, flush func()) {
-	sc.word = sc.word[:0]
-	for _, r := range text {
-		// ASCII fast path dodges the unicode range tables that dominate
-		// the per-rune cost on typical English input.
-		if r < utf8.RuneSelf {
-			switch {
-			case r == ' ' || r == '\t' || r == '\n' || r == '\r' ||
-				r == '\v' || r == '\f':
-				if len(sc.word) > 0 {
-					flush()
-					sc.word = sc.word[:0]
+// appendEncode appends text's encoding to dst and returns the extended
+// slice: [CLS], the WordPiece ids, [SEP], truncated to maxLen ids in total
+// (maxLen <= 1 disables truncation). It is the one scanning loop; Borrow
+// lends its output, and Encode, SequenceLength and Tokenize borrow it.
+//
+// Basic tokenization — lowercase; split on whitespace; punctuation and
+// symbols stand alone as one-rune words — and the walk down the trie from
+// the word-initial root happen in the same pass over the bytes. Encoding
+// stops after the word that reaches maxLen: that word is finished first,
+// because an unmatchable span later in it voids its earlier pieces into a
+// single [UNK], and the truncated encoding must stay the full encoding's
+// prefix.
+func (t *Tokenizer) appendEncode(dst []uint32, text string, maxLen int) []uint32 {
+	head := len(dst)
+	dst = append(dst, t.cls)
+	// The current word, lowercased, for split; bytes past the cap are
+	// counted in n but not kept.
+	var word [maxWordLen]byte
+	nodes := t.nodes
+	for i := 0; i < len(text) && (maxLen <= 1 || len(dst)-head < maxLen); {
+		n, at := 0, root // at is the node word[:n] leads to
+	scan:
+		for i < len(text) {
+			b := text[i]
+			if c := asciiLower[b]; c != 0 {
+				if n < maxWordLen {
+					word[n] = c
 				}
-			case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-				sc.word = append(sc.word, r)
-			case r >= 'A' && r <= 'Z':
-				sc.word = append(sc.word, r+('a'-'A'))
-			default: // ASCII punctuation and symbols
-				if len(sc.word) > 0 {
-					flush()
-				}
-				sc.word = append(sc.word[:0], r)
-				flush()
-				sc.word = sc.word[:0]
+				n++
+				at = step(nodes, at, c)
+				i++
+				continue
 			}
-			continue
+			// A separator or a non-ASCII rune. Every other ASCII byte,
+			// control characters included, is punctuation.
+			r, size := rune(b), 1
+			space := b == ' ' || b-'\t' < 5 // \t \n \v \f \r
+			alone := !space
+			if b >= utf8.RuneSelf {
+				r, size = utf8.DecodeRuneInString(text[i:]) // an invalid byte reads as U+FFFD, a symbol
+				space = unicode.IsSpace(r)
+				alone = !space && (unicode.IsPunct(r) || unicode.IsSymbol(r))
+				r = unicode.ToLower(r)
+			}
+			if space {
+				i += size
+				if n > 0 {
+					break scan
+				}
+				continue
+			}
+			if alone && n > 0 {
+				break scan // not consumed: it comes round again as its own word
+			}
+			i += size
+			var enc [utf8.UTFMax]byte
+			for _, c := range enc[:utf8.EncodeRune(enc[:], r)] {
+				if n < maxWordLen {
+					word[n] = c
+				}
+				n++
+				at = step(nodes, at, c)
+			}
+			if alone {
+				break scan
+			}
 		}
 		switch {
-		case unicode.IsSpace(r):
-			if len(sc.word) > 0 {
-				flush()
-				sc.word = sc.word[:0]
-			}
-		case unicode.IsPunct(r) || unicode.IsSymbol(r):
-			if len(sc.word) > 0 {
-				flush()
-			}
-			sc.word = append(sc.word[:0], unicode.ToLower(r))
-			flush()
-			sc.word = sc.word[:0]
+		case n == 0: // trailing whitespace
+		case n > maxWordLen:
+			dst = append(dst, t.unk)
+		case nodes[at].id >= 0:
+			dst = append(dst, uint32(nodes[at].id))
 		default:
-			sc.word = append(sc.word, unicode.ToLower(r))
+			dst = t.split(dst, word[:n])
 		}
 	}
-	if len(sc.word) > 0 {
-		flush()
-		sc.word = sc.word[:0]
+	dst = append(dst, t.sep)
+	if maxLen > 1 && len(dst)-head > maxLen {
+		dst = append(dst[:head+maxLen-1], t.sep)
 	}
+	return dst
 }
 
-// matchWord greedily splits sc.word into vocabulary pieces, filling
-// sc.pieceIDs. It reports false when any span is unmatchable or the word
-// exceeds maxWordLen — the callers emit a single [UNK] then.
-//
-// The candidate substrings are carved from one reused byte arena laid out
-// as "##" + utf8(word). A span starting at rune i with the continuation
-// prefix is buf[offs[i]-2 : offs[j]] after stomping the two bytes before
-// offs[i] with '#' — safe because matching only moves forward, so those
-// bytes (tail of the already-consumed prefix, or the seed "##" itself)
-// are never read again. Map lookups use the vocab[string(bytes)] form the
-// compiler compiles without a string allocation.
-func (t *Tokenizer) matchWord(sc *scratch) bool {
-	sc.buf = append(sc.buf[:0], '#', '#')
-	sc.offs = sc.offs[:0]
-	for _, r := range sc.word {
-		sc.offs = append(sc.offs, len(sc.buf))
-		sc.buf = utf8.AppendRune(sc.buf, r)
-	}
-	sc.offs = append(sc.offs, len(sc.buf))
-	if len(sc.buf)-2 > t.maxWordLen {
-		return false
-	}
-	sc.pieceIDs = sc.pieceIDs[:0]
-	n := len(sc.word)
-	start := 0
-	for start < n {
-		found := -1
-		for end := n; end > start; end-- {
-			var key []byte
-			if start == 0 {
-				key = sc.buf[2:sc.offs[end]]
-			} else {
-				sc.buf[sc.offs[start]-2] = '#'
-				sc.buf[sc.offs[start]-1] = '#'
-				key = sc.buf[sc.offs[start]-2 : sc.offs[end]]
-			}
-			if id, ok := t.vocab[string(key)]; ok {
-				found = id
-				start = end
-				break
+// split appends the pieces of a word that is not itself a vocabulary
+// entry: greedy longest match, the first piece from the word-initial root
+// and the rest from the continuation root. A piece may end only on a rune
+// boundary (the trie is keyed by bytes, the vocabulary by characters), and
+// a span nothing matches voids the whole word into one [UNK].
+func (t *Tokenizer) split(dst []uint32, word []byte) []uint32 {
+	mark := len(dst)
+	nodes := t.nodes
+	from := root
+	for start := 0; start < len(word); from = t.cont {
+		id, end := int32(-1), start
+		for at, i := from, start; at != dead && i < len(word); {
+			at = step(nodes, at, word[i])
+			i++
+			if nodes[at].id >= 0 && (i == len(word) || utf8.RuneStart(word[i])) {
+				id, end = nodes[at].id, i
 			}
 		}
-		if found < 0 {
-			return false // any unmatchable span voids the word
+		if id < 0 {
+			return append(dst[:mark], t.unk)
 		}
-		sc.pieceIDs = append(sc.pieceIDs, found)
+		dst = append(dst, uint32(id))
+		start = end
 	}
-	return true
+	return dst
+}
+
+// scratchPool recycles the id buffers Borrow lends out, so the callers
+// that keep no ids — the server needs a length and a label, the length
+// probe a count — allocate nothing per request.
+var scratchPool = sync.Pool{New: func() any { return new([]uint32) }}
+
+// Borrow encodes text — [CLS], the WordPiece ids, [SEP], truncated to
+// maxLen ids in total when maxLen > 1 — into a pooled buffer and lends it
+// to use. The ids are valid only until use returns: a caller that keeps
+// them copies them out, one that needs a length or a fold keeps nothing.
+func (t *Tokenizer) Borrow(text string, maxLen int, use func(ids []uint32)) {
+	buf := scratchPool.Get().(*[]uint32)
+	*buf = t.appendEncode((*buf)[:0], text, maxLen)
+	use(*buf)
+	scratchPool.Put(buf)
 }
 
 // Encode tokenizes text and maps it to ids wrapped in [CLS] ... [SEP],
 // truncating to maxLen total ids (maxLen <= 0 disables truncation; the
 // minimum useful maxLen is 2). The returned length is the model's input
-// sequence length — what Arlo dispatches on. It goes straight from text
-// to ids without materializing the intermediate token strings.
-func (t *Tokenizer) Encode(text string, maxLen int) []int {
-	sc := scratchPool.Get().(*scratch)
-	ids := make([]int, 0, len(text)/5+6)
-	ids = append(ids, t.cls)
-	t.eachWord(text, sc, func() {
-		if t.matchWord(sc) {
-			ids = append(ids, sc.pieceIDs...)
-		} else {
-			ids = append(ids, t.unk)
+// sequence length — what Arlo dispatches on.
+func (t *Tokenizer) Encode(text string, maxLen int) (ids []int) {
+	t.Borrow(text, maxLen, func(enc []uint32) {
+		ids = make([]int, len(enc))
+		for i, id := range enc {
+			ids[i] = int(id)
 		}
 	})
-	scratchPool.Put(sc)
-	ids = append(ids, t.sep)
-	if maxLen > 1 && len(ids) > maxLen {
-		ids = ids[:maxLen-1]
-		ids = append(ids, t.sep)
-	}
 	return ids
 }
 
 // SequenceLength returns the encoded length of text without truncation —
-// the request length Arlo's schedulers consume. It counts pieces without
-// building the id slice, so the dispatch path's length probe is
-// allocation-free.
-func (t *Tokenizer) SequenceLength(text string) int {
-	sc := scratchPool.Get().(*scratch)
-	n := 2 // [CLS] and [SEP]
-	t.eachWord(text, sc, func() {
-		if t.matchWord(sc) {
-			n += len(sc.pieceIDs)
-		} else {
-			n++
+// the request length Arlo's schedulers consume — without allocating.
+func (t *Tokenizer) SequenceLength(text string) (n int) {
+	t.Borrow(text, 0, func(ids []uint32) { n = len(ids) })
+	return n
+}
+
+// Tokenize splits text into WordPiece tokens: lowercase basic
+// (whitespace + punctuation) tokenization followed by greedy
+// longest-match subword splitting.
+func (t *Tokenizer) Tokenize(text string) (toks []string) {
+	t.Borrow(text, 0, func(ids []uint32) {
+		toks = make([]string, 0, len(ids)-2)
+		for _, id := range ids[1 : len(ids)-1] {
+			toks = append(toks, t.ids[id]) // canonical spelling, no alloc
 		}
 	})
-	scratchPool.Put(sc)
-	return n
+	return toks
 }
 
 // Pad extends ids with [PAD] up to maxLen — what a static-shape runtime
@@ -275,7 +271,7 @@ func (t *Tokenizer) Pad(ids []int, maxLen int) []int {
 	out := make([]int, maxLen)
 	copy(out, ids)
 	for i := len(ids); i < maxLen; i++ {
-		out[i] = t.pad
+		out[i] = int(t.pad)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package tokenizer
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -279,6 +280,61 @@ func BenchmarkSequenceLength(b *testing.B) {
 	}
 }
 
+// poolTexts is text drawn like the benchmark harness's pool: its lexicon —
+// mostly whole-word vocabulary hits, some words the fallback splits into
+// many pieces, punctuation — joined by spaces to about 500 bytes a text.
+// benchText above is two thirds multi-piece words, which under-weights the
+// whole-word hit that dominates the serving workloads.
+var poolTexts = func() []string {
+	lexicon := strings.Fields(`the of and to in is was for it with as on be at by this
+		not are but from have they which you were all there would their been when who will
+		more about into than them only other new some time these first now like our over
+		even most after also many before through back years where much your well down
+		because people world still work long here between life never another while last
+		great since against right house during without again place around however home
+		school every number always something water public think enough government system
+		better nothing night program city business group young model data news today love
+		really happy twitter tweet post follow share best thanks video game team music
+		serving latency request tokens dispatch scheduler throughput transformer inference
+		allocation congestion runtime polymorph demotion benchmark , . ! ? : ; - ( )`)
+	rng := rand.New(rand.NewSource(1))
+	texts := make([]string, 64)
+	for i := range texts {
+		var b strings.Builder
+		for size := 200 + rng.Intn(600); b.Len() < size; {
+			b.WriteString(lexicon[rng.Intn(len(lexicon))])
+			b.WriteByte(' ')
+		}
+		texts[i] = b.String()
+	}
+	return texts
+}()
+
+// BenchmarkEncodePool is Encode over harness-like text; the Borrow
+// sub-benchmark is what the server pays, which keeps no ids.
+func BenchmarkEncodePool(b *testing.B) {
+	tok := New()
+	bytes := 0
+	for _, s := range poolTexts {
+		bytes += len(s)
+	}
+	b.Run("Encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(bytes / len(poolTexts)))
+		for i := 0; i < b.N; i++ {
+			_ = tok.Encode(poolTexts[i%len(poolTexts)], 512)
+		}
+	})
+	b.Run("Borrow", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(bytes / len(poolTexts)))
+		n := 0
+		for i := 0; i < b.N; i++ {
+			tok.Borrow(poolTexts[i%len(poolTexts)], 512, func(ids []uint32) { n += len(ids) })
+		}
+	})
+}
+
 // BenchmarkEncodeParallel exercises the pooled scratch path the way the
 // HTTP front end does: many goroutines encoding concurrently.
 func BenchmarkEncodeParallel(b *testing.B) {
@@ -289,4 +345,13 @@ func BenchmarkEncodeParallel(b *testing.B) {
 			_ = tok.Encode(benchText, 0)
 		}
 	})
+}
+
+// BenchmarkNew is the cost of compiling the built-in vocabulary, which
+// router.New and every benchmark set-up pay once.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = New()
+	}
 }
