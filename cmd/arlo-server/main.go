@@ -48,7 +48,7 @@ func main() {
 		continuous = flag.Bool("continuous", false, "iteration-level (continuous) batching for generative workloads")
 		meanOut    = flag.Float64("mean-out-tokens", 0, "expected output length hint for continuous capacity planning (0 = default 16)")
 		wireAddr   = flag.String("wire-addr", "", "binary wire-protocol listen address (empty disables, e.g. :8081)")
-		ingressOn  = flag.Bool("ingress", false, "submit through sharded ingress rings with grouped dispatch")
+		ingressOn  = flag.Bool("ingress", false, "submit through sharded ingress rings drained in groups")
 		ingressGrp = flag.Int("ingress-group", 0, "ingress drain group size (0 = default)")
 		tenantsCfg = flag.String("tenants-config", "", "JSON tenant config file enabling multi-tenant admission and fair sharing")
 		shardName  = flag.String("shard", "", "shard name for router registration (requires -wire-addr)")
@@ -147,7 +147,7 @@ func main() {
 	}
 	defer srv.Close()
 	if *ingressOn || *ingressGrp > 0 {
-		fmt.Println("arlo-server: ring ingress on (grouped dispatch); watch arlo_ingress_wait_seconds on /metrics")
+		fmt.Println("arlo-server: ring ingress on (grouped submit); watch arlo_ingress_wait_seconds on /metrics")
 	}
 	if *wireAddr != "" {
 		wl, err := net.Listen("tcp", *wireAddr)

@@ -59,8 +59,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nserver stats: served=%d rejected=%d instances=%d\n",
-		stats.Served, stats.Rejected, stats.Instances)
+	// /v1/stats reads the same recorder /metrics does: the percentiles are
+	// the nearest-rank histogram bucket's upper bound (125 us * 2^k) over
+	// the recorder's window, not exact samples.
+	fmt.Printf("\nserver stats: served=%d rejected=%d instances=%d p50<=%gms p98<=%gms\n",
+		stats.Served, stats.Rejected, stats.Instances, stats.P50MS, stats.P98MS)
 
 	// The same lifecycle data aggregates into the Prometheus exposition:
 	// a live deployment would point a scraper at GET /metrics.

@@ -104,8 +104,8 @@ type Config struct {
 	// run with these options: at every ControllerPeriod of modeled time the
 	// loop re-solves the allocation program from the observed length
 	// distribution and applies the replacement plan — so replans race the
-	// scripted failures, slowdowns and rejoins. Run fills DemandScale from
-	// TimeScale and sets the recorder's window to one period of wall time.
+	// scripted failures, slowdowns and rejoins. Run sets the recorder's
+	// window to one period of wall time.
 	// The conservation audit is unchanged: a replacement that displaces
 	// in-flight work must still deliver every request exactly once or
 	// reject it with a typed error.
@@ -359,9 +359,7 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := *cfg.Controller
-		opts.DemandScale = scale
-		if ctrl, err = controller.New(cl, solver, rec, opts); err != nil {
+		if ctrl, err = controller.New(cl, solver, rec, *cfg.Controller); err != nil {
 			return nil, err
 		}
 	}

@@ -252,6 +252,74 @@ func TestCrossCheckAgainstSimulator(t *testing.T) {
 	}
 }
 
+// TestSimLiveBatchParity replays one trace through the discrete-event
+// simulator and the live cluster with the same profile, allocation and
+// batch cap. Greedy live formation (BatchDelay < 0) matches the
+// simulator's event-driven batching — an idle instance takes whatever is
+// queued, up to the cap — so completion counts must agree exactly and the
+// mean modeled latencies must land within a factor of two (the live side
+// adds real goroutine scheduling under time compression).
+func TestSimLiveBatchParity(t *testing.T) {
+	p, err := profiler.StaticProfile(model.BertBase(), []int{512}, 150*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 250 req/s against two instances (~410 req/s sequential capacity)
+	// keeps both systems in the moderately-loaded regime where queueing is
+	// real but bounded. TimeScale 0.2 keeps the worker's 200us spin guard
+	// small relative to the compressed execution times, so the 1-CPU CI
+	// container's spin serialization cannot inflate the live means.
+	tr := testTrace(t, 7, 250, 2*time.Second)
+	alloc := []int{2}
+
+	simRes, err := sim.Run(sim.Config{
+		Profile:           p,
+		Trace:             tr,
+		InitialAllocation: alloc,
+		Dispatcher: func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
+			return dispatch.NewRequestScheduler(ml)
+		},
+		Overhead: -1,
+		MaxBatch: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(Config{
+		Profile:    p,
+		Allocation: alloc,
+		Trace:      tr,
+		TimeScale:  0.2,
+		MaxBatch:   4,
+		BatchDelay: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Check(); err != nil {
+		t.Fatal(err)
+	}
+
+	if simRes.Rejected != 0 {
+		t.Fatalf("simulator rejected %d requests", simRes.Rejected)
+	}
+	if simRes.Completed != len(tr.Requests) || rep.Completed != len(tr.Requests) {
+		t.Fatalf("completions diverge: sim %d, live %d, trace %d",
+			simRes.Completed, rep.Completed, len(tr.Requests))
+	}
+	var live time.Duration
+	for i := range rep.Samples {
+		live += rep.Samples[i].Span.Total
+	}
+	simMean := simRes.Latency.Mean()
+	liveMean := live / time.Duration(len(rep.Samples))
+	ratio := float64(liveMean) / float64(simMean)
+	if ratio < 0.5 || ratio > 2.0 {
+		t.Errorf("mean latency parity broken: sim %v, live %v (ratio %.2f, want within [0.5, 2.0])",
+			simMean, liveMean, ratio)
+	}
+}
+
 // TestSamplesCarryTraceTags runs an event-free, registry-free arm on a
 // tenant-tagged trace: every request yields one sample, in arrival order,
 // carrying the trace's own tag and a completion span, and the run reports

@@ -32,12 +32,10 @@ import (
 
 	"arlo/internal/dispatch"
 	"arlo/internal/failover"
-	"arlo/internal/metrics"
 	"arlo/internal/obs"
 	"arlo/internal/profiler"
 	"arlo/internal/queue"
 	"arlo/internal/tenant"
-	"arlo/internal/trace"
 )
 
 // Sentinel errors, matched with errors.Is.
@@ -123,17 +121,13 @@ type Config struct {
 
 // Cluster is a running set of emulated GPU workers.
 type Cluster struct {
-	cfg     Config
-	ml      *queue.MultiLevel
-	dispCtx dispatch.ContextDispatcher
-	// dispStale is the amortized group-dispatch interface when the policy
-	// supports it (nil otherwise; SubmitBatch then falls back to the
-	// per-request context dispatch under the shared group lock).
-	dispStale dispatch.GroupDispatcher
-	overhead  time.Duration
-	scale     float64
-	depth     int
-	budget    int
+	cfg      Config
+	ml       *queue.MultiLevel
+	disp     dispatch.Dispatcher
+	overhead time.Duration
+	scale    float64
+	depth    int
+	budget   int
 
 	// maxBatch and batchDelay are the normalized batching knobs (1 / 0
 	// when batching is off); batchSeq numbers executed iterations for span
@@ -317,10 +311,6 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	dispCtx, ok := disp.(dispatch.ContextDispatcher)
-	if !ok {
-		return nil, fmt.Errorf("cluster: dispatcher %T does not implement dispatch.ContextDispatcher", disp)
-	}
 	scale := cfg.TimeScale
 	if scale <= 0 {
 		scale = 1
@@ -360,7 +350,7 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:        cfg,
 		ml:         ml,
-		dispCtx:    dispCtx,
+		disp:       disp,
 		workers:    make(map[int]*worker),
 		failed:     make(map[int]*failedInstance),
 		overhead:   overhead,
@@ -378,7 +368,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.wg.Add(1)
 		go c.runFairPump()
 	}
-	c.dispStale, _ = disp.(dispatch.GroupDispatcher)
 	if cfg.Observer != nil {
 		c.SetObserver(cfg.Observer)
 	}
@@ -503,7 +492,7 @@ func (c *Cluster) SubmitCtx(ctx context.Context, req Request) (res Result, err e
 }
 
 // lease opens one submission — the shared front half of SubmitCtx,
-// Ingress.SubmitCtx, SubmitBatch and Replay. It books the attempt, runs
+// Ingress.SubmitCtx and SubmitBatch. It books the attempt, runs
 // tenant admission, and leases a pooled job stamped with the request's
 // fields, the context's deadline (the batch former bounds its collection
 // window by the slack it leaves) and the tenant's class policy. A context
@@ -646,33 +635,17 @@ func (c *Cluster) route(ctx context.Context, j *job) error {
 	if c.closed {
 		return ErrClusterClosed
 	}
-	return c.place(ctx, j, nil)
+	return c.place(ctx, j)
 }
 
-// place is the placement core: dispatch, stamp the decision on the job,
-// record a demotion, and hand the job to the chosen worker without
-// blocking. Caller holds c.mu shared and has checked c.closed. A non-nil
-// touched selects the amortized group dispatch when the policy has one:
-// the level dispatched into is added to the bitmask and the caller owes
-// each set level one Reheap before releasing the lock. On success the job
-// belongs to its worker and must not be touched again.
-func (c *Cluster) place(ctx context.Context, j *job, touched *uint64) error {
-	var (
-		inst *queue.Instance
-		dec  dispatch.Decision
-		err  error
-	)
+// place is the placement core, the one call site of the dispatch policy:
+// dispatch, stamp the decision on the job, record a demotion, and hand the
+// job to the chosen worker without blocking. Caller holds c.mu shared and
+// has checked c.closed. On success the job belongs to its worker and must
+// not be touched again.
+func (c *Cluster) place(ctx context.Context, j *job) error {
 	t0 := time.Now()
-	if touched != nil && c.dispStale != nil {
-		inst, dec, err = c.dispStale.DispatchStale(j.span.Length)
-		if err == nil && dec.Level < 64 {
-			*touched |= 1 << uint(dec.Level)
-		} else if err == nil {
-			c.ml.Reheap(dec.Level) // beyond the bitmask's reach; repair now
-		}
-	} else {
-		inst, dec, err = c.dispCtx.DispatchCtx(ctx, j.span.Length)
-	}
+	inst, dec, err := c.disp.DispatchCtx(ctx, j.span.Length)
 	if err != nil {
 		return err
 	}
@@ -788,6 +761,11 @@ func (c *Cluster) Instances() int {
 	return len(c.workers)
 }
 
+// TimeScale returns the factor between modeled and wall time (wall =
+// modeled * TimeScale): rates measured on the wall clock divide by it to
+// give the modeled-time rates the profile's capacities are stated in.
+func (c *Cluster) TimeScale() float64 { return c.scale }
+
 // NumLevels returns the number of runtime levels the cluster schedules
 // over.
 func (c *Cluster) NumLevels() int { return c.ml.NumLevels() }
@@ -890,71 +868,4 @@ func (c *Cluster) Close() {
 		c.fairQ.Close()
 	}
 	c.wg.Wait()
-}
-
-// ReplayResult is the outcome of replaying a trace on the cluster.
-type ReplayResult struct {
-	Latency  *metrics.Recorder
-	Summary  metrics.Summary
-	Rejected int
-}
-
-// Replay drives the cluster with a trace in (scaled) real time: each
-// request is submitted at its scaled arrival offset from a driver
-// goroutine and measured to completion. Replay blocks until every request
-// finishes. Each request takes the same lease -> submit -> await path as
-// SubmitCtx; only the wait runs on its own goroutine, so arrivals dispatch
-// in trace order.
-func (c *Cluster) Replay(tr *trace.Trace) (*ReplayResult, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("cluster: nil trace")
-	}
-	var (
-		mu       sync.Mutex
-		lats     = metrics.NewRecorder(len(tr.Requests))
-		rejected int
-		wg       sync.WaitGroup
-		ctx      = context.Background()
-		rec      = c.obsRec.Load()
-	)
-	start := time.Now()
-	for i := range tr.Requests {
-		r := &tr.Requests[i]
-		at := time.Duration(float64(r.At) * c.scale)
-		if wait := time.Until(start.Add(at)); wait > 0 {
-			time.Sleep(wait)
-		}
-		j, err := c.lease(ctx, rec, Request{Length: r.Length, MaxNewTokens: r.OutTokens, Tenant: r.Tenant})
-		if err == nil {
-			err = c.submit(ctx, j, rec)
-		}
-		if err != nil {
-			mu.Lock()
-			rejected++
-			mu.Unlock()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A job displaced past its requeue budget (or caught by Close
-			// mid-requeue) resolves to an error: a rejection, not a
-			// completion.
-			var res Result
-			err := c.await(ctx, j, rec, &res)
-			mu.Lock()
-			if err != nil {
-				rejected++
-			} else {
-				lats.Record(res.Latency)
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return &ReplayResult{
-		Latency:  lats,
-		Summary:  lats.Summarize(c.cfg.Profile.SLO),
-		Rejected: rejected,
-	}, nil
 }

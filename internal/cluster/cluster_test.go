@@ -10,7 +10,6 @@ import (
 	"arlo/internal/model"
 	"arlo/internal/profiler"
 	"arlo/internal/queue"
-	"arlo/internal/trace"
 )
 
 func rsFactory(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
@@ -233,51 +232,6 @@ func TestQueueOverflow(t *testing.T) {
 	}
 	if !overflowed {
 		t.Error("depth-2 queue should overflow under a burst of 10")
-	}
-}
-
-func TestReplaySmallTrace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time replay")
-	}
-	p := testProfile(t, model.BertBaseArch.RuntimeLengths())
-	c, err := New(Config{
-		Profile:           p,
-		InitialAllocation: []int{1, 1, 1, 1, 1, 1, 1, 1},
-		Dispatcher:        rsFactory,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tr, err := trace.Generate(trace.Stable(3, 150, 2*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Replay(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Latency.Count()+res.Rejected != len(tr.Requests) {
-		t.Errorf("replay lost requests: %d + %d != %d", res.Latency.Count(), res.Rejected, len(tr.Requests))
-	}
-	if res.Summary.Mean <= 0 {
-		t.Error("mean latency should be positive")
-	}
-	if res.Summary.Mean > 60*time.Millisecond {
-		t.Errorf("lightly loaded cluster mean %v unexpectedly high", res.Summary.Mean)
-	}
-}
-
-func TestReplayNilTrace(t *testing.T) {
-	p := testProfile(t, []int{512})
-	c, err := New(Config{Profile: p, InitialAllocation: []int{1}, Dispatcher: rsFactory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Replay(nil); err == nil {
-		t.Error("nil trace should fail")
 	}
 }
 

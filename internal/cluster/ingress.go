@@ -9,15 +9,15 @@
 //	   │                                                        │
 //	   └────────────────── await(j.done) ◄──────────────────────┘
 //
-// submitBatch is where the amortization happens: one topology RLock per
-// group, and (with a GroupDispatcher policy) the queue stripe locks are
-// taken once per touched level via Reheap instead of once per request.
+// submitBatch is where the amortization happens: one topology RLock (under
+// which closed is settled) and one clock read per group. Dispatch itself
+// is not amortized — every member is placed by the same place(ctx, j)
+// route uses, on a front the previous member's dispatch already repaired.
 package cluster
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,14 +36,13 @@ type BatchResult struct {
 
 // SubmitBatch dispatches a group of requests in one pass and blocks until
 // every member completes or ctx fires. The group shares one topology
-// read-lock acquisition and — when the active policy implements
-// dispatch.GroupDispatcher — one queue stripe lock per touched runtime
-// level, instead of one of each per request. Per-member semantics are
-// identical to SubmitCtx: each member resolves independently to a
-// completion or a typed error, the ctx deadline and cancellation are
-// honored while queued, and a member whose deadline is already spent when
-// the group is dispatched is rejected with ErrDeadlineExceeded before
-// touching the queue.
+// read-lock acquisition; each member is dispatched exactly as SubmitCtx
+// would dispatch it, so a group bound for one level spreads over that
+// level's instances. Per-member semantics are identical to SubmitCtx: each
+// member resolves independently to a completion or a typed error, the ctx
+// deadline and cancellation are honored while queued, and a member whose
+// deadline is already spent when the group is dispatched is rejected with
+// ErrDeadlineExceeded before touching the queue.
 func (c *Cluster) SubmitBatch(ctx context.Context, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	rec := c.obsRec.Load()
@@ -63,19 +62,17 @@ func (c *Cluster) SubmitBatch(ctx context.Context, reqs []Request) []BatchResult
 }
 
 // submitBatch places one group of leased jobs — a SubmitBatch call or a
-// ring drain — the amortized counterpart of route: the topology lock is
-// taken shared once for the whole group, and with a GroupDispatcher
-// policy each touched level's stripe lock is taken once (the deferred
-// Reheap) instead of once per member. With a tenant registry members take
-// their fair turn through the pump instead of placing inline. Every job is
-// resolved exactly once: handed on, discarded if its submitter already
-// cancelled, or failed with a typed error through its done channel. nil
-// slots are members lease already resolved.
+// ring drain — the amortized counterpart of route: one shared acquisition
+// of the topology lock (so closed is settled once) and one clock read
+// cover the whole group. With a tenant registry members take their fair
+// turn through the pump instead of placing inline. Every job is resolved
+// exactly once: handed on, discarded if its submitter already cancelled,
+// or failed with a typed error through its done channel. nil slots are
+// members lease already resolved.
 func (c *Cluster) submitBatch(jobs []*job) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	now := time.Now()
-	var touched uint64 // levels dispatched into via DispatchStale
 	for _, j := range jobs {
 		if j == nil {
 			continue
@@ -100,19 +97,12 @@ func (c *Cluster) submitBatch(jobs []*job) {
 			if c.fairQ != nil {
 				err = c.fairEnqueue(j)
 			} else {
-				err = c.place(context.Background(), j, &touched)
+				err = c.place(context.Background(), j)
 			}
 		}
 		if err != nil {
 			c.failJob(j, err)
 		}
-	}
-	// The deferred stripe-lock half of the bargain: one Reheap per level
-	// the group dispatched into restores heap order and the front caches.
-	for touched != 0 {
-		k := bits.TrailingZeros64(touched)
-		touched &^= 1 << uint(k)
-		c.ml.Reheap(k)
 	}
 }
 

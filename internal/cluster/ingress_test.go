@@ -134,6 +134,41 @@ func TestSubmitBatchCompletes(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchSpreadsWithinLevel pins what a group does not share: the
+// front it dispatches on. 64 requests of one bucket submitted as one group
+// must spread over that level's four instances exactly as 64 single
+// submits would — each member's dispatch repairs the heap before the next
+// reads it — and none may be demoted past an idle instance of its own
+// runtime. (With the heap repair deferred to the end of the group all 64
+// read the same front: 64/0/0/0, and the tail of the group demoted.)
+func TestSubmitBatchSpreadsWithinLevel(t *testing.T) {
+	c := ingressCluster(t, nil, []int{4, 2, 1, 1}, []int{128, 256, 384, 512})
+	defer c.Close()
+
+	reqs := make([]Request, 64)
+	for i := range reqs {
+		reqs[i] = Request{Length: 100}
+	}
+	perInstance := map[int]int{}
+	for i, br := range c.SubmitBatch(context.Background(), reqs) {
+		if br.Err != nil {
+			t.Fatalf("member %d: %v", i, br.Err)
+		}
+		if sp := br.Result.Span; sp.Level != 0 || sp.DemotionHops() != 0 {
+			t.Errorf("member %d served at level %d (%d hops), want its own runtime", i, sp.Level, sp.DemotionHops())
+		}
+		perInstance[br.Result.Span.Instance]++
+	}
+	if len(perInstance) != 4 {
+		t.Errorf("group landed on %d instances, want all 4 of level 0: %v", len(perInstance), perInstance)
+	}
+	for id, n := range perInstance {
+		if n < 8 {
+			t.Errorf("instance %d took %d of 64, want >= 8 (herding): %v", id, n, perInstance)
+		}
+	}
+}
+
 // TestSubmitBatchSpentDeadline pins the drain-time rule: a member whose
 // deadline is already spent when its group is dispatched is rejected with
 // ErrDeadlineExceeded before touching the queue.

@@ -6,9 +6,8 @@
 // the pre-tenancy code path, which is what keeps the Fig. 9 dispatch hot
 // path allocation-free and unchanged. With a registry configured:
 //
-//  1. Every submit path (SubmitCtx, SubmitBatch, the ingress rings,
-//     Replay) comes through lease, which resolves the request's tenant
-//     and runs token-bucket admission *before* leasing queue state: a
+//  1. Every submit path (SubmitCtx, SubmitBatch, the ingress rings)
+//     comes through lease, which resolves the request's tenant and runs token-bucket admission *before* leasing queue state: a
 //     rejected request never touches the multi-level queue, so a bursting
 //     tenant cannot trigger λ-congestion demotions for everyone else.
 //  2. Admitted jobs flow through a start-time-fair queue (queue.Fair)

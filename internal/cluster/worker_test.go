@@ -3,15 +3,12 @@ package cluster
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
-	"arlo/internal/dispatch"
 	"arlo/internal/model"
 	"arlo/internal/obs"
 	"arlo/internal/profiler"
-	"arlo/internal/queue"
 	"arlo/internal/tenant"
 )
 
@@ -157,27 +154,5 @@ func TestContinuousHonorsWindowPolicy(t *testing.T) {
 	}
 	if batch < 2*delay {
 		t.Errorf("batch member held %v, want its stretched window (%v)", batch, delay*tenant.MaxWindowFactor)
-	}
-}
-
-// plainPolicy implements dispatch.Dispatcher only.
-type plainPolicy struct{}
-
-func (plainPolicy) Dispatch(int) (*queue.Instance, error) { return nil, dispatch.ErrNoInstances }
-func (plainPolicy) Name() string                          { return "plain" }
-
-// TestNewRequiresContextDispatcher: every policy in the repo reports its
-// decision, so one that cannot is a configuration error, not something to
-// adapt around.
-func TestNewRequiresContextDispatcher(t *testing.T) {
-	_, err := New(Config{
-		Profile:           testProfile(t, []int{512}),
-		InitialAllocation: []int{1},
-		Dispatcher: func(*queue.MultiLevel) (dispatch.Dispatcher, error) {
-			return plainPolicy{}, nil
-		},
-	})
-	if err == nil || !strings.Contains(err.Error(), "ContextDispatcher") {
-		t.Fatalf("New with a context-less dispatcher: err = %v", err)
 	}
 }

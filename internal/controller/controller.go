@@ -76,21 +76,10 @@ type Options struct {
 	// before the loop replans (default 1): an idle cluster keeps its
 	// topology.
 	MinObservations int
-	// DemandScale multiplies the windowed demand estimate before solving
-	// (0 means 1). The obs window counts wall-clock arrivals while the
-	// profile's capacities are in modeled time, so when the loop drives a
-	// time-compressed emulated cluster the raw estimate overstates modeled
-	// demand by 1/TimeScale — set this to the cluster's TimeScale to
-	// correct it. Real-time clusters (TimeScale 1) need no correction.
-	DemandScale float64
 	// ReplaceDelay is the modeled swap gap passed to cluster.Replace (the
 	// paper measures ~1s to load a replacement runtime; 0 swaps
 	// instantly).
 	ReplaceDelay time.Duration
-	// Exact solves the allocation program with the branch-and-bound MILP
-	// reference instead of the Pareto-pruned DP (identical objectives;
-	// the DP is faster and is the default).
-	Exact bool
 	// DryRun observes, solves and records decisions without mutating the
 	// cluster.
 	DryRun bool
@@ -177,9 +166,6 @@ func New(cl *cluster.Cluster, solver *allocator.Solver, rec *obs.Recorder, opts 
 	if opts.MinObservations < 1 {
 		opts.MinObservations = 1
 	}
-	if opts.DemandScale <= 0 {
-		opts.DemandScale = 1
-	}
 	c := &Controller{
 		cl:     cl,
 		solver: solver,
@@ -193,7 +179,11 @@ func New(cl *cluster.Cluster, solver *allocator.Solver, rec *obs.Recorder, opts 
 }
 
 // demand converts windowed per-runtime counts into the allocation
-// program's q-vector: expected requests per SLO window.
+// program's q-vector: expected requests per SLO window. The obs window
+// counts wall-clock arrivals while the profile's capacities are in modeled
+// time, so on a time-compressed emulated cluster the raw estimate
+// overstates modeled demand by 1/TimeScale; the cluster's own TimeScale
+// corrects it (1 on a real-time cluster).
 func (c *Controller) demand(counts []int64, at time.Time) []float64 {
 	span := c.rec.WindowSpan()
 	slo := c.solver.Profile.SLO
@@ -203,7 +193,7 @@ func (c *Controller) demand(counts []int64, at time.Time) []float64 {
 	}
 	q := make([]float64, len(counts))
 	for i, n := range counts {
-		q[i] = float64(n) / windows * c.opts.DemandScale
+		q[i] = float64(n) / windows * c.cl.TimeScale()
 	}
 	return q
 }
@@ -238,7 +228,7 @@ func (c *Controller) Step(now time.Time) StepResult {
 	}
 
 	q := c.demand(counts, now)
-	target, err := c.solve(g, q)
+	target, err := c.solver.Allocate(g, q)
 	if err != nil {
 		return c.fail(fmt.Errorf("controller: solve: %w", err))
 	}
@@ -289,14 +279,6 @@ func (c *Controller) Step(now time.Time) StepResult {
 		c.replacements.Add(1)
 	}
 	return res
-}
-
-// solve runs the configured allocation solver.
-func (c *Controller) solve(g int, q []float64) (*allocator.Allocation, error) {
-	if c.opts.Exact {
-		return c.solver.AllocateMILP(g, q)
-	}
-	return c.solver.Allocate(g, q)
 }
 
 // fail records the error for Status and returns it.
@@ -426,7 +408,6 @@ func (c *Controller) Running() bool {
 type Status struct {
 	Running     bool    `json:"running"`
 	DryRun      bool    `json:"dry_run"`
-	Exact       bool    `json:"exact_solver"`
 	PeriodMS    float64 `json:"period_ms"`
 	AutoScaling bool    `json:"auto_scaling"`
 
@@ -462,7 +443,6 @@ func (c *Controller) Status() Status {
 	st := Status{
 		Running:         c.Running(),
 		DryRun:          c.opts.DryRun,
-		Exact:           c.opts.Exact,
 		PeriodMS:        float64(c.opts.Period) / float64(time.Millisecond),
 		AutoScaling:     c.opts.Scaler != nil,
 		GPUs:            g,

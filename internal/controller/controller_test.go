@@ -29,6 +29,11 @@ func testProfile(t testing.TB, lengths ...int) *profiler.Profile {
 	return p
 }
 
+// testTimeScale compresses the test clusters' emulated compute. The
+// controller reads it off the cluster to turn wall-clock window counts
+// into modeled-time demand, so demandOf applies it too.
+const testTimeScale = 0.01
+
 func testCluster(t testing.TB, p *profiler.Profile, alloc []int) *cluster.Cluster {
 	t.Helper()
 	cl, err := cluster.New(cluster.Config{
@@ -37,7 +42,7 @@ func testCluster(t testing.TB, p *profiler.Profile, alloc []int) *cluster.Cluste
 		Dispatcher: func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
 			return dispatch.NewRequestScheduler(ml)
 		},
-		TimeScale: 0.01,
+		TimeScale: testTimeScale,
 		Overhead:  -1,
 	})
 	if err != nil {
@@ -83,13 +88,13 @@ func binCounts(lengths []int, uppers []int) []int64 {
 }
 
 // demandOf converts fed-span bin counts into the q-vector the controller
-// derives: requests per SLO window.
+// derives: requests per SLO window of modeled time.
 func demandOf(rec *obs.Recorder, p *profiler.Profile, lengths []int) []float64 {
 	counts := binCounts(lengths, p.MaxLengths())
 	windows := float64(rec.WindowSpan()) / float64(p.SLO)
 	q := make([]float64, len(counts))
 	for i, n := range counts {
-		q[i] = float64(n) / windows
+		q[i] = float64(n) / windows * testTimeScale
 	}
 	return q
 }

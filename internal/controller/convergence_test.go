@@ -9,6 +9,7 @@
 package controller
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -77,6 +78,13 @@ func TestConvergenceOnDriftingTrace(t *testing.T) {
 	}
 	if !res.Replanned || !equalInts(res.Target, want1.N) {
 		t.Fatalf("phase-1 step: %+v, want target %v", res, want1.N)
+	}
+	// The demand it solved for is the window's count per SLO window scaled
+	// by the cluster's own TimeScale — nobody told the controller.
+	for i, q := range c.Status().DemandPerSLO {
+		if math.Abs(q-q1[i]) > 1e-9 {
+			t.Fatalf("solved demand %v, want %v", c.Status().DemandPerSLO, q1)
+		}
 	}
 	if len(res.Plan) != 0 || res.Applied != 0 {
 		t.Fatalf("phase-1 step planned %v on a converged topology", res.Plan)

@@ -90,19 +90,26 @@ func TestDecisionFallback(t *testing.T) {
 // TestAllPoliciesImplementContextDispatcher exercises every policy
 // through the context-first entry point and checks the decision levels
 // are sane (chosen never below ideal for schedulers that demote; never
-// negative for any).
+// negative for any). For the policies that balance within a level it also
+// pins the eager contract every submit path relies on: each dispatch
+// repairs the front before it returns, so 64 dispatches with no
+// completion in between spread 16 each over a 4-instance level instead
+// of herding onto the instance that was least loaded when they began.
 func TestAllPoliciesImplementContextDispatcher(t *testing.T) {
-	for _, name := range []string{"RS", "ILB", "IG", "LL", "INFaaS"} {
+	for _, tc := range []struct {
+		name    string
+		spreads bool
+	}{
+		{"RS", true}, {"ILB", true}, {"IG", true}, {"LL", true},
+		{"INFaaS", false}, // packs the fullest bin below its depth by design
+	} {
+		name := tc.name
 		ml := fig5Queue(t)
 		d, err := New(name, ml)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cd, ok := d.(ContextDispatcher)
-		if !ok {
-			t.Fatalf("%s: does not implement ContextDispatcher", name)
-		}
-		in, dec, err := cd.DispatchCtx(context.Background(), 200)
+		in, dec, err := d.DispatchCtx(context.Background(), 200)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -114,6 +121,31 @@ func TestAllPoliciesImplementContextDispatcher(t *testing.T) {
 		}
 		if dec.IdealLevel < 0 || dec.Peeked < 1 {
 			t.Errorf("%s: implausible decision %+v", name, dec)
+		}
+		if !tc.spreads {
+			continue
+		}
+		one, err := queue.NewMultiLevel([]int{128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < 4; id++ {
+			if err := one.Add(queue.NewInstance(id, 0, 0, 1000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d, err = New(name, one); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < 64; i++ {
+			if _, _, err := d.DispatchCtx(context.Background(), 100); err != nil {
+				t.Fatalf("%s: dispatch %d: %v", name, i, err)
+			}
+		}
+		for _, in := range one.Level(0).Instances() {
+			if got := in.Outstanding(); got != 16 {
+				t.Errorf("%s: instance %d holds %d of 64 back-to-back dispatches, want 16", name, in.ID, got)
+			}
 		}
 	}
 }

@@ -31,14 +31,24 @@ var ErrTooLong = errors.New("dispatch: request longer than every runtime")
 var ErrNoInstances = errors.New("dispatch: no instance available for the request")
 
 // Dispatcher selects an instance for an arriving request and records the
-// dispatch on the multi-level queue (the instance's outstanding count is
-// incremented). Completion must be reported back via the queue's
-// OnComplete. Implementations are safe for concurrent use.
+// dispatch on the multi-level queue eagerly: the instance's outstanding
+// count is incremented and its level's heap order restored before the
+// call returns, so the next dispatch — on any path — reads a fresh front.
+// Completion must be reported back via the queue's OnComplete.
+// Implementations are safe for concurrent use.
 type Dispatcher interface {
-	// Dispatch routes one request of the given token length.
-	Dispatch(length int) (*queue.Instance, error)
 	// Name identifies the policy in experiment output.
 	Name() string
+	// Dispatch routes one request of the given token length; it is
+	// DispatchCtx with a background context and the Decision dropped.
+	Dispatch(length int) (*queue.Instance, error)
+	// DispatchCtx routes one request of the given token length and
+	// reports the routing decision, which feeds the observability plane's
+	// demotion counters and span records. The context carries the
+	// request's deadline and cancellation downstream; the queue walk
+	// itself is nanosecond-scale and never blocks, so policies treat it
+	// as advisory — enforcement while queued happens in the cluster.
+	DispatchCtx(ctx context.Context, length int) (*queue.Instance, Decision, error)
 }
 
 // Decision is the observable outcome of one dispatch: which runtime level
@@ -58,36 +68,6 @@ type Decision struct {
 	// Fallback reports that every peeked level was congested and the
 	// policy fell back to the top candidate (Algorithm 1 lines 18-20).
 	Fallback bool
-}
-
-// ContextDispatcher is the context-aware dispatch interface: the context
-// carries the request's deadline and cancellation downstream (the queue
-// walk itself is nanosecond-scale and never blocks, so policies treat the
-// context as advisory — enforcement while queued happens in the cluster),
-// and the returned Decision feeds the observability plane's demotion
-// counters and span records. All policies in this package implement it;
-// their plain Dispatch methods are thin wrappers that drop the Decision.
-type ContextDispatcher interface {
-	Dispatcher
-	// DispatchCtx routes one request of the given token length and
-	// reports the routing decision.
-	DispatchCtx(ctx context.Context, length int) (*queue.Instance, Decision, error)
-}
-
-// GroupDispatcher is the amortized-dispatch interface of the batched
-// ingress path: DispatchStale routes exactly like DispatchCtx but records
-// the dispatch with queue.MultiLevel.OnDispatchStale — the outstanding
-// count is incremented, the chosen level's heap repair is deferred. The
-// caller owns the repair: it must call MultiLevel.Reheap once on every
-// level it dispatched into before the group ends, turning G stripe-lock
-// acquisitions into one per touched level. Within a group the policy may
-// therefore read level fronts whose rank is stale by up to the group size
-// (their congestion counts stay exact); see the queue package for the
-// trade-off.
-type GroupDispatcher interface {
-	ContextDispatcher
-	// DispatchStale routes one request with deferred heap repair.
-	DispatchStale(length int) (*queue.Instance, Decision, error)
 }
 
 // RequestScheduler is Arlo's multi-level-queue heuristic (Algorithm 1).
@@ -133,43 +113,16 @@ func NewRequestSchedulerParams(ml *queue.MultiLevel, lambda, alpha float64, maxP
 // Name implements Dispatcher.
 func (rs *RequestScheduler) Name() string { return "RS" }
 
-// Dispatch implements Algorithm 1. The multi-level peek walk (lines 6-17)
-// reads level heads lock-free in ascending level order; only the final
-// OnDispatch takes the chosen instance's level stripe.
+// Dispatch implements Dispatcher.
 func (rs *RequestScheduler) Dispatch(length int) (*queue.Instance, error) {
-	in, _, err := rs.dispatch(length)
+	in, _, err := rs.DispatchCtx(context.Background(), length)
 	return in, err
 }
 
-// DispatchCtx implements ContextDispatcher.
+// DispatchCtx implements Algorithm 1. The multi-level peek walk (lines
+// 6-17) reads level heads lock-free in ascending level order; only the
+// final OnDispatch takes the chosen instance's level stripe.
 func (rs *RequestScheduler) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decision, error) {
-	return rs.dispatch(length)
-}
-
-// DispatchStale implements GroupDispatcher: the Algorithm 1 walk with the
-// chosen level's heap repair deferred to the caller's per-group Reheap.
-func (rs *RequestScheduler) DispatchStale(length int) (*queue.Instance, Decision, error) {
-	in, dec, err := rs.pick(length)
-	if err != nil {
-		return nil, dec, err
-	}
-	rs.ml.OnDispatchStale(in)
-	return in, dec, nil
-}
-
-func (rs *RequestScheduler) dispatch(length int) (*queue.Instance, Decision, error) {
-	in, dec, err := rs.pick(length)
-	if err != nil {
-		return nil, dec, err
-	}
-	rs.ml.OnDispatch(in) // lines 21-22
-	return in, dec, nil
-}
-
-// pick runs the Algorithm 1 selection walk without recording the
-// dispatch; dispatch and DispatchStale differ only in how the pick is
-// accounted on the queue.
-func (rs *RequestScheduler) pick(length int) (*queue.Instance, Decision, error) {
 	var dec Decision
 	cands := rs.ml.CandidateLevels(length) // line 2
 	if len(cands) == 0 {
@@ -210,6 +163,7 @@ func (rs *RequestScheduler) pick(length int) (*queue.Instance, Decision, error) 
 		return nil, dec, ErrNoInstances
 	}
 	dec.Level = chosen.Runtime
+	rs.ml.OnDispatch(chosen) // lines 21-22
 	return chosen, dec, nil
 }
 
@@ -231,19 +185,15 @@ func NewILB(ml *queue.MultiLevel) (*ILB, error) {
 // Name implements Dispatcher.
 func (d *ILB) Name() string { return "ILB" }
 
-// Dispatch implements Dispatcher: least-loaded instance of the first
-// candidate level that has instances.
+// Dispatch implements Dispatcher.
 func (d *ILB) Dispatch(length int) (*queue.Instance, error) {
-	in, _, err := d.dispatch(length)
+	in, _, err := d.DispatchCtx(context.Background(), length)
 	return in, err
 }
 
-// DispatchCtx implements ContextDispatcher.
+// DispatchCtx implements Dispatcher: least-loaded instance of the first
+// candidate level that has instances.
 func (d *ILB) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decision, error) {
-	return d.dispatch(length)
-}
-
-func (d *ILB) dispatch(length int) (*queue.Instance, Decision, error) {
 	var dec Decision
 	cands := d.ml.CandidateLevels(length)
 	if len(cands) == 0 {
@@ -279,20 +229,16 @@ func NewIG(ml *queue.MultiLevel) (*IG, error) {
 // Name implements Dispatcher.
 func (d *IG) Name() string { return "IG" }
 
-// Dispatch implements Dispatcher: global least-outstanding across all
-// candidate levels (each level's head is its least-loaded instance).
-// Ties keep the earlier (smaller max_length) level's head.
+// Dispatch implements Dispatcher.
 func (d *IG) Dispatch(length int) (*queue.Instance, error) {
-	in, _, err := d.dispatch(length)
+	in, _, err := d.DispatchCtx(context.Background(), length)
 	return in, err
 }
 
-// DispatchCtx implements ContextDispatcher.
+// DispatchCtx implements Dispatcher: global least-outstanding across all
+// candidate levels (each level's head is its least-loaded instance).
+// Ties keep the earlier (smaller max_length) level's head.
 func (d *IG) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decision, error) {
-	return d.dispatch(length)
-}
-
-func (d *IG) dispatch(length int) (*queue.Instance, Decision, error) {
 	var dec Decision
 	cands := d.ml.CandidateLevels(length)
 	if len(cands) == 0 {
@@ -345,16 +291,12 @@ func (d *LeastLoaded) Name() string { return "LL" }
 
 // Dispatch implements Dispatcher.
 func (d *LeastLoaded) Dispatch(length int) (*queue.Instance, error) {
-	in, _, err := d.dispatch(length)
+	in, _, err := d.DispatchCtx(context.Background(), length)
 	return in, err
 }
 
-// DispatchCtx implements ContextDispatcher.
+// DispatchCtx implements Dispatcher.
 func (d *LeastLoaded) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decision, error) {
-	return d.dispatch(length)
-}
-
-func (d *LeastLoaded) dispatch(length int) (*queue.Instance, Decision, error) {
 	var dec Decision
 	cands := d.ml.CandidateLevels(length)
 	if len(cands) == 0 {
@@ -408,22 +350,18 @@ func NewBinPacking(ml *queue.MultiLevel) (*BinPacking, error) {
 // Name implements Dispatcher.
 func (d *BinPacking) Name() string { return "INFaaS" }
 
-// Dispatch implements Dispatcher. Selection is fully deterministic:
-// earlier (smaller max_length) levels win ties, and within a level ties
-// break toward the smaller instance ID — independent of the heaps'
-// internal array order.
+// Dispatch implements Dispatcher.
 func (d *BinPacking) Dispatch(length int) (*queue.Instance, error) {
-	in, _, err := d.dispatch(length)
+	in, _, err := d.DispatchCtx(context.Background(), length)
 	return in, err
 }
 
-// DispatchCtx implements ContextDispatcher. Fallback reports that every
-// bin was full and the policy degraded to global least-loaded.
+// DispatchCtx implements Dispatcher. Selection is fully deterministic:
+// earlier (smaller max_length) levels win ties, and within a level ties
+// break toward the smaller instance ID — independent of the heaps'
+// internal array order. Fallback reports that every bin was full and the
+// policy degraded to global least-loaded.
 func (d *BinPacking) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decision, error) {
-	return d.dispatch(length)
-}
-
-func (d *BinPacking) dispatch(length int) (*queue.Instance, Decision, error) {
 	var dec Decision
 	cands := d.ml.CandidateLevels(length)
 	if len(cands) == 0 {
@@ -467,15 +405,6 @@ func (d *BinPacking) dispatch(length int) (*queue.Instance, Decision, error) {
 	d.ml.OnDispatch(chosen)
 	return chosen, dec, nil
 }
-
-// Compile-time checks: every built-in policy is context-aware.
-var (
-	_ ContextDispatcher = (*RequestScheduler)(nil)
-	_ ContextDispatcher = (*ILB)(nil)
-	_ ContextDispatcher = (*IG)(nil)
-	_ ContextDispatcher = (*LeastLoaded)(nil)
-	_ ContextDispatcher = (*BinPacking)(nil)
-)
 
 // New returns the named dispatcher over the multi-level queue: "RS",
 // "ILB", "IG", "LL", or "INFaaS".

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"arlo/internal/allocator"
-	"arlo/internal/cluster"
+	"arlo/internal/chaos"
 	"arlo/internal/dispatch"
 	"arlo/internal/metrics"
 	"arlo/internal/model"
@@ -341,19 +341,26 @@ func Calibration(w io.Writer, opt Options) error {
 		return dispatch.NewRequestScheduler(ml)
 	}
 	replayBoth := func(clip *trace.Trace, overhead time.Duration) (proto, simr metrics.Summary, err error) {
-		cl, err := cluster.New(cluster.Config{
-			Profile:           p,
-			InitialAllocation: al.N,
-			Dispatcher:        factory,
-			Overhead:          -1, // raw wall-clock measurement
+		// The prototype side is an event-free chaos.Run in real time on the
+		// direct entry point (even seed), reporting raw wall-clock latency.
+		rep, err := chaos.Run(chaos.Config{
+			Profile:    p,
+			Allocation: al.N,
+			Dispatcher: factory,
+			Trace:      clip,
+			TimeScale:  1,
 		})
+		if err == nil {
+			err = rep.Check()
+		}
 		if err != nil {
 			return proto, simr, err
 		}
-		defer cl.Close()
-		pr, err := cl.Replay(clip)
-		if err != nil {
-			return proto, simr, err
+		lats := metrics.NewRecorder(len(rep.Samples))
+		for i := range rep.Samples {
+			if rep.Samples[i].Err == nil {
+				lats.Record(rep.Samples[i].Span.Total)
+			}
 		}
 		sr, err := sim.Run(sim.Config{
 			Profile:           p,
@@ -365,7 +372,7 @@ func Calibration(w io.Writer, opt Options) error {
 		if err != nil {
 			return proto, simr, err
 		}
-		return pr.Summary, sr.Summary, nil
+		return lats.Summarize(slo), sr.Summary, nil
 	}
 	// Stage 1: measure the prototype's fixed per-request overhead.
 	proto1, sim1, err := replayBoth(calibClip, -1)

@@ -3,6 +3,10 @@
 // accounting, and time-weighted series (e.g. the time-weighted GPU count of
 // Fig. 8). The paper's primary metrics are mean latency and 98th-percentile
 // tail latency (section 5, Metrics).
+//
+// Everything here keeps exact samples, which suits the simulator and the
+// figure drivers, whose runs are finite. A live server keeps none: its one
+// record of served requests is obs.Recorder's bucketed sliding window.
 package metrics
 
 import (

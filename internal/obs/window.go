@@ -24,7 +24,7 @@
 // deterministic test suite feeds the window sequentially where the counts
 // are exact.
 //
-// All timestamps are explicit (`RecordSpanAt`, `LengthDistAt`, `P98At`) so
+// All timestamps are explicit (`RecordSpanAt`, `LengthDistAt`, `QuantileAt`) so
 // a fake-clock test can drive the window with virtual time; the
 // wall-clock conveniences (`RecordSpan`, `LengthDist`, `P98`) just pass
 // time.Now().
@@ -282,21 +282,24 @@ func (r *Recorder) LengthDistAt(at time.Time) []int64 {
 	return r.win.lengthDist(at)
 }
 
-// P98 returns the 98th-percentile end-to-end latency of requests completed
-// inside the sliding window ending now, resolved to the upper boundary of
-// its histogram bucket. Zero when the window is empty.
-func (r *Recorder) P98() time.Duration {
-	return r.P98At(time.Now())
-}
-
-// P98At is P98 at an explicit query time.
-func (r *Recorder) P98At(at time.Time) time.Duration {
+// QuantileAt returns the p-quantile (0 < p <= 1, nearest rank) of the
+// end-to-end latency of requests completed inside the sliding window ending
+// at the query time, resolved to the upper boundary of its histogram bucket
+// (125 us * 2^k). Zero when the window is empty.
+func (r *Recorder) QuantileAt(p float64, at time.Time) time.Duration {
 	if r == nil {
 		return 0
 	}
-	d, _ := r.win.percentile(0.98, at)
+	d, _ := r.win.percentile(p, at)
 	return d
 }
+
+// P98 is the 98th-percentile windowed latency as of now — the autoscaler's
+// target-tracking signal.
+func (r *Recorder) P98() time.Duration { return r.QuantileAt(0.98, time.Now()) }
+
+// P98At is P98 at an explicit query time.
+func (r *Recorder) P98At(at time.Time) time.Duration { return r.QuantileAt(0.98, at) }
 
 // WindowSamples returns how many request completions the sliding window
 // ending at the query time currently holds.

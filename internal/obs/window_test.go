@@ -107,6 +107,11 @@ func TestWindowP98KnownDistribution(t *testing.T) {
 	if got := r.P98At(now); got != 128*time.Millisecond {
 		t.Fatalf("P98 after tip = %v, want 128ms", got)
 	}
+	// Other quantiles come through the same accessor: the median is still
+	// in the fast bucket, the maximum in the slow one.
+	if p50, p100 := r.QuantileAt(0.50, now), r.QuantileAt(1, now); p50 != time.Millisecond || p100 != 128*time.Millisecond {
+		t.Fatalf("p50, p100 = %v, %v, want 1ms, 128ms", p50, p100)
+	}
 }
 
 func TestWindowP98EmptyIsZero(t *testing.T) {

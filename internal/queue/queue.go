@@ -388,37 +388,6 @@ func (m *MultiLevel) OnDispatch(in *Instance) {
 	m.levels[in.Runtime].Update(in)
 }
 
-// OnDispatchStale records a dispatch to the instance with the heap repair
-// deferred: the outstanding count is incremented atomically but the
-// level's heap order is NOT restored — the instance may sit below its true
-// position and the cached Front may go stale until the caller runs Reheap
-// on the touched level. This is the group-submit half of the ingress
-// path's staleness/latency trade-off: a batch of G dispatches pays one
-// stripe lock (the Reheap) instead of G, at the cost of load-balance
-// decisions inside the group reading a front whose count is accurate but
-// whose "least loaded" rank may be stale by up to G-1 dispatches.
-//
-// Callers MUST call Reheap on every level they dispatched into before
-// releasing the group, or the level's order stays stale indefinitely
-// (counts — and therefore congestion and capacity accounting — remain
-// exact throughout; only the heap rank lags).
-func (m *MultiLevel) OnDispatchStale(in *Instance) {
-	in.outstanding.Add(1)
-}
-
-// Reheap restores level k's heap order and front cache in one critical
-// section — the per-group repair paired with OnDispatchStale. It also
-// absorbs any pending lazy fix-up (the dirty flag completions set under
-// contention).
-func (m *MultiLevel) Reheap(k int) {
-	l := &m.levels[k]
-	l.mu.Lock()
-	l.dirty.Store(false)
-	heap.Init(&l.h)
-	l.refreshFrontLocked()
-	l.mu.Unlock()
-}
-
 // OnComplete records a request completion on the instance. The decrement
 // is atomic and never blocks on the level lock: if the lock is free the
 // heap position is repaired inline (so single-threaded behavior matches

@@ -1,11 +1,11 @@
 // Package ring provides the sharded MPSC submit rings of the batched
 // ingress path: many producer goroutines enqueue lock-free, one consumer
 // goroutine per shard drains in groups and feeds the dispatcher through
-// cluster.SubmitBatch, amortizing the per-request handoff (topology lock,
-// queue stripe locks, scheduler wakeups) across the group.
+// the cluster's group submit, amortizing the per-request handoff (topology
+// lock, clock read, scheduler wakeups) across the group.
 //
 // Layout follows the lock-free idiom the rest of the repo uses
-// (metrics.Window striping, queue.Level padding): shard count defaults to
+// (obs histogram striping, queue.Level padding): shard count defaults to
 // GOMAXPROCS, per-shard capacity is rounded up to a power of two so slot
 // indexing is a mask, and the producer and consumer cursors live on their
 // own cache lines so enqueues from different cores never false-share with

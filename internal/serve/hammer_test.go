@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,6 +64,9 @@ func hammer(t *testing.T, srv *Server, rec *obs.Recorder) {
 		perProd   = 25
 	)
 	body, _ := json.Marshal(InferRequest{Text: "a mid sized request body for the hammer to chew on"})
+	// ok counts the 200s the clients read; aborted the requests a client
+	// gave up on, each of which the server may still have completed.
+	var ok, aborted atomic.Int64
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -87,12 +91,17 @@ func hammer(t *testing.T, srv *Server, rec *obs.Recorder) {
 				resp, err := ts.Client().Do(req)
 				if err == nil {
 					_ = resp.Body.Close()
-					if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable &&
-						resp.StatusCode != http.StatusGatewayTimeout {
+					switch resp.StatusCode {
+					case http.StatusOK:
+						ok.Add(1)
+					case http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+					default:
 						t.Errorf("unexpected status %d", resp.StatusCode)
 					}
 				} else if ctx.Err() == nil {
 					t.Errorf("transport error without cancellation: %v", err)
+				} else {
+					aborted.Add(1)
 				}
 				cancel()
 			}
@@ -120,8 +129,11 @@ func hammer(t *testing.T, srv *Server, rec *obs.Recorder) {
 	if got := srv.cluster.Outstanding(); got != 0 {
 		t.Errorf("outstanding = %d after drain, want 0", got)
 	}
-	if served := srv.served.Load(); served != c {
-		t.Errorf("serve counted %d served, recorder %d completed", served, c)
+	// /v1/stats against what the clients saw: every 200 is one served
+	// request, and only a request its client abandoned can be served
+	// without a 200 to show for it.
+	if st := statsOf(t, srv); st.Served < ok.Load() || st.Served > ok.Load()+aborted.Load() {
+		t.Errorf("/v1/stats served %d, clients read %d OK and abandoned %d", st.Served, ok.Load(), aborted.Load())
 	}
 }
 

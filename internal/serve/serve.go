@@ -24,7 +24,9 @@
 //	GET  /v1/tenants — list tenant configs; GET/PUT /v1/tenants/{id}
 //	                   reads or live-updates one record (404 not_found on
 //	                   clusters without a tenant registry)
-//	GET  /v1/stats   — JSON serving counters and window percentiles
+//	GET  /v1/stats   — the recorder's books as JSON: served/rejected counts,
+//	                   p50/p98 as the nearest-rank bucket's upper bound over
+//	                   the recorder's window
 //	GET  /v1/controller — live control-loop status (allocation, target,
 //	                   demand, replans, replacements), only with
 //	                   WithController; 404 not_found otherwise
@@ -47,13 +49,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"arlo/internal/cluster"
 	"arlo/internal/controller"
-	"arlo/internal/metrics"
 	"arlo/internal/obs"
 	"arlo/internal/tokenizer"
 	"arlo/internal/wire"
@@ -133,21 +133,18 @@ const (
 	CodeNotFound         = "not_found"
 )
 
-// Stats is the reply of GET /v1/stats. Latency percentiles cover the
-// trailing 60 seconds.
+// Stats is the reply of GET /v1/stats, read off the server's recorder — the
+// same books /metrics and /v1/controller report from. Served is the
+// recorder's completions; Rejected is everything that resolved to an error
+// (rejections plus cancellations). P50MS and P98MS are the nearest-rank
+// histogram bucket's upper bound (125 us * 2^k) over the recorder's window:
+// 60 s by default, one control period when a controller sized it.
 type Stats struct {
 	Served    int64   `json:"served"`
 	Rejected  int64   `json:"rejected"`
 	Instances int     `json:"instances"`
 	P50MS     float64 `json:"p50_ms"`
 	P98MS     float64 `json:"p98_ms"`
-}
-
-// Observer receives every served request's tokenized length and measured
-// latency — the hook Arlo's online control plane (core.Controller) feeds
-// its demand and latency estimates from.
-type Observer interface {
-	Observe(length int, lat time.Duration)
 }
 
 // Server routes inference requests into a cluster: the Backend behind
@@ -162,8 +159,6 @@ type Server struct {
 	chaos      bool
 	rec        *obs.Recorder
 	mux        *http.ServeMux
-	served     atomic.Int64
-	rejected   atomic.Int64
 
 	// shard is the operator-assigned shard name (WithShardName); loadSeq
 	// orders the load snapshots this server hands out.
@@ -176,14 +171,9 @@ type Server struct {
 	ingress    *cluster.Ingress
 	ingressCfg *cluster.IngressConfig
 
-	window *metrics.Window
-
 	// ctrl, when attached with WithController, backs GET /v1/controller.
 	// The server only reads status; the caller owns the loop's lifecycle.
 	ctrl *controller.Controller
-
-	obsMu    sync.RWMutex
-	observer Observer
 }
 
 // Option configures a Server at construction.
@@ -197,15 +187,6 @@ func WithMaxLength(n int) Option {
 			return fmt.Errorf("serve: max length must be >= 2, got %d", n)
 		}
 		s.maxLen = n
-		return nil
-	}
-}
-
-// WithObserver installs the served-request observer (see Observer) at
-// construction; SetObserver can still replace it while serving.
-func WithObserver(o Observer) Option {
-	return func(s *Server) error {
-		s.observer = o
 		return nil
 	}
 }
@@ -294,7 +275,6 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 		cluster: cl,
 		maxLen:  cl.MaxLength(),
 		mux:     http.NewServeMux(),
-		window:  metrics.NewWindow(60 * time.Second),
 	}
 	s.Frontend = NewFrontend(s)
 	for _, opt := range opts {
@@ -303,8 +283,9 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 		}
 	}
 	// Wire the observability recorder: an explicit one is installed on
-	// the cluster, otherwise reuse the cluster's, otherwise create one so
-	// /metrics works out of the box.
+	// the cluster, otherwise reuse the cluster's, otherwise create one:
+	// the recorder is the server's only record of what it served, so
+	// /metrics and /v1/stats always have one to read.
 	switch {
 	case s.rec != nil:
 		cl.SetObserver(s.rec)
@@ -341,15 +322,8 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 	return s, nil
 }
 
-// SetObserver installs (or clears, with nil) the served-request observer.
-// Safe to call while serving.
-func (s *Server) SetObserver(o Observer) {
-	s.obsMu.Lock()
-	s.observer = o
-	s.obsMu.Unlock()
-}
-
-// Recorder returns the observability recorder backing /metrics.
+// Recorder returns the observability recorder backing /metrics and
+// /v1/stats.
 func (s *Server) Recorder() *obs.Recorder { return s.rec }
 
 // submit dispatches one request through the configured path: the ring
@@ -372,24 +346,15 @@ func (s *Server) Close() error {
 	return nil
 }
 
-func (s *Server) notify(length int, lat time.Duration) {
-	s.obsMu.RLock()
-	o := s.observer
-	s.obsMu.RUnlock()
-	if o != nil {
-		o.Observe(length, lat)
-	}
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Do implements Backend over the cluster: tokenize text (or clamp
 // pre-encoded ids to the model maximum, mirroring the tokenizer's cap),
 // classify, submit through the ring or directly under the server's
-// request timeout, account the outcome, and build the reply — a
-// KindGenResponse with TTFT and the generated token count for a
-// generative request.
+// request timeout, and build the reply (the cluster has already booked
+// the outcome on the recorder) — a KindGenResponse with TTFT and the
+// generated token count for a generative request.
 func (s *Server) Do(ctx context.Context, req wire.Request) (wire.Response, Hop) {
 	creq := cluster.Request{Tenant: req.Tenant}
 	var label uint8
@@ -417,16 +382,12 @@ func (s *Server) Do(ctx context.Context, req wire.Request) (wire.Response, Hop) 
 	}
 	res, err := s.submit(ctx, creq)
 	if err != nil {
-		s.rejected.Add(1)
 		return wire.Response{
 			Status:       wireStatus(err),
 			Message:      err.Error(),
 			RetryAfterNS: uint64(retryAfterOf(err)),
 		}, Hop{}
 	}
-	s.served.Add(1)
-	s.window.Record(res.Latency)
-	s.notify(creq.Length, res.Latency)
 	resp := wire.Response{
 		Label:        label,
 		SeqLen:       uint32(creq.Length),
@@ -452,12 +413,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET required")
 		return
 	}
+	now := time.Now()
 	writeJSON(w, Stats{
-		Served:    s.served.Load(),
-		Rejected:  s.rejected.Load(),
+		Served:    s.rec.Completed(),
+		Rejected:  s.rec.Rejected() + s.rec.Cancelled(),
 		Instances: s.cluster.Instances(),
-		P50MS:     float64(s.window.Percentile(0.50)) / float64(time.Millisecond),
-		P98MS:     float64(s.window.P98()) / float64(time.Millisecond),
+		P50MS:     float64(s.rec.QuantileAt(0.50, now)) / float64(time.Millisecond),
+		P98MS:     float64(s.rec.QuantileAt(0.98, now)) / float64(time.Millisecond),
 	})
 }
 

@@ -119,8 +119,8 @@ func TestWirePipelinedConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := srv.served.Load(); got != n {
-		t.Errorf("served = %d, want %d", got, n)
+	if got := statsOf(t, srv).Served; got != n {
+		t.Errorf("/v1/stats served = %d, want the %d replies the client read", got, n)
 	}
 }
 
