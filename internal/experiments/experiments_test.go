@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -69,21 +71,44 @@ func TestFig4MatchesPaper(t *testing.T) {
 	}
 }
 
-// TestCheapExperimentsRun smoke-tests the drivers that finish in well
-// under a second each.
+// goldenSeed is arlobench's default -seed, so a golden file is exactly what
+// `arlobench -exp <id>` prints between its header and its timing line.
+const goldenSeed = 42
+
+// runPinned runs one experiment in quick mode. Every simulator-only driver
+// is a pure function of the seed, and its output must equal
+// testdata/golden/<id>.txt byte for byte; the ids in timed print wall-clock
+// measurements and are only required to produce output.
+func runPinned(t *testing.T, id string, timed bool) {
+	t.Helper()
+	spec, ok := ByID(id)
+	if !ok {
+		t.Fatalf("missing %s", id)
+	}
+	var buf bytes.Buffer
+	if err := spec.Run(&buf, Options{Seed: goldenSeed}); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	if buf.Len() == 0 {
+		t.Errorf("%s produced no output", id)
+	}
+	if timed {
+		return
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", id+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("%s output differs from its golden file\n--- got ---\n%s--- want ---\n%s", id, buf.Bytes(), want)
+	}
+}
+
+// TestCheapExperimentsRun runs the drivers that finish in well under a
+// second each and pins the deterministic ones to their golden bytes.
 func TestCheapExperimentsRun(t *testing.T) {
 	for _, id := range []string{"fig1", "fig2", "fig4", "fig5", "fig9"} {
-		spec, ok := ByID(id)
-		if !ok {
-			t.Fatalf("missing %s", id)
-		}
-		var buf bytes.Buffer
-		if err := spec.Run(&buf, Options{Seed: 3}); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if buf.Len() == 0 {
-			t.Errorf("%s produced no output", id)
-		}
+		runPinned(t, id, id == "fig9")
 	}
 }
 
@@ -114,27 +139,20 @@ func TestFig2AnchorsInOutput(t *testing.T) {
 	}
 }
 
-// TestSimExperimentsRun exercises the simulator-backed drivers end to end
-// (quick mode). Skipped with -short: together they take tens of seconds.
+// TestSimExperimentsRun runs the simulator-backed drivers end to end (quick
+// mode) and pins each to its golden bytes. With -short only the sub-second
+// ones run; the rest take 1-5 s each.
 func TestSimExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation experiments take tens of seconds")
-	}
+	slow := map[string]bool{"table2": true, "fig8": true, "fig10": true, "table3": true, "fig12": true,
+		"table4": true, "ablation-batch": true, "ablation-latebinding": true}
 	for _, id := range []string{"fig6", "fig7", "fig10", "fig11", "table2", "table3", "table4", "fig8", "fig12",
 		"ablation-rs", "ablation-failures", "ablation-batch", "ablation-parallel", "ablation-latebinding"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			spec, ok := ByID(id)
-			if !ok {
-				t.Fatalf("missing %s", id)
+			if testing.Short() && slow[id] {
+				t.Skip("takes seconds")
 			}
-			var buf bytes.Buffer
-			if err := spec.Run(&buf, Options{Seed: 5}); err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-			if buf.Len() == 0 {
-				t.Errorf("%s produced no output", id)
-			}
+			runPinned(t, id, id == "table2")
 		})
 	}
 }
