@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"arlo/internal/allocator"
-	"arlo/internal/baselines"
 	"arlo/internal/core"
 	"arlo/internal/dispatch"
 	"arlo/internal/experiments"
@@ -79,17 +78,17 @@ func benchComparison(b *testing.B, lm *model.LatencyModel, slo time.Duration, ra
 	if err != nil {
 		b.Fatal(err)
 	}
-	arlo, err := baselines.Arlo(lm, slo)
+	arlo, err := core.NewSystem(core.WithLatencyModel(lm), core.WithSLO(slo))
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := baselines.ST(lm, slo)
+	st, err := core.ST(lm, slo)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range []*baselines.System{arlo, st} {
+		for _, s := range []*core.System{&arlo.System, st} {
 			cfg, err := s.SimConfig(tr, gpus, 5*time.Second)
 			if err != nil {
 				b.Fatal(err)
@@ -322,7 +321,7 @@ func BenchmarkFig10LargeScale(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arlo, err := baselines.Arlo(lm, 450*time.Millisecond)
+	arlo, err := core.NewSystem(core.WithLatencyModel(lm))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -351,7 +350,7 @@ func BenchmarkFig11RuntimeSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := baselines.ArloN(lm, 450*time.Millisecond, 8)
+	s, err := core.NewSystem(core.WithLatencyModel(lm), core.WithNumRuntimes(8))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -401,9 +400,9 @@ func BenchmarkTable4Dispatchers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	systems := make([]*baselines.System, 0, 3)
+	systems := make([]*core.Arlo, 0, 3)
 	for _, policy := range []string{"RS", "ILB", "IG"} {
-		s, err := baselines.ArloWithDispatcher(lm, 450*time.Millisecond, policy)
+		s, err := core.NewSystem(core.WithLatencyModel(lm), core.WithDispatchPolicy(policy))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -502,7 +501,7 @@ func BenchmarkAblationStaircaseStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, n := range []int{4, 8, 16} {
-		s, err := baselines.ArloN(lm, 450*time.Millisecond, n)
+		s, err := core.NewSystem(core.WithLatencyModel(lm), core.WithNumRuntimes(n))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"log"
 	"time"
 
-	"arlo/internal/baselines"
 	"arlo/internal/core"
 	"arlo/internal/sim"
 	"arlo/internal/trace"
@@ -41,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("allocation for 10 GPUs: %v (instances per runtime)\n", alloc.N)
+	fmt.Printf("allocation for 10 GPUs: %v (instances per runtime)\n", alloc)
 
 	// 4. Simulate Arlo end to end.
 	res, err := a.Simulate(tr, 10)
@@ -51,7 +50,7 @@ func main() {
 	fmt.Printf("Arlo: %v\n", res.Summary)
 
 	// 5. Compare with the uniform zero-padding baseline (ST).
-	stSys, err := baselines.ST(a.Model, a.SLO())
+	stSys, err := core.ST(a.Model, a.SLO())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,6 @@ package allocator
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"arlo/internal/profiler"
 )
@@ -44,15 +43,6 @@ type Allocation struct {
 	// because the cluster is too small to satisfy them (demand is then
 	// absorbed through demotion and the last runtime).
 	Relaxed bool
-}
-
-// PredictedMean returns the objective converted to a per-request mean
-// latency given the total demand the allocation was computed for.
-func (a *Allocation) PredictedMean(totalDemand float64) time.Duration {
-	if totalDemand <= 0 {
-		return 0
-	}
-	return time.Duration(a.Cost / totalDemand * float64(time.Second))
 }
 
 // Solver computes optimal allocations for one profiled model.

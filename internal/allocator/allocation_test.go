@@ -96,12 +96,6 @@ func TestAllocateBasicInvariants(t *testing.T) {
 	if math.Abs(obj-a.Cost) > 1e-9 {
 		t.Errorf("solver cost %v != evaluated %v", a.Cost, obj)
 	}
-	if a.PredictedMean(sumFloats(q)) <= 0 {
-		t.Error("predicted mean should be positive")
-	}
-	if a.PredictedMean(0) != 0 {
-		t.Error("zero demand should predict zero mean")
-	}
 }
 
 func sumFloats(q []float64) float64 {

@@ -32,7 +32,6 @@ import (
 	"arlo/internal/dispatch"
 	"arlo/internal/obs"
 	"arlo/internal/profiler"
-	"arlo/internal/queue"
 	"arlo/internal/tenant"
 	"arlo/internal/trace"
 )
@@ -65,7 +64,7 @@ type Config struct {
 	Profile    *profiler.Profile
 	Allocation []int
 	// Dispatcher defaults to the paper's Request Scheduler.
-	Dispatcher func(ml *queue.MultiLevel) (dispatch.Dispatcher, error)
+	Dispatcher dispatch.Factory
 	// Trace is the load; required. Arrival offsets are modeled time.
 	Trace *trace.Trace
 	// Events is the fault schedule, in modeled time.
@@ -292,9 +291,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	disp := cfg.Dispatcher
 	if disp == nil {
-		disp = func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
-			return dispatch.NewRequestScheduler(ml)
-		}
+		disp = dispatch.Policy("RS")
 	}
 	maxNew := cfg.MaxNewTokens
 	if maxNew < 1 {

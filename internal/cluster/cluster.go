@@ -67,7 +67,7 @@ type Config struct {
 	// InitialAllocation gives per-runtime instance counts.
 	InitialAllocation []int
 	// Dispatcher builds the dispatch policy over the cluster's queue.
-	Dispatcher func(ml *queue.MultiLevel) (dispatch.Dispatcher, error)
+	Dispatcher dispatch.Factory
 	// TimeScale compresses emulated compute time: wall time = modeled
 	// latency * TimeScale. 0 defaults to 1 (real time).
 	TimeScale float64

@@ -155,6 +155,12 @@ func TestQueueingAccumulates(t *testing.T) {
 	}
 }
 
+// TestDispatchSpreadsAcrossWorkers submits a burst of eight requests to
+// four workers of one runtime. Dispatch is eager, so each submit sees the
+// counts the earlier ones left and the burst lands two per instance —
+// whatever the host's timing, as long as none completes while the burst
+// is still being placed (TimeScale 10 makes one execution ~50 ms against
+// microseconds of placing).
 func TestDispatchSpreadsAcrossWorkers(t *testing.T) {
 	p := testProfile(t, []int{512})
 	c, err := New(Config{
@@ -162,31 +168,36 @@ func TestDispatchSpreadsAcrossWorkers(t *testing.T) {
 		InitialAllocation: []int{4},
 		Dispatcher:        rsFactory,
 		Overhead:          -1,
+		TimeScale:         10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const n = 8
-	var wg sync.WaitGroup
-	latencies := make([]time.Duration, n)
-	for i := 0; i < n; i++ {
-		ch, err := submitAsync(c, 100)
+	ctx, rec := context.Background(), c.obsRec.Load()
+	jobs := make([]*job, 8)
+	for i := range jobs {
+		if jobs[i], err = c.lease(ctx, rec, Request{Length: 100}); err == nil {
+			err = c.submit(ctx, jobs[i], rec)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			latencies[i] = <-ch
-		}(i)
 	}
-	wg.Wait()
-	// 8 requests over 4 workers: max should be ~2 executions, not 8.
-	exec := p.Runtimes[0].Latency
-	for _, lat := range latencies {
-		if lat > 4*exec {
-			t.Errorf("latency %v suggests no load balancing (exec %v)", lat, exec)
+	perInstance := map[int]int{}
+	for _, j := range jobs {
+		var res Result
+		if err := c.await(ctx, j, rec, &res); err != nil {
+			t.Fatal(err)
+		}
+		perInstance[res.Span.Instance]++
+	}
+	if len(perInstance) != 4 {
+		t.Errorf("burst landed on %d instances, want 4: %v", len(perInstance), perInstance)
+	}
+	for id, n := range perInstance {
+		if n != 2 {
+			t.Errorf("instance %d served %d of the burst, want 2: %v", id, n, perInstance)
 		}
 	}
 }

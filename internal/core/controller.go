@@ -10,30 +10,21 @@ import (
 
 // NewController wires the closed control loop (internal/controller) to a
 // running cluster: periodic replanning of the GPU split from the observed
-// length distribution, plus target-tracking autoscaling when a Scaler is
-// configured via WithController. The loop reads its demand and latency
-// signals from the cluster's observability recorder; one is created and
-// installed when the cluster runs without observability.
+// length distribution, plus target-tracking autoscaling when opts carries
+// a Scaler. The loop reads its demand and latency signals from the
+// cluster's observability recorder; one is created and installed when the
+// cluster runs without observability. A zero opts.Period inherits the
+// system's AllocPeriod.
 //
 // The controller is returned stopped: call Start for the wall-clock
 // ticker loop, or drive Step/Autoscale directly with explicit timestamps
 // (the deterministic path the convergence tests use).
-//
-// Options come from WithController at system construction; an explicit
-// override argument replaces them wholesale for this one loop (useful
-// when the options depend on values only known post-construction, like a
-// scaler built from the resolved SLO). Either way a zero Period inherits
-// the system's AllocPeriod.
-func (a *Arlo) NewController(cl *cluster.Cluster, override ...controller.Options) (*controller.Controller, error) {
+func (a *Arlo) NewController(cl *cluster.Cluster, opts controller.Options) (*controller.Controller, error) {
 	if cl == nil {
 		return nil, fmt.Errorf("core: nil cluster")
 	}
-	opts := a.ctrlOpts
-	if len(override) > 0 {
-		opts = override[0]
-	}
 	if opts.Period <= 0 {
-		opts.Period = a.allocPeriod
+		opts.Period = a.opts.AllocPeriod
 	}
 	rec := cl.Observer()
 	if rec == nil {

@@ -19,7 +19,7 @@ func TestNewControllerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.NewController(nil); err == nil {
+	if _, err := a.NewController(nil, controller.Options{}); err == nil {
 		t.Error("nil cluster should fail")
 	}
 }
@@ -37,7 +37,7 @@ func TestNewControllerInstallsRecorderAndPeriod(t *testing.T) {
 	if cl.Observer() != nil {
 		t.Fatal("cluster unexpectedly starts with an observer")
 	}
-	ctrl, err := a.NewController(cl)
+	ctrl, err := a.NewController(cl, controller.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestNewControllerInstallsRecorderAndPeriod(t *testing.T) {
 func TestControllerReallocatesTowardDemand(t *testing.T) {
 	// Hysteresis off: the even split satisfies the light synthetic demand,
 	// so with the default margin the controller would (correctly) hold it.
-	a, err := NewSystem(WithController(controller.Options{Hysteresis: -1}))
+	a, err := NewSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestControllerReallocatesTowardDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ctrl, err := a.NewController(cl)
+	ctrl, err := a.NewController(cl, controller.Options{Hysteresis: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestControllerAutoScalesOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewSystem(WithSLO(150*time.Millisecond), WithController(controller.Options{Scaler: scaler}))
+	a, err := NewSystem(WithSLO(150 * time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestControllerAutoScalesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ctrl, err := a.NewController(cl)
+	ctrl, err := a.NewController(cl, controller.Options{Scaler: scaler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestControllerStopIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ctrl, err := a.NewController(cl)
+	ctrl, err := a.NewController(cl, controller.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

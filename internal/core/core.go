@@ -1,8 +1,13 @@
-// Package core is the top-level entry point of the Arlo reproduction: it
-// wires the calibrated latency model, the offline profiler, the Runtime
-// Scheduler (allocation, replacement, auto-scaling) and the Request
-// Scheduler (multi-level-queue dispatch) into one system that can be
-// simulated (discrete events) or run in real time (emulated cluster).
+// Package core is the top-level entry point of the Arlo reproduction. It
+// holds the one description of a serving scheme — System: a runtime
+// profile, a dispatch policy, an allocation policy and an initial
+// allocation, which SimConfig turns into a simulation — with the paper's
+// three baselines (ST, DT, INFaaS) as constructors of it, and Arlo, which
+// embeds its System and wires the calibrated latency model, the offline
+// profiler, the Runtime Scheduler (allocation, replacement, auto-scaling)
+// and the Request Scheduler (multi-level-queue dispatch) into one system
+// that can be simulated (discrete events) or run in real time (emulated
+// cluster, control loop).
 //
 // Typical use:
 //
@@ -13,12 +18,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"arlo/internal/allocator"
 	"arlo/internal/cluster"
-	"arlo/internal/controller"
 	"arlo/internal/dispatch"
 	"arlo/internal/model"
 	"arlo/internal/profiler"
@@ -73,62 +78,45 @@ type Options struct {
 	// built by NewCluster: token-bucket admission plus weighted fair
 	// dispatch across the given tenant records.
 	Tenants []tenant.Config
-	// Controller tunes control loops built by NewController (period,
-	// scaler, hysteresis, replacement budget, dry-run). A zero Period
-	// inherits AllocPeriod.
-	Controller controller.Options
 }
 
-// Arlo is a configured system.
+// defaultAllocPeriod is the paper's Runtime Scheduler period.
+const defaultAllocPeriod = 120 * time.Second
+
+// Arlo is a configured system: the Arlo scheme (polymorphing with the
+// Runtime Scheduler's exact allocation and the Request Scheduler's
+// multi-level-queue dispatch) plus what running it for real needs.
 type Arlo struct {
+	System
 	// Model is the calibrated latency model.
 	Model *model.LatencyModel
-	// Profile is the offline runtime profile.
-	Profile *profiler.Profile
 	// Solver is the Runtime Scheduler's allocation solver.
 	Solver *allocator.Solver
 
-	lambda      float64
-	alpha       float64
-	maxPeek     int
-	allocPeriod time.Duration
-	policy      string
-	batchSize   int
-	batchDelay  time.Duration
-	continuous  bool
-	meanOut     float64
-	tenants     []tenant.Config
-	ctrlOpts    controller.Options
+	opts Options // as given, with every default resolved
 }
 
 func build(opts Options) (*Arlo, error) {
 	lm := opts.LatencyModel
 	if lm == nil {
-		name := opts.Model
-		if name == "" {
-			name = model.BertBaseArch.Name
-		}
-		lm = model.ByName(name)
+		opts.Model = cmp.Or(opts.Model, model.BertBaseArch.Name)
+		lm = model.ByName(opts.Model)
 		if lm == nil {
-			return nil, fmt.Errorf("core: unknown model %q", name)
+			return nil, fmt.Errorf("core: unknown model %q", opts.Model)
 		}
 	}
-	slo := opts.SLO
-	if slo == 0 {
+	if opts.SLO == 0 {
 		preset, ok := model.SLO(lm.Arch())
 		if !ok {
 			return nil, fmt.Errorf("core: model %q has no preset SLO; set Options.SLO", lm.Arch().Name)
 		}
-		slo = preset
+		opts.SLO = preset
 	}
-	numRt := opts.NumRuntimes
-	if numRt == 0 {
-		numRt = lm.Arch().NumRuntimes()
+	opts.NumRuntimes = cmp.Or(opts.NumRuntimes, lm.Arch().NumRuntimes())
+	if opts.NumRuntimes <= 0 || lm.Arch().MaxLength%opts.NumRuntimes != 0 {
+		return nil, fmt.Errorf("core: %d runtimes must evenly divide max length %d", opts.NumRuntimes, lm.Arch().MaxLength)
 	}
-	if numRt <= 0 || lm.Arch().MaxLength%numRt != 0 {
-		return nil, fmt.Errorf("core: %d runtimes must evenly divide max length %d", numRt, lm.Arch().MaxLength)
-	}
-	p, err := profiler.StaticProfile(lm, lm.Arch().RuntimeLengthsN(numRt), slo)
+	p, err := profiler.StaticProfile(lm, lm.Arch().RuntimeLengthsN(opts.NumRuntimes), opts.SLO)
 	if err != nil {
 		return nil, err
 	}
@@ -136,131 +124,62 @@ func build(opts Options) (*Arlo, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Arlo{
-		Model:       lm,
-		Profile:     p,
-		Solver:      solver,
-		lambda:      defaultFloat(opts.Lambda, 0.85),
-		alpha:       defaultFloat(opts.Alpha, 0.9),
-		maxPeek:     defaultInt(opts.MaxPeek, 6),
-		allocPeriod: defaultDur(opts.AllocPeriod, 120*time.Second),
-		policy:      opts.DispatchPolicy,
-		batchSize:   opts.BatchSize,
-		batchDelay:  opts.BatchDelay,
-		continuous:  opts.Continuous,
-		meanOut:     opts.MeanOutTokens,
-		tenants:     opts.Tenants,
-		ctrlOpts:    opts.Controller,
+	opts.Lambda = cmp.Or(opts.Lambda, 0.85)
+	opts.Alpha = cmp.Or(opts.Alpha, 0.9)
+	opts.MaxPeek = cmp.Or(opts.MaxPeek, 6)
+	opts.AllocPeriod = cmp.Or(opts.AllocPeriod, defaultAllocPeriod)
+	opts.DispatchPolicy = cmp.Or(opts.DispatchPolicy, "RS")
+	factory := dispatch.Policy(opts.DispatchPolicy)
+	if opts.DispatchPolicy == "RS" {
+		factory = dispatch.SchedulerParams(opts.Lambda, opts.Alpha, opts.MaxPeek)
 	}
-	if a.policy == "" {
-		a.policy = "RS"
+	allocate := func(g int, q []float64) ([]int, error) {
+		al, err := solver.Allocate(g, q)
+		if err != nil {
+			return nil, err
+		}
+		return al.N, nil
 	}
 	// Validate dispatch policy and parameters eagerly.
 	ml, err := queue.NewMultiLevel(p.MaxLengths())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := a.DispatcherFactory()(ml); err != nil {
+	if _, err := factory(ml); err != nil {
 		return nil, err
 	}
-	return a, nil
-}
-
-func defaultFloat(v, d float64) float64 {
-	if v == 0 {
-		return d
-	}
-	return v
-}
-
-func defaultInt(v, d int) int {
-	if v == 0 {
-		return d
-	}
-	return v
-}
-
-func defaultDur(v, d time.Duration) time.Duration {
-	if v == 0 {
-		return d
-	}
-	return v
+	return &Arlo{
+		System: System{Name: "Arlo", Profile: p, Dispatcher: factory, Allocate: allocate, Initial: allocate},
+		Model:  lm,
+		Solver: solver,
+		opts:   opts,
+	}, nil
 }
 
 // SLO returns the configured service level objective.
 func (a *Arlo) SLO() time.Duration { return a.Profile.SLO }
 
-// DispatcherFactory returns the configured dispatch-policy factory: the
-// Request Scheduler with this system's Algorithm 1 parameters by default,
-// or the named baseline policy.
-func (a *Arlo) DispatcherFactory() sim.DispatcherFactory {
-	if a.policy != "" && a.policy != "RS" {
-		policy := a.policy
-		return func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
-			return dispatch.New(policy, ml)
-		}
-	}
-	return func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
-		return dispatch.NewRequestSchedulerParams(ml, a.lambda, a.alpha, a.maxPeek)
-	}
-}
-
-// DispatchPolicy returns the configured dispatch policy name.
-func (a *Arlo) DispatchPolicy() string { return a.policy }
-
-// AllocatorFunc returns the Runtime Scheduler policy as a simulator hook.
-func (a *Arlo) AllocatorFunc() sim.AllocatorFunc {
-	return func(g int, q []float64) ([]int, error) {
-		al, err := a.Solver.Allocate(g, q)
-		if err != nil {
-			return nil, err
-		}
-		return al.N, nil
-	}
-}
-
-// Demand estimates per-runtime demand (requests per SLO window per length
-// bin) from a trace — the Q_i input of the allocation program.
-func (a *Arlo) Demand(tr *trace.Trace) []float64 {
-	return tr.BinDemand(a.Profile.MaxLengths(), a.Profile.SLO)
-}
-
-// Allocate solves the Runtime Scheduler program for g GPUs and demand q.
-func (a *Arlo) Allocate(g int, q []float64) (*allocator.Allocation, error) {
-	return a.Solver.Allocate(g, q)
-}
-
-// SimConfig builds a simulator configuration for a trace on g GPUs: the
-// initial allocation is solved from the first two minutes of the trace
-// (standing in for history) and reallocation runs every AllocPeriod.
-func (a *Arlo) SimConfig(tr *trace.Trace, g int) (sim.Config, error) {
-	if tr == nil {
-		return sim.Config{}, fmt.Errorf("core: nil trace")
-	}
-	warm := tr
-	if a.allocPeriod < tr.Duration {
-		warm = tr.Clip(0, a.allocPeriod)
-	}
-	initial, err := a.Solver.Allocate(g, a.Demand(warm))
+// simConfig is the scheme's SimConfig with this system's own period — the
+// initial allocation is solved from the first AllocPeriod of the trace
+// (standing in for history) and reallocation runs every AllocPeriod — and
+// batch size.
+func (a *Arlo) simConfig(tr *trace.Trace, g int) (sim.Config, error) {
+	cfg, err := a.SimConfig(tr, g, a.opts.AllocPeriod)
 	if err != nil {
 		return sim.Config{}, err
 	}
-	return sim.Config{
-		Profile:           a.Profile,
-		Trace:             tr,
-		InitialAllocation: initial.N,
-		Dispatcher:        a.DispatcherFactory(),
-		Allocate:          a.AllocatorFunc(),
-		AllocPeriod:       a.allocPeriod,
-		ReplacementTime:   time.Second,
-		MaxBatch:          a.batchSize,
-	}, nil
+	cfg.AllocPeriod = a.opts.AllocPeriod
+	cfg.MaxBatch = a.opts.BatchSize
+	return cfg, nil
 }
 
 // Simulate runs the discrete-event simulation of this system on a trace
-// with a fixed pool of g GPUs.
+// with a fixed pool of g GPUs. The simulator models what the paper's
+// figures and the ablations need — batch-1 or MaxBatch execution, periodic
+// reallocation, autoscaling, failures, late binding; continuous batching,
+// tenants and SLO classes exist only in the live cluster (NewCluster).
 func (a *Arlo) Simulate(tr *trace.Trace, g int) (*sim.Result, error) {
-	cfg, err := a.SimConfig(tr, g)
+	cfg, err := a.simConfig(tr, g)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +189,7 @@ func (a *Arlo) Simulate(tr *trace.Trace, g int) (*sim.Result, error) {
 // SimulateAutoScaled runs the simulation starting from g GPUs with the
 // target-tracking auto-scaler enabled (section 4).
 func (a *Arlo) SimulateAutoScaled(tr *trace.Trace, g int) (*sim.Result, error) {
-	cfg, err := a.SimConfig(tr, g)
+	cfg, err := a.simConfig(tr, g)
 	if err != nil {
 		return nil, err
 	}
@@ -291,18 +210,14 @@ func (a *Arlo) NewCluster(g int, q []float64) (*cluster.Cluster, error) {
 	if q == nil {
 		initial, err = allocator.EvenAllocation(g, len(a.Profile.Runtimes))
 	} else {
-		var al *allocator.Allocation
-		al, err = a.Solver.Allocate(g, q)
-		if al != nil {
-			initial = al.N
-		}
+		initial, err = a.Initial(g, q)
 	}
 	if err != nil {
 		return nil, err
 	}
 	var reg *tenant.Registry
-	if len(a.tenants) > 0 {
-		reg, err = tenant.NewRegistry(a.tenants...)
+	if len(a.opts.Tenants) > 0 {
+		reg, err = tenant.NewRegistry(a.opts.Tenants...)
 		if err != nil {
 			return nil, err
 		}
@@ -310,11 +225,11 @@ func (a *Arlo) NewCluster(g int, q []float64) (*cluster.Cluster, error) {
 	return cluster.New(cluster.Config{
 		Profile:           a.Profile,
 		InitialAllocation: initial,
-		Dispatcher:        a.DispatcherFactory(),
-		MaxBatch:          a.batchSize,
-		BatchDelay:        a.batchDelay,
-		Continuous:        a.continuous,
-		MeanOutTokens:     a.meanOut,
+		Dispatcher:        a.Dispatcher,
+		MaxBatch:          a.opts.BatchSize,
+		BatchDelay:        a.opts.BatchDelay,
+		Continuous:        a.opts.Continuous,
+		MeanOutTokens:     a.opts.MeanOutTokens,
 		Tenants:           reg,
 	})
 }

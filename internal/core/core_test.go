@@ -87,7 +87,7 @@ func TestDemandAndAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0
-	for _, n := range al.N {
+	for _, n := range al {
 		sum += n
 	}
 	if sum != 10 {

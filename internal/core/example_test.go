@@ -38,11 +38,11 @@ func ExampleArlo_Allocate() {
 		log.Fatal(err)
 	}
 	total := 0
-	for _, n := range alloc.N {
+	for _, n := range alloc {
 		total += n
 	}
 	fmt.Println("GPUs used:", total)
-	fmt.Println("largest runtime instances:", alloc.N[len(alloc.N)-1])
+	fmt.Println("largest runtime instances:", alloc[len(alloc)-1])
 	// Output:
 	// GPUs used: 10
 	// largest runtime instances: 1

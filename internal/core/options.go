@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"arlo/internal/controller"
 	"arlo/internal/model"
 	"arlo/internal/tenant"
 )
@@ -95,15 +94,6 @@ func WithContinuousBatching(maxSize int, meanOutTokens float64) Option {
 // (unlimited, standard class, weight 1) is added when none is given.
 func WithTenants(cfgs ...tenant.Config) Option {
 	return func(o *Options) { o.Tenants = append([]tenant.Config(nil), cfgs...) }
-}
-
-// WithController tunes control loops built by Arlo.NewController: the
-// replanning period (0 inherits the system's AllocPeriod), the autoscaler,
-// the hysteresis margin, the per-period replacement budget, and dry-run
-// mode. The option only configures; the loop is created per cluster with
-// NewController.
-func WithController(opts controller.Options) Option {
-	return func(o *Options) { o.Controller = opts }
 }
 
 // NewSystem builds an Arlo system from functional options:

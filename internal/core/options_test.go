@@ -20,8 +20,8 @@ func TestNewSystemDefaults(t *testing.T) {
 	if a.SLO() != 150*time.Millisecond {
 		t.Errorf("default SLO = %v, want 150ms", a.SLO())
 	}
-	if a.DispatchPolicy() != "RS" {
-		t.Errorf("default policy = %q, want RS", a.DispatchPolicy())
+	if a.opts.DispatchPolicy != "RS" {
+		t.Errorf("default policy = %q, want RS", a.opts.DispatchPolicy)
 	}
 }
 
@@ -41,11 +41,11 @@ func TestNewSystemOptions(t *testing.T) {
 	if a.SLO() != 450*time.Millisecond {
 		t.Errorf("SLO = %v", a.SLO())
 	}
-	if a.lambda != 0.7 || a.alpha != 0.8 || a.maxPeek != 4 {
-		t.Errorf("scheduler params = (%v, %v, %d)", a.lambda, a.alpha, a.maxPeek)
+	if a.opts.Lambda != 0.7 || a.opts.Alpha != 0.8 || a.opts.MaxPeek != 4 {
+		t.Errorf("scheduler params = (%v, %v, %d)", a.opts.Lambda, a.opts.Alpha, a.opts.MaxPeek)
 	}
-	if a.allocPeriod != 60*time.Second {
-		t.Errorf("alloc period = %v", a.allocPeriod)
+	if a.opts.AllocPeriod != 60*time.Second {
+		t.Errorf("alloc period = %v", a.opts.AllocPeriod)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestNewSystemDispatchPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := a.DispatcherFactory()(ml)
+	d, err := a.Dispatcher(ml)
 	if err != nil {
 		t.Fatal(err)
 	}

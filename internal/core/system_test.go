@@ -1,4 +1,4 @@
-package baselines
+package core
 
 import (
 	"testing"
@@ -22,13 +22,6 @@ func stableTrace(t testing.TB, rate float64, d time.Duration) *trace.Trace {
 
 func TestSystemConstruction(t *testing.T) {
 	lm := model.BertBase()
-	arlo, err := Arlo(lm, slo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arlo.Profile.Runtimes) != 8 {
-		t.Errorf("Arlo should deploy 8 runtimes, got %d", len(arlo.Profile.Runtimes))
-	}
 	st, err := ST(lm, slo)
 	if err != nil {
 		t.Fatal(err)
@@ -53,9 +46,6 @@ func TestSystemConstruction(t *testing.T) {
 }
 
 func TestConstructionErrors(t *testing.T) {
-	if _, err := Arlo(nil, slo); err == nil {
-		t.Error("nil model should fail")
-	}
 	if _, err := ST(nil, slo); err == nil {
 		t.Error("nil model should fail for ST")
 	}
@@ -65,25 +55,22 @@ func TestConstructionErrors(t *testing.T) {
 	if _, err := INFaaS(nil, slo); err == nil {
 		t.Error("nil model should fail for INFaaS")
 	}
-	if _, err := ArloN(model.BertBase(), slo, 7); err == nil {
-		t.Error("non-divisor runtime count should fail")
-	}
 }
 
 func TestArloNSweep(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 16} {
-		s, err := ArloN(model.BertBase(), slo, n)
+		s, err := NewSystem(WithNumRuntimes(n))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(s.Profile.Runtimes) != n {
-			t.Errorf("ArloN(%d) deployed %d runtimes", n, len(s.Profile.Runtimes))
+			t.Errorf("WithNumRuntimes(%d) deployed %d runtimes", n, len(s.Profile.Runtimes))
 		}
 	}
 }
 
 func TestSimConfigValidation(t *testing.T) {
-	s, err := Arlo(model.BertBase(), slo)
+	s, err := INFaaS(model.BertBase(), slo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +87,7 @@ func TestAllFourSystemsRunEndToEnd(t *testing.T) {
 	lm := model.BertBase()
 	tr := stableTrace(t, 400, 10*time.Second)
 	systems := make([]*System, 0, 4)
-	arlo, err := Arlo(lm, slo)
+	arlo, err := NewSystem(WithLatencyModel(lm), WithSLO(slo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +103,7 @@ func TestAllFourSystemsRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	systems = append(systems, arlo, st, dt, inf)
+	systems = append(systems, &arlo.System, st, dt, inf)
 
 	results := map[string]*sim.Result{}
 	for _, s := range systems {
@@ -150,31 +137,5 @@ func TestAllFourSystemsRunEndToEnd(t *testing.T) {
 	if results["Arlo"].Summary.Mean > results["INFaaS"].Summary.Mean {
 		t.Errorf("Arlo mean %v should not lose to INFaaS mean %v",
 			results["Arlo"].Summary.Mean, results["INFaaS"].Summary.Mean)
-	}
-}
-
-func TestArloWithDispatcherAblation(t *testing.T) {
-	lm := model.BertBase()
-	for _, policy := range []string{"RS", "ILB", "IG"} {
-		s, err := ArloWithDispatcher(lm, slo, policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Name != "Arlo/"+policy {
-			t.Errorf("name = %q", s.Name)
-		}
-	}
-	if _, err := ArloWithDispatcher(lm, slo, "bogus"); err == nil {
-		// Construction defers dispatcher instantiation; the error should
-		// surface when the sim config is built and run.
-		s, _ := ArloWithDispatcher(lm, slo, "bogus")
-		tr := stableTrace(t, 50, 2*time.Second)
-		cfg, err := s.SimConfig(tr, 4, 0)
-		if err != nil {
-			return // also acceptable: failure at config time
-		}
-		if _, err := sim.Run(cfg); err == nil {
-			t.Error("bogus dispatch policy should fail somewhere")
-		}
 	}
 }

@@ -406,6 +406,25 @@ func (d *BinPacking) DispatchCtx(_ context.Context, length int) (*queue.Instance
 	return chosen, dec, nil
 }
 
+// Factory builds a dispatch policy over the multi-level queue its caller
+// owns. The simulator, the live cluster and the chaos harness each take
+// one, so a scheme names its policy once and every executor builds it over
+// its own queue.
+type Factory func(ml *queue.MultiLevel) (Dispatcher, error)
+
+// Policy returns the Factory of the named policy; the names are New's.
+func Policy(name string) Factory {
+	return func(ml *queue.MultiLevel) (Dispatcher, error) { return New(name, ml) }
+}
+
+// SchedulerParams returns the Factory of the Request Scheduler with
+// explicit Algorithm 1 parameters.
+func SchedulerParams(lambda, alpha float64, maxPeek int) Factory {
+	return func(ml *queue.MultiLevel) (Dispatcher, error) {
+		return NewRequestSchedulerParams(ml, lambda, alpha, maxPeek)
+	}
+}
+
 // New returns the named dispatcher over the multi-level queue: "RS",
 // "ILB", "IG", "LL", or "INFaaS".
 func New(name string, ml *queue.MultiLevel) (Dispatcher, error) {

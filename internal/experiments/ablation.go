@@ -5,7 +5,7 @@ import (
 	"io"
 	"time"
 
-	"arlo/internal/baselines"
+	"arlo/internal/core"
 	"arlo/internal/model"
 	"arlo/internal/sim"
 	"arlo/internal/trace"
@@ -40,7 +40,7 @@ func AblationFailures(w io.Writer, opt Options) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "policy\tmean(ms)\tp98(ms)\tSLO-viol%\tfailures")
 	for _, policy := range []string{"RS", "ILB", "IG"} {
-		s, err := baselines.ArloWithDispatcher(lm, slo, policy)
+		s, err := arloFor(lm, slo, core.WithDispatchPolicy(policy))
 		if err != nil {
 			return err
 		}
@@ -75,7 +75,7 @@ func AblationBatch(w io.Writer, opt Options) error {
 	}
 	lm := model.BertBase()
 	slo := 150 * time.Millisecond
-	arlo, err := baselines.Arlo(lm, slo)
+	arlo, err := arloFor(lm, slo)
 	if err != nil {
 		return err
 	}
@@ -133,15 +133,15 @@ func AblationParallel(w io.Writer, opt Options) error {
 			return err
 		}
 		instances := poolGPUs / k
-		arlo, err := baselines.Arlo(lm, slo)
+		arlo, err := arloFor(lm, slo)
 		if err != nil {
 			return err
 		}
-		st, err := baselines.ST(lm, slo)
+		st, err := core.ST(lm, slo)
 		if err != nil {
 			return err
 		}
-		for _, s := range []*baselines.System{st, arlo} {
+		for _, s := range []*core.System{st, &arlo.System} {
 			cfg, err := s.SimConfig(tr, instances, 20*time.Second)
 			if err != nil {
 				return err
@@ -175,7 +175,7 @@ func AblationLateBinding(w io.Writer, opt Options) error {
 	}
 	lm := model.BertLarge()
 	slo := 450 * time.Millisecond
-	arlo, err := baselines.Arlo(lm, slo)
+	arlo, err := arloFor(lm, slo)
 	if err != nil {
 		return err
 	}

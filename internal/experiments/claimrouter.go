@@ -14,7 +14,6 @@ import (
 	"arlo/internal/model"
 	"arlo/internal/obs"
 	"arlo/internal/profiler"
-	"arlo/internal/queue"
 	"arlo/internal/router"
 	"arlo/internal/serve"
 	"arlo/internal/tokenizer"
@@ -47,9 +46,7 @@ func startRouterShard(name string, alloc []int, scale float64) (*routerShard, er
 		Profile:           p,
 		InitialAllocation: alloc,
 		TimeScale:         scale,
-		Dispatcher: func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
-			return dispatch.NewRequestScheduler(ml)
-		},
+		Dispatcher:        dispatch.Policy("RS"),
 	})
 	if err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"arlo/internal/baselines"
+	"arlo/internal/core"
 	"arlo/internal/model"
 	"arlo/internal/sim"
 	"arlo/internal/trace"
@@ -92,35 +92,40 @@ func newTab(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
+// arloFor builds the Arlo scheme for a latency model at an SLO.
+func arloFor(lm *model.LatencyModel, slo time.Duration, extra ...core.Option) (*core.Arlo, error) {
+	return core.NewSystem(append([]core.Option{core.WithLatencyModel(lm), core.WithSLO(slo)}, extra...)...)
+}
+
 // fourSystems assembles Arlo, ST, DT and INFaaS for one model, profiling
 // DT's dynamic runtime on a sample of the trace's lengths.
-func fourSystems(lm *model.LatencyModel, slo time.Duration, tr *trace.Trace) ([]*baselines.System, error) {
+func fourSystems(lm *model.LatencyModel, slo time.Duration, tr *trace.Trace) ([]*core.System, error) {
 	sample := tr.Lengths()
 	if len(sample) > 2000 {
 		sample = sample[:2000]
 	}
-	arlo, err := baselines.Arlo(lm, slo)
+	arlo, err := arloFor(lm, slo)
 	if err != nil {
 		return nil, err
 	}
-	st, err := baselines.ST(lm, slo)
+	st, err := core.ST(lm, slo)
 	if err != nil {
 		return nil, err
 	}
-	dt, err := baselines.DT(lm, sample, slo)
+	dt, err := core.DT(lm, sample, slo)
 	if err != nil {
 		return nil, err
 	}
-	infaas, err := baselines.INFaaS(lm, slo)
+	infaas, err := core.INFaaS(lm, slo)
 	if err != nil {
 		return nil, err
 	}
-	return []*baselines.System{st, dt, infaas, arlo}, nil
+	return []*core.System{st, dt, infaas, &arlo.System}, nil
 }
 
 // runComparison simulates each system on the trace with g GPUs and prints
 // mean/p50/p98/SLO rows; it returns the per-system results keyed by name.
-func runComparison(w io.Writer, systems []*baselines.System, tr *trace.Trace, g int, mutate func(*sim.Config)) (map[string]*sim.Result, error) {
+func runComparison(w io.Writer, systems []*core.System, tr *trace.Trace, g int, mutate func(*sim.Config)) (map[string]*sim.Result, error) {
 	results := make(map[string]*sim.Result, len(systems))
 	tw := newTab(w)
 	fmt.Fprintln(tw, "scheme\tmean(ms)\tp50(ms)\tp98(ms)\tSLO-viol%\trejected")

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"arlo/internal/allocator"
-	"arlo/internal/baselines"
 	"arlo/internal/core"
 	"arlo/internal/model"
 	"arlo/internal/sim"
@@ -86,7 +85,7 @@ func Fig11(w io.Writer, opt Options) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "#runtimes\tmean(ms)\tp98(ms)\tSLO-viol%")
 	for _, n := range []int{2, 4, 8, 16} {
-		s, err := baselines.ArloN(lm, slo, n)
+		s, err := arloFor(lm, slo, core.WithNumRuntimes(n))
 		if err != nil {
 			return err
 		}
@@ -141,7 +140,7 @@ func Table3(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	arlo, err := baselines.Arlo(lm, slo)
+	arlo, err := arloFor(lm, slo)
 	if err != nil {
 		return err
 	}
@@ -168,12 +167,12 @@ func Table3(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	globalQ := reference.BinDemand(arlo.Profile.MaxLengths(), slo)
+	globalQ := arlo.Demand(reference)
 	policies := []policy{
 		{
 			name: "periodic (Runtime Scheduler)",
 			initial: func() ([]int, error) {
-				return arlo.Initial(gpus, tr.Clip(0, period).BinDemand(arlo.Profile.MaxLengths(), slo))
+				return arlo.Initial(gpus, arlo.Demand(tr.Clip(0, period)))
 			},
 			alloc: arlo.Allocate,
 		},
@@ -334,7 +333,7 @@ func Table4(w io.Writer, opt Options) error {
 	fmt.Fprintln(tw, "trace\tpolicy\tmean(ms)\tp98(ms)\tSLO-viol%")
 	for _, st := range streams {
 		for _, policy := range []string{"RS", "ILB", "IG"} {
-			s, err := baselines.ArloWithDispatcher(lm, slo, policy)
+			s, err := arloFor(lm, slo, core.WithDispatchPolicy(policy))
 			if err != nil {
 				return err
 			}

@@ -337,9 +337,7 @@ func Calibration(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	factory := func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
-		return dispatch.NewRequestScheduler(ml)
-	}
+	factory := dispatch.Policy("RS")
 	replayBoth := func(clip *trace.Trace, overhead time.Duration) (proto, simr metrics.Summary, err error) {
 		// The prototype side is an event-free chaos.Run in real time on the
 		// direct entry point (even seed), reporting raw wall-clock latency.

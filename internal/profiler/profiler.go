@@ -52,9 +52,6 @@ func (r Runtime) CostOf(length int) time.Duration {
 	return r.Latency
 }
 
-// Accepts reports whether a request of the given length fits this runtime.
-func (r Runtime) Accepts(length int) bool { return length <= r.MaxLength && length > 0 }
-
 // BatchCostOf returns the computation time of executing the given requests
 // as one batch on this runtime: a static runtime pads every sequence to
 // its compiled shape, a dynamic one runs at the batch's longest sequence;
@@ -184,22 +181,6 @@ func (r Runtime) MeanLatency(b float64) time.Duration {
 	return time.Duration(atKnee + (rho-knee)*m*lat)
 }
 
-// BatchMeanLatency is MeanLatency evaluated at the batched service rate:
-// an instance executing batches of up to maxBatch serves each request in
-// L_i(maxBatch)/maxBatch on average and saturates at BatchCapacity, so
-// the same workload sits at a lower utilization on the queueing curve.
-// This is the service-rate substitution that keeps the congestion
-// estimate honest once instances batch. maxBatch <= 1 is MeanLatency.
-func (r Runtime) BatchMeanLatency(b float64, maxBatch int) time.Duration {
-	if maxBatch <= 1 {
-		return r.MeanLatency(b)
-	}
-	eff := r
-	eff.Latency = r.batchLatency(maxBatch) / time.Duration(maxBatch)
-	eff.Capacity = r.BatchCapacity(maxBatch)
-	return eff.MeanLatency(b)
-}
-
 // Profile is the full offline profile of one model: its runtimes sorted by
 // increasing MaxLength, plus the SLO they were profiled against.
 type Profile struct {
@@ -296,9 +277,6 @@ func (p *Profile) MaxLengths() []int {
 	}
 	return out
 }
-
-// Largest returns the runtime with the largest max_length.
-func (p *Profile) Largest() Runtime { return p.Runtimes[len(p.Runtimes)-1] }
 
 // IdealRuntime returns the index of the smallest runtime that accepts a
 // request of the given length — the least-padding choice. ok is false when

@@ -196,12 +196,6 @@ func TestMeanLatency(t *testing.T) {
 func TestAcceptsAndHelpers(t *testing.T) {
 	p := bertBaseProfile(t)
 	r := p.Runtimes[1] // 128
-	if !r.Accepts(128) || r.Accepts(129) || r.Accepts(0) {
-		t.Error("Accepts boundary behaviour wrong")
-	}
-	if got := p.Largest().MaxLength; got != 512 {
-		t.Errorf("largest = %d, want 512", got)
-	}
 	mls := p.MaxLengths()
 	if len(mls) != 8 || mls[0] != 64 || mls[7] != 512 {
 		t.Errorf("MaxLengths = %v", mls)
@@ -348,24 +342,5 @@ func TestBatchWithinSLO(t *testing.T) {
 	}
 	if got := bare.BatchCapacity(8); got != 10 {
 		t.Errorf("unprofiled BatchCapacity(8) = %d, want the sequential 10", got)
-	}
-}
-
-func TestBatchMeanLatency(t *testing.T) {
-	p := bertBaseProfile(t)
-	r := p.Runtimes[2]
-	if got, want := r.BatchMeanLatency(10, 1), r.MeanLatency(10); got != want {
-		t.Errorf("BatchMeanLatency(b, 1) = %v, want MeanLatency %v", got, want)
-	}
-	// At a workload that saturates the sequential curve, the batched
-	// service rate must sit lower on the queueing curve.
-	b := float64(r.Capacity)
-	if seq, batched := r.MeanLatency(b), r.BatchMeanLatency(b, 8); batched >= seq {
-		t.Errorf("batched mean %v not below sequential %v at workload %v", batched, seq, b)
-	}
-	// And it still diverges past its own (larger) saturation point.
-	heavy := 4 * float64(r.BatchCapacity(8))
-	if lat := r.BatchMeanLatency(heavy, 8); lat < p.SLO {
-		t.Errorf("BatchMeanLatency(%v, 8) = %v suspiciously low past saturation", heavy, lat)
 	}
 }

@@ -25,9 +25,6 @@ func WithShardName(name string) Option {
 	}
 }
 
-// ShardName returns the name set with WithShardName ("" when unnamed).
-func (s *Server) ShardName() string { return s.shard }
-
 // LoadSnapshot builds the shard's current load report: per-runtime queue
 // depth by length bucket, instance health counts, lifetime admission
 // counters, and utilization in thousandths. Seq increases with every

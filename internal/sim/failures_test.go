@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"arlo/internal/dispatch"
 	"arlo/internal/trace"
 )
 
@@ -149,7 +150,7 @@ func TestDemotionAbsorbsFailureBetterThanILB(t *testing.T) {
 			Profile:           p,
 			Trace:             tr,
 			InitialAllocation: []int{2, 2},
-			Dispatcher:        policyFactory(policy),
+			Dispatcher:        dispatch.Policy(policy),
 			Overhead:          -1,
 			Failures:          []Failure{{At: time.Second, Runtime: 0, Downtime: 2 * time.Second}},
 		})

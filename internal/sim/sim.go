@@ -30,10 +30,6 @@ const DefaultOverhead = 800 * time.Microsecond
 // given the observed demand q (requests per SLO window per length bin).
 type AllocatorFunc func(g int, q []float64) ([]int, error)
 
-// DispatcherFactory builds the dispatch policy over the simulator's
-// multi-level queue.
-type DispatcherFactory func(ml *queue.MultiLevel) (dispatch.Dispatcher, error)
-
 // Config describes one simulation run.
 type Config struct {
 	// Profile is the offline runtime profile (defines runtimes and SLO).
@@ -44,7 +40,7 @@ type Config struct {
 	// sum is the starting GPU count.
 	InitialAllocation []int
 	// Dispatcher builds the request-dispatch policy (required).
-	Dispatcher DispatcherFactory
+	Dispatcher dispatch.Factory
 	// Allocate is the Runtime Scheduler policy invoked every AllocPeriod;
 	// nil disables periodic reallocation (fixed deployment).
 	Allocate AllocatorFunc
@@ -64,10 +60,6 @@ type Config struct {
 	Scaler allocator.Scaler
 	// ScalePeriod is the auto-scaler observation interval.
 	ScalePeriod time.Duration
-	// Drain keeps the simulation running past the trace end until all
-	// dispatched requests complete (default true behaviour; set NoDrain
-	// to cut off at the trace end instead).
-	NoDrain bool
 	// Failures injects instance outages (see Failure).
 	Failures []Failure
 	// MaxBatch lets an idle instance execute up to this many queued
@@ -116,22 +108,6 @@ type Result struct {
 	// BufferedPeak is the largest central-buffer depth observed under
 	// late binding (0 without it).
 	BufferedPeak int
-	// PerRuntime breaks completions down by the runtime that served them.
-	PerRuntime []RuntimeStats
-}
-
-// RuntimeStats aggregates one runtime's share of the served work.
-type RuntimeStats struct {
-	// MaxLength identifies the runtime.
-	MaxLength int
-	// Completed counts requests this runtime served.
-	Completed int
-	// BusyTime is the total computation time spent on this runtime's
-	// instances (excluding queueing and overhead).
-	BusyTime time.Duration
-	// Demoted counts served requests whose ideal runtime was smaller —
-	// work the Request Scheduler demoted here.
-	Demoted int
 }
 
 // pendingRequest is one in-flight request.
@@ -244,10 +220,6 @@ func newSimulator(cfg Config) (*Simulator, error) {
 		arrivals: make([]int, len(cfg.Profile.Runtimes)),
 		overhead: overhead,
 	}
-	s.res.PerRuntime = make([]RuntimeStats, len(cfg.Profile.Runtimes))
-	for i, rt := range cfg.Profile.Runtimes {
-		s.res.PerRuntime[i].MaxLength = rt.MaxLength
-	}
 	for rtIdx, n := range cfg.InitialAllocation {
 		for k := 0; k < n; k++ {
 			if err := s.addInstance(rtIdx); err != nil {
@@ -276,9 +248,6 @@ func (s *Simulator) run() (*Result, error) {
 	end := s.cfg.Trace.Duration
 	for !s.tl.empty() {
 		e := s.tl.pop()
-		if s.cfg.NoDrain && e.at > end {
-			break
-		}
 		s.now = e.at
 		switch e.kind {
 		case evArrival:
@@ -441,18 +410,10 @@ func (s *Simulator) onCompletion(si *simInstance, lead *pendingRequest) {
 	}
 	batch := si.executing
 	si.executing = nil
-	rtIdx := si.sched.Runtime
-	rt := s.cfg.Profile.Runtimes[rtIdx]
-	rs := &s.res.PerRuntime[rtIdx]
 	for _, req := range batch {
 		lat := s.now - req.arrival + s.overhead
 		s.res.Latency.Record(lat)
 		s.res.Completed++
-		rs.Completed++
-		rs.BusyTime += rt.CostOf(req.length)
-		if ideal, ok := s.cfg.Profile.IdealRuntime(req.length); ok && ideal < rtIdx {
-			rs.Demoted++
-		}
 		if s.cfg.Scaler != nil {
 			s.recent = append(s.recent, timedLatency{at: s.now, lat: lat})
 		}

@@ -359,97 +359,6 @@ func TestRequestsWaitAcrossFullReplacement(t *testing.T) {
 	}
 }
 
-func TestNoDrainCutsOffAtTraceEnd(t *testing.T) {
-	p := bertProfile(t, []int{512})
-	// 100 simultaneous requests on one instance: most cannot finish
-	// within the 10ms trace.
-	var reqs []trace.Request
-	for i := 0; i < 100; i++ {
-		reqs = append(reqs, trace.Request{ID: int64(i), At: 0, Length: 10})
-	}
-	tr := manualTrace(10*time.Millisecond, reqs...)
-	cfg := Config{Profile: p, Trace: tr, InitialAllocation: []int{1}, Dispatcher: rsFactory}
-	drained, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NoDrain = true
-	cut, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if drained.Completed != 100 {
-		t.Errorf("drained run completed %d, want all 100", drained.Completed)
-	}
-	if cut.Completed >= drained.Completed {
-		t.Errorf("NoDrain should cut off completions: %d vs %d", cut.Completed, drained.Completed)
-	}
-}
-
-// policyFactory builds a named dispatch policy factory for tests.
-func policyFactory(name string) DispatcherFactory {
-	return func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
-		return dispatch.New(name, ml)
-	}
-}
-
-func TestPerRuntimeStats(t *testing.T) {
-	p := bertProfile(t, []int{64, 512})
-	tr := manualTrace(time.Second,
-		trace.Request{ID: 0, At: 0, Length: 20},
-		trace.Request{ID: 1, At: 0, Length: 400},
-		trace.Request{ID: 2, At: 0, Length: 30},
-	)
-	res, err := Run(Config{
-		Profile: p, Trace: tr, InitialAllocation: []int{1, 1},
-		Dispatcher: rsFactory, Overhead: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerRuntime) != 2 {
-		t.Fatalf("per-runtime stats = %d entries, want 2", len(res.PerRuntime))
-	}
-	if res.PerRuntime[0].MaxLength != 64 || res.PerRuntime[1].MaxLength != 512 {
-		t.Errorf("max lengths = %d/%d", res.PerRuntime[0].MaxLength, res.PerRuntime[1].MaxLength)
-	}
-	if res.PerRuntime[0].Completed != 2 || res.PerRuntime[1].Completed != 1 {
-		t.Errorf("completed split = %d/%d, want 2/1",
-			res.PerRuntime[0].Completed, res.PerRuntime[1].Completed)
-	}
-	// Short requests on their ideal runtime are not demotions.
-	if res.PerRuntime[0].Demoted != 0 || res.PerRuntime[1].Demoted != 0 {
-		t.Errorf("unexpected demotions: %+v", res.PerRuntime)
-	}
-	wantBusy0 := 2 * p.Runtimes[0].Latency
-	if res.PerRuntime[0].BusyTime != wantBusy0 {
-		t.Errorf("runtime 0 busy = %v, want %v", res.PerRuntime[0].BusyTime, wantBusy0)
-	}
-}
-
-func TestPerRuntimeDemotionCounted(t *testing.T) {
-	p := bertProfile(t, []int{64, 512})
-	// Saturate the 64 runtime so shorts demote to the 512 instance.
-	var reqs []trace.Request
-	for i := 0; i < 400; i++ {
-		reqs = append(reqs, trace.Request{ID: int64(i), At: time.Duration(i) * 500 * time.Microsecond, Length: 20})
-	}
-	tr := manualTrace(time.Second, reqs...)
-	res, err := Run(Config{
-		Profile: p, Trace: tr, InitialAllocation: []int{1, 1},
-		Dispatcher: rsFactory, Overhead: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PerRuntime[1].Demoted == 0 {
-		t.Errorf("2k req/s of shorts on one 64-instance should demote some: %+v", res.PerRuntime)
-	}
-	if res.PerRuntime[1].Demoted != res.PerRuntime[1].Completed {
-		t.Errorf("every request served by 512 here is a demotion: %+v", res.PerRuntime[1])
-	}
-}
-
 // TestSimulatorMatchesMD1Theory validates the simulator (and the
 // profiler's L_i curve) against queueing theory: a single static runtime
 // instance under Poisson arrivals is an M/D/1 queue, whose mean sojourn

@@ -84,9 +84,6 @@ func New() *Tokenizer {
 // VocabSize returns the vocabulary size.
 func (t *Tokenizer) VocabSize() int { return len(t.ids) }
 
-// PadID returns the [PAD] id.
-func (t *Tokenizer) PadID() int { return int(t.pad) }
-
 // asciiLower maps the ASCII letters and digits — the bytes that extend a
 // word — to their lowercase and every other byte to 0: one load classifies
 // and lowercases on the fast path, which also dodges the unicode range
@@ -260,20 +257,6 @@ func (t *Tokenizer) Tokenize(text string) (toks []string) {
 		}
 	})
 	return toks
-}
-
-// Pad extends ids with [PAD] up to maxLen — what a static-shape runtime
-// requires of its inputs (section 2.2, uniform zero-padding).
-func (t *Tokenizer) Pad(ids []int, maxLen int) []int {
-	if len(ids) >= maxLen {
-		return ids
-	}
-	out := make([]int, maxLen)
-	copy(out, ids)
-	for i := len(ids); i < maxLen; i++ {
-		out[i] = int(t.pad)
-	}
-	return out
 }
 
 // Decode maps ids back to their token strings ([UNK] for out-of-range).

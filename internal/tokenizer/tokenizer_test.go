@@ -125,25 +125,6 @@ func TestSequenceLengthMatchesEncode(t *testing.T) {
 	}
 }
 
-func TestPad(t *testing.T) {
-	tok := New()
-	ids := tok.Encode("hello", 0)
-	padded := tok.Pad(ids, 16)
-	if len(padded) != 16 {
-		t.Fatalf("padded length = %d, want 16", len(padded))
-	}
-	for i := len(ids); i < 16; i++ {
-		if padded[i] != tok.PadID() {
-			t.Fatalf("position %d = %d, want PAD", i, padded[i])
-		}
-	}
-	// Already long enough: unchanged.
-	same := tok.Pad(ids, len(ids)-1)
-	if len(same) != len(ids) {
-		t.Error("over-length input should be returned unchanged")
-	}
-}
-
 func TestDecodeOutOfRange(t *testing.T) {
 	tok := New()
 	got := tok.Decode([]int{-1, 1 << 20})
@@ -190,61 +171,6 @@ func TestRoundTripKnownTokens(t *testing.T) {
 		if dec[i] != want[i] {
 			t.Fatalf("decode = %v, want %v", dec, want)
 		}
-	}
-}
-
-func TestVocabRoundTrip(t *testing.T) {
-	orig := New()
-	var buf strings.Builder
-	if err := orig.SaveVocab(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadVocab(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.VocabSize() != orig.VocabSize() {
-		t.Fatalf("vocab size %d, want %d", loaded.VocabSize(), orig.VocabSize())
-	}
-	// Identical tokenization behaviour.
-	for _, text := range []string{"the data team", "OMG!!! unaffordable things", ""} {
-		a := orig.Encode(text, 64)
-		b := loaded.Encode(text, 64)
-		if len(a) != len(b) {
-			t.Fatalf("encode length mismatch for %q", text)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("encode mismatch for %q at %d", text, i)
-			}
-		}
-	}
-}
-
-func TestLoadVocabErrors(t *testing.T) {
-	if _, err := LoadVocab(strings.NewReader("")); err == nil {
-		t.Error("empty stream should fail")
-	}
-	if _, err := LoadVocab(strings.NewReader("[PAD]\n\n[UNK]")); err == nil {
-		t.Error("blank line should fail")
-	}
-	if _, err := LoadVocab(strings.NewReader("just\nsome\ntokens")); err == nil {
-		t.Error("missing specials should fail")
-	}
-}
-
-func TestLoadVocabHandlesCRLF(t *testing.T) {
-	in := "[PAD]\r\n[UNK]\r\n[CLS]\r\n[SEP]\r\nhello\r\n"
-	tok, err := LoadVocab(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tok.VocabSize() != 5 {
-		t.Errorf("vocab size = %d, want 5", tok.VocabSize())
-	}
-	got := tok.Tokenize("hello")
-	if len(got) != 1 || got[0] != "hello" {
-		t.Errorf("tokenize = %v", got)
 	}
 }
 

@@ -123,8 +123,3 @@ func NewEmpiricalLengths(observed []int) (*EmpiricalLengths, error) {
 func (e *EmpiricalLengths) SampleLength(rng *rand.Rand, _ time.Duration) int {
 	return e.sorted[rng.Intn(len(e.sorted))]
 }
-
-// Quantile returns the nearest-rank p-quantile of the observed sample.
-func (e *EmpiricalLengths) Quantile(p float64) int {
-	return quantileInt(e.sorted, p)
-}

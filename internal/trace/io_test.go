@@ -88,12 +88,6 @@ func TestEmpiricalLengths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Quantile(0.5); got != 10 {
-		t.Errorf("median = %d, want 10", got)
-	}
-	if got := e.Quantile(1.0); got != 400 {
-		t.Errorf("max = %d, want 400", got)
-	}
 	// Sampling reproduces the empirical frequencies.
 	rng := rand.New(rand.NewSource(4))
 	count10 := 0

@@ -125,9 +125,6 @@ func TestRateLimitedResponseRoundTrip(t *testing.T) {
 	if _, err := DecodeResponse(p[:respHeaderLen+4]); !errors.Is(err, ErrShortPayload) {
 		t.Fatalf("truncated retry hint err = %v, want ErrShortPayload", err)
 	}
-	if !StatusRateLimited.Retryable() {
-		t.Fatal("StatusRateLimited must be retryable")
-	}
 	if StatusRateLimited.String() != "rate_limited" {
 		t.Fatalf("String() = %q", StatusRateLimited.String())
 	}

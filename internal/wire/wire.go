@@ -159,18 +159,6 @@ func (s Status) String() string {
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
 
-// Retryable reports whether the status is a transient condition worth
-// retrying: the ones the JSON endpoint answers 503 for, plus
-// StatusRateLimited (retry after the carried hint, the JSON 429 twin).
-func (s Status) Retryable() bool {
-	switch s {
-	case StatusCongested, StatusNoInstances, StatusUnavailable, StatusUnserviceable,
-		StatusRateLimited:
-		return true
-	}
-	return false
-}
-
 // Request is one decoded inference request.
 type Request struct {
 	// Kind is one of the four request kinds; 0 encodes as KindRequest.
