@@ -102,9 +102,9 @@ func benchComparison(b *testing.B, lm *model.LatencyModel, slo time.Duration, ra
 }
 
 // BenchmarkFig8AutoScaled measures a full auto-scaled simulation (Fig. 8
-// conditions, shortened trace).
+// conditions, shortened trace), configured the way Fig8 configures Arlo.
 func BenchmarkFig8AutoScaled(b *testing.B) {
-	a, err := core.NewSystem(core.WithModel("bert-large"), core.WithAllocPeriod(30*time.Second))
+	a, err := core.NewSystem(core.WithModel("bert-large"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,7 +114,14 @@ func BenchmarkFig8AutoScaled(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.SimulateAutoScaled(tr, 5); err != nil {
+		cfg, err := a.SimConfig(tr, 5, 30*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cfg.Scaler, err = allocator.NewAutoScaler(a.SLO()); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

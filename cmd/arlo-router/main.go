@@ -31,7 +31,7 @@ func main() {
 		wireAddr = flag.String("wire-addr", "", "binary wire-protocol listen address (empty disables)")
 		shards   = flag.String("shards", "", "comma-separated shard wire addresses, each name=host:port (name optional)")
 		policy   = flag.String("policy", "length-aware", "routing policy (length-aware, round-robin, least-loaded)")
-		refresh  = flag.Duration("snapshot-refresh", 100*time.Millisecond, "load snapshot refresh interval (0 = fetch synchronously per decision)")
+		refresh  = flag.Duration("snapshot-refresh", router.DefaultSnapshotRefresh, "load snapshot refresh interval")
 		hops     = flag.Int("hop-budget", 0, "max reroute hops per request (0 = failover default)")
 		maxLen   = flag.Int("max-len", 512, "tokenizer cap; keep equal to the shards' model max length")
 		seed     = flag.Int64("seed", 0, "power-of-two-choices sampler seed (0 = 1)")

@@ -110,7 +110,7 @@ func main() {
 				log.Fatalf("arlo-server: %v", err)
 			}
 		case "headroom":
-			opts.Scaler = allocator.NewHeadroomScaler()
+			opts.Scaler = &allocator.HeadroomScaler{}
 		case "none":
 		default:
 			log.Fatalf("arlo-server: unknown -controller-scaler %q (want target, headroom or none)", *ctrlScaler)

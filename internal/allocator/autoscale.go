@@ -32,6 +32,25 @@ func (a ScaleAction) String() string {
 	}
 }
 
+// The section 4 scaling policy's constants (the paper's and INFaaS's
+// values; nothing tunes them).
+const (
+	// scaleOutFraction and scaleInFraction are the target tracker's
+	// p98/SLO thresholds.
+	scaleOutFraction, scaleInFraction = 0.95, 0.50
+	// headroomOut and headroomIn are the headroom heuristic's utilization
+	// thresholds.
+	headroomOut, headroomIn = 0.8, 0.3
+	// scaleInPeriod is how long the signal must stay low before a worker
+	// is released.
+	scaleInPeriod = 60 * time.Second
+	// scaleOutCooldown rate-limits consecutive scale-outs so one burst
+	// does not add a worker per observation tick.
+	scaleOutCooldown = 5 * time.Second
+	// minGPUs is the pool size scale-in never goes below.
+	minGPUs = 1
+)
+
 // AutoScaler implements the paper's target-tracking scaling policy
 // (section 4): a worker is added when the p98 latency of recently executed
 // requests reaches 95% of the SLO; the least busy instance is released
@@ -41,16 +60,6 @@ func (a ScaleAction) String() string {
 type AutoScaler struct {
 	// SLO is the stream's latency objective.
 	SLO time.Duration
-	// OutFraction and InFraction are the p98/SLO thresholds (defaults
-	// 0.95 and 0.50).
-	OutFraction, InFraction float64
-	// InPeriod is the scale-in evaluation period (default 60 s).
-	InPeriod time.Duration
-	// OutCooldown rate-limits consecutive scale-outs (default 5 s) so one
-	// burst does not add a worker per observation tick.
-	OutCooldown time.Duration
-	// MinGPUs and MaxGPUs clamp the cluster size (defaults 1 and no cap).
-	MinGPUs, MaxGPUs int
 
 	lastOut     time.Duration
 	inWindowOK  bool // p98 stayed under the scale-in threshold all window
@@ -58,63 +67,12 @@ type AutoScaler struct {
 	started     bool
 }
 
-// NewAutoScaler returns an AutoScaler with the paper's defaults for the
-// given SLO.
+// NewAutoScaler returns an AutoScaler for the given SLO.
 func NewAutoScaler(slo time.Duration) (*AutoScaler, error) {
 	if slo <= 0 {
 		return nil, fmt.Errorf("allocator: autoscaler needs a positive SLO, got %v", slo)
 	}
-	return &AutoScaler{
-		SLO:         slo,
-		OutFraction: 0.95,
-		InFraction:  0.50,
-		InPeriod:    60 * time.Second,
-		OutCooldown: 5 * time.Second,
-		MinGPUs:     1,
-	}, nil
-}
-
-// Observe feeds one periodic observation: the p98 latency of recently
-// completed requests at virtual time now with the given current GPU count.
-// It returns the action to take. Callers apply the action and continue
-// observing.
-func (a *AutoScaler) Observe(now time.Duration, p98 time.Duration, gpus int) ScaleAction {
-	if !a.started {
-		a.started = true
-		a.windowStart = now
-		a.inWindowOK = true
-		a.lastOut = now - a.OutCooldown // allow an immediate first scale-out
-	}
-	outThresh := time.Duration(a.OutFraction * float64(a.SLO))
-	inThresh := time.Duration(a.InFraction * float64(a.SLO))
-
-	if p98 >= outThresh {
-		a.inWindowOK = false
-		a.windowStart = now // any pressure restarts the scale-in window
-		if now-a.lastOut >= a.OutCooldown && (a.MaxGPUs <= 0 || gpus < a.MaxGPUs) {
-			a.lastOut = now
-			return ScaleOut
-		}
-		return ScaleNone
-	}
-	if p98 >= inThresh {
-		// Comfortable but not idle: reset the scale-in window.
-		a.inWindowOK = true
-		a.windowStart = now
-		return ScaleNone
-	}
-	// Below the scale-in threshold: release a worker only after a full
-	// quiet period.
-	if !a.inWindowOK {
-		a.inWindowOK = true
-		a.windowStart = now
-		return ScaleNone
-	}
-	if now-a.windowStart >= a.InPeriod && gpus > a.MinGPUs {
-		a.windowStart = now
-		return ScaleIn
-	}
-	return ScaleNone
+	return &AutoScaler{SLO: slo}, nil
 }
 
 // Scaler abstracts the auto-scaling policy the serving loop consults:
@@ -129,43 +87,54 @@ type Scaler interface {
 	ObserveLoad(now time.Duration, p98 time.Duration, utilization float64, gpus int) ScaleAction
 }
 
-// ObserveLoad implements Scaler for the target-tracking policy: it keys
-// on the latency signal and ignores utilization.
+// ObserveLoad implements Scaler for the target-tracking policy: it keys on
+// the latency signal and ignores utilization. Callers apply the action and
+// continue observing.
 func (a *AutoScaler) ObserveLoad(now time.Duration, p98 time.Duration, _ float64, gpus int) ScaleAction {
-	return a.Observe(now, p98, gpus)
+	if !a.started {
+		a.started = true
+		a.windowStart = now
+		a.inWindowOK = true
+		a.lastOut = now - scaleOutCooldown // allow an immediate first scale-out
+	}
+	if p98 >= time.Duration(scaleOutFraction*float64(a.SLO)) {
+		a.inWindowOK = false
+		a.windowStart = now // any pressure restarts the scale-in window
+		if now-a.lastOut >= scaleOutCooldown {
+			a.lastOut = now
+			return ScaleOut
+		}
+		return ScaleNone
+	}
+	if p98 >= time.Duration(scaleInFraction*float64(a.SLO)) {
+		// Comfortable but not idle: reset the scale-in window.
+		a.inWindowOK = true
+		a.windowStart = now
+		return ScaleNone
+	}
+	// Below the scale-in threshold: release a worker only after a full
+	// quiet period.
+	if !a.inWindowOK {
+		a.inWindowOK = true
+		a.windowStart = now
+		return ScaleNone
+	}
+	if now-a.windowStart >= scaleInPeriod && gpus > minGPUs {
+		a.windowStart = now
+		return ScaleIn
+	}
+	return ScaleNone
 }
 
 // HeadroomScaler is the INFaaS-style heuristic (paper section 5,
 // "Compared schemes"): keep a utilization headroom by adding a worker
-// when cluster queue utilization exceeds OutThreshold and releasing one
-// when it stays under InThreshold for a full InPeriod. It never looks at
-// latency.
+// when cluster queue utilization reaches 0.8 and releasing one when it
+// stays under 0.3 for a full 60 s. It never looks at latency. The zero
+// value is ready to use.
 type HeadroomScaler struct {
-	// OutThreshold triggers scale-out (default 0.8).
-	OutThreshold float64
-	// InThreshold arms scale-in (default 0.3).
-	InThreshold float64
-	// InPeriod is how long utilization must stay low (default 60 s).
-	InPeriod time.Duration
-	// OutCooldown rate-limits scale-outs (default 5 s).
-	OutCooldown time.Duration
-	// MinGPUs/MaxGPUs clamp the pool (defaults 1 / unbounded).
-	MinGPUs, MaxGPUs int
-
 	started     bool
 	lastOut     time.Duration
 	windowStart time.Duration
-}
-
-// NewHeadroomScaler returns a HeadroomScaler with the defaults above.
-func NewHeadroomScaler() *HeadroomScaler {
-	return &HeadroomScaler{
-		OutThreshold: 0.8,
-		InThreshold:  0.3,
-		InPeriod:     60 * time.Second,
-		OutCooldown:  5 * time.Second,
-		MinGPUs:      1,
-	}
 }
 
 // ObserveLoad implements Scaler.
@@ -173,21 +142,21 @@ func (h *HeadroomScaler) ObserveLoad(now time.Duration, _ time.Duration, utiliza
 	if !h.started {
 		h.started = true
 		h.windowStart = now
-		h.lastOut = now - h.OutCooldown
+		h.lastOut = now - scaleOutCooldown
 	}
-	if utilization >= h.OutThreshold {
+	if utilization >= headroomOut {
 		h.windowStart = now
-		if now-h.lastOut >= h.OutCooldown && (h.MaxGPUs <= 0 || gpus < h.MaxGPUs) {
+		if now-h.lastOut >= scaleOutCooldown {
 			h.lastOut = now
 			return ScaleOut
 		}
 		return ScaleNone
 	}
-	if utilization >= h.InThreshold {
+	if utilization >= headroomIn {
 		h.windowStart = now
 		return ScaleNone
 	}
-	if now-h.windowStart >= h.InPeriod && gpus > h.MinGPUs {
+	if now-h.windowStart >= scaleInPeriod && gpus > minGPUs {
 		h.windowStart = now
 		return ScaleIn
 	}

@@ -21,7 +21,7 @@ func TestAutoScalerNoFlapWithinPeriod(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		gpus := 4
-		inThresh := time.Duration(a.InFraction * float64(a.SLO))
+		inThresh := time.Duration(scaleInFraction * float64(a.SLO))
 
 		type obs struct {
 			at  time.Duration
@@ -34,27 +34,27 @@ func TestAutoScalerNoFlapWithinPeriod(t *testing.T) {
 			// Oscillate across both thresholds: [0.3, 1.1] x SLO.
 			p98 := time.Duration((0.3 + 0.8*rng.Float64()) * float64(slo))
 			history = append(history, obs{at: now, p98: p98})
-			switch a.Observe(now, p98, gpus) {
+			switch a.ObserveLoad(now, p98, 0, gpus) {
 			case ScaleOut:
-				if lastOut > -1<<62 && now-lastOut < a.OutCooldown {
-					t.Fatalf("seed %d: scale-outs at %v and %v within cooldown %v", seed, lastOut, now, a.OutCooldown)
+				if lastOut > -1<<62 && now-lastOut < scaleOutCooldown {
+					t.Fatalf("seed %d: scale-outs at %v and %v within cooldown %v", seed, lastOut, now, scaleOutCooldown)
 				}
 				lastOut = now
 				gpus++
 			case ScaleIn:
-				if gpus <= a.MinGPUs {
-					t.Fatalf("seed %d: scale-in at %v below MinGPUs %d", seed, now, a.MinGPUs)
+				if gpus <= minGPUs {
+					t.Fatalf("seed %d: scale-in at %v below minGPUs %d", seed, now, minGPUs)
 				}
 				for _, o := range history {
-					if o.at > now-a.InPeriod && o.at <= now && o.p98 >= inThresh {
+					if o.at > now-scaleInPeriod && o.at <= now && o.p98 >= inThresh {
 						t.Fatalf("seed %d: scale-in at %v but p98 %v at %v was not quiet (threshold %v)",
 							seed, now, o.p98, o.at, inThresh)
 					}
 				}
 				gpus--
 			}
-			if gpus < a.MinGPUs {
-				t.Fatalf("seed %d: pool dropped to %d, below MinGPUs %d", seed, gpus, a.MinGPUs)
+			if gpus < minGPUs {
+				t.Fatalf("seed %d: pool dropped to %d, below minGPUs %d", seed, gpus, minGPUs)
 			}
 		}
 	}
@@ -62,7 +62,7 @@ func TestAutoScalerNoFlapWithinPeriod(t *testing.T) {
 
 // TestAutoScalerThresholdEdges pins the exact boundary semantics of the
 // section 4 policy: the scale-out comparison is inclusive at 95% of the
-// SLO, the scale-in band is exclusive at 50%, and a full InPeriod of
+// SLO, the scale-in band is exclusive at 50%, and a full 60 s period of
 // quiet is required before a worker is released.
 func TestAutoScalerThresholdEdges(t *testing.T) {
 	const slo = 150 * time.Millisecond
@@ -77,14 +77,14 @@ func TestAutoScalerThresholdEdges(t *testing.T) {
 		{
 			name: "exactly 95% scales out immediately",
 			feed: func(a *AutoScaler) []ScaleAction {
-				return []ScaleAction{a.Observe(0, out, 4)}
+				return []ScaleAction{a.ObserveLoad(0, out, 0, 4)}
 			},
 			want: []ScaleAction{ScaleOut},
 		},
 		{
 			name: "just below 95% holds",
 			feed: func(a *AutoScaler) []ScaleAction {
-				return []ScaleAction{a.Observe(0, out-time.Nanosecond, 4)}
+				return []ScaleAction{a.ObserveLoad(0, out-time.Nanosecond, 0, 4)}
 			},
 			want: []ScaleAction{ScaleNone},
 		},
@@ -92,9 +92,9 @@ func TestAutoScalerThresholdEdges(t *testing.T) {
 			name: "second burst within cooldown holds, after cooldown scales out",
 			feed: func(a *AutoScaler) []ScaleAction {
 				return []ScaleAction{
-					a.Observe(0, slo, 4),
-					a.Observe(1*time.Second, slo, 5),
-					a.Observe(5*time.Second, slo, 5),
+					a.ObserveLoad(0, slo, 0, 4),
+					a.ObserveLoad(1*time.Second, slo, 0, 5),
+					a.ObserveLoad(5*time.Second, slo, 0, 5),
 				}
 			},
 			want: []ScaleAction{ScaleOut, ScaleNone, ScaleOut},
@@ -104,7 +104,7 @@ func TestAutoScalerThresholdEdges(t *testing.T) {
 			feed: func(a *AutoScaler) []ScaleAction {
 				var acts []ScaleAction
 				for tick := 0; tick <= 120; tick++ {
-					acts = append(acts, a.Observe(time.Duration(tick)*time.Second, in, 4))
+					acts = append(acts, a.ObserveLoad(time.Duration(tick)*time.Second, in, 0, 4))
 				}
 				return acts
 			},
@@ -115,7 +115,7 @@ func TestAutoScalerThresholdEdges(t *testing.T) {
 			feed: func(a *AutoScaler) []ScaleAction {
 				var acts []ScaleAction
 				for tick := 0; tick <= 60; tick++ {
-					acts = append(acts, a.Observe(time.Duration(tick)*time.Second, in-time.Nanosecond, 4))
+					acts = append(acts, a.ObserveLoad(time.Duration(tick)*time.Second, in-time.Nanosecond, 0, 4))
 				}
 				return acts
 			},
@@ -126,19 +126,7 @@ func TestAutoScalerThresholdEdges(t *testing.T) {
 			feed: func(a *AutoScaler) []ScaleAction {
 				var acts []ScaleAction
 				for tick := 0; tick <= 180; tick++ {
-					acts = append(acts, a.Observe(time.Duration(tick)*time.Second, time.Millisecond, a.MinGPUs))
-				}
-				return acts
-			},
-			want: nil, // all ScaleNone
-		},
-		{
-			name: "at MaxGPUs pressure never scales out",
-			feed: func(a *AutoScaler) []ScaleAction {
-				a.MaxGPUs = 4
-				var acts []ScaleAction
-				for tick := 0; tick <= 20; tick++ {
-					acts = append(acts, a.Observe(time.Duration(tick)*time.Second, slo, 4))
+					acts = append(acts, a.ObserveLoad(time.Duration(tick)*time.Second, time.Millisecond, 0, minGPUs))
 				}
 				return acts
 			},

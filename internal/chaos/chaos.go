@@ -78,8 +78,6 @@ type Config struct {
 	// CancelFraction of requests carry a deliberately tight deadline so
 	// cancellation races the failure paths (default 0, max 1).
 	CancelFraction float64
-	// RequeueBudget overrides the cluster's displacement budget.
-	RequeueBudget int
 	// MaxBatch enables dynamic batching in the cluster under test (see
 	// cluster.Config.MaxBatch); the conservation invariants must hold
 	// per batch member exactly as they do per sequential request.
@@ -317,8 +315,6 @@ func Run(cfg Config) (*Report, error) {
 		Dispatcher:        disp,
 		TimeScale:         scale,
 		Overhead:          -1,
-		RequeueBudget:     cfg.RequeueBudget,
-		Observer:          rec,
 		MaxBatch:          cfg.MaxBatch,
 		BatchDelay:        cfg.BatchDelay,
 		Continuous:        cfg.Generative,
@@ -328,6 +324,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	cl.SetObserver(rec)
 	defer cl.Close()
 
 	// The seed also picks the entry point: odd seeds submit through the

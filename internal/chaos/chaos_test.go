@@ -213,9 +213,6 @@ func TestCrossCheckAgainstSimulator(t *testing.T) {
 		Allocation: []int{1, 2},
 		Trace:      tr,
 		TimeScale:  0.02,
-		// A generous budget: this scenario checks routing parity, not
-		// budget exhaustion — survivors exist for every length.
-		RequeueBudget: 64,
 		Events: []Event{
 			{At: failAt, Kind: Fail, Runtime: 1, Downtime: 0},
 		},

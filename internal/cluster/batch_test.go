@@ -25,11 +25,11 @@ func TestBatchedClusterCoalesces(t *testing.T) {
 		Overhead:          -1,
 		MaxBatch:          4,
 		BatchDelay:        -1, // greedy: batches fill straight off the queue
-		Observer:          rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 	defer c.Close()
 
 	const n = 12
@@ -159,11 +159,11 @@ func TestBatchFormationCancellationRace(t *testing.T) {
 		// Default (SLO-aware) window: formation waits, so cancellation has
 		// a real window to race.
 		BatchDelay: 0,
-		Observer:   rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 	defer c.Close()
 
 	const n = 200

@@ -75,17 +75,12 @@ type Config struct {
 	// simulator's 0.8 ms; negative forces zero). It models network +
 	// host-device transfer and is not slept.
 	Overhead time.Duration
-	// QueueDepth bounds each worker's channel (default 8192).
+	// QueueDepth bounds each worker's channel (default 8192). Only tests
+	// set it, and it stays because it is the one lever under which the
+	// tenant fair queue changes anything: the pump's send never blocks
+	// below this depth, so at the default every admitted job is placed as
+	// soon as it is popped and queue.Fair reorders nothing (ROADMAP).
 	QueueDepth int
-	// RequeueBudget bounds how many times one request is re-dispatched
-	// after instance failures before it fails with ErrUnserviceable
-	// (default failover.DefaultRequeueBudget; negative disables requeueing
-	// entirely so any displacement fails the request).
-	RequeueBudget int
-	// Observer, when non-nil, receives the cluster's request-lifecycle
-	// records (spans, demotions, rejections) and serves its live state as
-	// scrape-time gauges. Equivalent to calling SetObserver after New.
-	Observer *obs.Recorder
 	// MaxBatch enables dynamic batching: an idle worker coalesces up to
 	// B_i = min(MaxBatch, Runtime.BatchWithinSLO(MaxBatch)) queued
 	// requests and executes them as one emulated kernel at the sub-linear
@@ -127,7 +122,6 @@ type Cluster struct {
 	overhead time.Duration
 	scale    float64
 	depth    int
-	budget   int
 
 	// maxBatch and batchDelay are the normalized batching knobs (1 / 0
 	// when batching is off); batchSeq numbers executed iterations for span
@@ -325,12 +319,6 @@ func New(cfg Config) (*Cluster, error) {
 	if depth <= 0 {
 		depth = 8192
 	}
-	budget := cfg.RequeueBudget
-	if budget == 0 {
-		budget = failover.DefaultRequeueBudget
-	} else if budget < 0 {
-		budget = 0
-	}
 	maxBatch := cfg.MaxBatch
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -356,7 +344,6 @@ func New(cfg Config) (*Cluster, error) {
 		overhead:   overhead,
 		scale:      scale,
 		depth:      depth,
-		budget:     budget,
 		maxBatch:   maxBatch,
 		batchDelay: batchDelay,
 		continuous: cfg.Continuous,
@@ -367,9 +354,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.fairQ = queue.NewFair[*job]()
 		c.wg.Add(1)
 		go c.runFairPump()
-	}
-	if cfg.Observer != nil {
-		c.SetObserver(cfg.Observer)
 	}
 	c.mu.Lock()
 	for rtIdx, n := range cfg.InitialAllocation {
@@ -680,6 +664,10 @@ func (c *Cluster) place(ctx context.Context, j *job) error {
 // failure burst does not burn the whole budget in microseconds.
 const redispatchBackoff = 200 * time.Microsecond
 
+// requeueBudget bounds how many times one request is displaced or retried
+// before it fails with ErrUnserviceable.
+const requeueBudget = failover.DefaultRequeueBudget
+
 // redispatch pushes a failure-displaced job back through the normal
 // dispatch path — the failover demotion rule (see internal/failover): no
 // special placement, the active policy decides, so work from a dead
@@ -698,9 +686,9 @@ func (c *Cluster) redispatch(j *job, reason obs.RequeueReason) {
 		return
 	}
 	c.obsRec.Load().RecordRequeue(reason)
-	if j.requeues >= c.budget {
+	if j.requeues >= requeueBudget {
 		c.failJob(j, fmt.Errorf("%w: displaced %d times (budget %d)",
-			ErrUnserviceable, j.requeues, c.budget))
+			ErrUnserviceable, j.requeues, requeueBudget))
 		return
 	}
 	j.requeues++
@@ -728,9 +716,9 @@ func (c *Cluster) reroute(j *job, spent *int, noInstancesFatal bool) bool {
 			noInstancesFatal && errors.Is(err, dispatch.ErrNoInstances):
 			c.failJob(j, err)
 			return false
-		case *spent >= c.budget:
+		case *spent >= requeueBudget:
 			c.failJob(j, fmt.Errorf("%w: placement retries spent (budget %d): %w",
-				ErrUnserviceable, c.budget, err))
+				ErrUnserviceable, requeueBudget, err))
 			return false
 		}
 		*spent++

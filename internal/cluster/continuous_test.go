@@ -24,11 +24,11 @@ func continuousCluster(t *testing.T, instances, slots int, rec *obs.Recorder) *C
 		BatchDelay:        -1,
 		Continuous:        true,
 		MeanOutTokens:     8,
-		Observer:          rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 	t.Cleanup(c.Close)
 	return c
 }

@@ -23,11 +23,11 @@ func TestSubmitCtxCancelWhileQueued(t *testing.T) {
 		InitialAllocation: []int{1},
 		Dispatcher:        rsFactory,
 		Overhead:          -1,
-		Observer:          rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 	defer c.Close()
 
 	// Occupy the single worker with a long request, then queue one more.
@@ -113,11 +113,11 @@ func TestSubmitCtxSpan(t *testing.T) {
 		Profile:           p,
 		InitialAllocation: []int{1, 1},
 		Dispatcher:        rsFactory,
-		Observer:          rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 	defer c.Close()
 
 	res, err := c.SubmitCtx(context.Background(), Request{Length: 100, Tokenize: 42 * time.Microsecond})
@@ -167,11 +167,11 @@ func TestSubmitCtxRecordsDemotion(t *testing.T) {
 		Profile:           p,
 		InitialAllocation: []int{1, 1},
 		Dispatcher:        rsFactory,
-		Observer:          rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 	defer c.Close()
 
 	// Burst enough length-100 requests to congest the level-0 runtime
@@ -226,11 +226,11 @@ func TestSubmitCtxStress(t *testing.T) {
 		Dispatcher:        rsFactory,
 		TimeScale:         0.02, // compress ~5ms executions to ~0.1ms
 		Overhead:          -1,
-		Observer:          rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 
 	const (
 		goroutines = 8

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // AddInstance provisions one new worker serving the given runtime. It is
 // the real-time counterpart of the simulator's scale-out/replacement
@@ -55,16 +52,13 @@ func (c *Cluster) RemoveInstance(rtIdx int) (int, error) {
 	return victim.inst.ID, nil
 }
 
-// Replace swaps one instance from runtime from to runtime to, emulating
-// the ~1 s swap of the paper's prototype: the old worker drains in the
-// background and the new one comes up after swapDelay (0 for immediate).
-// It returns the new instance's ID.
-func (c *Cluster) Replace(from, to int, swapDelay time.Duration) (int, error) {
+// Replace swaps one instance from runtime from to runtime to: the old
+// worker drains in the background and the new one comes up at once (the
+// simulator models the paper's ~1 s swap; the live loop does not wait it
+// out). It returns the new instance's ID.
+func (c *Cluster) Replace(from, to int) (int, error) {
 	if _, err := c.RemoveInstance(from); err != nil {
 		return 0, err
-	}
-	if swapDelay > 0 {
-		time.Sleep(swapDelay)
 	}
 	return c.AddInstance(to)
 }

@@ -122,7 +122,7 @@ func TestReplaceSwapsRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Replace(0, 1, 0); err != nil {
+	if _, err := c.Replace(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	got := c.Allocation()

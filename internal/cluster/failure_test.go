@@ -24,11 +24,11 @@ func failCluster(t *testing.T, alloc []int, scale float64) (*Cluster, *obs.Recor
 		Dispatcher:        rsFactory,
 		TimeScale:         scale,
 		Overhead:          -1,
-		Observer:          rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 	return c, rec
 }
 

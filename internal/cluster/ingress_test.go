@@ -17,11 +17,11 @@ func ingressCluster(t *testing.T, rec *obs.Recorder, alloc []int, lengths []int)
 		InitialAllocation: alloc,
 		Dispatcher:        rsFactory,
 		Overhead:          -1,
-		Observer:          rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 	return c
 }
 

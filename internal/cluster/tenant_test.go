@@ -33,13 +33,13 @@ func TestTenantAdmissionRejects(t *testing.T) {
 		InitialAllocation: []int{1},
 		Dispatcher:        rsFactory,
 		Overhead:          -1,
-		Observer:          rec,
 		Tenants: testRegistry(t,
 			tenant.Config{ID: "tight", Capacity: 512, RefillPerSec: 0, Weight: 1}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 	defer c.Close()
 
 	// First request fits the bucket exactly; the second finds it empty.

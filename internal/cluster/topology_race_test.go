@@ -48,11 +48,11 @@ func TestRemoveInstanceRacesCancellation(t *testing.T) {
 		Dispatcher:        rsFactory,
 		TimeScale:         0.02,
 		Overhead:          -1,
-		Observer:          rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 
 	const (
 		submitters = 6
@@ -125,11 +125,11 @@ func TestReplaceRacesCancellation(t *testing.T) {
 		Dispatcher:        rsFactory,
 		TimeScale:         0.02,
 		Overhead:          -1,
-		Observer:          rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetObserver(rec)
 
 	const (
 		submitters = 6
@@ -159,7 +159,7 @@ func TestReplaceRacesCancellation(t *testing.T) {
 		defer wg.Done()
 		dir := 0
 		for i := 0; i < swaps; i++ {
-			if _, err := c.Replace(dir, 1-dir, 0); err == nil {
+			if _, err := c.Replace(dir, 1-dir); err == nil {
 				dir = 1 - dir
 			}
 			time.Sleep(300 * time.Microsecond)

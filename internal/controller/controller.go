@@ -39,15 +39,15 @@ import (
 	"arlo/internal/obs"
 )
 
-// Defaults for Options' zero values.
+// Defaults for Options' zero values, and the autoscaler's fixed tick.
 const (
 	// DefaultPeriod is the replanning interval: frequent enough to track
 	// minute-scale drift, infrequent enough that the observation window
 	// fully refreshes between solves.
 	DefaultPeriod = 15 * time.Second
-	// DefaultScalePeriod is the autoscaler observation interval (the paper
+	// ScalePeriod is the autoscaler observation interval (the paper
 	// evaluates the target tracker on second-scale ticks).
-	DefaultScalePeriod = time.Second
+	ScalePeriod = time.Second
 	// DefaultMaxReplacements bounds topology churn per control period.
 	DefaultMaxReplacements = 4
 	// DefaultHysteresis is the minimum fractional objective improvement a
@@ -60,8 +60,6 @@ const (
 type Options struct {
 	// Period is the replanning interval (default DefaultPeriod).
 	Period time.Duration
-	// ScalePeriod is the autoscaler interval (default DefaultScalePeriod).
-	ScalePeriod time.Duration
 	// Scaler decides the total GPU count; nil disables autoscaling and the
 	// loop only replans the split across runtimes.
 	Scaler allocator.Scaler
@@ -70,16 +68,10 @@ type Options struct {
 	MaxReplacements int
 	// Hysteresis is the fractional objective improvement required before a
 	// replacement plan is applied (0 means DefaultHysteresis; negative
-	// means none — every non-empty plan is applied).
+	// means none — every non-empty plan is applied). Only tests set it (six
+	// controller tests and two chaos sweeps, all but one to run with none);
+	// it stays because restating them on the shipped 5% is its own change.
 	Hysteresis float64
-	// MinObservations is the minimum number of windowed samples required
-	// before the loop replans (default 1): an idle cluster keeps its
-	// topology.
-	MinObservations int
-	// ReplaceDelay is the modeled swap gap passed to cluster.Replace (the
-	// paper measures ~1s to load a replacement runtime; 0 swaps
-	// instantly).
-	ReplaceDelay time.Duration
 	// DryRun observes, solves and records decisions without mutating the
 	// cluster.
 	DryRun bool
@@ -118,7 +110,7 @@ type Controller struct {
 // StepResult reports what one control period decided, for tests and logs.
 type StepResult struct {
 	// Replanned reports the allocation program was solved this period
-	// (false when the window held too few observations).
+	// (false when the window held no observations).
 	Replanned bool
 	// Held reports hysteresis suppressed a non-empty plan.
 	Held bool
@@ -152,9 +144,6 @@ func New(cl *cluster.Cluster, solver *allocator.Solver, rec *obs.Recorder, opts 
 	if opts.Period <= 0 {
 		opts.Period = DefaultPeriod
 	}
-	if opts.ScalePeriod <= 0 {
-		opts.ScalePeriod = DefaultScalePeriod
-	}
 	if opts.MaxReplacements == 0 {
 		opts.MaxReplacements = DefaultMaxReplacements
 	}
@@ -162,9 +151,6 @@ func New(cl *cluster.Cluster, solver *allocator.Solver, rec *obs.Recorder, opts 
 		opts.Hysteresis = DefaultHysteresis
 	} else if opts.Hysteresis < 0 {
 		opts.Hysteresis = 0
-	}
-	if opts.MinObservations < 1 {
-		opts.MinObservations = 1
 	}
 	c := &Controller{
 		cl:     cl,
@@ -215,8 +201,8 @@ func (c *Controller) Step(now time.Time) StepResult {
 	for _, n := range counts {
 		total += n
 	}
-	if total < int64(c.opts.MinObservations) {
-		return StepResult{}
+	if total == 0 {
+		return StepResult{} // an idle window says nothing; keep the topology
 	}
 	current := c.cl.Allocation()
 	g := 0
@@ -269,7 +255,7 @@ func (c *Controller) Step(now time.Time) StepResult {
 		return res
 	}
 	for _, rep := range plan {
-		if _, err := c.cl.Replace(rep.From, rep.To, c.opts.ReplaceDelay); err != nil {
+		if _, err := c.cl.Replace(rep.From, rep.To); err != nil {
 			// A failure or concurrent scale event got there first; the
 			// next period replans from the topology that actually exists.
 			res.Err = fmt.Errorf("controller: replace %d->%d: %w", rep.From, rep.To, err)
@@ -364,7 +350,7 @@ func (c *Controller) run() {
 	defer replan.Stop()
 	var scaleC <-chan time.Time
 	if c.opts.Scaler != nil {
-		scale := time.NewTicker(c.opts.ScalePeriod)
+		scale := time.NewTicker(ScalePeriod)
 		defer scale.Stop()
 		scaleC = scale.C
 	}

@@ -279,7 +279,6 @@ func TestAutoscaleOutUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaler.MaxGPUs = 6
 	c, err := New(cl, solver, rec, Options{Scaler: scaler})
 	if err != nil {
 		t.Fatal(err)
@@ -309,18 +308,13 @@ func TestAutoscaleOutUnderPressure(t *testing.T) {
 	if act := c.Autoscale(base.Add(time.Second)); act != allocator.ScaleNone {
 		t.Fatalf("tick inside cooldown: %v, want none", act)
 	}
-	// Past the cooldown: out again, up to MaxGPUs.
+	// Past the cooldown: out again.
 	slow(base.Add(6 * time.Second))
 	if act := c.Autoscale(base.Add(6 * time.Second)); act != allocator.ScaleOut {
 		t.Fatalf("tick past cooldown: %v, want scale-out", act)
 	}
 	if got := cl.Instances(); got != 6 {
 		t.Fatalf("instances = %d, want 6", got)
-	}
-	// At the MaxGPUs cap: pressure no longer adds workers.
-	slow(base.Add(12 * time.Second))
-	if act := c.Autoscale(base.Add(12 * time.Second)); act != allocator.ScaleNone {
-		t.Fatalf("tick at MaxGPUs: %v, want none", act)
 	}
 	if st := c.Status(); st.ScaleOuts != 2 {
 		t.Fatalf("ScaleOuts = %d, want 2", st.ScaleOuts)

@@ -123,27 +123,6 @@ func TestSimulateEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSimulateAutoScaled(t *testing.T) {
-	a, err := NewSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Generate(trace.Bursty(9, 1500, 40*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.SimulateAutoScaled(tr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TimeWeightedGPUs <= 0 {
-		t.Error("time-weighted GPU count missing")
-	}
-	if res.Completed+res.Rejected != len(tr.Requests) {
-		t.Error("conservation violated")
-	}
-}
-
 func TestNewClusterEvenAndSolved(t *testing.T) {
 	a, err := NewSystem()
 	if err != nil {

@@ -133,7 +133,6 @@ func (s *System) SimConfig(tr *trace.Trace, g int, warmup time.Duration) (sim.Co
 		InitialAllocation: initial,
 		Dispatcher:        s.Dispatcher,
 		Allocate:          s.Allocate,
-		ReplacementTime:   time.Second,
 	}
 	if s.Allocate != nil {
 		cfg.AllocPeriod = defaultAllocPeriod

@@ -198,7 +198,6 @@ func Table3(w io.Writer, opt Options) error {
 			InitialAllocation: initial,
 			Dispatcher:        arlo.Dispatcher,
 			Allocate:          pol.alloc,
-			ReplacementTime:   time.Second,
 		}
 		if pol.alloc != nil {
 			cfg.AllocPeriod = period

@@ -155,9 +155,8 @@ func Fig8(w io.Writer, opt Options) error {
 			}
 			cfg.Scaler = scaler
 		} else {
-			cfg.Scaler = allocator.NewHeadroomScaler()
+			cfg.Scaler = &allocator.HeadroomScaler{}
 		}
-		cfg.ScalePeriod = time.Second
 		res, err := sim.Run(cfg)
 		if err != nil {
 			return err

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -259,8 +260,6 @@ func TestRouterHTTPGenerate(t *testing.T) {
 // when zero, the shard name escaped.
 func TestRoutedReplyBytes(t *testing.T) {
 	a := startShard(t, "a", []int{1, 1}, 0.01)
-	gone := startShard(t, "gone", []int{1, 1}, 0.01)
-	gone.kill()
 	const name = `a"<é>`
 	for _, tc := range []struct {
 		path, body string
@@ -269,12 +268,18 @@ func TestRoutedReplyBytes(t *testing.T) {
 		{"/v1/infer", `{"text":"pin the routed reply bytes"}`, func() any { return new(InferResponse) }},
 		{"/v1/generate", `{"text":"pin the routed reply bytes","max_new_tokens":3}`, func() any { return new(GenerateResponse) }},
 	} {
-		// Round-robin over two candidates starts at the second: the first
-		// request takes one hop past the dead shard, the next ones none.
+		// The second shard dies after the router's only refresh, so the
+		// router still counts it up. Round-robin over two candidates starts
+		// at the second: the first request takes one hop past the dead
+		// shard, the next ones none.
+		gone := startShard(t, "gone", []int{1, 1}, 0.01)
 		r := newRouter(t, Config{
-			Shards: []ShardConfig{{Name: name, Addr: a.addr}, {Name: "gone", Addr: gone.addr}},
-			Policy: PolicyRoundRobin,
+			Shards:                  []ShardConfig{{Name: name, Addr: a.addr}, {Name: "gone", Addr: gone.addr}},
+			Policy:                  PolicyRoundRobin,
+			SnapshotRefreshInterval: time.Hour,
 		})
+		waitRefresh(t, r, 1)
+		gone.kill()
 		for _, hops := range []int{1, 0} {
 			rec := httptest.NewRecorder()
 			r.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
@@ -588,35 +593,6 @@ func TestRouterInferAllocGuard(t *testing.T) {
 	}
 }
 
-func TestRouterImmediateMode(t *testing.T) {
-	a := startShard(t, "a", []int{1, 1}, 0.01)
-	b := startShard(t, "b", []int{1, 1}, 0.01)
-	// SnapshotRefreshInterval 0: no background loops; snapshots are
-	// fetched inside each decision.
-	r := newRouter(t, Config{Shards: shardConfigs(a, b), Seed: 3})
-	hts := httptest.NewServer(r)
-	defer hts.Close()
-	resp, err := hts.Client().Post(hts.URL+"/v1/infer", "application/json",
-		strings.NewReader(`{"text":"immediate snapshots"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	// Both candidates were probed synchronously, so snapshots exist now.
-	fresh := 0
-	for _, sh := range r.shards {
-		if sh.snapshot() != nil {
-			fresh++
-		}
-	}
-	if fresh == 0 {
-		t.Error("immediate mode fetched no snapshots")
-	}
-}
-
 // A shard dial that hits its one-second bound fails with an error that
 // matches context.DeadlineExceeded (net's timeout error does). That is a
 // transport failure to route around, not the client's deadline; only a
@@ -625,17 +601,30 @@ func TestDialTimeoutReroutes(t *testing.T) {
 	a := startShard(t, "a", []int{1, 1}, 0.01)
 	dial := dialWire
 	t.Cleanup(func() { dialWire = dial })
+	var blackhole atomic.Bool
 	dialWire = func(ctx context.Context, addr string) (*serve.WireClient, error) {
-		if addr == "blackhole" {
+		if addr != "b" {
+			return dial(ctx, addr)
+		}
+		if blackhole.Load() {
 			return nil, &net.OpError{Op: "dial", Net: "tcp", Err: context.DeadlineExceeded}
 		}
-		return dial(ctx, addr)
+		return dial(ctx, a.addr) // b answers like a until it turns into a blackhole
 	}
-	// Round-robin over two candidates starts at the second.
+	// Round-robin over two candidates starts at the second. After the
+	// router's only refresh b's connection drops and its next dial times
+	// out, while the router still counts it up.
 	r := newRouter(t, Config{
-		Shards: []ShardConfig{{Name: "a", Addr: a.addr}, {Name: "b", Addr: "blackhole"}},
-		Policy: PolicyRoundRobin,
+		Shards:                  []ShardConfig{{Name: "a", Addr: a.addr}, {Name: "b", Addr: "b"}},
+		Policy:                  PolicyRoundRobin,
+		SnapshotRefreshInterval: time.Hour,
 	})
+	waitRefresh(t, r, 1)
+	blackhole.Store(true)
+	b := r.shards[1]
+	b.connMu.Lock()
+	_ = b.conn.Close()
+	b.connMu.Unlock()
 	req := wire.Request{Mode: wire.ModeText, Text: "routed around the shard that cannot be dialed"}
 	resp, hop := r.Do(context.Background(), req)
 	if resp.Status != wire.StatusOK || hop.Shard != "a" || hop.Hops != 1 {

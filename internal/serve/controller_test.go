@@ -29,7 +29,6 @@ func testController(t *testing.T) (*cluster.Cluster, *controller.Controller) {
 	cl, err := cluster.New(cluster.Config{
 		Profile:           p,
 		InitialAllocation: []int{1, 1, 1, 1, 1, 1, 1, 1},
-		Observer:          rec,
 		Dispatcher: func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
 			return dispatch.NewRequestScheduler(ml)
 		},
@@ -37,6 +36,7 @@ func testController(t *testing.T) (*cluster.Cluster, *controller.Controller) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl.SetObserver(rec)
 	t.Cleanup(cl.Close)
 	solver, err := allocator.NewSolver(p)
 	if err != nil {

@@ -44,7 +44,8 @@ func hammerServer(t *testing.T, opts ...Option) (*Server, *obs.Recorder) {
 	}
 	t.Cleanup(cl.Close)
 	rec := obs.NewRecorder(cl.NumLevels())
-	srv, err := New(tokenizer.New(), cl, append([]Option{WithRecorder(rec)}, opts...)...)
+	cl.SetObserver(rec)
+	srv, err := New(tokenizer.New(), cl, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,6 @@ func TestNewOptionValidation(t *testing.T) {
 	if _, err := New(tokenizer.New(), cl, WithMaxLength(1)); err == nil {
 		t.Error("tiny max length should fail")
 	}
-	if _, err := New(tokenizer.New(), cl, WithRecorder(nil)); err == nil {
-		t.Error("nil recorder should fail")
-	}
 	if _, err := New(tokenizer.New(), cl, WithRequestTimeout(0)); err == nil {
 		t.Error("zero request timeout should fail")
 	}
@@ -57,8 +54,8 @@ func TestNewOptionValidation(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, cl := testServer(t)
-	rec := obs.NewRecorder(cl.NumLevels())
-	srv, err := New(tokenizer.New(), cl, WithRecorder(rec), WithMaxLength(512))
+	cl.SetObserver(obs.NewRecorder(cl.NumLevels())) // books for this server alone
+	srv, err := New(tokenizer.New(), cl, WithMaxLength(512))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,19 +191,6 @@ func WithMaxLength(n int) Option {
 	}
 }
 
-// WithRecorder uses the given observability recorder for /metrics and
-// installs it on the cluster so spans flow into it. By default the server
-// reuses the cluster's recorder, creating one when the cluster has none.
-func WithRecorder(rec *obs.Recorder) Option {
-	return func(s *Server) error {
-		if rec == nil {
-			return fmt.Errorf("serve: nil recorder")
-		}
-		s.rec = rec
-		return nil
-	}
-}
-
 // WithPprof mounts net/http/pprof under /debug/pprof/. Off by default:
 // profiles expose internals and cost CPU when scraped.
 func WithPprof() Option {
@@ -282,16 +269,10 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 			return nil, err
 		}
 	}
-	// Wire the observability recorder: an explicit one is installed on
-	// the cluster, otherwise reuse the cluster's, otherwise create one:
-	// the recorder is the server's only record of what it served, so
-	// /metrics and /v1/stats always have one to read.
-	switch {
-	case s.rec != nil:
-		cl.SetObserver(s.rec)
-	case cl.Observer() != nil:
-		s.rec = cl.Observer()
-	default:
+	// Reuse the cluster's observability recorder, or install one: the
+	// recorder is the server's only record of what it served, so /metrics
+	// and /v1/stats always have one to read.
+	if s.rec = cl.Observer(); s.rec == nil {
 		s.rec = obs.NewRecorder(cl.NumLevels())
 		cl.SetObserver(s.rec)
 	}

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -23,21 +22,13 @@ import (
 // raw layer — RoundTrip, Load, Alive — moves frames and fails only when
 // the transport does; it is what a router forwards over. The policy layer
 // on top — Infer, Generate and their variants — stamps the client's
-// tenant, retries retryable statuses and turns a non-OK reply into an
-// *APIError. Safe for concurrent use; every in-flight call shares the
-// connection. The policy fields (Tenant, MaxRetries, Backoff) must be set
-// before the first call.
+// tenant and turns a non-OK reply into an *APIError; it does not retry.
+// Safe for concurrent use; every in-flight call shares the connection.
+// Tenant must be set before the first call.
 type WireClient struct {
 	// Tenant, when non-empty, is stamped on every policy-layer request —
 	// the binary twin of the X-Arlo-Tenant header.
 	Tenant string
-	// MaxRetries is how many times a retryable non-OK status (congested,
-	// rate-limited, ...) is retried. Zero means a single attempt.
-	MaxRetries int
-	// Backoff is the delay before the first retry, doubling each retry;
-	// a rate-limited reply's retry_after_ns hint floors the wait.
-	// Defaults to 50ms when MaxRetries > 0.
-	Backoff time.Duration
 
 	conn net.Conn
 	fw   *frameWriter
@@ -286,42 +277,21 @@ func (c *WireClient) GenerateCtx(ctx context.Context, text string, maxNewTokens 
 }
 
 // do is the policy layer over RoundTrip: it stamps the client's tenant
-// (the encoder then picks the V2 frame), turns a non-OK reply into an
-// *APIError with the JSON client's status and stable code — so errors.Is
-// against the cluster sentinels behaves identically across protocols —
-// and retries retryable statuses. Each attempt is a fresh frame with a
-// fresh id; transport and context errors are not retried.
+// (the encoder then picks the V2 frame) and turns a non-OK reply into an
+// *APIError with the JSON client's status and stable code, so errors.Is
+// against the cluster sentinels behaves identically across protocols.
 func (c *WireClient) do(ctx context.Context, req *wire.Request) (wire.Response, error) {
 	if c.Tenant != "" {
 		req.Tenant = c.Tenant
 	}
-	backoff := c.Backoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
+	resp, err := c.RoundTrip(ctx, req)
+	if err != nil || resp.Status == wire.StatusOK {
+		return resp, err
 	}
-	for attempt := 0; ; attempt++ {
-		resp, err := c.RoundTrip(ctx, req)
-		if err != nil || resp.Status == wire.StatusOK {
-			return resp, err
-		}
-		apiErr := &APIError{
-			Status:     wireHTTPStatus(resp.Status),
-			Code:       resp.Status.String(),
-			Message:    resp.Message,
-			RetryAfter: time.Duration(resp.RetryAfterNS),
-		}
-		if ctx.Err() != nil || !retryable(apiErr.Status) || attempt >= c.MaxRetries {
-			return resp, apiErr
-		}
-		wait := time.Duration(rand.Int63n(int64(backoff))) + 1
-		if apiErr.RetryAfter > wait {
-			wait = apiErr.RetryAfter
-		}
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return resp, apiErr
-		}
-		backoff *= 2
+	return resp, &APIError{
+		Status:     wireHTTPStatus(resp.Status),
+		Code:       resp.Status.String(),
+		Message:    resp.Message,
+		RetryAfter: time.Duration(resp.RetryAfterNS),
 	}
 }

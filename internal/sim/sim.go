@@ -26,6 +26,14 @@ import (
 // simulator for network and CPU-to-GPU transfer time.
 const DefaultOverhead = 800 * time.Microsecond
 
+const (
+	// replacementTime is how long an instance swap keeps the GPU offline,
+	// also the provisioning time of a scale-out (paper: ~1 s).
+	replacementTime = time.Second
+	// scalePeriod is the auto-scaler observation interval.
+	scalePeriod = time.Second
+)
+
 // AllocatorFunc computes a per-runtime instance allocation for g GPUs
 // given the observed demand q (requests per SLO window per length bin).
 type AllocatorFunc func(g int, q []float64) ([]int, error)
@@ -46,20 +54,14 @@ type Config struct {
 	Allocate AllocatorFunc
 	// AllocPeriod is the Runtime Scheduler period (paper: 120 s).
 	AllocPeriod time.Duration
-	// ReplacementTime is how long an instance swap keeps the GPU offline
-	// (paper: ~1 s). Also used as provisioning time for scale-out.
-	ReplacementTime time.Duration
 	// Overhead is added to every request's latency (default 0.8 ms; set
 	// negative to force zero).
 	Overhead time.Duration
-	// Scaler enables auto-scaling when non-nil; observed every
-	// ScalePeriod (default 1 s) over a 10 s completion window. Use
-	// allocator.AutoScaler for Arlo's target tracking or
-	// allocator.HeadroomScaler for the INFaaS-style heuristic the paper
-	// equips the baselines with.
+	// Scaler enables auto-scaling when non-nil; observed every second
+	// over a 10 s completion window. Use allocator.AutoScaler for Arlo's
+	// target tracking or allocator.HeadroomScaler for the INFaaS-style
+	// heuristic the paper equips the baselines with.
 	Scaler allocator.Scaler
-	// ScalePeriod is the auto-scaler observation interval.
-	ScalePeriod time.Duration
 	// Failures injects instance outages (see Failure).
 	Failures []Failure
 	// MaxBatch lets an idle instance execute up to this many queued
@@ -191,9 +193,6 @@ func newSimulator(cfg Config) (*Simulator, error) {
 	if err := validateFailures(cfg.Failures, len(cfg.Profile.Runtimes)); err != nil {
 		return nil, err
 	}
-	if cfg.Scaler != nil && cfg.ScalePeriod <= 0 {
-		cfg.ScalePeriod = time.Second
-	}
 	overhead := cfg.Overhead
 	if overhead == 0 {
 		overhead = DefaultOverhead
@@ -242,7 +241,7 @@ func (s *Simulator) run() (*Result, error) {
 		s.tl.push(s.cfg.AllocPeriod, evAllocTick, nil, nil)
 	}
 	if s.cfg.Scaler != nil {
-		s.tl.push(s.cfg.ScalePeriod, evScaleTick, nil, nil)
+		s.tl.push(scalePeriod, evScaleTick, nil, nil)
 	}
 
 	end := s.cfg.Trace.Duration
@@ -262,7 +261,7 @@ func (s *Simulator) run() (*Result, error) {
 		case evScaleTick:
 			if e.at <= end {
 				s.onScaleTick()
-				s.tl.push(e.at+s.cfg.ScalePeriod, evScaleTick, nil, nil)
+				s.tl.push(e.at+scalePeriod, evScaleTick, nil, nil)
 			}
 		case evInstanceReady:
 			s.onInstanceReady(e.instance)
@@ -485,7 +484,7 @@ func (s *Simulator) onAllocTick() {
 	// of GPUs are ever offline at once.
 	const batchSize = 2
 	for bi, batch := range allocator.Batches(plan, batchSize) {
-		start := s.now + time.Duration(bi)*s.cfg.ReplacementTime
+		start := s.now + time.Duration(bi)*replacementTime
 		for _, rep := range batch {
 			s.tl.pushReplace(start, rep.From, rep.To)
 		}
@@ -510,7 +509,7 @@ func (s *Simulator) replaceOne(from, to int) {
 		MaxCapacity: s.cfg.Profile.Runtimes[to].Capacity,
 	}}
 	s.nextID++
-	s.tl.push(s.now+s.cfg.ReplacementTime, evInstanceReady, nil, ready)
+	s.tl.push(s.now+replacementTime, evInstanceReady, nil, ready)
 }
 
 // retire removes an instance from dispatching and re-dispatches its
@@ -619,7 +618,7 @@ func (s *Simulator) onScaleTick() {
 			MaxCapacity: s.cfg.Profile.Runtimes[last].Capacity,
 		}}
 		s.nextID++
-		s.tl.push(s.now+s.cfg.ReplacementTime, evInstanceReady, nil, ready)
+		s.tl.push(s.now+replacementTime, evInstanceReady, nil, ready)
 		s.res.GPUs.Set(s.now, float64(g+1))
 		s.recordAllocation(s.now)
 		s.onAllocTick() // rebalance runtimes for the new cluster size

@@ -230,8 +230,7 @@ func TestPeriodicReallocationFollowsDemandShift(t *testing.T) {
 			}
 			return a.N, nil
 		},
-		AllocPeriod:     5 * time.Second,
-		ReplacementTime: time.Second,
+		AllocPeriod: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,8 +267,6 @@ func TestAutoScaleOutUnderOverload(t *testing.T) {
 		InitialAllocation: []int{1},
 		Dispatcher:        rsFactory,
 		Scaler:            scaler,
-		ScalePeriod:       time.Second,
-		ReplacementTime:   time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,14 +294,11 @@ func TestAutoScaleInWhenIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaler.MinGPUs = 1
 	res, err := Run(Config{
 		Profile: p, Trace: tr,
 		InitialAllocation: []int{4},
 		Dispatcher:        rsFactory,
 		Scaler:            scaler,
-		ScalePeriod:       time.Second,
-		ReplacementTime:   time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +336,7 @@ func TestRequestsWaitAcrossFullReplacement(t *testing.T) {
 			}
 			return []int{1, 0}, nil
 		},
-		AllocPeriod:     2 * time.Second,
-		ReplacementTime: time.Second,
+		AllocPeriod: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
