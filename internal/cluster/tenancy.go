@@ -11,10 +11,11 @@
 //     rejected request never touches the multi-level queue, so a bursting
 //     tenant cannot trigger λ-congestion demotions for everyone else.
 //  2. Admitted jobs flow through a start-time-fair queue (queue.Fair)
-//     drained by a single pump goroutine, so dispatch order interleaves
-//     tenants by weight x class bias instead of arrival order: a
-//     backlogged tenant's surplus waits behind everyone else's current
-//     share rather than ahead of it.
+//     drained by a single pump goroutine. The pump's hand-off to a worker
+//     never blocks below Config.QueueDepth, so jobs wait there only for
+//     the pump itself unless a worker channel is full, and weight x class
+//     bias have nothing to reorder: at the default depth of 8192 the
+//     measured order is arrival order (ROADMAP holds what to do about it).
 //  3. The tenant's SLO class stamps per-request policy: an implicit
 //     deadline for interactive requests and a batching-window factor the
 //     worker loop's Former honors per member.

@@ -68,7 +68,7 @@ func claims() []claim {
 			"batched(8) vs sequential", "drain speedup", 1.5, measureBatch},
 		{"claim-generate", "Continuous (iteration-level) batching out-drains run-to-completion on a generative burst at no worse p99 TTFT",
 			"continuous vs run-to-completion", "throughput ratio", 1.2, measureGenerate},
-		{"claim-tenants", "Token-bucket admission and an 8:1 fair share shield a steady tenant's p99 from a 9x bursting neighbour",
+		{"claim-tenants", "Token-bucket admission shields a steady tenant's p99 from a 9x bursting neighbour (the 8:1 weight rides along and reorders nothing)",
 			"bucket+weights vs shared queue", "victim p99 ratio", 2, measureTenants},
 		{"claim-controller", "Live replanning recovers SLO attainment after the length mix drifts, inside its replacement budget",
 			"controller vs frozen allocation", "post-drift attainment gain", 0.2, measureController},
@@ -372,9 +372,12 @@ func measureGenerate(opt Options) (float64, string, error) {
 // noisy tenant bursting at 9x that through the middle half of the window,
 // once through one shared queue and once behind the tenant registry: a
 // token bucket that caps the noisy tenant near its fair share of token
-// throughput, and an 8:1 dispatch weight for the victim. Admission must
-// fire, and every noisy refusal must be the typed rate-limit error; that
-// the per-tenant books agree with the registry's is the arm's audit.
+// throughput, and an 8:1 dispatch weight for the victim. The ratio is the
+// bucket's: the fair pump places every job as soon as it pops it (worker
+// queues never fill at their default depth), so the weight orders
+// nothing, and placing inline instead reads the same (ROADMAP). Admission
+// must fire, and every noisy refusal must be the typed rate-limit error;
+// that the per-tenant books agree with the registry's is the arm's audit.
 func measureTenants(opt Options) (float64, string, error) {
 	const victim, noisy = "victim", "noisy"
 	dur := 2 * time.Second

@@ -124,8 +124,9 @@ func TestErrorPassthroughHTTP(t *testing.T) {
 					Message:      "scripted " + tc.name,
 				}
 			})
-			// HopBudget 1: a reroute would re-hit the only shard and busy
-			// the test; passthrough must not consume hops anyway.
+			// HopBudget 1: a reroute (which would find no untried shard
+			// anyway) answers unserviceable, so a status that wrongly
+			// reroutes fails the code check instead of passing through.
 			r := newRouter(t, Config{
 				Shards:                  []ShardConfig{{Name: "fake", Addr: fs.l.Addr().String()}},
 				SnapshotRefreshInterval: 5 * time.Millisecond,

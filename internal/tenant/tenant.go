@@ -8,12 +8,11 @@
 // StatusRateLimited with a Retry-After hint) instead of congesting the
 // dispatch order and triggering Algorithm 1 demotions for everyone else.
 //
-// Hot-path constraints: Admit is lock-striped (a read-lock on one of 16
-// registry shards to resolve the record, then one per-tenant mutex for the
-// bucket arithmetic) and allocation-free. Tenants with Capacity == 0 are
-// unlimited and skip the bucket entirely — the implicit "default" tenant
-// is unlimited unless configured otherwise, so single-tenant deployments
-// pay only a map read and two atomic adds per request.
+// Hot-path constraints: resolving a record is one atomic load of the
+// registry's copy-on-write map and a map read, Admit one per-tenant mutex
+// for the bucket arithmetic; neither allocates. Tenants with Capacity == 0
+// are unlimited and skip the bucket arithmetic — the implicit "default"
+// tenant is unlimited unless configured otherwise.
 package tenant
 
 import (
@@ -368,22 +367,19 @@ type Stat struct {
 	Dispatched int64 // cumulative dispatched token cost
 }
 
-const numShards = 16
-
-type shard struct {
-	mu sync.RWMutex
-	m  map[string]*Tenant
-}
-
-// Registry holds the live tenant records, sharded by FNV-1a of the tenant
-// id so concurrent admission on different tenants never contends on one
-// lock. Lookups for unknown tenants fall back to the DefaultID record
-// (always present), which both bounds metric cardinality and gives
-// unregistered clients a policed shared budget.
+// Registry holds the live tenant records in a copy-on-write map: lookups
+// read the current map through one atomic load, and Put — called only at
+// construction and by the admin API — publishes a copy with the new
+// record. Every workload runs a handful of tenants, so the copy is cheap
+// and the read path takes no lock at all. Lookups for unknown tenants
+// fall back to the DefaultID record (always present), which both bounds
+// metric cardinality and gives unregistered clients a policed shared
+// budget.
 type Registry struct {
-	base   time.Time
-	shards [numShards]shard
-	def    *Tenant
+	base time.Time
+	mu   sync.Mutex // serializes Put
+	m    atomic.Pointer[map[string]*Tenant]
+	def  *Tenant
 }
 
 // NewRegistry builds a registry from validated configs. A DefaultID
@@ -391,10 +387,7 @@ type Registry struct {
 // provide one.
 func NewRegistry(cfgs ...Config) (*Registry, error) {
 	r := &Registry{base: time.Now()}
-	for i := range r.shards {
-		r.shards[i].m = make(map[string]*Tenant)
-	}
-	hasDefault := false
+	r.m.Store(&map[string]*Tenant{})
 	for _, c := range cfgs {
 		if err := c.Validate(); err != nil {
 			return nil, err
@@ -403,78 +396,57 @@ func NewRegistry(cfgs ...Config) (*Registry, error) {
 			return nil, fmt.Errorf("tenant: duplicate id %q", c.ID)
 		}
 		r.Put(c)
-		if c.ID == DefaultID {
-			hasDefault = true
-		}
 	}
-	if !hasDefault {
-		r.Put(Config{ID: DefaultID})
+	var ok bool
+	if r.def, ok = r.Lookup(DefaultID); !ok {
+		r.def = r.Put(Config{ID: DefaultID})
 	}
-	r.def, _ = r.Lookup(DefaultID)
 	return r, nil
-}
-
-// shardOf hashes id with FNV-1a (inlined, allocation-free).
-func (r *Registry) shardOf(id string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return &r.shards[h%numShards]
 }
 
 // Get resolves a request's tenant id to its record; the empty string and
 // unknown ids resolve to the DefaultID record. Allocation-free.
 func (r *Registry) Get(id string) *Tenant {
-	if id == "" || id == DefaultID {
-		return r.def
+	if t, ok := r.Lookup(id); ok {
+		return t
 	}
-	s := r.shardOf(id)
-	s.mu.RLock()
-	t := s.m[id]
-	s.mu.RUnlock()
-	if t == nil {
-		return r.def
-	}
-	return t
+	return r.def
 }
 
 // Lookup resolves an id without the default fallback — the admin GET
 // path, where an unknown tenant is a 404.
 func (r *Registry) Lookup(id string) (*Tenant, bool) {
-	s := r.shardOf(id)
-	s.mu.RLock()
-	t := s.m[id]
-	s.mu.RUnlock()
-	return t, t != nil
+	t, ok := (*r.m.Load())[id]
+	return t, ok
 }
 
 // Put inserts or live-updates a tenant record and returns it. The config
-// must already be validated.
+// must already be validated. A new record is configured before it is
+// published, so no lookup sees it half set up.
 func (r *Registry) Put(c Config) *Tenant {
-	s := r.shardOf(c.ID)
-	s.mu.Lock()
-	t := s.m[c.ID]
-	if t == nil {
-		t = &Tenant{id: c.ID, base: r.base}
-		s.m[c.ID] = t
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := *r.m.Load()
+	if t := old[c.ID]; t != nil {
+		t.configure(c)
+		return t
 	}
-	s.mu.Unlock()
+	t := &Tenant{id: c.ID, base: r.base}
 	t.configure(c)
+	m := make(map[string]*Tenant, len(old)+1)
+	for id, o := range old {
+		m[id] = o
+	}
+	m[c.ID] = t
+	r.m.Store(&m)
 	return t
 }
 
 // Configs returns every record's configuration, sorted by id.
 func (r *Registry) Configs() []Config {
 	var out []Config
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, t := range s.m {
-			out = append(out, t.Config())
-		}
-		s.mu.RUnlock()
+	for _, t := range *r.m.Load() {
+		out = append(out, t.Config())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -495,13 +467,8 @@ func (t *Tenant) Stat() Stat {
 // the source of arlo_admission_total and arlo_tenant_queue_share.
 func (r *Registry) Stats() []Stat {
 	var out []Stat
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, t := range s.m {
-			out = append(out, t.Stat())
-		}
-		s.mu.RUnlock()
+	for _, t := range *r.m.Load() {
+		out = append(out, t.Stat())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -399,4 +401,57 @@ func ExampleParseConfig() {
 	cfgs, _ := ParseConfig([]byte(`{"tenants": [{"id": "team-a", "slo_class": "interactive", "weight": 4}]}`))
 	fmt.Println(cfgs[0].ID, cfgs[0].SLOClass, cfgs[0].Weight)
 	// Output: team-a interactive 4
+}
+
+// TestRegistryGetRacesPut: lookups of a registered id race Puts of new
+// ids (the admin API's inserts) and must always see that id's own, fully
+// configured record — never the default fallback, never a torn one — and
+// every id whose Put has returned must resolve to its configured record.
+// Run under -race it also audits the copy-on-write publication.
+func TestRegistryGetRacesPut(t *testing.T) {
+	reg, err := NewRegistry(Config{ID: "steady", SLOClass: "interactive", Capacity: 100, RefillPerSec: 10, Weight: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reg.Get("steady").Config()
+	const puts = 200
+	var published atomic.Int64 // ids new-0 .. new-(published-1) are in
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < puts; i++ {
+			reg.Put(Config{ID: fmt.Sprintf("new-%d", i), Capacity: float64(i + 1), Weight: float64(i + 1)})
+			published.Store(int64(i + 1))
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if got := reg.Get("steady"); got.ID() != "steady" || got.Config() != want {
+					t.Errorf("Get(steady) = %+v, want %+v", got.Config(), want)
+					return
+				}
+				if n := published.Load(); n > 0 {
+					i := n - 1
+					got := reg.Get(fmt.Sprintf("new-%d", i)).Config()
+					if got.ID != fmt.Sprintf("new-%d", i) || got.Capacity != float64(i+1) || got.Weight != float64(i+1) {
+						t.Errorf("Get(new-%d) after its Put = %+v", i, got)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(reg.Stats()); got != puts+2 {
+		t.Fatalf("registry holds %d records, want %d", got, puts+2)
+	}
 }
