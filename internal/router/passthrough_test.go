@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,19 +30,21 @@ import (
 )
 
 // fakeShard is a scripted wire listener: load probes get a healthy
-// snapshot, every inference request gets the configured response.
+// snapshot, loadLag after they arrive, and every inference request gets
+// the configured response at once.
 type fakeShard struct {
-	l      net.Listener
-	script func(req *wire.Request) wire.Response
+	l       net.Listener
+	loadLag time.Duration
+	script  func(req *wire.Request) wire.Response
 }
 
-func startFakeShard(t *testing.T, script func(req *wire.Request) wire.Response) *fakeShard {
+func startFakeShard(t *testing.T, loadLag time.Duration, script func(req *wire.Request) wire.Response) *fakeShard {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &fakeShard{l: l, script: script}
+	fs := &fakeShard{l: l, loadLag: loadLag, script: script}
 	go fs.serve()
 	t.Cleanup(func() { _ = l.Close() })
 	return fs
@@ -56,8 +59,16 @@ func (fs *fakeShard) serve() {
 		}
 		go func(nc net.Conn) {
 			defer nc.Close()
+			// Lagged snapshots are written from timers, beside the replies.
+			var mu sync.Mutex
+			write := func(frame []byte) error {
+				mu.Lock()
+				defer mu.Unlock()
+				_, err := nc.Write(frame)
+				return err
+			}
 			br := bufio.NewReader(nc)
-			var buf, out []byte
+			var buf []byte
 			for {
 				var payload []byte
 				var err error
@@ -65,6 +76,7 @@ func (fs *fakeShard) serve() {
 				if err != nil {
 					return
 				}
+				var frame []byte
 				if payload[0] == wire.KindLoadRequest {
 					id, _ := wire.DecodeLoadRequest(payload)
 					seq++
@@ -75,7 +87,11 @@ func (fs *fakeShard) serve() {
 							{MaxLength: 512, Instances: 1, Capacity: 4},
 						},
 					}
-					out = wire.AppendFrame(out[:0], wire.AppendLoadSnapshot(nil, &snap))
+					frame = wire.AppendFrame(nil, wire.AppendLoadSnapshot(nil, &snap))
+					if fs.loadLag > 0 {
+						time.AfterFunc(fs.loadLag, func() { _ = write(frame) })
+						continue
+					}
 				} else {
 					req, err := wire.DecodeRequest(payload, nil)
 					if err != nil {
@@ -83,9 +99,9 @@ func (fs *fakeShard) serve() {
 					}
 					resp := fs.script(&req)
 					resp.ID = req.ID
-					out = wire.AppendFrame(out[:0], wire.AppendResponse(nil, &resp))
+					frame = wire.AppendFrame(nil, wire.AppendResponse(nil, &resp))
 				}
-				if _, err := nc.Write(out); err != nil {
+				if write(frame) != nil {
 					return
 				}
 			}
@@ -117,7 +133,7 @@ func TestErrorPassthroughHTTP(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fs := startFakeShard(t, func(req *wire.Request) wire.Response {
+			fs := startFakeShard(t, 0, func(req *wire.Request) wire.Response {
 				return wire.Response{
 					Status:       tc.status,
 					RetryAfterNS: tc.retryAfterNS,
@@ -163,7 +179,7 @@ func TestErrorPassthroughHTTP(t *testing.T) {
 // TestErrorPassthroughWire pins the binary front end: status, message
 // and retry hint survive untouched.
 func TestErrorPassthroughWire(t *testing.T) {
-	fs := startFakeShard(t, func(req *wire.Request) wire.Response {
+	fs := startFakeShard(t, 0, func(req *wire.Request) wire.Response {
 		return wire.Response{
 			Status:       wire.StatusRateLimited,
 			RetryAfterNS: 42e6,

@@ -644,6 +644,49 @@ func TestDialTimeoutReroutes(t *testing.T) {
 	}
 }
 
+// The refresh interval sets how often a shard is probed, not how long a
+// probe may take. A shard whose load snapshots arrive ten intervals late,
+// but well within the probe's second, stays up on the one connection it
+// was dialed on and takes its round-robin share.
+func TestSlowProbeKeepsShardUp(t *testing.T) {
+	const interval, lag = 5 * time.Millisecond, 50 * time.Millisecond
+	ok := func(*wire.Request) wire.Response { return wire.Response{Status: wire.StatusOK} }
+	fast, slow := startFakeShard(t, 0, ok), startFakeShard(t, lag, ok)
+	dial := dialWire
+	t.Cleanup(func() { dialWire = dial })
+	var slowDials atomic.Int64
+	dialWire = func(ctx context.Context, addr string) (*serve.WireClient, error) {
+		if addr == "slow" {
+			slowDials.Add(1)
+			addr = slow.l.Addr().String()
+		}
+		return dial(ctx, addr)
+	}
+	r := newRouter(t, Config{
+		Shards:                  []ShardConfig{{Name: "fast", Addr: fast.l.Addr().String()}, {Name: "slow", Addr: "slow"}},
+		Policy:                  PolicyRoundRobin,
+		SnapshotRefreshInterval: interval,
+	})
+	sh := r.shards[1]
+	deadline := time.Now().Add(2 * time.Second)
+	for e := sh.snapshot(); e == nil || e.snap.Seq < 3; e = sh.snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("slow shard: no third snapshot in 2 s (down %v); its probes time out with the %v interval",
+				sh.down.Load(), interval)
+		}
+		time.Sleep(interval)
+	}
+	for i := 0; i < 10; i++ {
+		if resp, hop := r.Do(context.Background(), wire.Request{Mode: wire.ModeText, Text: "either shard"}); resp.Status != wire.StatusOK {
+			t.Fatalf("request %d: status %v from %q", i, resp.Status, hop.Shard)
+		}
+	}
+	if sh.down.Load() || sh.requests.Load() == 0 || slowDials.Load() != 1 {
+		t.Errorf("slow shard: down %v, %d of 10 requests, dialed %d times; want up, its share, one dial",
+			sh.down.Load(), sh.requests.Load(), slowDials.Load())
+	}
+}
+
 // waitRefresh blocks until every shard has a snapshot with seq >= minSeq.
 func waitRefresh(t *testing.T, r *Router, minSeq uint64) {
 	t.Helper()
