@@ -193,14 +193,10 @@ func (s *Solver) solveDP(g int, q []float64, minN []int) ([]int, float64) {
 	// Reconstruct choices back through the stages.
 	n := make([]int, numRt)
 	st := finals[bestIdx]
-	gUsed := g
 	for i := numRt - 1; i >= 0; i-- {
 		n[i] = st.choice
 		if i > 0 {
-			prev := history[i-1][st.gPrev]
-			gUsed = st.gPrev
-			st = prev[st.parent]
-			_ = gUsed
+			st = history[i-1][st.gPrev][st.parent]
 		}
 	}
 	return n, finals[bestIdx].cost

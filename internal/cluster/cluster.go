@@ -443,7 +443,8 @@ type Result struct {
 // it completes, returning its modeled latency (queueing + compute +
 // overhead). The job and its completion channel come from a pool, so the
 // steady-state path is allocation-free. Callers that need the latency
-// decomposition or cancellation should use SubmitCtx.
+// decomposition or cancellation should use SubmitCtx. No binary calls it;
+// it stays as the library's plain blocking entry point.
 func (c *Cluster) Submit(length int) (time.Duration, error) {
 	res, err := c.SubmitCtx(context.Background(), Request{Length: length})
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package metrics provides the measurement primitives used across the
-// evaluation: latency recorders with mean/percentile/CDF extraction, SLO
+// evaluation: latency recorders with mean and percentile extraction, SLO
 // accounting, and time-weighted series (e.g. the time-weighted GPU count of
 // Fig. 8). The paper's primary metrics are mean latency and 98th-percentile
 // tail latency (section 5, Metrics).
@@ -102,52 +102,12 @@ func (r *Recorder) SLOViolations(slo time.Duration) (count int, fraction float64
 	return count, float64(count) / float64(len(r.samples))
 }
 
-// CDFPoint is one point of a cumulative distribution: fraction F of samples
-// have latency <= Latency.
-type CDFPoint struct {
-	Latency time.Duration
-	F       float64
-}
-
-// CDF returns up to maxPoints evenly spaced points of the empirical CDF
-// (always including the minimum and maximum). With maxPoints <= 0 every
-// sample becomes a point.
-func (r *Recorder) CDF(maxPoints int) []CDFPoint {
-	n := len(r.samples)
-	if n == 0 {
-		return nil
-	}
-	r.sort()
-	if maxPoints <= 0 || maxPoints > n {
-		maxPoints = n
-	}
-	out := make([]CDFPoint, 0, maxPoints)
-	for k := 0; k < maxPoints; k++ {
-		// Sample index positions proportionally, ending at n-1.
-		var idx int
-		if maxPoints == 1 {
-			idx = n - 1
-		} else {
-			idx = k * (n - 1) / (maxPoints - 1)
-		}
-		out = append(out, CDFPoint{Latency: r.samples[idx], F: float64(idx+1) / float64(n)})
-	}
-	return out
-}
-
 // Snapshot returns a copy of the sorted samples.
 func (r *Recorder) Snapshot() []time.Duration {
 	r.sort()
 	out := make([]time.Duration, len(r.samples))
 	copy(out, r.samples)
 	return out
-}
-
-// Reset discards all samples, keeping allocated capacity.
-func (r *Recorder) Reset() {
-	r.samples = r.samples[:0]
-	r.sum = 0
-	r.sorted = true
 }
 
 func (r *Recorder) sort() {

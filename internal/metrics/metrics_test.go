@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,9 +13,6 @@ func TestRecorderEmpty(t *testing.T) {
 	}
 	if c, f := r.SLOViolations(time.Second); c != 0 || f != 0 {
 		t.Error("empty recorder should report no violations")
-	}
-	if r.CDF(10) != nil {
-		t.Error("empty recorder CDF should be nil")
 	}
 }
 
@@ -88,39 +83,6 @@ func TestRecordInterleavedWithReads(t *testing.T) {
 	}
 }
 
-func TestCDFProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	r := NewRecorder(1000)
-	for i := 0; i < 1000; i++ {
-		r.Record(time.Duration(rng.Intn(1e6)) * time.Microsecond)
-	}
-	for _, maxPts := range []int{1, 2, 17, 100, 1000, 0, 5000} {
-		cdf := r.CDF(maxPts)
-		if len(cdf) == 0 {
-			t.Fatalf("maxPoints=%d produced empty CDF", maxPts)
-		}
-		if want := maxPts; want > 0 && want <= 1000 && len(cdf) != want {
-			t.Errorf("maxPoints=%d: got %d points", maxPts, len(cdf))
-		}
-		last := cdf[len(cdf)-1]
-		if last.F != 1 {
-			t.Errorf("maxPoints=%d: CDF must end at F=1, got %v", maxPts, last.F)
-		}
-		if last.Latency != r.Max() {
-			t.Errorf("maxPoints=%d: CDF must end at the max latency", maxPts)
-		}
-		if !sort.SliceIsSorted(cdf, func(i, j int) bool { return cdf[i].F < cdf[j].F }) {
-			// Equal F values can only arise from duplicate indices, which
-			// the proportional spacing avoids for maxPoints <= n.
-			for i := 1; i < len(cdf); i++ {
-				if cdf[i].F < cdf[i-1].F || cdf[i].Latency < cdf[i-1].Latency {
-					t.Fatalf("maxPoints=%d: CDF not monotone at %d", maxPts, i)
-				}
-			}
-		}
-	}
-}
-
 func TestRecorderQuickMeanBounds(t *testing.T) {
 	f := func(raw []uint32) bool {
 		if len(raw) == 0 {
@@ -135,19 +97,6 @@ func TestRecorderQuickMeanBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRecorderReset(t *testing.T) {
-	var r Recorder
-	r.Record(time.Second)
-	r.Reset()
-	if r.Count() != 0 || r.Mean() != 0 {
-		t.Error("reset should clear samples")
-	}
-	r.Record(2 * time.Second)
-	if r.Mean() != 2*time.Second {
-		t.Error("recorder unusable after reset")
 	}
 }
 

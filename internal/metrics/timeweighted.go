@@ -63,7 +63,8 @@ func (w *TimeWeighted) Average(end time.Duration) float64 {
 func (w *TimeWeighted) Last() float64 { return w.lastVal }
 
 // Series returns the recorded change points (value transitions only),
-// suitable for plotting the Fig. 8 / Fig. 12 time series.
+// suitable for plotting the Fig. 8 / Fig. 12 time series. Only tests call
+// it: they read the series' deduplication through it.
 func (w *TimeWeighted) Series() []TimePoint {
 	out := make([]TimePoint, len(w.points))
 	copy(out, w.points)

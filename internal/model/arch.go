@@ -107,7 +107,8 @@ func (a Arch) RuntimeLengthsN(n int) []int {
 // FLOPs returns the forward-pass floating point operations for one sequence
 // of the given length: per layer, QKV/output projections and the FFN cost
 // 24*s*H^2 (with Intermediate = 4H) and attention score/value matmuls cost
-// 4*s^2*H. Used for the padding-waste analysis in section 2.2.
+// 4*s^2*H. Only tests call it: it is the check of section 2.2's
+// padding-waste (FLOP) figure.
 func (a Arch) FLOPs(seqLen int) int64 {
 	if seqLen <= 0 {
 		return 0

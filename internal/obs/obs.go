@@ -397,6 +397,7 @@ func (r *Recorder) Batches() int64 {
 }
 
 // BatchedRequests returns the total requests executed inside batches.
+// Only tests call it: they read the batch books through it.
 func (r *Recorder) BatchedRequests() int64 {
 	if r == nil {
 		return 0
@@ -607,6 +608,7 @@ func (r *Recorder) RejectedFor(reason RejectReason) int64 {
 }
 
 // Demotions returns the demotion count for one (from, to) runtime pair.
+// Only tests call it: they read the demotion books through it.
 func (r *Recorder) Demotions(from, to int) int64 {
 	if r == nil || from < 0 || to < 0 || from >= r.levels || to >= r.levels {
 		return 0

@@ -255,8 +255,8 @@ func (r *Recorder) SetLengthBins(uppers []int) {
 }
 
 // RecordSpanAt is RecordSpan with an explicit timestamp for the sliding
-// window, so deterministic tests can drive the controller's observation
-// plane with virtual time.
+// window. Only tests call it: they drive the controller's observation plane
+// with virtual time through it.
 func (r *Recorder) RecordSpanAt(s *Span, at time.Time) {
 	if r == nil {
 		return
@@ -269,7 +269,8 @@ func (r *Recorder) RecordSpanAt(s *Span, at time.Time) {
 // the sliding window ending now — the raw material of the allocation
 // program's demand vector q. The slice is indexed like the profile's
 // runtime levels. Nil when no length bins are installed (no cluster
-// observer and no SetLengthBins call).
+// observer and no SetLengthBins call). Only tests call it: they read the
+// window's length binning through it.
 func (r *Recorder) LengthDist() []int64 {
 	return r.LengthDistAt(time.Now())
 }

@@ -41,7 +41,8 @@ func (r Runtime) DecodeStepUniform(b, ctx int) time.Duration {
 // GenCostOf returns the run-to-completion cost of one generative request
 // executed alone: prefill at the request length plus out-1 decode steps at
 // the growing context. out <= 1 is the plain CostOf (the prefill yields
-// the first token).
+// the first token). Only tests call it: it is a reference implementation
+// per-iteration pricing is tested against.
 func (r Runtime) GenCostOf(length, out int) time.Duration {
 	cost := r.CostOf(length)
 	for t := 1; t < out; t++ {
@@ -54,7 +55,8 @@ func (r Runtime) GenCostOf(length, out int) time.Duration {
 // requests run as one run-to-completion batch: every slot stays occupied
 // until the longest output finishes, so each of the maxOut-1 iterations
 // runs at full batch width — the padding-in-time that continuous batching
-// removes. Add BatchCostOf(lengths) for the total.
+// removes. Add BatchCostOf(lengths) for the total. Only GenBatchCostOf
+// calls it, as part of that reference implementation.
 func (r Runtime) DecodeTailCost(lengths, outs []int) time.Duration {
 	if len(lengths) == 0 || len(lengths) != len(outs) {
 		return 0
@@ -77,7 +79,8 @@ func (r Runtime) DecodeTailCost(lengths, outs []int) time.Duration {
 }
 
 // GenBatchCostOf is the full run-to-completion generative batch cost:
-// prefill over the whole batch plus the decode tail.
+// prefill over the whole batch plus the decode tail. Only tests call it: it
+// is a reference implementation per-iteration pricing is tested against.
 func (r Runtime) GenBatchCostOf(lengths, outs []int) time.Duration {
 	return r.BatchCostOf(lengths) + r.DecodeTailCost(lengths, outs)
 }

@@ -350,7 +350,8 @@ func (m *MultiLevel) Get(id int) *Instance {
 	return in
 }
 
-// Size returns the total number of registered instances.
+// Size returns the total number of registered instances. Only tests call
+// it: they read the registry's conservation through it.
 func (m *MultiLevel) Size() int {
 	m.topo.RLock()
 	n := len(m.byID)

@@ -105,7 +105,8 @@ type InferResponse struct {
 type ErrorBody struct {
 	// Code is a stable machine-readable error class: invalid_request,
 	// unsupported_field, too_long, congested, no_instances, unavailable,
-	// deadline_exceeded, method_not_allowed or internal.
+	// unserviceable, deadline_exceeded, method_not_allowed, internal,
+	// rate_limited or not_found.
 	Code string `json:"code"`
 	// Message is human-readable detail.
 	Message string `json:"message"`
@@ -118,7 +119,8 @@ type ErrorEnvelope struct {
 }
 
 // Stable error codes of the envelope. Those with a wire.Status twin are
-// that status' String().
+// that status' String(), which is what writes them; the constants name the
+// documented codes for clients, and the tests pin each to its twin.
 const (
 	CodeInvalidRequest   = "invalid_request"
 	CodeTooLong          = "too_long"

@@ -81,7 +81,6 @@ const (
 	// Batch requests tolerate a stretched collection window in exchange
 	// for better batching amortization, and yield dispatch priority.
 	Batch
-	numClasses
 )
 
 // MaxWindowFactor is the largest Class.WindowFactor — the batched worker
@@ -440,16 +439,6 @@ func (r *Registry) Put(c Config) *Tenant {
 	m[c.ID] = t
 	r.m.Store(&m)
 	return t
-}
-
-// Configs returns every record's configuration, sorted by id.
-func (r *Registry) Configs() []Config {
-	var out []Config
-	for _, t := range *r.m.Load() {
-		out = append(out, t.Config())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Stat snapshots one tenant's admission/dispatch books.

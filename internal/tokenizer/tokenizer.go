@@ -81,7 +81,8 @@ func New() *Tokenizer {
 	return t
 }
 
-// VocabSize returns the vocabulary size.
+// VocabSize returns the vocabulary size. Only tests call it: they read the
+// compiled vocabulary's size through it.
 func (t *Tokenizer) VocabSize() int { return len(t.ids) }
 
 // asciiLower maps the ASCII letters and digits — the bytes that extend a

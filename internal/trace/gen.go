@@ -49,18 +49,6 @@ func (g GeometricOutputs) SampleOutput(rng *rand.Rand, _ time.Duration) int {
 	return n
 }
 
-// FixedOutputs gives every request the same output budget — the degenerate
-// sampler used by tests and calibration runs.
-type FixedOutputs struct{ Tokens int }
-
-// SampleOutput implements OutputSampler.
-func (f FixedOutputs) SampleOutput(*rand.Rand, time.Duration) int {
-	if f.Tokens < 1 {
-		return 1
-	}
-	return f.Tokens
-}
-
 // Generative returns the generative workload configuration: Poisson
 // arrivals at the given rate, the recalibrated (max 512) input-length
 // distribution, and geometric outputs with the given mean capped at

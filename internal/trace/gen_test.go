@@ -38,15 +38,6 @@ func TestGeometricOutputsDegenerate(t *testing.T) {
 	}
 }
 
-func TestFixedOutputs(t *testing.T) {
-	if v := (FixedOutputs{Tokens: 7}).SampleOutput(nil, 0); v != 7 {
-		t.Errorf("fixed sampler = %d, want 7", v)
-	}
-	if v := (FixedOutputs{}).SampleOutput(nil, 0); v != 1 {
-		t.Errorf("zero fixed sampler = %d, want 1", v)
-	}
-}
-
 func TestGenerativeTraceDeterministicAndBudgeted(t *testing.T) {
 	cfg := Generative(42, 50, 2*time.Second, 16, 256)
 	a, err := Generate(cfg)
