@@ -4,9 +4,17 @@ import (
 	"bufio"
 	"encoding/json"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"arlo/internal/cluster"
+	"arlo/internal/dispatch"
+	"arlo/internal/model"
+	"arlo/internal/profiler"
+	"arlo/internal/queue"
+	"arlo/internal/tokenizer"
 	"arlo/internal/wire"
 )
 
@@ -93,6 +101,47 @@ func TestWireLoadProbe(t *testing.T) {
 	}
 	if len(snap.Levels) == 0 || !snap.Serviceable() {
 		t.Errorf("snapshot not serviceable or empty: %+v", snap)
+	}
+}
+
+// TestHealthzBodyPinned pins the exact /healthz bytes of a 3-instance
+// cluster with one instance slowed and one crashed for an hour: the
+// per-state counts, the shard name, and each instance's state, with
+// slow_factor shown only where it is not 1 (healthy) or 0 (dead).
+func TestHealthzBodyPinned(t *testing.T) {
+	p, err := profiler.StaticProfile(model.BertBase(), []int{128, 256, 512}, 150*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(cluster.Config{
+		Profile:           p,
+		InitialAllocation: []int{1, 1, 1},
+		Dispatcher: func(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
+			return dispatch.NewRequestScheduler(ml)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	srv, err := New(tokenizer.New(), cl, WithShardName("pin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.SlowInstance(1, 2.5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.FailInstance(2, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	const want = `{"status":"ok","healthy":1,"degraded":1,"dead":1,"shard":"pin","instances":[` +
+		`{"id":0,"runtime":0,"state":"healthy"},` +
+		`{"id":1,"runtime":1,"state":"degraded","slow_factor":2.5},` +
+		`{"id":2,"runtime":2,"state":"dead"}]}` + "\n"
+	if w.Code != http.StatusOK || w.Body.String() != want {
+		t.Errorf("/healthz = %d\n got %q\nwant %q", w.Code, w.Body.String(), want)
 	}
 }
 
