@@ -54,15 +54,15 @@ bench:
 bench-dispatch:
 	$(GO) test -bench 'Fig9' -benchmem -cpu 1,4,8 -run=^$$ .
 
-# Observability overhead guard: the Fig. 9 dispatch hot path with the
-# observer plane disabled (nil recorder) must stay within ~10% of the
-# plain dispatch benchmark, and the On/Off gap is the price of enabling
-# metrics. Compare the three ns/op lines by eye or in CI. The 0 allocs/op
-# half of the pin is not read by eye: TestDispatchAllocGuard (tier-1) holds
-# it for every policy and runs first.
+# Observability overhead guard: every cluster records, so the gap between
+# the plain Fig. 9 dispatch benchmark and ObserverOn (the same dispatch
+# plus the recorder's submit count, demotion count and span fold) is the
+# price of the books. Compare the two ns/op lines by eye or in CI. The 0
+# allocs/op half of the pin is not read by eye: TestDispatchAllocGuard
+# (tier-1) holds it for every policy and runs first.
 bench-obs:
 	$(GO) test -run TestDispatchAllocGuard -v ./internal/dispatch/
-	$(GO) test -bench 'Fig9Dispatch1200Instances|Fig9DispatchObserver' -benchmem -count 3 -run=^$$ .
+	$(GO) test -bench 'Fig9Dispatch1200Instances|Fig9DispatchObserverOn' -benchmem -count 3 -run=^$$ .
 
 # JSON hot-path allocation guard plus handler- and socket-level serving
 # benchmarks (allocs/op is the number to watch), then the tokenizer every
@@ -119,7 +119,7 @@ loc:
 
 # The house rule as a gate: the root module's code lines never exceed the
 # figure the last simplicity PR ended on. A PR that ends lower lowers it.
-LOC_MAX = 11930
+LOC_MAX = 11747
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$1 == "total" { print $$2 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \

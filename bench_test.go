@@ -219,21 +219,14 @@ func benchDispatchParallel(b *testing.B, instances, L int) {
 	})
 }
 
-// BenchmarkFig9DispatchObserver measures the Fig. 9 dispatch decision
+// BenchmarkFig9DispatchObserverOn measures the Fig. 9 dispatch decision
 // plus everything the observability plane adds to the hot path: a submit
-// count, the context-first dispatch (Decision by value), a demotion
-// count when taken, and a span fold into the striped histograms. The Off
-// variant runs the identical code against a nil recorder — the gap
-// between the two IS the cost of enabling observability, and Off vs
-// BenchmarkFig9Dispatch1200Instances is the cost of having the plane
-// compiled in at all (`make bench-obs` prints all three).
-func BenchmarkFig9DispatchObserverOff(b *testing.B) { benchDispatchObserver(b, nil) }
+// count, the context-first dispatch (Decision by value), a demotion count
+// when taken, and a span fold into the striped histograms. Every cluster
+// records, so the gap to BenchmarkFig9Dispatch1200Instances IS the
+// plane's cost (`make bench-obs` prints both).
 func BenchmarkFig9DispatchObserverOn(b *testing.B) {
-	benchDispatchObserver(b, obs.NewRecorder(12))
-}
-
-func benchDispatchObserver(b *testing.B, rec *obs.Recorder) {
-	b.Helper()
+	rec := obs.NewRecorder(12)
 	rs, ml := benchScheduler(b, 1200, 6)
 	lengths := benchLengths()
 	ctx := context.Background()

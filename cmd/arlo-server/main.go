@@ -93,9 +93,8 @@ func main() {
 	}
 	defer cl.Close()
 
-	// The control loop is built before the server so its observability
-	// recorder lands on the cluster first; serve.New then reuses it for
-	// /metrics, and WithController exposes the loop at /v1/controller.
+	// The control loop and the server both read the cluster's one recorder;
+	// WithController exposes the loop at /v1/controller.
 	var ctrl *controller.Controller
 	if *ctrlOn {
 		opts := controller.Options{

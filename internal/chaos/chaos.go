@@ -173,7 +173,7 @@ type Report struct {
 	// FinalAllocation is the per-runtime instance count after the run.
 	FinalAllocation []int
 	// FinalHealth summarizes instance health at the end of the run.
-	FinalHealth cluster.HealthSummary
+	FinalHealth obs.HealthSummary
 
 	// Samples holds one entry per submitted request, in schedule order.
 	Samples []Sample
@@ -308,7 +308,6 @@ func Run(cfg Config) (*Report, error) {
 	if meanOut == 0 {
 		meanOut = float64(maxNew+1) / 2
 	}
-	rec := obs.NewRecorder(len(cfg.Profile.MaxLengths()))
 	cl, err := cluster.New(cluster.Config{
 		Profile:           cfg.Profile,
 		InitialAllocation: cfg.Allocation,
@@ -324,8 +323,8 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl.SetObserver(rec)
 	defer cl.Close()
+	rec := cl.Recorder()
 
 	// The seed also picks the entry point: odd seeds submit through the
 	// ring-fed ingress every server and benchmark workload uses, even
@@ -353,7 +352,7 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ctrl, err = controller.New(cl, solver, rec, *cfg.Controller); err != nil {
+		if ctrl, err = controller.New(cl, solver, *cfg.Controller); err != nil {
 			return nil, err
 		}
 	}
@@ -552,6 +551,6 @@ func Run(cfg Config) (*Report, error) {
 	rep.RequeuesQueued = rec.RequeuesFor(obs.RequeueQueued)
 	rep.RequeuesInflight = rec.RequeuesFor(obs.RequeueInflight)
 	rep.FinalAllocation = cl.Allocation()
-	rep.FinalHealth = cluster.Summarize(cl.Health())
+	rep.FinalHealth = cl.Snapshot().Health()
 	return rep, nil
 }

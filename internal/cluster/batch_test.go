@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"arlo/internal/obs"
 )
 
 // TestBatchedClusterCoalesces drives a burst through one worker with greedy
@@ -17,7 +15,6 @@ import (
 // with the completions.
 func TestBatchedClusterCoalesces(t *testing.T) {
 	p := testProfile(t, []int{512})
-	rec := obs.NewRecorder(1)
 	c, err := New(Config{
 		Profile:           p,
 		InitialAllocation: []int{1},
@@ -29,7 +26,7 @@ func TestBatchedClusterCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
+	rec := c.Recorder()
 	defer c.Close()
 
 	const n = 12
@@ -149,7 +146,6 @@ func TestBatchedDrainsBurstFaster(t *testing.T) {
 // books must balance regardless of who wins each race.
 func TestBatchFormationCancellationRace(t *testing.T) {
 	p := testProfile(t, []int{512})
-	rec := obs.NewRecorder(1)
 	c, err := New(Config{
 		Profile:           p,
 		InitialAllocation: []int{2},
@@ -163,7 +159,7 @@ func TestBatchFormationCancellationRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
+	rec := c.Recorder()
 	defer c.Close()
 
 	const n = 200

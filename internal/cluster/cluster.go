@@ -134,10 +134,9 @@ type Cluster struct {
 	continuous bool
 	meanOut    float64
 
-	// obsRec is the observability recorder; nil disables recording (all
-	// recorder methods are nil-receiver safe, so the hot path pays one
-	// atomic load and a predictable branch).
-	obsRec atomic.Pointer[obs.Recorder]
+	// rec is the cluster's one observability recorder, built with it: the
+	// only books of what it served, and the window the control loop reads.
+	rec *obs.Recorder
 
 	// tenants and fairQ are the multi-tenancy state: nil when
 	// Config.Tenants is unset. Admitted jobs queue in fairQ and a single
@@ -348,7 +347,13 @@ func New(cfg Config) (*Cluster, error) {
 		batchDelay: batchDelay,
 		continuous: cfg.Continuous,
 		meanOut:    meanOut,
+		rec:        obs.NewRecorder(len(cfg.Profile.Runtimes)),
 	}
+	// The profile's runtime boundaries are the sliding window's length
+	// bins, so the control loop reads the demand vector q straight off the
+	// recorder; its gauges render this cluster's Snapshot.
+	c.rec.SetLengthBins(cfg.Profile.MaxLengths())
+	c.rec.SetSnapshot(c.Snapshot)
 	if cfg.Tenants != nil {
 		c.tenants = cfg.Tenants
 		c.fairQ = queue.NewFair[*job]()
@@ -464,15 +469,14 @@ func (c *Cluster) Submit(length int) (time.Duration, error) {
 // With a plain background context the path is identical to Submit:
 // allocation-free via the job pool.
 func (c *Cluster) SubmitCtx(ctx context.Context, req Request) (res Result, err error) {
-	rec := c.obsRec.Load()
-	j, err := c.lease(ctx, rec, req)
+	j, err := c.lease(ctx, req)
 	if err != nil {
 		return res, err
 	}
-	if err := c.submit(ctx, j, rec); err != nil {
+	if err := c.submit(ctx, j); err != nil {
 		return res, err
 	}
-	err = c.await(ctx, j, rec, &res)
+	err = c.await(ctx, j, &res)
 	return res, err
 }
 
@@ -484,15 +488,15 @@ func (c *Cluster) SubmitCtx(ctx context.Context, req Request) (res Result, err e
 // that is already done, or an admission refusal, resolves the request
 // here with its typed error and its outcome on the books: no job is
 // leased and the queue is never touched.
-func (c *Cluster) lease(ctx context.Context, rec *obs.Recorder, req Request) (*job, error) {
-	rec.RecordSubmit()
+func (c *Cluster) lease(ctx context.Context, req Request) (*job, error) {
+	c.rec.RecordSubmit()
 	if err := ctx.Err(); err != nil {
-		rec.RecordCancel()
+		c.rec.RecordCancel()
 		return nil, cancelErr(err)
 	}
 	t, err := c.admitTenant(req.Tenant, req.Length+req.MaxNewTokens)
 	if err != nil {
-		rec.RecordReject(obs.RejectRateLimited)
+		c.rec.RecordReject(obs.RejectRateLimited)
 		return nil, err
 	}
 	j := newJob(req.Length)
@@ -514,20 +518,20 @@ func (c *Cluster) lease(ctx context.Context, rec *obs.Recorder, req Request) (*j
 // await races the worker for the job's state: winning the CAS hands
 // ownership to whichever goroutine holds the job next (worker, ring
 // consumer or requeuer), which discards it.
-func (c *Cluster) await(ctx context.Context, j *job, rec *obs.Recorder, res *Result) error {
+func (c *Cluster) await(ctx context.Context, j *job, res *Result) error {
 	if ctx.Done() == nil {
-		return c.deliver(j, <-j.done, rec, res)
+		return c.deliver(j, <-j.done, res)
 	}
 	select {
 	case lat := <-j.done:
-		return c.deliver(j, lat, rec, res)
+		return c.deliver(j, lat, res)
 	case <-ctx.Done():
 		for {
 			if j.state.CompareAndSwap(jobPending, jobCancelled) ||
 				j.state.CompareAndSwap(jobRunning, jobAbandoned) {
 				// The worker now owns the job (it will discard or recycle
 				// it); the submitter must not touch j again.
-				rec.RecordCancel()
+				c.rec.RecordCancel()
 				return cancelErr(ctx.Err())
 			}
 			// Neither CAS won: the job either terminated (its result is on
@@ -536,7 +540,7 @@ func (c *Cluster) await(ctx context.Context, j *job, rec *obs.Recorder, res *Res
 			// retry — the state settles within a few iterations.
 			select {
 			case lat := <-j.done:
-				return c.deliver(j, lat, rec, res)
+				return c.deliver(j, lat, res)
 			default:
 				runtime.Gosched()
 			}
@@ -548,14 +552,14 @@ func (c *Cluster) await(ctx context.Context, j *job, rec *obs.Recorder, res *Res
 // failure sentinel yields the job's terminal error, anything else is a
 // normal completion, whose span is closed, recorded and copied — once —
 // into the caller's Result. Either way the job returns to the pool.
-func (c *Cluster) deliver(j *job, lat time.Duration, rec *obs.Recorder, res *Result) error {
+func (c *Cluster) deliver(j *job, lat time.Duration, res *Result) error {
 	if lat == failedLatency {
 		err := j.err
 		jobPool.Put(j)
 		return err
 	}
 	j.span.Total = lat
-	rec.RecordSpan(&j.span)
+	c.rec.RecordSpan(&j.span)
 	res.Latency, res.Span = lat, j.span
 	jobPool.Put(j)
 	return nil
@@ -595,7 +599,7 @@ func rejectReason(err error) obs.RejectReason {
 // submit places a freshly leased job: in its tenant's fair turn when a
 // registry is configured, inline otherwise. On failure the rejection is
 // recorded and the job recycled.
-func (c *Cluster) submit(ctx context.Context, j *job, rec *obs.Recorder) error {
+func (c *Cluster) submit(ctx context.Context, j *job) error {
 	var err error
 	if c.fairQ != nil {
 		err = c.fairEnqueue(j)
@@ -603,7 +607,7 @@ func (c *Cluster) submit(ctx context.Context, j *job, rec *obs.Recorder) error {
 		err = c.route(ctx, j)
 	}
 	if err != nil {
-		rec.RecordReject(rejectReason(err))
+		c.rec.RecordReject(rejectReason(err))
 		jobPool.Put(j)
 	}
 	return err
@@ -639,7 +643,7 @@ func (c *Cluster) place(ctx context.Context, j *job) error {
 	sp.IdealLevel, sp.Level, sp.Peeked, sp.Fallback = dec.IdealLevel, dec.Level, dec.Peeked, dec.Fallback
 	sp.Instance = inst.ID
 	if dec.Level > dec.IdealLevel {
-		c.obsRec.Load().RecordDemotion(dec.IdealLevel, dec.Level)
+		c.rec.RecordDemotion(dec.IdealLevel, dec.Level)
 	}
 	w := c.workers[inst.ID]
 	if w == nil {
@@ -686,7 +690,7 @@ func (c *Cluster) redispatch(j *job, reason obs.RequeueReason) {
 		jobPool.Put(j)
 		return
 	}
-	c.obsRec.Load().RecordRequeue(reason)
+	c.rec.RecordRequeue(reason)
 	if j.requeues >= requeueBudget {
 		c.failJob(j, fmt.Errorf("%w: displaced %d times (budget %d)",
 			ErrUnserviceable, j.requeues, requeueBudget))
@@ -734,7 +738,7 @@ func (c *Cluster) reroute(j *job, spent *int, noInstancesFatal bool) bool {
 func (c *Cluster) failJob(j *job, err error) {
 	if j.state.CompareAndSwap(jobPending, jobDone) {
 		j.err = err
-		c.obsRec.Load().RecordReject(rejectReason(err))
+		c.rec.RecordReject(rejectReason(err))
 		j.done <- failedLatency
 		return
 	}
@@ -755,10 +759,6 @@ func (c *Cluster) Instances() int {
 // give the modeled-time rates the profile's capacities are stated in.
 func (c *Cluster) TimeScale() float64 { return c.scale }
 
-// NumLevels returns the number of runtime levels the cluster schedules
-// over.
-func (c *Cluster) NumLevels() int { return c.ml.NumLevels() }
-
 // MaxLength returns the largest max_length across the cluster's deployed
 // runtime levels — the longest request the cluster can serve at all.
 func (c *Cluster) MaxLength() int {
@@ -766,30 +766,18 @@ func (c *Cluster) MaxLength() int {
 	return maxLens[len(maxLens)-1]
 }
 
-// SetObserver installs (or clears, with nil) the observability recorder:
-// subsequent submissions record spans, demotions and rejections into it,
-// and its scrape-time gauges are fed from this cluster's live state. Safe
-// to call while serving.
-func (c *Cluster) SetObserver(rec *obs.Recorder) {
-	if rec != nil {
-		rec.SetSnapshot(c.obsSnapshot)
-		// Install the profile's runtime boundaries as the sliding-window
-		// length bins so the control loop can read the demand vector q
-		// straight off the recorder.
-		rec.SetLengthBins(c.cfg.Profile.MaxLengths())
-	}
-	c.obsRec.Store(rec)
-}
+// Recorder returns the cluster's observability recorder: every request
+// it resolves is booked there, and its gauges render Snapshot.
+func (c *Cluster) Recorder() *obs.Recorder { return c.rec }
 
-// Observer returns the installed observability recorder (nil when
-// disabled).
-func (c *Cluster) Observer() *obs.Recorder { return c.obsRec.Load() }
-
-// obsSnapshot captures the live per-level queue depths and per-instance
-// loads for the observer's gauges.
-func (c *Cluster) obsSnapshot() obs.Snapshot {
+// Snapshot captures the cluster's live state at one moment, under one
+// shared acquisition of the topology lock: per-level queue depth, instance
+// count and summed capacity, and every instance's load and health —
+// crashed instances as Dead, with no load, until they rejoin.
+func (c *Cluster) Snapshot() obs.Snapshot {
 	maxLens := c.cfg.Profile.MaxLengths()
-	snap := obs.Snapshot{Levels: make([]obs.LevelStat, c.ml.NumLevels())}
+	snap := obs.Snapshot{Levels: make([]obs.LevelStat, len(maxLens))}
+	c.mu.RLock()
 	for k := range snap.Levels {
 		lvl := c.ml.Level(k)
 		snap.Levels[k] = obs.LevelStat{
@@ -802,25 +790,18 @@ func (c *Cluster) obsSnapshot() obs.Snapshot {
 			snap.Levels[k].BatchCap = c.batchCapFor(c.cfg.Profile.Runtimes[k])
 		}
 	}
-	insts := c.ml.Instances()
-	sort.Slice(insts, func(i, j int) bool { return insts[i].ID < insts[j].ID })
-	snap.Instances = make([]obs.InstanceStat, 0, len(insts))
-	c.mu.RLock()
-	for _, in := range insts {
-		st := obs.InstanceStat{
-			ID:          in.ID,
-			Runtime:     in.Runtime,
-			Outstanding: in.Outstanding(),
-			Capacity:    in.MaxCapacity,
-			Health:      obs.Healthy,
-		}
-		if w := c.workers[in.ID]; w != nil {
-			st.Health = w.health()
-		}
-		snap.Instances = append(snap.Instances, st)
+	snap.Instances = make([]obs.InstanceStat, 0, len(c.workers)+len(c.failed))
+	for id, w := range c.workers {
+		snap.Levels[w.inst.Runtime].Capacity += w.inst.MaxCapacity
+		snap.Instances = append(snap.Instances, obs.InstanceStat{
+			ID:          id,
+			Runtime:     w.inst.Runtime,
+			Outstanding: w.inst.Outstanding(),
+			Capacity:    w.inst.MaxCapacity,
+			Health:      w.health(),
+			SlowFactor:  w.slowFactor(),
+		})
 	}
-	// Crashed instances left the queue but stay visible (as dead, carrying
-	// no load) until their downtime elapses and they rejoin.
 	for id, f := range c.failed {
 		snap.Instances = append(snap.Instances, obs.InstanceStat{
 			ID:       id,

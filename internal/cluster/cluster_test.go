@@ -22,10 +22,10 @@ func rsFactory(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
 // burst of calls queues up in microseconds. A failure after dispatch
 // yields a negative latency on the channel.
 func submitAsync(c *Cluster, length int) (<-chan time.Duration, error) {
-	ctx, rec := context.Background(), c.obsRec.Load()
-	j, err := c.lease(ctx, rec, Request{Length: length})
+	ctx := context.Background()
+	j, err := c.lease(ctx, Request{Length: length})
 	if err == nil {
-		err = c.submit(ctx, j, rec)
+		err = c.submit(ctx, j)
 	}
 	if err != nil {
 		return nil, err
@@ -33,7 +33,7 @@ func submitAsync(c *Cluster, length int) (<-chan time.Duration, error) {
 	done := make(chan time.Duration, 1)
 	go func() {
 		var res Result
-		if err := c.await(ctx, j, rec, &res); err != nil {
+		if err := c.await(ctx, j, &res); err != nil {
 			res.Latency = -1
 		}
 		done <- res.Latency
@@ -174,11 +174,11 @@ func TestDispatchSpreadsAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx, rec := context.Background(), c.obsRec.Load()
+	ctx := context.Background()
 	jobs := make([]*job, 8)
 	for i := range jobs {
-		if jobs[i], err = c.lease(ctx, rec, Request{Length: 100}); err == nil {
-			err = c.submit(ctx, jobs[i], rec)
+		if jobs[i], err = c.lease(ctx, Request{Length: 100}); err == nil {
+			err = c.submit(ctx, jobs[i])
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +187,7 @@ func TestDispatchSpreadsAcrossWorkers(t *testing.T) {
 	perInstance := map[int]int{}
 	for _, j := range jobs {
 		var res Result
-		if err := c.await(ctx, j, rec, &res); err != nil {
+		if err := c.await(ctx, j, &res); err != nil {
 			t.Fatal(err)
 		}
 		perInstance[res.Span.Instance]++

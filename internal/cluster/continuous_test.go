@@ -6,13 +6,11 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"arlo/internal/obs"
 )
 
 // continuousCluster builds a one-level cluster running the iteration-level
 // loop with the given slot count and instance count.
-func continuousCluster(t *testing.T, instances, slots int, rec *obs.Recorder) *Cluster {
+func continuousCluster(t *testing.T, instances, slots int) *Cluster {
 	t.Helper()
 	p := testProfile(t, []int{512})
 	c, err := New(Config{
@@ -28,7 +26,6 @@ func continuousCluster(t *testing.T, instances, slots int, rec *obs.Recorder) *C
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
 	t.Cleanup(c.Close)
 	return c
 }
@@ -38,8 +35,7 @@ func continuousCluster(t *testing.T, instances, slots int, rec *obs.Recorder) *C
 // completion carries its token count, a positive TTFT no later than the
 // total, and a batch id from its prefill iteration.
 func TestContinuousGenerativeCompletions(t *testing.T) {
-	rec := obs.NewRecorder(1)
-	c := continuousCluster(t, 1, 4, rec)
+	c := continuousCluster(t, 1, 4)
 
 	const n = 12
 	results := make([]Result, n)
@@ -84,7 +80,7 @@ func TestContinuousGenerativeCompletions(t *testing.T) {
 // finishes long before the resident sequence — it never waits for the
 // long output to run to completion.
 func TestContinuousJoinMidFlight(t *testing.T) {
-	c := continuousCluster(t, 1, 4, nil)
+	c := continuousCluster(t, 1, 4)
 
 	longDone := make(chan Result, 1)
 	go func() {
@@ -129,8 +125,7 @@ func TestContinuousJoinMidFlight(t *testing.T) {
 // submitter gets the context error, the slot frees (audited by a follow-up
 // request completing), and the books stay balanced.
 func TestContinuousMidDecodeCancel(t *testing.T) {
-	rec := obs.NewRecorder(1)
-	c := continuousCluster(t, 1, 2, rec)
+	c := continuousCluster(t, 1, 2)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
@@ -163,8 +158,7 @@ func TestContinuousMidDecodeCancel(t *testing.T) {
 // resident sequences lose their partial output and re-dispatch to the
 // survivor, completing exactly once with full token counts.
 func TestContinuousCrashDisplacesResidents(t *testing.T) {
-	rec := obs.NewRecorder(1)
-	c := continuousCluster(t, 2, 2, rec)
+	c := continuousCluster(t, 2, 2)
 
 	const n = 6
 	results := make([]Result, n)
@@ -198,7 +192,7 @@ func TestContinuousCrashDisplacesResidents(t *testing.T) {
 // no output budget flows through the continuous loop as a prefill-only
 // resident, with zero generative span fields.
 func TestContinuousServesEncoderRequests(t *testing.T) {
-	c := continuousCluster(t, 1, 4, nil)
+	c := continuousCluster(t, 1, 4)
 	res, err := c.SubmitCtx(context.Background(), Request{Length: 100})
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"arlo/internal/obs"
 )
 
 // TestSubmitCtxCancelWhileQueued pins the headline cancellation contract:
@@ -17,7 +15,6 @@ import (
 // executing.
 func TestSubmitCtxCancelWhileQueued(t *testing.T) {
 	p := testProfile(t, []int{512})
-	rec := obs.NewRecorder(1)
 	c, err := New(Config{
 		Profile:           p,
 		InitialAllocation: []int{1},
@@ -27,7 +24,7 @@ func TestSubmitCtxCancelWhileQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
+	rec := c.Recorder()
 	defer c.Close()
 
 	// Occupy the single worker with a long request, then queue one more.
@@ -108,7 +105,6 @@ func TestSubmitCtxExpiredDeadline(t *testing.T) {
 // level, and the parts are consistent with the total.
 func TestSubmitCtxSpan(t *testing.T) {
 	p := testProfile(t, []int{128, 512})
-	rec := obs.NewRecorder(2)
 	c, err := New(Config{
 		Profile:           p,
 		InitialAllocation: []int{1, 1},
@@ -117,7 +113,7 @@ func TestSubmitCtxSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
+	rec := c.Recorder()
 	defer c.Close()
 
 	res, err := c.SubmitCtx(context.Background(), Request{Length: 100, Tokenize: 42 * time.Microsecond})
@@ -162,7 +158,6 @@ func TestSubmitCtxSpan(t *testing.T) {
 // counter and the span attribution.
 func TestSubmitCtxRecordsDemotion(t *testing.T) {
 	p := testProfile(t, []int{128, 512})
-	rec := obs.NewRecorder(2)
 	c, err := New(Config{
 		Profile:           p,
 		InitialAllocation: []int{1, 1},
@@ -171,7 +166,7 @@ func TestSubmitCtxRecordsDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
+	rec := c.Recorder()
 	defer c.Close()
 
 	// Burst enough length-100 requests to congest the level-0 runtime
@@ -219,7 +214,6 @@ func TestSubmitCtxRecordsDemotion(t *testing.T) {
 // cancelled or rejected.
 func TestSubmitCtxStress(t *testing.T) {
 	p := testProfile(t, []int{128, 512})
-	rec := obs.NewRecorder(2)
 	c, err := New(Config{
 		Profile:           p,
 		InitialAllocation: []int{2, 2},
@@ -230,7 +224,7 @@ func TestSubmitCtxStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
+	rec := c.Recorder()
 
 	const (
 		goroutines = 8

@@ -11,11 +11,9 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"arlo/internal/failover"
-	"arlo/internal/obs"
 	"arlo/internal/queue"
 )
 
@@ -134,60 +132,4 @@ func (c *Cluster) lockedInstances() []*queue.Instance {
 		insts = append(insts, w.inst)
 	}
 	return insts
-}
-
-// InstanceHealth is one instance's serving state as reported by Health.
-type InstanceHealth struct {
-	ID      int
-	Runtime int
-	State   obs.Health
-	// SlowFactor is the degraded-mode execution multiplier (1 when
-	// healthy, 0 when dead).
-	SlowFactor float64
-}
-
-// Health reports every instance's serving state, sorted by ID. Crashed
-// instances appear as Dead until their downtime elapses and their
-// replacement joins under a fresh ID.
-func (c *Cluster) Health() []InstanceHealth {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]InstanceHealth, 0, len(c.workers)+len(c.failed))
-	for id, w := range c.workers {
-		out = append(out, InstanceHealth{
-			ID:         id,
-			Runtime:    w.inst.Runtime,
-			State:      w.health(),
-			SlowFactor: w.slowFactor(),
-		})
-	}
-	for id, f := range c.failed {
-		out = append(out, InstanceHealth{ID: id, Runtime: f.runtime, State: obs.Dead})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// HealthSummary aggregates Health into per-state counts, the shape the
-// /healthz endpoint serves.
-type HealthSummary struct {
-	Healthy  int `json:"healthy"`
-	Degraded int `json:"degraded"`
-	Dead     int `json:"dead"`
-}
-
-// Summarize folds a health report into per-state counts.
-func Summarize(hs []InstanceHealth) HealthSummary {
-	var s HealthSummary
-	for _, h := range hs {
-		switch h.State {
-		case obs.Healthy:
-			s.Healthy++
-		case obs.Degraded:
-			s.Degraded++
-		default:
-			s.Dead++
-		}
-	}
-	return s
 }

@@ -12,12 +12,12 @@ import (
 	"arlo/internal/obs"
 )
 
-// failCluster builds a small cluster with an observer wired, compressed
-// enough that failure windows are observable but tests stay fast.
+// failCluster builds a small cluster, returned with its recorder,
+// compressed enough that failure windows are observable but tests stay
+// fast.
 func failCluster(t *testing.T, alloc []int, scale float64) (*Cluster, *obs.Recorder) {
 	t.Helper()
 	p := testProfile(t, []int{128, 512})
-	rec := obs.NewRecorder(len(alloc))
 	c, err := New(Config{
 		Profile:           p,
 		InitialAllocation: alloc,
@@ -28,8 +28,7 @@ func failCluster(t *testing.T, alloc []int, scale float64) (*Cluster, *obs.Recor
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
-	return c, rec
+	return c, c.Recorder()
 }
 
 // TestFailInstanceRequeuesToSurvivors kills one of two instances under
@@ -97,18 +96,18 @@ func TestFailInstanceRecovery(t *testing.T) {
 	if c.Instances() != 1 {
 		t.Fatalf("instances = %d right after failure, want 1", c.Instances())
 	}
-	sum := Summarize(c.Health())
-	if sum.Dead != 1 || sum.Healthy != 1 {
+	snap := c.Snapshot()
+	if sum := snap.Health(); sum.Dead != 1 || sum.Healthy != 1 {
 		t.Fatalf("health during downtime = %+v, want 1 dead / 1 healthy", sum)
 	}
 	var seen bool
-	for _, h := range c.Health() {
-		if h.ID == id && h.State == obs.Dead {
+	for _, in := range snap.Instances {
+		if in.ID == id && in.Health == obs.Dead {
 			seen = true
 		}
 	}
 	if !seen {
-		t.Errorf("failed instance %d not reported dead in %+v", id, c.Health())
+		t.Errorf("failed instance %d not reported dead in %+v", id, snap.Instances)
 	}
 
 	deadline := time.Now().Add(2 * time.Second)
@@ -118,7 +117,7 @@ func TestFailInstanceRecovery(t *testing.T) {
 	if c.Instances() != 2 {
 		t.Fatalf("instance did not rejoin: %d instances", c.Instances())
 	}
-	if sum := Summarize(c.Health()); sum.Dead != 0 || sum.Healthy != 2 {
+	if sum := c.Snapshot().Health(); sum.Dead != 0 || sum.Healthy != 2 {
 		t.Errorf("health after recovery = %+v, want 2 healthy", sum)
 	}
 	// The rejoined instance serves: a submission completes.
@@ -186,7 +185,7 @@ func TestUnserviceableAfterBudget(t *testing.T) {
 }
 
 // TestSlowInstanceDegradesAndRestores drives the degraded-mode path:
-// SlowInstance marks the victim degraded (visible in Health and the
+// SlowInstance marks the victim degraded (visible in Snapshot and the
 // metrics exposition), execution still completes, and RestoreInstance
 // brings it back to healthy.
 func TestSlowInstanceDegradesAndRestores(t *testing.T) {
@@ -197,9 +196,18 @@ func TestSlowInstanceDegradesAndRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := Summarize(c.Health())
-	if sum.Degraded != 1 || sum.Healthy != 1 {
+	snap := c.Snapshot()
+	if sum := snap.Health(); sum.Degraded != 1 || sum.Healthy != 1 {
 		t.Fatalf("health = %+v, want 1 degraded / 1 healthy", sum)
+	}
+	for _, in := range snap.Instances {
+		want := 1.0
+		if in.ID == id {
+			want = 4
+		}
+		if in.SlowFactor != want {
+			t.Errorf("instance %d slow factor = %v, want %v", in.ID, in.SlowFactor, want)
+		}
 	}
 	if _, err := c.Submit(300); err != nil {
 		t.Errorf("submit with degraded instance: %v", err)
@@ -217,7 +225,7 @@ func TestSlowInstanceDegradesAndRestores(t *testing.T) {
 	if err := c.RestoreInstance(id); err != nil {
 		t.Fatal(err)
 	}
-	if sum := Summarize(c.Health()); sum.Degraded != 0 || sum.Healthy != 2 {
+	if sum := c.Snapshot().Health(); sum.Degraded != 0 || sum.Healthy != 2 {
 		t.Errorf("health after restore = %+v, want 2 healthy", sum)
 	}
 	if err := c.RestoreInstance(9999); err == nil {

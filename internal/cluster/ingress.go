@@ -45,17 +45,16 @@ type BatchResult struct {
 // ErrDeadlineExceeded before touching the queue.
 func (c *Cluster) SubmitBatch(ctx context.Context, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
-	rec := c.obsRec.Load()
 	jobs := make([]*job, len(reqs))
 	for i, r := range reqs {
 		// A member refused at the door resolves here; its slot stays nil
 		// through the group dispatch.
-		jobs[i], out[i].Err = c.lease(ctx, rec, r)
+		jobs[i], out[i].Err = c.lease(ctx, r)
 	}
 	c.submitBatch(jobs)
 	for i, j := range jobs {
 		if j != nil {
-			out[i].Err = c.await(ctx, j, rec, &out[i].Result)
+			out[i].Err = c.await(ctx, j, &out[i].Result)
 		}
 	}
 	return out
@@ -189,13 +188,13 @@ func (g *Ingress) consume(shard int) {
 // immediately (backpressure); a request whose context fires while ringed
 // is discarded by the drain without touching the queue.
 func (g *Ingress) SubmitCtx(ctx context.Context, req Request) (res Result, err error) {
-	rec := g.c.obsRec.Load()
+	rec := g.c.rec
 	if g.closed.Load() {
 		rec.RecordSubmit()
 		rec.RecordReject(obs.RejectClosed)
 		return res, ErrClusterClosed
 	}
-	j, err := g.c.lease(ctx, rec, req)
+	j, err := g.c.lease(ctx, req)
 	if err != nil {
 		return res, err
 	}
@@ -212,7 +211,7 @@ func (g *Ingress) SubmitCtx(ctx context.Context, req Request) (res Result, err e
 			return res, ErrClusterClosed
 		}
 	}
-	err = g.c.await(ctx, j, rec, &res)
+	err = g.c.await(ctx, j, &res)
 	return res, err
 }
 

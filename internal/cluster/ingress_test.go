@@ -10,7 +10,7 @@ import (
 	"arlo/internal/obs"
 )
 
-func ingressCluster(t *testing.T, rec *obs.Recorder, alloc []int, lengths []int) *Cluster {
+func ingressCluster(t *testing.T, alloc []int, lengths []int) *Cluster {
 	t.Helper()
 	c, err := New(Config{
 		Profile:           testProfile(t, lengths),
@@ -21,7 +21,6 @@ func ingressCluster(t *testing.T, rec *obs.Recorder, alloc []int, lengths []int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
 	return c
 }
 
@@ -29,8 +28,8 @@ func ingressCluster(t *testing.T, rec *obs.Recorder, alloc []int, lengths []int)
 // ring completes like one through Cluster.SubmitCtx, and its span gains
 // the ingress_wait stage.
 func TestIngressSubmitCtx(t *testing.T) {
-	rec := obs.NewRecorder(1)
-	c := ingressCluster(t, rec, []int{2}, []int{512})
+	c := ingressCluster(t, []int{2}, []int{512})
+	rec := c.Recorder()
 	defer c.Close()
 	g := NewIngress(c, IngressConfig{})
 	defer g.Close()
@@ -58,8 +57,8 @@ func TestIngressSubmitCtx(t *testing.T) {
 // submitter gets a typed error or a result, never a hang, and the books
 // balance.
 func TestIngressCancelWhileRinged(t *testing.T) {
-	rec := obs.NewRecorder(1)
-	c := ingressCluster(t, rec, []int{1}, []int{512})
+	c := ingressCluster(t, []int{1}, []int{512})
+	rec := c.Recorder()
 	defer c.Close()
 	g := NewIngress(c, IngressConfig{Shards: 1})
 	defer g.Close()
@@ -110,8 +109,8 @@ func TestIngressCancelWhileRinged(t *testing.T) {
 
 // TestSubmitBatchCompletes exercises the exported group API end to end.
 func TestSubmitBatchCompletes(t *testing.T) {
-	rec := obs.NewRecorder(1)
-	c := ingressCluster(t, rec, []int{2}, []int{512})
+	c := ingressCluster(t, []int{2}, []int{512})
+	rec := c.Recorder()
 	defer c.Close()
 
 	reqs := make([]Request, 16)
@@ -142,7 +141,7 @@ func TestSubmitBatchCompletes(t *testing.T) {
 // runtime. (With the heap repair deferred to the end of the group all 64
 // read the same front: 64/0/0/0, and the tail of the group demoted.)
 func TestSubmitBatchSpreadsWithinLevel(t *testing.T) {
-	c := ingressCluster(t, nil, []int{4, 2, 1, 1}, []int{128, 256, 384, 512})
+	c := ingressCluster(t, []int{4, 2, 1, 1}, []int{128, 256, 384, 512})
 	defer c.Close()
 
 	reqs := make([]Request, 64)
@@ -173,8 +172,8 @@ func TestSubmitBatchSpreadsWithinLevel(t *testing.T) {
 // deadline is already spent when its group is dispatched is rejected with
 // ErrDeadlineExceeded before touching the queue.
 func TestSubmitBatchSpentDeadline(t *testing.T) {
-	rec := obs.NewRecorder(1)
-	c := ingressCluster(t, rec, []int{1}, []int{512})
+	c := ingressCluster(t, []int{1}, []int{512})
+	rec := c.Recorder()
 	defer c.Close()
 
 	jobs := []*job{newJob(100), newJob(100)}
@@ -182,14 +181,14 @@ func TestSubmitBatchSpentDeadline(t *testing.T) {
 	c.submitBatch(jobs)
 
 	var res Result
-	err := c.await(context.Background(), jobs[0], rec, &res)
+	err := c.await(context.Background(), jobs[0], &res)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("spent-deadline member: err = %v, want ErrDeadlineExceeded", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, should also match context.DeadlineExceeded", err)
 	}
-	if err := c.await(context.Background(), jobs[1], rec, &res); err != nil || res.Latency <= 0 {
+	if err := c.await(context.Background(), jobs[1], &res); err != nil || res.Latency <= 0 {
 		t.Fatalf("live member: res=%v err=%v, want completion", res, err)
 	}
 	if got := rec.RejectedFor(obs.RejectDeadline); got != 1 {
@@ -205,8 +204,7 @@ func TestSubmitBatchSpentDeadline(t *testing.T) {
 // ringed half of the drain contract: a job whose submitter already won
 // the pending→cancelled CAS is discarded without dispatch.
 func TestSubmitBatchCancelledMemberDiscarded(t *testing.T) {
-	rec := obs.NewRecorder(1)
-	c := ingressCluster(t, rec, []int{1}, []int{512})
+	c := ingressCluster(t, []int{1}, []int{512})
 	defer c.Close()
 
 	j := newJob(100)
@@ -216,7 +214,7 @@ func TestSubmitBatchCancelledMemberDiscarded(t *testing.T) {
 	live := newJob(100)
 	c.submitBatch([]*job{j, live})
 	var res Result
-	if err := c.await(context.Background(), live, rec, &res); err != nil || res.Latency <= 0 {
+	if err := c.await(context.Background(), live, &res); err != nil || res.Latency <= 0 {
 		t.Fatalf("live member: res=%v err=%v, want completion", res, err)
 	}
 	if got := c.Outstanding(); got != 0 {
@@ -228,8 +226,7 @@ func TestSubmitBatchCancelledMemberDiscarded(t *testing.T) {
 // submission (completion or ErrClusterClosed) and later submissions are
 // refused immediately.
 func TestIngressClose(t *testing.T) {
-	rec := obs.NewRecorder(1)
-	c := ingressCluster(t, rec, []int{1}, []int{512})
+	c := ingressCluster(t, []int{1}, []int{512})
 	defer c.Close()
 	g := NewIngress(c, IngressConfig{Shards: 2})
 

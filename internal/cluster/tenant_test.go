@@ -27,7 +27,6 @@ func testRegistry(t *testing.T, cfgs ...tenant.Config) *tenant.Registry {
 // one rate-limited rejection on both the recorder and the registry.
 func TestTenantAdmissionRejects(t *testing.T) {
 	p := testProfile(t, []int{512})
-	rec := obs.NewRecorder(4)
 	c, err := New(Config{
 		Profile:           p,
 		InitialAllocation: []int{1},
@@ -39,7 +38,7 @@ func TestTenantAdmissionRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
+	rec := c.Recorder()
 	defer c.Close()
 
 	// First request fits the bucket exactly; the second finds it empty.

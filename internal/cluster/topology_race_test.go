@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"arlo/internal/dispatch"
-	"arlo/internal/obs"
 )
 
 // The tests in this file race topology mutations (RemoveInstance,
@@ -41,7 +40,6 @@ func raceOutcome(t *testing.T, err error) {
 // every submission resolved exactly once.
 func TestRemoveInstanceRacesCancellation(t *testing.T) {
 	p := testProfile(t, []int{128, 512})
-	rec := obs.NewRecorder(2)
 	c, err := New(Config{
 		Profile:           p,
 		InitialAllocation: []int{2, 2},
@@ -52,7 +50,7 @@ func TestRemoveInstanceRacesCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
+	rec := c.Recorder()
 
 	const (
 		submitters = 6
@@ -118,7 +116,6 @@ func TestRemoveInstanceRacesCancellation(t *testing.T) {
 // resolution and balanced books.
 func TestReplaceRacesCancellation(t *testing.T) {
 	p := testProfile(t, []int{128, 512})
-	rec := obs.NewRecorder(2)
 	c, err := New(Config{
 		Profile:           p,
 		InitialAllocation: []int{2, 2},
@@ -129,7 +126,7 @@ func TestReplaceRacesCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(rec)
+	rec := c.Recorder()
 
 	const (
 		submitters = 6

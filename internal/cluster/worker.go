@@ -227,7 +227,7 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 		width := 0
 		if slots > 1 {
 			batchID, width = c.batchSeq.Add(1), len(res.seqs)
-			c.obsRec.Load().RecordBatch(rt.Index, width)
+			c.rec.RecordBatch(rt.Index, width)
 		}
 		cost := time.Duration(float64(res.price(rt)) * c.scale * w.slowFactor())
 		start := time.Now()

@@ -82,7 +82,6 @@ type Options struct {
 type Controller struct {
 	cl     *cluster.Cluster
 	solver *allocator.Solver
-	rec    *obs.Recorder
 	opts   Options
 
 	// mu serializes control decisions (Step, Autoscale, Status snapshots
@@ -126,20 +125,16 @@ type StepResult struct {
 	Err error
 }
 
-// New builds a controller over the cluster, solver and recorder. The
-// recorder must be the cluster's observer (or at least fed the same
-// traffic) — it is where the loop reads its demand and latency signals.
-// The controller installs itself as the recorder's controller-stats
-// source for the arlo_controller_* metrics.
-func New(cl *cluster.Cluster, solver *allocator.Solver, rec *obs.Recorder, opts Options) (*Controller, error) {
+// New builds a controller over the cluster and solver. The loop reads its
+// demand and latency signals from the cluster's recorder, and installs
+// itself there as the controller-stats source for the arlo_controller_*
+// metrics.
+func New(cl *cluster.Cluster, solver *allocator.Solver, opts Options) (*Controller, error) {
 	if cl == nil {
 		return nil, errors.New("controller: nil cluster")
 	}
 	if solver == nil || solver.Profile == nil {
 		return nil, errors.New("controller: nil solver")
-	}
-	if rec == nil {
-		return nil, errors.New("controller: nil recorder (the loop is blind without the obs plane)")
 	}
 	if opts.Period <= 0 {
 		opts.Period = DefaultPeriod
@@ -155,12 +150,11 @@ func New(cl *cluster.Cluster, solver *allocator.Solver, rec *obs.Recorder, opts 
 	c := &Controller{
 		cl:     cl,
 		solver: solver,
-		rec:    rec,
 		opts:   opts,
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	rec.SetControllerStats(c.controllerStat)
+	cl.Recorder().SetControllerStats(c.controllerStat)
 	return c, nil
 }
 
@@ -171,7 +165,7 @@ func New(cl *cluster.Cluster, solver *allocator.Solver, rec *obs.Recorder, opts 
 // overstates modeled demand by 1/TimeScale; the cluster's own TimeScale
 // corrects it (1 on a real-time cluster).
 func (c *Controller) demand(counts []int64, at time.Time) []float64 {
-	span := c.rec.WindowSpan()
+	span := c.cl.Recorder().WindowSpan()
 	slo := c.solver.Profile.SLO
 	windows := 1.0
 	if span > 0 && slo > 0 {
@@ -193,10 +187,7 @@ func (c *Controller) Step(now time.Time) StepResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	counts := c.rec.LengthDistAt(now)
-	if counts == nil {
-		return c.fail(fmt.Errorf("controller: recorder has no length bins installed"))
-	}
+	counts := c.cl.Recorder().LengthDistAt(now)
 	var total int64
 	for _, n := range counts {
 		total += n
@@ -288,7 +279,7 @@ func (c *Controller) Autoscale(now time.Time) allocator.ScaleAction {
 		c.epoch = now
 		c.epochSet = true
 	}
-	p98 := c.rec.P98At(now)
+	p98 := c.cl.Recorder().P98At(now)
 	if p98 <= 0 {
 		return allocator.ScaleNone // empty window: no signal, no action
 	}
@@ -314,20 +305,14 @@ func (c *Controller) Autoscale(now time.Time) allocator.ScaleAction {
 	return act
 }
 
-// utilization is cluster-wide outstanding work over summed SLO-feasible
-// capacity, read from the recorder's live snapshot (0 when unavailable).
+// utilization is cluster-wide outstanding work over the serving
+// instances' summed SLO-feasible capacity, from one cluster snapshot (0
+// when nothing is serving).
 func (c *Controller) utilization() float64 {
-	snap, ok := c.rec.LiveSnapshot()
-	if !ok {
-		return 0
-	}
 	var out, cap int
-	for _, in := range snap.Instances {
-		if in.Health == obs.Dead {
-			continue
-		}
-		out += in.Outstanding
-		cap += in.Capacity
+	for _, lv := range c.cl.Snapshot().Levels {
+		out += lv.Depth
+		cap += lv.Capacity
 	}
 	if cap <= 0 {
 		return 0
@@ -420,7 +405,7 @@ type Status struct {
 
 // Status captures the loop's current state.
 func (c *Controller) Status() Status {
-	now := time.Now()
+	now, rec := time.Now(), c.cl.Recorder()
 	alloc := c.cl.Allocation()
 	g := 0
 	for _, n := range alloc {
@@ -433,9 +418,9 @@ func (c *Controller) Status() Status {
 		AutoScaling:     c.opts.Scaler != nil,
 		GPUs:            g,
 		Allocation:      alloc,
-		P98MS:           float64(c.rec.P98At(now)) / float64(time.Millisecond),
-		WindowSamples:   c.rec.WindowSamples(now),
-		WindowMS:        float64(c.rec.WindowSpan()) / float64(time.Millisecond),
+		P98MS:           float64(rec.P98At(now)) / float64(time.Millisecond),
+		WindowSamples:   rec.WindowSamples(now),
+		WindowMS:        float64(rec.WindowSpan()) / float64(time.Millisecond),
 		Replans:         c.replans.Load(),
 		PlansHeld:       c.plansHeld.Load(),
 		Replacements:    c.replacements.Load(),

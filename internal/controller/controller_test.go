@@ -52,16 +52,6 @@ func testCluster(t testing.TB, p *profiler.Profile, alloc []int) *cluster.Cluste
 	return cl
 }
 
-// testRecorder builds the controller's observation plane: a standalone
-// recorder (deliberately NOT the cluster's observer, so live wall-clock
-// completions cannot collide with the virtual timeline the tests feed).
-func testRecorder(t testing.TB, p *profiler.Profile) *obs.Recorder {
-	t.Helper()
-	rec := obs.NewRecorder(len(p.Runtimes))
-	rec.SetLengthBins(p.MaxLengths())
-	return rec
-}
-
 // vt maps a virtual offset onto the absolute timeline the window slots on.
 func vt(d time.Duration) time.Time { return time.Unix(0, 0).Add(d) }
 
@@ -88,10 +78,11 @@ func binCounts(lengths []int, uppers []int) []int64 {
 }
 
 // demandOf converts fed-span bin counts into the q-vector the controller
-// derives: requests per SLO window of modeled time.
-func demandOf(rec *obs.Recorder, p *profiler.Profile, lengths []int) []float64 {
+// derives: requests per SLO window of modeled time, over the default window
+// every test cluster's recorder keeps.
+func demandOf(p *profiler.Profile, lengths []int) []float64 {
 	counts := binCounts(lengths, p.MaxLengths())
-	windows := float64(rec.WindowSpan()) / float64(p.SLO)
+	windows := float64(obs.NewRecorder(1).WindowSpan()) / float64(p.SLO)
 	q := make([]float64, len(counts))
 	for i, n := range counts {
 		q[i] = float64(n) / windows * testTimeScale
@@ -138,19 +129,15 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := testCluster(t, p, []int{1, 1, 1, 1})
-	rec := testRecorder(t, p)
 
-	if _, err := New(nil, solver, rec, Options{}); err == nil {
+	if _, err := New(nil, solver, Options{}); err == nil {
 		t.Error("nil cluster accepted")
 	}
-	if _, err := New(cl, nil, rec, Options{}); err == nil {
+	if _, err := New(cl, nil, Options{}); err == nil {
 		t.Error("nil solver accepted")
 	}
-	if _, err := New(cl, solver, nil, Options{}); err == nil {
-		t.Error("nil recorder accepted")
-	}
 
-	c, err := New(cl, solver, rec, Options{})
+	c, err := New(cl, solver, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +160,7 @@ func TestStepSkipsIdleWindow(t *testing.T) {
 	p := testProfile(t)
 	solver, _ := allocator.NewSolver(p)
 	cl := testCluster(t, p, []int{1, 1, 1, 1})
-	rec := testRecorder(t, p)
-	c, err := New(cl, solver, rec, Options{})
+	c, err := New(cl, solver, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,29 +173,12 @@ func TestStepSkipsIdleWindow(t *testing.T) {
 	}
 }
 
-func TestStepErrorsWithoutLengthBins(t *testing.T) {
-	p := testProfile(t)
-	solver, _ := allocator.NewSolver(p)
-	cl := testCluster(t, p, []int{1, 1, 1, 1})
-	rec := obs.NewRecorder(len(p.Runtimes)) // no bins installed
-	c, err := New(cl, solver, rec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := c.Step(vt(time.Minute)); res.Err == nil {
-		t.Fatal("step without length bins must error")
-	}
-	if c.Status().LastError == "" {
-		t.Error("error not surfaced in Status")
-	}
-}
-
 func TestDryRunPlansWithoutTouchingTopology(t *testing.T) {
 	p := testProfile(t)
 	solver, _ := allocator.NewSolver(p)
 	cl := testCluster(t, p, []int{4, 0, 0, 0})
-	rec := testRecorder(t, p)
-	c, err := New(cl, solver, rec, Options{DryRun: true, Hysteresis: -1, MaxReplacements: -1})
+	rec := cl.Recorder()
+	c, err := New(cl, solver, Options{DryRun: true, Hysteresis: -1, MaxReplacements: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +212,10 @@ func TestHysteresisHoldsMarginalPlans(t *testing.T) {
 	p := testProfile(t)
 	solver, _ := allocator.NewSolver(p)
 	cl := testCluster(t, p, []int{2, 2, 2, 2})
-	rec := testRecorder(t, p)
+	rec := cl.Recorder()
 	// An absurd hysteresis margin: no finite improvement can clear it, so
 	// any plan the solver produces must be held.
-	c, err := New(cl, solver, rec, Options{Hysteresis: 1e9, MaxReplacements: -1})
+	c, err := New(cl, solver, Options{Hysteresis: 1e9, MaxReplacements: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +250,7 @@ func TestStartStopIdempotent(t *testing.T) {
 	p := testProfile(t)
 	solver, _ := allocator.NewSolver(p)
 	cl := testCluster(t, p, []int{1, 1, 1, 1})
-	rec := testRecorder(t, p)
-	c, err := New(cl, solver, rec, Options{Period: time.Hour})
+	c, err := New(cl, solver, Options{Period: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +266,7 @@ func TestStartStopIdempotent(t *testing.T) {
 	}
 
 	// Stop without Start must not hang.
-	c2, err := New(cl, solver, rec, Options{})
+	c2, err := New(cl, solver, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +277,8 @@ func TestControllerMetricsExposed(t *testing.T) {
 	p := testProfile(t)
 	solver, _ := allocator.NewSolver(p)
 	cl := testCluster(t, p, []int{1, 1, 1, 1})
-	rec := testRecorder(t, p)
-	if _, err := New(cl, solver, rec, Options{}); err != nil {
+	rec := cl.Recorder()
+	if _, err := New(cl, solver, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

@@ -40,13 +40,12 @@ func TestConvergenceOnDriftingTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := testRecorder(t, p)
 
 	const g = 8
 	phase1 := seededLengths(1, 400, 1, 120)   // short-heavy: bins 0-1
 	phase2 := seededLengths(2, 400, 256, 500) // long-heavy: bins 2-3
-	q1 := demandOf(rec, p, phase1)
-	q2 := demandOf(rec, p, phase2)
+	q1 := demandOf(p, phase1)
+	q2 := demandOf(p, phase2)
 	want1, err := solver.Allocate(g, q1)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +60,8 @@ func TestConvergenceOnDriftingTrace(t *testing.T) {
 
 	// The cluster starts converged for phase 1.
 	cl := testCluster(t, p, want1.N)
-	c, err := New(cl, solver, rec, Options{Hysteresis: -1, MaxReplacements: -1})
+	rec := cl.Recorder()
+	c, err := New(cl, solver, Options{Hysteresis: -1, MaxReplacements: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,10 @@ func TestBudgetedConvergenceIsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := testRecorder(t, p)
 
 	const g = 8
 	phase2 := seededLengths(3, 400, 256, 500)
-	q2 := demandOf(rec, p, phase2)
+	q2 := demandOf(p, phase2)
 	want, err := solver.Allocate(g, q2)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +149,8 @@ func TestBudgetedConvergenceIsMonotone(t *testing.T) {
 	}
 
 	cl := testCluster(t, p, start)
-	c, err := New(cl, solver, rec, Options{Hysteresis: -1, MaxReplacements: 1})
+	rec := cl.Recorder()
+	c, err := New(cl, solver, Options{Hysteresis: -1, MaxReplacements: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,10 @@ func TestConvergenceUnderLiveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := testRecorder(t, p)
 
 	const g = 6
 	longLens := seededLengths(4, 300, 300, 500)
-	want, err := solver.Allocate(g, demandOf(rec, p, longLens))
+	want, err := solver.Allocate(g, demandOf(p, longLens))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +201,7 @@ func TestConvergenceUnderLiveLoad(t *testing.T) {
 	}
 
 	cl := testCluster(t, p, start)
-	c, err := New(cl, solver, rec, Options{Hysteresis: -1, MaxReplacements: 1})
+	c, err := New(cl, solver, Options{Hysteresis: -1, MaxReplacements: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +231,11 @@ func TestConvergenceUnderLiveLoad(t *testing.T) {
 		}(int64(100 + w))
 	}
 
-	now := vt(60 * time.Second)
-	feed(rec, longLens, 2*time.Millisecond, now)
+	// The demand is fed an hour ahead of the wall clock, on the recorder the
+	// live completions are booked on too: they land in slots a query at now
+	// never reads, and cannot rotate the fed slot, which holds a newer epoch.
+	now := time.Now().Add(time.Hour)
+	feed(cl.Recorder(), longLens, 2*time.Millisecond, now)
 	deadline := time.Now().Add(30 * time.Second)
 	// Wait for traffic to flow before the first swap so replacements
 	// genuinely race in-flight work, then keep stepping until the
@@ -274,12 +276,12 @@ func TestAutoscaleOutUnderPressure(t *testing.T) {
 	p := testProfile(t)
 	solver, _ := allocator.NewSolver(p)
 	cl := testCluster(t, p, []int{1, 1, 1, 1})
-	rec := testRecorder(t, p)
+	rec := cl.Recorder()
 	scaler, err := allocator.NewAutoScaler(testSLO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(cl, solver, rec, Options{Scaler: scaler})
+	c, err := New(cl, solver, Options{Scaler: scaler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,12 +329,12 @@ func TestAutoscaleInAfterQuietPeriod(t *testing.T) {
 	p := testProfile(t)
 	solver, _ := allocator.NewSolver(p)
 	cl := testCluster(t, p, []int{1, 1, 1, 1})
-	rec := testRecorder(t, p)
+	rec := cl.Recorder()
 	scaler, err := allocator.NewAutoScaler(testSLO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(cl, solver, rec, Options{Scaler: scaler})
+	c, err := New(cl, solver, Options{Scaler: scaler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,12 +374,12 @@ func TestAutoscaleDryRun(t *testing.T) {
 	p := testProfile(t)
 	solver, _ := allocator.NewSolver(p)
 	cl := testCluster(t, p, []int{1, 1, 1, 1})
-	rec := testRecorder(t, p)
+	rec := cl.Recorder()
 	scaler, err := allocator.NewAutoScaler(testSLO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(cl, solver, rec, Options{Scaler: scaler, DryRun: true})
+	c, err := New(cl, solver, Options{Scaler: scaler, DryRun: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,15 +5,13 @@ import (
 
 	"arlo/internal/cluster"
 	"arlo/internal/controller"
-	"arlo/internal/obs"
 )
 
 // NewController wires the closed control loop (internal/controller) to a
 // running cluster: periodic replanning of the GPU split from the observed
 // length distribution, plus target-tracking autoscaling when opts carries
 // a Scaler. The loop reads its demand and latency signals from the
-// cluster's observability recorder; one is created and installed when the
-// cluster runs without observability. A zero opts.Period inherits the
+// cluster's observability recorder. A zero opts.Period inherits the
 // system's AllocPeriod.
 //
 // The controller is returned stopped: call Start for the wall-clock
@@ -26,10 +24,5 @@ func (a *Arlo) NewController(cl *cluster.Cluster, opts controller.Options) (*con
 	if opts.Period <= 0 {
 		opts.Period = a.opts.AllocPeriod
 	}
-	rec := cl.Observer()
-	if rec == nil {
-		rec = obs.NewRecorder(cl.NumLevels())
-		cl.SetObserver(rec)
-	}
-	return controller.New(cl, a.Solver, rec, opts)
+	return controller.New(cl, a.Solver, opts)
 }

@@ -24,7 +24,7 @@ func TestNewControllerValidation(t *testing.T) {
 	}
 }
 
-func TestNewControllerInstallsRecorderAndPeriod(t *testing.T) {
+func TestNewControllerInheritsPeriod(t *testing.T) {
 	a, err := NewSystem(WithAllocPeriod(42 * time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -34,18 +34,9 @@ func TestNewControllerInstallsRecorderAndPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Observer() != nil {
-		t.Fatal("cluster unexpectedly starts with an observer")
-	}
 	ctrl, err := a.NewController(cl, controller.Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cl.Observer() == nil {
-		t.Fatal("NewController did not install an observability recorder")
-	}
-	if cl.Observer().LengthDist() == nil {
-		t.Fatal("installed recorder has no length bins")
 	}
 	if st := ctrl.Status(); st.PeriodMS != 42000 {
 		t.Fatalf("controller period = %gms, want the system's AllocPeriod (42000ms)", st.PeriodMS)
@@ -72,7 +63,7 @@ func TestControllerReallocatesTowardDemand(t *testing.T) {
 	// Pure short traffic in the observation window: replanning must walk
 	// the topology to the solver's target for that demand. Fed at virtual
 	// timestamps — no wall-clock control loop involved.
-	rec := cl.Observer()
+	rec := cl.Recorder()
 	now := ctrlVT(time.Minute)
 	for i := 0; i < 400; i++ {
 		rec.RecordSpanAt(&obs.Span{Length: 20, Total: 2 * time.Millisecond, Instance: i}, now)
@@ -126,7 +117,7 @@ func TestControllerAutoScalesOut(t *testing.T) {
 
 	// Latencies right at the SLO: the target tracker sees pressure and
 	// adds a worker on the first observation.
-	rec := cl.Observer()
+	rec := cl.Recorder()
 	now := ctrlVT(time.Minute)
 	for i := 0; i < 200; i++ {
 		rec.RecordSpanAt(&obs.Span{Length: 100, Total: a.SLO(), Instance: i}, now)

@@ -9,10 +9,9 @@
 //
 // A Recorder aggregates spans into counters, a demotion matrix and
 // latency histograms, and renders everything in Prometheus text format
-// (see prom.go). The recording side is built for the dispatch hot path:
+// (see prom.go). Every cluster owns exactly one Recorder, built with it.
+// The recording side is built for the dispatch hot path:
 //
-//   - every method is nil-receiver safe, so call sites pay one predictable
-//     branch when observability is disabled instead of wrapping each call;
 //   - histograms are lock-striped over fixed shards of atomic bucket
 //     counters, with the stripe chosen from per-span fields (instance id +
 //     length) so concurrent recorders do not share a cache line and no
@@ -289,8 +288,7 @@ func (h *hist) snapshot() (cum [numBuckets + 1]int64, count int64, sumSec float6
 }
 
 // Recorder aggregates request spans for one cluster. All recording
-// methods are safe for concurrent use and safe on a nil receiver (no-op),
-// so a disabled observability plane costs call sites a single branch.
+// methods are safe for concurrent use.
 type Recorder struct {
 	levels int
 
@@ -322,7 +320,8 @@ type Recorder struct {
 	levelBatchReqs []atomic.Int64
 
 	// snapshot, when set, provides the live cluster state (queue depths,
-	// instance loads) gauges are rendered from at scrape time.
+	// instance loads) gauges are rendered from at scrape time: the owning
+	// cluster's Snapshot.
 	snapshot atomic.Pointer[func() Snapshot]
 
 	// ctrlStats, when set, provides the control loop's state rendered as
@@ -376,7 +375,7 @@ func batchBucketLE(i int) int { return 1 << uint(i) }
 // given runtime level. Out-of-range levels still count toward the global
 // aggregates so the books stay consistent.
 func (r *Recorder) RecordBatch(level, size int) {
-	if r == nil || size < 1 {
+	if size < 1 {
 		return
 	}
 	r.batches.Add(1)
@@ -389,26 +388,16 @@ func (r *Recorder) RecordBatch(level, size int) {
 }
 
 // Batches returns the total executed batches recorded.
-func (r *Recorder) Batches() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.batches.Load()
-}
+func (r *Recorder) Batches() int64 { return r.batches.Load() }
 
 // BatchedRequests returns the total requests executed inside batches.
 // Only tests call it: they read the batch books through it.
-func (r *Recorder) BatchedRequests() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.batchedReqs.Load()
-}
+func (r *Recorder) BatchedRequests() int64 { return r.batchedReqs.Load() }
 
 // MeanBatchSize returns the mean members-per-batch for one runtime level
 // (0 when the level has executed no batches, or on an out-of-range level).
 func (r *Recorder) MeanBatchSize(level int) float64 {
-	if r == nil || level < 0 || level >= r.levels {
+	if level < 0 || level >= r.levels {
 		return 0
 	}
 	n := r.levelBatches[level].Load()
@@ -418,28 +407,12 @@ func (r *Recorder) MeanBatchSize(level int) float64 {
 	return float64(r.levelBatchReqs[level].Load()) / float64(n)
 }
 
-// Levels returns the number of runtime levels the recorder was sized for.
-func (r *Recorder) Levels() int {
-	if r == nil {
-		return 0
-	}
-	return r.levels
-}
-
 // RecordSubmit counts one submission attempt.
-func (r *Recorder) RecordSubmit() {
-	if r == nil {
-		return
-	}
-	r.submitted.Add(1)
-}
+func (r *Recorder) RecordSubmit() { r.submitted.Add(1) }
 
 // RecordDemotion counts one Algorithm 1 demotion from the ideal runtime
 // level to the chosen one. Out-of-range pairs are dropped.
 func (r *Recorder) RecordDemotion(from, to int) {
-	if r == nil {
-		return
-	}
 	if from < 0 || to < 0 || from >= r.levels || to >= r.levels {
 		return
 	}
@@ -450,9 +423,6 @@ func (r *Recorder) RecordDemotion(from, to int) {
 // the completion counter, and the sliding window (stamped now). The span
 // itself is not retained.
 func (r *Recorder) RecordSpan(s *Span) {
-	if r == nil {
-		return
-	}
 	r.recordSpan(s)
 	r.win.observe(s, time.Now())
 }
@@ -483,18 +453,10 @@ func (r *Recorder) recordSpan(s *Span) {
 
 // RecordCancel counts one request cancelled (context done) while queued
 // or executing.
-func (r *Recorder) RecordCancel() {
-	if r == nil {
-		return
-	}
-	r.cancelled.Add(1)
-}
+func (r *Recorder) RecordCancel() { r.cancelled.Add(1) }
 
 // RecordReject counts one refused submission.
 func (r *Recorder) RecordReject(reason RejectReason) {
-	if r == nil {
-		return
-	}
 	if reason >= numRejectReasons {
 		reason = RejectOther
 	}
@@ -504,9 +466,6 @@ func (r *Recorder) RecordReject(reason RejectReason) {
 // RecordRequeue counts one request displaced by an instance failure and
 // re-dispatched through the failover demotion path.
 func (r *Recorder) RecordRequeue(reason RequeueReason) {
-	if r == nil {
-		return
-	}
 	if reason >= numRequeueReasons {
 		reason = RequeueQueued
 	}
@@ -514,63 +473,22 @@ func (r *Recorder) RecordRequeue(reason RequeueReason) {
 }
 
 // SetSnapshot installs the live-state callback rendered into gauges at
-// scrape time (per-level queue depth, per-instance utilization). Safe to
-// call while recording; a nil receiver is a no-op.
-func (r *Recorder) SetSnapshot(fn func() Snapshot) {
-	if r == nil {
-		return
-	}
-	if fn == nil {
-		r.snapshot.Store(nil)
-		return
-	}
-	r.snapshot.Store(&fn)
-}
-
-// LiveSnapshot invokes the installed live-state callback and returns the
-// cluster snapshot, or ok=false when no callback is installed. This is
-// the structured path the control loop reads utilization from (the same
-// data the Prometheus gauges render).
-func (r *Recorder) LiveSnapshot() (Snapshot, bool) {
-	if r == nil {
-		return Snapshot{}, false
-	}
-	fnp := r.snapshot.Load()
-	if fnp == nil {
-		return Snapshot{}, false
-	}
-	return (*fnp)(), true
-}
+// scrape time (per-level queue depth, per-instance utilization); a cluster
+// installs its own Snapshot when it builds its recorder. Safe to call while
+// recording.
+func (r *Recorder) SetSnapshot(fn func() Snapshot) { r.snapshot.Store(&fn) }
 
 // Submitted returns the total submission attempts recorded.
-func (r *Recorder) Submitted() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.submitted.Load()
-}
+func (r *Recorder) Submitted() int64 { return r.submitted.Load() }
 
 // Completed returns the total completed requests recorded.
-func (r *Recorder) Completed() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.completed.Load()
-}
+func (r *Recorder) Completed() int64 { return r.completed.Load() }
 
 // Cancelled returns the total cancelled requests recorded.
-func (r *Recorder) Cancelled() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.cancelled.Load()
-}
+func (r *Recorder) Cancelled() int64 { return r.cancelled.Load() }
 
 // Rejected returns the total rejected submissions across all reasons.
 func (r *Recorder) Rejected() int64 {
-	if r == nil {
-		return 0
-	}
 	var total int64
 	for i := range r.rejected {
 		total += r.rejected[i].Load()
@@ -581,9 +499,6 @@ func (r *Recorder) Rejected() int64 {
 // Requeues returns the total failure-displaced requeues across all
 // reasons.
 func (r *Recorder) Requeues() int64 {
-	if r == nil {
-		return 0
-	}
 	var total int64
 	for i := range r.requeues {
 		total += r.requeues[i].Load()
@@ -593,7 +508,7 @@ func (r *Recorder) Requeues() int64 {
 
 // RequeuesFor returns the requeue count for one reason.
 func (r *Recorder) RequeuesFor(reason RequeueReason) int64 {
-	if r == nil || reason >= numRequeueReasons {
+	if reason >= numRequeueReasons {
 		return 0
 	}
 	return r.requeues[reason].Load()
@@ -601,7 +516,7 @@ func (r *Recorder) RequeuesFor(reason RequeueReason) int64 {
 
 // RejectedFor returns the rejection count for one reason.
 func (r *Recorder) RejectedFor(reason RejectReason) int64 {
-	if r == nil || reason >= numRejectReasons {
+	if reason >= numRejectReasons {
 		return 0
 	}
 	return r.rejected[reason].Load()
@@ -610,7 +525,7 @@ func (r *Recorder) RejectedFor(reason RejectReason) int64 {
 // Demotions returns the demotion count for one (from, to) runtime pair.
 // Only tests call it: they read the demotion books through it.
 func (r *Recorder) Demotions(from, to int) int64 {
-	if r == nil || from < 0 || to < 0 || from >= r.levels || to >= r.levels {
+	if from < 0 || to < 0 || from >= r.levels || to >= r.levels {
 		return 0
 	}
 	return r.demotions[from*r.levels+to].Load()

@@ -39,29 +39,6 @@ func TestBucketOf(t *testing.T) {
 	}
 }
 
-func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
-	r.RecordSubmit()
-	r.RecordDemotion(0, 1)
-	r.RecordSpan(&Span{})
-	r.RecordCancel()
-	r.RecordReject(RejectCongested)
-	r.SetSnapshot(nil)
-	if r.Submitted() != 0 || r.Completed() != 0 || r.Cancelled() != 0 || r.Rejected() != 0 {
-		t.Error("nil recorder should report zero counts")
-	}
-	if r.Demotions(0, 0) != 0 || r.Levels() != 0 {
-		t.Error("nil recorder should report zero demotions/levels")
-	}
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "disabled") {
-		t.Errorf("nil exposition = %q, want disabled marker", sb.String())
-	}
-}
-
 func TestRecorderCounts(t *testing.T) {
 	r := NewRecorder(4)
 	r.RecordSubmit()

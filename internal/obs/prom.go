@@ -28,6 +28,9 @@ type LevelStat struct {
 	// BatchCap is B_i, the level's SLO-clamped dynamic-batching cap (0
 	// when batching is disabled).
 	BatchCap int
+	// Capacity is the sum of M_i over the level's serving instances (a
+	// crashed instance awaiting rejoin adds nothing).
+	Capacity int
 }
 
 // InstanceStat is the scrape-time state of one instance.
@@ -40,6 +43,9 @@ type InstanceStat struct {
 	// Health is the instance's serving state; failed instances appear
 	// here as Dead until their downtime elapses and they rejoin.
 	Health Health
+	// SlowFactor is the degraded-mode execution multiplier (1 when
+	// healthy, 0 when dead).
+	SlowFactor float64
 }
 
 // TenantStat is the scrape-time admission/dispatch accounting of one
@@ -55,12 +61,39 @@ type TenantStat struct {
 	Share float64
 }
 
-// Snapshot is the live cluster state rendered into gauges.
+// Snapshot is the live cluster state at one moment: what the gauges
+// render, /healthz and the load report serve, and the control loop reads.
 type Snapshot struct {
-	Levels    []LevelStat
+	Levels []LevelStat
+	// Instances is sorted by ID and includes crashed instances (as Dead)
+	// until they rejoin.
 	Instances []InstanceStat
 	// Tenants is empty when the cluster runs without a tenant registry.
 	Tenants []TenantStat
+}
+
+// HealthSummary is a snapshot's per-state instance counts, the shape the
+// /healthz endpoint serves.
+type HealthSummary struct {
+	Healthy  int `json:"healthy"`
+	Degraded int `json:"degraded"`
+	Dead     int `json:"dead"`
+}
+
+// Health counts the snapshot's instances by serving state.
+func (s Snapshot) Health() HealthSummary {
+	var h HealthSummary
+	for _, in := range s.Instances {
+		switch in.Health {
+		case Healthy:
+			h.Healthy++
+		case Degraded:
+			h.Degraded++
+		default:
+			h.Dead++
+		}
+	}
+	return h
 }
 
 // ContentType is the Prometheus text exposition content type served by
@@ -70,11 +103,6 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // WritePrometheus renders every metric in Prometheus text format.
 func (r *Recorder) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if r == nil {
-		fmt.Fprint(bw, "# observability disabled\n")
-		return bw.Flush()
-	}
-
 	fmt.Fprint(bw, "# HELP arlo_requests_submitted_total Requests submitted to the cluster.\n")
 	fmt.Fprint(bw, "# TYPE arlo_requests_submitted_total counter\n")
 	fmt.Fprintf(bw, "arlo_requests_submitted_total %d\n", r.submitted.Load())
@@ -243,7 +271,7 @@ func writeHist(w io.Writer, name, help string, h *hist) {
 }
 
 // Handler returns the GET /metrics endpoint serving the Prometheus text
-// exposition. Safe on a nil receiver (serves the disabled marker).
+// exposition.
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {

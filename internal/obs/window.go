@@ -58,13 +58,13 @@ type winSlot struct {
 }
 
 // window is the slot ring plus its configuration. It lives inside
-// Recorder; all methods are called through nil-safe Recorder wrappers.
+// Recorder.
 type window struct {
 	// slotNS is the slot width in nanoseconds (span = slotNS * winSlots).
 	slotNS atomic.Int64
 	// bins, when set, are the runtime max-length upper bounds the length
-	// histogram buckets on (ascending; installed by cluster.SetObserver or
-	// SetLengthBins). Unset means lengths are not windowed.
+	// histogram buckets on (ascending; installed through SetLengthBins,
+	// which cluster.New calls). Unset means lengths are not windowed.
 	bins  atomic.Pointer[[]int]
 	slots [winSlots]winSlot
 }
@@ -214,9 +214,6 @@ func (w *window) percentile(p float64, at time.Time) (time.Duration, int64) {
 // Call before recording: changing the slot width re-labels existing slots'
 // epochs, effectively clearing the window.
 func (r *Recorder) SetWindow(span time.Duration) {
-	if r == nil {
-		return
-	}
 	if span <= 0 {
 		span = defaultWindowSpan
 	}
@@ -229,21 +226,15 @@ func (r *Recorder) SetWindow(span time.Duration) {
 
 // WindowSpan returns the sliding-window span currently in effect.
 func (r *Recorder) WindowSpan() time.Duration {
-	if r == nil {
-		return 0
-	}
 	return time.Duration(r.win.slotNS.Load() * winSlots)
 }
 
 // SetLengthBins installs the runtime max-length upper bounds the windowed
-// length histogram buckets on (ascending, one per runtime level; the
-// cluster installs its profile's MaxLengths automatically in SetObserver).
+// length histogram buckets on (ascending, one per runtime level;
+// cluster.New installs its profile's MaxLengths on the cluster's recorder).
 // A length l lands in the first bin with upper >= l; longer-than-all
 // lengths clamp into the last bin. Nil or empty disables length windowing.
 func (r *Recorder) SetLengthBins(uppers []int) {
-	if r == nil {
-		return
-	}
 	if len(uppers) == 0 {
 		r.win.bins.Store(nil)
 		return
@@ -258,9 +249,6 @@ func (r *Recorder) SetLengthBins(uppers []int) {
 // window. Only tests call it: they drive the controller's observation plane
 // with virtual time through it.
 func (r *Recorder) RecordSpanAt(s *Span, at time.Time) {
-	if r == nil {
-		return
-	}
 	r.recordSpan(s)
 	r.win.observe(s, at)
 }
@@ -268,29 +256,21 @@ func (r *Recorder) RecordSpanAt(s *Span, at time.Time) {
 // LengthDist returns the per-runtime-level request counts observed inside
 // the sliding window ending now — the raw material of the allocation
 // program's demand vector q. The slice is indexed like the profile's
-// runtime levels. Nil when no length bins are installed (no cluster
-// observer and no SetLengthBins call). Only tests call it: they read the
-// window's length binning through it.
+// runtime levels. Nil when no length bins are installed (a recorder no
+// cluster built, given no SetLengthBins call). Only tests call it: they
+// read the window's length binning through it.
 func (r *Recorder) LengthDist() []int64 {
 	return r.LengthDistAt(time.Now())
 }
 
 // LengthDistAt is LengthDist at an explicit query time.
-func (r *Recorder) LengthDistAt(at time.Time) []int64 {
-	if r == nil {
-		return nil
-	}
-	return r.win.lengthDist(at)
-}
+func (r *Recorder) LengthDistAt(at time.Time) []int64 { return r.win.lengthDist(at) }
 
 // QuantileAt returns the p-quantile (0 < p <= 1, nearest rank) of the
 // end-to-end latency of requests completed inside the sliding window ending
 // at the query time, resolved to the upper boundary of its histogram bucket
 // (125 us * 2^k). Zero when the window is empty.
 func (r *Recorder) QuantileAt(p float64, at time.Time) time.Duration {
-	if r == nil {
-		return 0
-	}
 	d, _ := r.win.percentile(p, at)
 	return d
 }
@@ -305,9 +285,6 @@ func (r *Recorder) P98At(at time.Time) time.Duration { return r.QuantileAt(0.98,
 // WindowSamples returns how many request completions the sliding window
 // ending at the query time currently holds.
 func (r *Recorder) WindowSamples(at time.Time) int64 {
-	if r == nil {
-		return 0
-	}
 	_, n := r.win.percentile(0.98, at)
 	return n
 }
@@ -333,15 +310,5 @@ type ControllerStat struct {
 }
 
 // SetControllerStats installs the control-loop state callback rendered as
-// arlo_controller_* metrics at scrape time. Safe while recording; nil
-// receiver and nil fn are no-ops that disable the series.
-func (r *Recorder) SetControllerStats(fn func() ControllerStat) {
-	if r == nil {
-		return
-	}
-	if fn == nil {
-		r.ctrlStats.Store(nil)
-		return
-	}
-	r.ctrlStats.Store(&fn)
-}
+// arlo_controller_* metrics at scrape time. Safe while recording.
+func (r *Recorder) SetControllerStats(fn func() ControllerStat) { r.ctrlStats.Store(&fn) }

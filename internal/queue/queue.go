@@ -304,9 +304,6 @@ func NewMultiLevel(maxLengths []int) (*MultiLevel, error) {
 	}, nil
 }
 
-// NumLevels returns the number of runtime levels.
-func (m *MultiLevel) NumLevels() int { return len(m.levels) }
-
 // MaxLength returns the max_length of runtime level k.
 func (m *MultiLevel) MaxLength(k int) int { return m.maxLengths[k] }
 

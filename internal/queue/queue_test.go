@@ -148,7 +148,7 @@ func TestMultiLevelQuickInvariants(t *testing.T) {
 			if m.TotalOutstanding() != dispatched {
 				return false
 			}
-			for lvl := 0; lvl < m.NumLevels(); lvl++ {
+			for lvl := 0; lvl < len(m.levels); lvl++ {
 				front := m.Level(lvl).Front()
 				for _, in := range m.Level(lvl).Instances() {
 					if front == nil {
@@ -225,7 +225,7 @@ func TestConcurrentDispatchCompleteStress(t *testing.T) {
 	if got := m.TotalOutstanding(); got != 0 {
 		t.Errorf("after full drain total outstanding = %d, want 0", got)
 	}
-	for lvl := 0; lvl < m.NumLevels(); lvl++ {
+	for lvl := 0; lvl < len(m.levels); lvl++ {
 		front := m.Level(lvl).Front()
 		if front == nil {
 			t.Fatalf("level %d unexpectedly empty", lvl)
@@ -318,8 +318,8 @@ func mustMLf(t *testing.T, lens []int) *MultiLevel {
 
 func TestMultiLevelAddRemove(t *testing.T) {
 	m := mustML(t, []int{64, 128, 256, 512})
-	if m.NumLevels() != 4 {
-		t.Fatalf("levels = %d, want 4", m.NumLevels())
+	if len(m.levels) != 4 {
+		t.Fatalf("levels = %d, want 4", len(m.levels))
 	}
 	in := &Instance{ID: 7, Runtime: 2, MaxCapacity: 40}
 	if err := m.Add(in); err != nil {

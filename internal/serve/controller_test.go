@@ -12,7 +12,6 @@ import (
 	"arlo/internal/controller"
 	"arlo/internal/dispatch"
 	"arlo/internal/model"
-	"arlo/internal/obs"
 	"arlo/internal/profiler"
 	"arlo/internal/queue"
 	"arlo/internal/tokenizer"
@@ -25,7 +24,6 @@ func testController(t *testing.T) (*cluster.Cluster, *controller.Controller) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder(len(p.Runtimes))
 	cl, err := cluster.New(cluster.Config{
 		Profile:           p,
 		InitialAllocation: []int{1, 1, 1, 1, 1, 1, 1, 1},
@@ -36,13 +34,12 @@ func testController(t *testing.T) (*cluster.Cluster, *controller.Controller) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.SetObserver(rec)
 	t.Cleanup(cl.Close)
 	solver, err := allocator.NewSolver(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := controller.New(cl, solver, rec, controller.Options{})
+	ctrl, err := controller.New(cl, solver, controller.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ import (
 	"arlo/internal/tokenizer"
 )
 
-// hammerServer builds a small cluster with a recorder installed so the
-// conservation invariant is checkable at the serve boundary.
+// hammerServer builds a small cluster and returns its recorder, on which
+// the conservation invariant is checkable at the serve boundary.
 func hammerServer(t *testing.T, opts ...Option) (*Server, *obs.Recorder) {
 	t.Helper()
 	p, err := profiler.StaticProfile(model.BertBase(), []int{128, 512}, 150*time.Millisecond)
@@ -43,14 +43,12 @@ func hammerServer(t *testing.T, opts ...Option) (*Server, *obs.Recorder) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	rec := obs.NewRecorder(cl.NumLevels())
-	cl.SetObserver(rec)
 	srv, err := New(tokenizer.New(), cl, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return srv, rec
+	return srv, cl.Recorder()
 }
 
 // hammer fires concurrent POST /v1/infer with mid-flight cancellations

@@ -9,7 +9,6 @@ package serve
 import (
 	"net/http"
 
-	"arlo/internal/cluster"
 	"arlo/internal/wire"
 )
 
@@ -25,46 +24,39 @@ func WithShardName(name string) Option {
 	}
 }
 
-// LoadSnapshot builds the shard's current load report: per-runtime queue
-// depth by length bucket, instance health counts, lifetime admission
-// counters, and utilization in thousandths. Seq increases with every
-// call, so two snapshots from the same shard are ordered without clocks.
+// LoadSnapshot builds the shard's current load report from one cluster
+// Snapshot: per-runtime queue depth, serving instances and their summed
+// capacity by length bucket, instance health counts, lifetime admission
+// counters, and utilization in thousandths of the serving capacity. Seq
+// increases with every call, so two snapshots from the same shard are
+// ordered without clocks.
 func (s *Server) LoadSnapshot() wire.LoadSnapshot {
+	live := s.cluster.Snapshot()
+	sum := live.Health()
 	snap := wire.LoadSnapshot{
 		Seq:       s.loadSeq.Add(1),
 		Shard:     s.shard,
+		Healthy:   uint16(sum.Healthy),
+		Degraded:  uint16(sum.Degraded),
+		Dead:      uint16(sum.Dead),
 		Submitted: uint64(s.rec.Submitted()),
 		Completed: uint64(s.rec.Completed()),
 		Rejected:  uint64(s.rec.Rejected()),
+		Levels:    make([]wire.LoadLevel, 0, len(live.Levels)),
 	}
-	sum := cluster.Summarize(s.cluster.Health())
-	snap.Healthy = uint16(sum.Healthy)
-	snap.Degraded = uint16(sum.Degraded)
-	snap.Dead = uint16(sum.Dead)
-	live, ok := s.rec.LiveSnapshot()
-	if !ok {
-		return snap
-	}
-	// Per-level capacity is the sum of the level's instance bounds (Σ M_i);
-	// the gauge snapshot carries it per instance, keyed by runtime index.
-	levelCap := make(map[int]int, len(live.Levels))
-	var outstanding, capacity int
-	for _, in := range live.Instances {
-		levelCap[in.Runtime] += in.Capacity
-		outstanding += in.Outstanding
-		capacity += in.Capacity
-	}
-	if capacity > 0 {
-		snap.UtilMilli = uint32(outstanding * 1000 / capacity)
-	}
-	snap.Levels = make([]wire.LoadLevel, 0, len(live.Levels))
+	var depth, capacity int
 	for _, lv := range live.Levels {
+		depth += lv.Depth
+		capacity += lv.Capacity
 		snap.Levels = append(snap.Levels, wire.LoadLevel{
 			MaxLength: uint32(lv.MaxLength),
 			Depth:     uint32(lv.Depth),
 			Instances: uint16(lv.Instances),
-			Capacity:  uint32(levelCap[lv.Level]),
+			Capacity:  uint32(lv.Capacity),
 		})
+	}
+	if capacity > 0 {
+		snap.UtilMilli = uint32(depth * 1000 / capacity)
 	}
 	return snap
 }

@@ -34,8 +34,8 @@ func TestLoadSnapshotShape(t *testing.T) {
 	if int(snap.Healthy) != cl.Instances() {
 		t.Errorf("healthy = %d, want %d", snap.Healthy, cl.Instances())
 	}
-	if len(snap.Levels) != cl.NumLevels() {
-		t.Fatalf("levels = %d, want %d", len(snap.Levels), cl.NumLevels())
+	if want := len(model.BertBaseArch.RuntimeLengths()); len(snap.Levels) != want {
+		t.Fatalf("levels = %d, want %d", len(snap.Levels), want)
 	}
 	for i := 1; i < len(snap.Levels); i++ {
 		if snap.Levels[i].MaxLength <= snap.Levels[i-1].MaxLength {
@@ -101,6 +101,31 @@ func TestWireLoadProbe(t *testing.T) {
 	}
 	if len(snap.Levels) == 0 || !snap.Serviceable() {
 		t.Errorf("snapshot not serviceable or empty: %+v", snap)
+	}
+}
+
+// TestLoadSnapshotCountsServingCapacity closes the crashed-capacity
+// defect: a crashed instance awaiting rejoin is counted dead, but its M_i
+// leaves its level's capacity (and so utilization's denominator) at once,
+// so a level's instances and capacity agree.
+func TestLoadSnapshotCountsServingCapacity(t *testing.T) {
+	srv, cl := testServer(t)
+	before := srv.LoadSnapshot()
+	if _, err := cl.FailInstance(0, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.LoadSnapshot()
+	if snap.Healthy != before.Healthy-1 || snap.Dead != 1 {
+		t.Errorf("healthy %d dead %d, want %d and 1", snap.Healthy, snap.Dead, before.Healthy-1)
+	}
+	if lv := snap.Levels[0]; lv.Instances != 0 || lv.Capacity != 0 {
+		t.Errorf("level 0 with its only instance crashed: instances %d capacity %d, want 0 and 0",
+			lv.Instances, lv.Capacity)
+	}
+	for i := 1; i < len(snap.Levels); i++ {
+		if snap.Levels[i] != before.Levels[i] {
+			t.Errorf("level %d = %+v, want it unchanged at %+v", i, snap.Levels[i], before.Levels[i])
+		}
 	}
 }
 

@@ -25,20 +25,8 @@ func TestNewOptionDefaults(t *testing.T) {
 	if srv.maxLen != cl.MaxLength() {
 		t.Errorf("default max length = %d, want cluster max %d", srv.maxLen, cl.MaxLength())
 	}
-	if srv.Recorder() == nil {
-		t.Error("recorder not auto-wired")
-	}
-	if cl.Observer() != srv.Recorder() {
-		t.Error("auto-wired recorder not installed on the cluster")
-	}
-	// A second server over the same cluster reuses the recorder instead
-	// of silently replacing it.
-	srv2, err := New(tokenizer.New(), cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv2.Recorder() != srv.Recorder() {
-		t.Error("second server should reuse the cluster's recorder")
+	if srv.Recorder() != cl.Recorder() {
+		t.Error("server does not read the cluster's recorder")
 	}
 }
 
@@ -53,12 +41,7 @@ func TestNewOptionValidation(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, cl := testServer(t)
-	cl.SetObserver(obs.NewRecorder(cl.NumLevels())) // books for this server alone
-	srv, err := New(tokenizer.New(), cl, WithMaxLength(512))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := testServer(t) // its own cluster: books for this server alone
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := &Client{BaseURL: ts.URL}

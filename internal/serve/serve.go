@@ -263,6 +263,7 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 		tok:     tok,
 		cluster: cl,
 		maxLen:  cl.MaxLength(),
+		rec:     cl.Recorder(),
 		mux:     http.NewServeMux(),
 	}
 	s.Frontend = NewFrontend(s)
@@ -270,13 +271,6 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 		if err := opt(s); err != nil {
 			return nil, err
 		}
-	}
-	// Reuse the cluster's observability recorder, or install one: the
-	// recorder is the server's only record of what it served, so /metrics
-	// and /v1/stats always have one to read.
-	if s.rec = cl.Observer(); s.rec == nil {
-		s.rec = obs.NewRecorder(cl.NumLevels())
-		cl.SetObserver(s.rec)
 	}
 	if s.ingressCfg != nil {
 		s.ingress = cluster.NewIngress(cl, *s.ingressCfg)
@@ -305,8 +299,8 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 	return s, nil
 }
 
-// Recorder returns the observability recorder backing /metrics and
-// /v1/stats.
+// Recorder returns the cluster's observability recorder, which backs
+// /metrics and /v1/stats: the server's only record of what it served.
 func (s *Server) Recorder() *obs.Recorder { return s.rec }
 
 // submit dispatches one request through the configured path: the ring
@@ -430,15 +424,15 @@ type HealthResponse struct {
 	// Status is "ok" while at least one instance is serving (healthy or
 	// degraded), "unavailable" otherwise.
 	Status string `json:"status"`
-	cluster.HealthSummary
+	obs.HealthSummary
 	// Shard is the operator-assigned shard name (omitted when unnamed).
 	Shard string `json:"shard,omitempty"`
 	// Instances is each instance's serving state, sorted by ID.
-	Instances []InstanceHealthInfo `json:"instances"`
+	Instances []HealthInstance `json:"instances"`
 }
 
-// InstanceHealthInfo is one instance's serving state in HealthResponse.
-type InstanceHealthInfo struct {
+// HealthInstance is one instance's serving state in HealthResponse.
+type HealthInstance struct {
 	ID      int    `json:"id"`
 	Runtime int    `json:"runtime"`
 	State   string `json:"state"`
@@ -448,18 +442,18 @@ type InstanceHealthInfo struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	hs := s.cluster.Health()
-	sum := cluster.Summarize(hs)
+	snap := s.cluster.Snapshot()
+	sum := snap.Health()
 	resp := HealthResponse{
 		Status:        "ok",
 		HealthSummary: sum,
 		Shard:         s.shard,
-		Instances:     make([]InstanceHealthInfo, 0, len(hs)),
+		Instances:     make([]HealthInstance, 0, len(snap.Instances)),
 	}
-	for _, h := range hs {
-		info := InstanceHealthInfo{ID: h.ID, Runtime: h.Runtime, State: h.State.String()}
-		if h.SlowFactor != 1 {
-			info.SlowFactor = h.SlowFactor
+	for _, in := range snap.Instances {
+		info := HealthInstance{ID: in.ID, Runtime: in.Runtime, State: in.Health.String()}
+		if in.SlowFactor != 1 {
+			info.SlowFactor = in.SlowFactor
 		}
 		resp.Instances = append(resp.Instances, info)
 	}

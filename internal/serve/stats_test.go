@@ -38,7 +38,7 @@ func statsOf(t *testing.T, srv *Server) Stats {
 func TestStatsPinned(t *testing.T) {
 	srv, cl := testServer(t)
 	rec := srv.Recorder()
-	if rec == nil || rec != cl.Observer() {
+	if rec != cl.Recorder() {
 		t.Fatal("server without a recorder shared with its cluster")
 	}
 	now := time.Now()
