@@ -181,7 +181,7 @@ func benchDispatch(b *testing.B, instances, L int) {
 	lengths := benchLengths()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in, err := rs.Dispatch(lengths[i%len(lengths)])
+		in, _, err := rs.DispatchCtx(context.Background(), lengths[i%len(lengths)])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func benchDispatchParallel(b *testing.B, instances, L int) {
 		// replaying identical traffic in lockstep.
 		i := int(gid.Add(1)) * 509
 		for pb.Next() {
-			in, err := rs.Dispatch(lengths[i%len(lengths)])
+			in, _, err := rs.DispatchCtx(context.Background(), lengths[i%len(lengths)])
 			if err != nil {
 				b.Error(err)
 				return
@@ -270,7 +270,7 @@ func BenchmarkFig9DispatchParallelGlobalMutex(b *testing.B) {
 		i := int(gid.Add(1)) * 509 // same stagger as the striped variant
 		for pb.Next() {
 			mu.Lock()
-			in, err := rs.Dispatch(lengths[i%len(lengths)])
+			in, _, err := rs.DispatchCtx(context.Background(), lengths[i%len(lengths)])
 			if err != nil {
 				mu.Unlock()
 				b.Error(err)

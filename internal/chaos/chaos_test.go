@@ -30,6 +30,20 @@ func testTrace(t testing.TB, seed int64, rate float64, dur time.Duration) *trace
 	return tr
 }
 
+// genTrace is a generative trace: Poisson arrivals at 120/s for 200 ms on
+// the recalibrated length mix, output budgets geometric with mean 8 and
+// capped at 32.
+func genTrace(t testing.TB, seed int64) *trace.Trace {
+	t.Helper()
+	tr, err := trace.Generate(trace.Config{Seed: seed, Duration: 200 * time.Millisecond,
+		Arrivals: trace.Poisson{Rate: 120}, Lengths: trace.TwitterRecalibrated(seed),
+		Outputs: trace.GeometricOutputs{Mean: 8, Max: 32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // TestConservationManySeeds is the tentpole assertion: across hundreds of
 // seeded runs mixing crashes (transient and permanent), slowdowns and
 // client cancellations, every submitted request resolves exactly once —
@@ -84,10 +98,7 @@ func TestConservationManySeedsGenerative(t *testing.T) {
 	}
 	p := testProfile(t)
 	for seed := 0; seed < seeds; seed++ {
-		tr, err := trace.Generate(trace.Generative(int64(seed), 120, 200*time.Millisecond, 8, 32))
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := genTrace(t, int64(seed))
 		cfg := Config{
 			Profile:        p,
 			Allocation:     []int{1, 2},
@@ -360,10 +371,7 @@ func TestSamplesCarryTraceTags(t *testing.T) {
 // continuous mode too: a batched run-to-completion arm on a generative
 // trace completes every request with exactly the tokens it asked for.
 func TestRunToCompletionHonoursTraceBudgets(t *testing.T) {
-	tr, err := trace.Generate(trace.Generative(19, 120, 200*time.Millisecond, 8, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := genTrace(t, 19)
 	rep, err := Run(Config{Profile: testProfile(t), Allocation: []int{1, 2}, Trace: tr, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"arlo/internal/tenant"
-	"arlo/internal/trace"
 )
 
 // TestConservationManySeedsTenants re-runs the conservation sweep with
@@ -47,11 +46,7 @@ func TestConservationManySeedsTenants(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				tr := testTrace(t, int64(seed), 150, 200*time.Millisecond)
 				if mode.generative {
-					var err error
-					tr, err = trace.Generate(trace.Generative(int64(seed), 120, 200*time.Millisecond, 8, 32))
-					if err != nil {
-						t.Fatal(err)
-					}
+					tr = genTrace(t, int64(seed))
 				}
 				cfg := Config{
 					Profile:        p,

@@ -142,7 +142,7 @@ func TestAllPoliciesImplementContextDispatcher(t *testing.T) {
 				t.Fatalf("%s: dispatch %d: %v", name, i, err)
 			}
 		}
-		for _, in := range one.Level(0).Instances() {
+		for _, in := range one.Level(0).AppendInstances(nil) {
 			if got := in.Outstanding(); got != 16 {
 				t.Errorf("%s: instance %d holds %d of 64 back-to-back dispatches, want 16", name, in.ID, got)
 			}
@@ -150,9 +150,9 @@ func TestAllPoliciesImplementContextDispatcher(t *testing.T) {
 	}
 }
 
-// TestDispatchAndDispatchCtxAgree pins the compatibility contract: the
-// deprecated-style Dispatch and the context-first DispatchCtx pick the
-// same instance from the same queue state.
+// TestDispatchAndDispatchCtxAgree pins that the context is advisory: a
+// dispatch under a cancelled context picks the instance a background one
+// picks from the same queue state.
 func TestDispatchAndDispatchCtxAgree(t *testing.T) {
 	a := fig5Queue(t)
 	b := fig5Queue(t)
@@ -164,9 +164,11 @@ func TestDispatchAndDispatchCtxAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, length := range []int{30, 100, 200, 400, 512} {
-		inA, errA := rsA.Dispatch(length)
-		inB, _, errB := rsB.DispatchCtx(context.Background(), length)
+		inA, _, errA := rsA.DispatchCtx(context.Background(), length)
+		inB, _, errB := rsB.DispatchCtx(cancelled, length)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("length %d: error mismatch %v vs %v", length, errA, errB)
 		}
@@ -174,7 +176,7 @@ func TestDispatchAndDispatchCtxAgree(t *testing.T) {
 			continue
 		}
 		if inA.ID != inB.ID {
-			t.Errorf("length %d: Dispatch chose %d, DispatchCtx chose %d", length, inA.ID, inB.ID)
+			t.Errorf("length %d: background context chose %d, cancelled context chose %d", length, inA.ID, inB.ID)
 		}
 	}
 }

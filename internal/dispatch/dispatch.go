@@ -7,7 +7,7 @@
 //
 // Every dispatcher is safe for concurrent use: policies hold only
 // read-only configuration and delegate all synchronization to the
-// lock-striped multi-level queue, so a cluster can run Dispatch from many
+// lock-striped multi-level queue, so a cluster can run DispatchCtx from many
 // goroutines without a global lock. Candidate levels are walked in
 // ascending level index — the package-wide lock order — and no policy
 // holds more than one level stripe at a time, so concurrent dispatches
@@ -37,11 +37,6 @@ var ErrNoInstances = errors.New("dispatch: no instance available for the request
 // Completion must be reported back via the queue's OnComplete.
 // Implementations are safe for concurrent use.
 type Dispatcher interface {
-	// Name identifies the policy in experiment output.
-	Name() string
-	// Dispatch routes one request of the given token length; it is
-	// DispatchCtx with a background context and the Decision dropped.
-	Dispatch(length int) (*queue.Instance, error)
 	// DispatchCtx routes one request of the given token length and
 	// reports the routing decision, which feeds the observability plane's
 	// demotion counters and span records. The context carries the
@@ -110,15 +105,6 @@ func NewRequestSchedulerParams(ml *queue.MultiLevel, lambda, alpha float64, maxP
 	return &RequestScheduler{ml: ml, Lambda: lambda, Alpha: alpha, MaxPeek: maxPeek}, nil
 }
 
-// Name implements Dispatcher.
-func (rs *RequestScheduler) Name() string { return "RS" }
-
-// Dispatch implements Dispatcher.
-func (rs *RequestScheduler) Dispatch(length int) (*queue.Instance, error) {
-	in, _, err := rs.DispatchCtx(context.Background(), length)
-	return in, err
-}
-
 // DispatchCtx implements Algorithm 1. The multi-level peek walk (lines
 // 6-17) reads level heads lock-free in ascending level order; only the
 // final OnDispatch takes the chosen instance's level stripe.
@@ -182,15 +168,6 @@ func NewILB(ml *queue.MultiLevel) (*ILB, error) {
 	return &ILB{ml: ml}, nil
 }
 
-// Name implements Dispatcher.
-func (d *ILB) Name() string { return "ILB" }
-
-// Dispatch implements Dispatcher.
-func (d *ILB) Dispatch(length int) (*queue.Instance, error) {
-	in, _, err := d.DispatchCtx(context.Background(), length)
-	return in, err
-}
-
 // DispatchCtx implements Dispatcher: least-loaded instance of the first
 // candidate level that has instances.
 func (d *ILB) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decision, error) {
@@ -224,15 +201,6 @@ func NewIG(ml *queue.MultiLevel) (*IG, error) {
 		return nil, fmt.Errorf("dispatch: nil multi-level queue")
 	}
 	return &IG{ml: ml}, nil
-}
-
-// Name implements Dispatcher.
-func (d *IG) Name() string { return "IG" }
-
-// Dispatch implements Dispatcher.
-func (d *IG) Dispatch(length int) (*queue.Instance, error) {
-	in, _, err := d.DispatchCtx(context.Background(), length)
-	return in, err
 }
 
 // DispatchCtx implements Dispatcher: global least-outstanding across all
@@ -286,15 +254,6 @@ func NewLeastLoaded(ml *queue.MultiLevel) (*LeastLoaded, error) {
 	return &LeastLoaded{ml: ml}, nil
 }
 
-// Name implements Dispatcher.
-func (d *LeastLoaded) Name() string { return "LL" }
-
-// Dispatch implements Dispatcher.
-func (d *LeastLoaded) Dispatch(length int) (*queue.Instance, error) {
-	in, _, err := d.DispatchCtx(context.Background(), length)
-	return in, err
-}
-
 // DispatchCtx implements Dispatcher.
 func (d *LeastLoaded) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decision, error) {
 	var dec Decision
@@ -345,15 +304,6 @@ func NewBinPacking(ml *queue.MultiLevel) (*BinPacking, error) {
 		return nil, fmt.Errorf("dispatch: nil multi-level queue")
 	}
 	return &BinPacking{ml: ml, PackDepth: 4}, nil
-}
-
-// Name implements Dispatcher.
-func (d *BinPacking) Name() string { return "INFaaS" }
-
-// Dispatch implements Dispatcher.
-func (d *BinPacking) Dispatch(length int) (*queue.Instance, error) {
-	in, _, err := d.DispatchCtx(context.Background(), length)
-	return in, err
 }
 
 // DispatchCtx implements Dispatcher. Selection is fully deterministic:

@@ -1,6 +1,8 @@
 package dispatch
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,6 +37,18 @@ func fig5Queue(t *testing.T) *queue.MultiLevel {
 	return ml
 }
 
+// byID finds a registered instance by its ID.
+func byID(t *testing.T, ml *queue.MultiLevel, id int) *queue.Instance {
+	t.Helper()
+	for _, in := range ml.Instances() {
+		if in.ID == id {
+			return in
+		}
+	}
+	t.Fatalf("no instance %d", id)
+	return nil
+}
+
 func TestAlgorithm1PaperExample(t *testing.T) {
 	// The paper's walk-through: a length-200 request with lambda 0.85,
 	// alpha 0.9, L 3 skips the congested 256 runtime (54/60 >= 0.85) and
@@ -44,7 +58,7 @@ func TestAlgorithm1PaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := rs.Dispatch(200)
+	in, _, err := rs.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +73,14 @@ func TestAlgorithm1PaperExample(t *testing.T) {
 func TestAlgorithm1TakesIdealWhenUncongested(t *testing.T) {
 	ml := fig5Queue(t)
 	// Relieve the 256 head below the threshold.
-	head := ml.Get(30)
+	head := byID(t, ml, 30)
 	head.SetOutstanding(10)
 	ml.Level(2).Update(head)
 	rs, err := NewRequestScheduler(ml)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := rs.Dispatch(200)
+	in, _, err := rs.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +94,7 @@ func TestAlgorithm1FallbackToTopCandidate(t *testing.T) {
 	// (least padding) candidate's head (Algorithm 1 lines 18-19).
 	ml := fig5Queue(t)
 	for _, id := range []int{30, 31, 40, 41} {
-		in := ml.Get(id)
+		in := byID(t, ml, id)
 		in.SetOutstanding(in.MaxCapacity)
 		ml.Level(in.Runtime).Update(in)
 	}
@@ -88,7 +102,7 @@ func TestAlgorithm1FallbackToTopCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := rs.Dispatch(200)
+	in, _, err := rs.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +119,7 @@ func TestAlgorithm1MaxPeekLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := rs.Dispatch(200)
+	in, _, err := rs.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +141,7 @@ func TestAlgorithm1SkipsEmptyLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := rs.Dispatch(10)
+	in, _, err := rs.DispatchCtx(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +160,10 @@ func TestDispatchErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Dispatch(129); err != ErrTooLong {
+		if _, _, err := d.DispatchCtx(context.Background(), 129); err != ErrTooLong {
 			t.Errorf("%s: over-long request error = %v, want ErrTooLong", name, err)
 		}
-		if _, err := d.Dispatch(10); err != ErrNoInstances {
+		if _, _, err := d.DispatchCtx(context.Background(), 10); err != ErrNoInstances {
 			t.Errorf("%s: empty cluster error = %v, want ErrNoInstances", name, err)
 		}
 	}
@@ -159,7 +173,7 @@ func TestILBNeverDemotes(t *testing.T) {
 	ml := fig5Queue(t)
 	// Even with the ideal runtime saturated, ILB keeps piling on it.
 	for _, id := range []int{30, 31} {
-		in := ml.Get(id)
+		in := byID(t, ml, id)
 		in.SetOutstanding(in.MaxCapacity)
 		ml.Level(in.Runtime).Update(in)
 	}
@@ -167,7 +181,7 @@ func TestILBNeverDemotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := d.Dispatch(200)
+	in, _, err := d.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +196,7 @@ func TestILBBalancesWithinGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := d.Dispatch(200)
+	first, _, err := d.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +206,11 @@ func TestILBBalancesWithinGroup(t *testing.T) {
 	// Load instance 30 up to 59 (ties break toward the lower ID, so 30
 	// absorbs the tie at 58): the next dispatch must go to 31.
 	for i := 0; i < 4; i++ {
-		if _, err := d.Dispatch(200); err != nil {
+		if _, _, err := d.DispatchCtx(context.Background(), 200); err != nil {
 			t.Fatal(err)
 		}
 	}
-	in, err := d.Dispatch(200)
+	in, _, err := d.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +225,7 @@ func TestIGPicksGlobalLeastBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := d.Dispatch(200)
+	in, _, err := d.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +236,7 @@ func TestIGPicksGlobalLeastBusy(t *testing.T) {
 	}
 	// A length-10 request sees the 64 head (30)... but the 512 head now
 	// has 29: IG greedily seizes the larger runtime.
-	in2, err := d.Dispatch(10)
+	in2, _, err := d.DispatchCtx(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +261,12 @@ func TestBinPackingFillsOneBinBeforeSpilling(t *testing.T) {
 	}
 	// First PackDepth dispatches all pack onto the same instance (the
 	// fullest non-full bin), then spill to the next.
-	first, err := d.Dispatch(200)
+	first, _, err := d.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < d.PackDepth-1; i++ {
-		in, err := d.Dispatch(200)
+		in, _, err := d.DispatchCtx(context.Background(), 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +274,7 @@ func TestBinPackingFillsOneBinBeforeSpilling(t *testing.T) {
 			t.Fatalf("dispatch %d went to %d, want packed onto %d", i, in.ID, first.ID)
 		}
 	}
-	spill, err := d.Dispatch(200)
+	spill, _, err := d.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +291,7 @@ func TestBinPackingFallsBackWhenSaturated(t *testing.T) {
 	}
 	// Every fig5 instance is beyond the pack depth: fallback is the
 	// least-loaded candidate (instance 40, outstanding 28).
-	in, err := d.Dispatch(200)
+	in, _, err := d.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,13 +332,15 @@ func TestParamValidation(t *testing.T) {
 
 func TestNamesStable(t *testing.T) {
 	ml := fig5Queue(t)
-	for _, name := range []string{"RS", "ILB", "IG", "INFaaS"} {
+	for name, want := range map[string]Dispatcher{
+		"RS": &RequestScheduler{}, "ILB": &ILB{}, "IG": &IG{}, "LL": &LeastLoaded{}, "INFaaS": &BinPacking{},
+	} {
 		d, err := New(name, ml)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Name() != name {
-			t.Errorf("Name() = %q, want %q", d.Name(), name)
+		if got, want := fmt.Sprintf("%T", d), fmt.Sprintf("%T", want); got != want {
+			t.Errorf("New(%q) = %s, want %s", name, got, want)
 		}
 	}
 }
@@ -347,7 +363,7 @@ func TestThresholdDecaySequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := rs.Dispatch(10)
+	in, _, err := rs.DispatchCtx(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,10 +371,10 @@ func TestThresholdDecaySequence(t *testing.T) {
 		t.Fatalf("0.80 < 0.85 should accept level 0, got %d", in.ID)
 	}
 	// Now level 0's head is at 0.9.
-	in0 := ml.Get(0)
+	in0 := byID(t, ml, 0)
 	in0.SetOutstanding(9)
 	ml.Level(0).Update(in0)
-	in, err = rs.Dispatch(10)
+	in, _, err = rs.DispatchCtx(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +414,7 @@ func TestDispatchersNeverMisplaceQuick(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			length := 1 + rng.Intn(600)
 			d := policies[rng.Intn(len(policies))]
-			in, err := d.Dispatch(length)
+			in, _, err := d.DispatchCtx(context.Background(), length)
 			if err == ErrTooLong {
 				if length <= 512 {
 					return false // the 512 level always exists as a candidate

@@ -1,6 +1,7 @@
 package dispatch_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -8,10 +9,10 @@ import (
 	"arlo/internal/queue"
 )
 
-// ExampleRequestScheduler_Dispatch replays the paper's Fig. 5 example: a
+// ExampleRequestScheduler_DispatchCtx replays the paper's Fig. 5 example: a
 // length-200 request skips the congested 256-runtime head (54/60 >= the
 // 0.85 threshold) and is demoted to the 512 head (28/48 < 0.765).
-func ExampleRequestScheduler_Dispatch() {
+func ExampleRequestScheduler_DispatchCtx() {
 	ml, err := queue.NewMultiLevel([]int{64, 128, 256, 512})
 	if err != nil {
 		log.Fatal(err)
@@ -31,7 +32,7 @@ func ExampleRequestScheduler_Dispatch() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	in, err := rs.Dispatch(200)
+	in, _, err := rs.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -113,12 +114,12 @@ func fig4Run(policy string) (int, error) {
 	}
 	// Eight initial short requests, then fourteen long latecomers.
 	for i := 0; i < 8; i++ {
-		if _, err := d.Dispatch(100); err != nil {
+		if _, _, err := d.DispatchCtx(context.Background(), 100); err != nil {
 			return 0, err
 		}
 	}
 	for i := 0; i < 14; i++ {
-		if _, err := d.Dispatch(400); err != nil {
+		if _, _, err := d.DispatchCtx(context.Background(), 400); err != nil {
 			return 0, err
 		}
 	}
@@ -206,7 +207,7 @@ func Fig5(w io.Writer, _ Options) error {
 	if err != nil {
 		return err
 	}
-	in, err := rs.Dispatch(200)
+	in, _, err := rs.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -295,7 +296,7 @@ func fig9Burst(maxLens []int, instances, requests, L int, seed int64) (time.Dura
 	}
 	start := time.Now()
 	for _, l := range lengths {
-		if _, err := rs.Dispatch(l); err != nil {
+		if _, _, err := rs.DispatchCtx(context.Background(), l); err != nil {
 			return 0, err
 		}
 	}

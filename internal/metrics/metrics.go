@@ -80,15 +80,6 @@ func (r *Recorder) Max() time.Duration {
 	return r.samples[len(r.samples)-1]
 }
 
-// Min returns the smallest recorded latency, or 0 with no samples.
-func (r *Recorder) Min() time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sort()
-	return r.samples[0]
-}
-
 // SLOViolations returns how many samples exceed the given objective and the
 // violating fraction (0 with no samples).
 func (r *Recorder) SLOViolations(slo time.Duration) (count int, fraction float64) {
@@ -100,14 +91,6 @@ func (r *Recorder) SLOViolations(slo time.Duration) (count int, fraction float64
 	i := sort.Search(len(r.samples), func(i int) bool { return r.samples[i] > slo })
 	count = len(r.samples) - i
 	return count, float64(count) / float64(len(r.samples))
-}
-
-// Snapshot returns a copy of the sorted samples.
-func (r *Recorder) Snapshot() []time.Duration {
-	r.sort()
-	out := make([]time.Duration, len(r.samples))
-	copy(out, r.samples)
-	return out
 }
 
 func (r *Recorder) sort() {

@@ -12,13 +12,6 @@ type TimeWeighted struct {
 	last     time.Duration // virtual timestamp of the latest Set
 	lastVal  float64
 	weighted float64 // integral of value dt up to last
-	points   []TimePoint
-}
-
-// TimePoint records one change of the tracked value.
-type TimePoint struct {
-	At    time.Duration
-	Value float64
 }
 
 // Set records that the tracked value changed to v at virtual time at.
@@ -28,7 +21,6 @@ func (w *TimeWeighted) Set(at time.Duration, v float64) {
 	if !w.started {
 		w.started = true
 		w.start, w.last, w.lastVal = at, at, v
-		w.points = append(w.points, TimePoint{at, v})
 		return
 	}
 	if at < w.last {
@@ -36,9 +28,6 @@ func (w *TimeWeighted) Set(at time.Duration, v float64) {
 	}
 	w.weighted += w.lastVal * float64(at-w.last)
 	w.last = at
-	if v != w.lastVal {
-		w.points = append(w.points, TimePoint{at, v})
-	}
 	w.lastVal = v
 }
 
@@ -61,12 +50,3 @@ func (w *TimeWeighted) Average(end time.Duration) float64 {
 
 // Last returns the most recent value, or 0 before any Set.
 func (w *TimeWeighted) Last() float64 { return w.lastVal }
-
-// Series returns the recorded change points (value transitions only),
-// suitable for plotting the Fig. 8 / Fig. 12 time series. Only tests call
-// it: they read the series' deduplication through it.
-func (w *TimeWeighted) Series() []TimePoint {
-	out := make([]TimePoint, len(w.points))
-	copy(out, w.points)
-	return out
-}

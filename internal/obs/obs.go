@@ -387,9 +387,6 @@ func (r *Recorder) RecordBatch(level, size int) {
 	}
 }
 
-// Batches returns the total executed batches recorded.
-func (r *Recorder) Batches() int64 { return r.batches.Load() }
-
 // BatchedRequests returns the total requests executed inside batches.
 // Only tests call it: they read the batch books through it.
 func (r *Recorder) BatchedRequests() int64 { return r.batchedReqs.Load() }
@@ -419,13 +416,8 @@ func (r *Recorder) RecordDemotion(from, to int) {
 	r.demotions[from*r.levels+to].Add(1)
 }
 
-// RecordSpan folds one completed request's span into the histograms,
-// the completion counter, and the sliding window (stamped now). The span
-// itself is not retained.
-func (r *Recorder) RecordSpan(s *Span) {
-	r.recordSpan(s)
-	r.win.observe(s, time.Now())
-}
+// RecordSpan is RecordSpanAt stamped now.
+func (r *Recorder) RecordSpan(s *Span) { r.RecordSpanAt(s, time.Now()) }
 
 // recordSpan folds the span into the lifetime aggregates only.
 func (r *Recorder) recordSpan(s *Span) {

@@ -25,9 +25,8 @@
 // are exact.
 //
 // All timestamps are explicit (`RecordSpanAt`, `LengthDistAt`, `QuantileAt`) so
-// a fake-clock test can drive the window with virtual time; the
-// wall-clock conveniences (`RecordSpan`, `LengthDist`, `P98`) just pass
-// time.Now().
+// a fake-clock test can drive the window with virtual time; `RecordSpan`,
+// the one wall-clock convenience, just passes time.Now().
 
 package obs
 
@@ -210,7 +209,7 @@ func (w *window) percentile(p float64, at time.Time) (time.Duration, int64) {
 }
 
 // SetWindow sets the sliding-window span the controller-facing estimators
-// (LengthDist, P98) cover. Non-positive spans restore the 60s default.
+// (LengthDistAt, P98At) cover. Non-positive spans restore the 60s default.
 // Call before recording: changing the slot width re-labels existing slots'
 // epochs, effectively clearing the window.
 func (r *Recorder) SetWindow(span time.Duration) {
@@ -245,25 +244,20 @@ func (r *Recorder) SetLengthBins(uppers []int) {
 	r.win.bins.Store(&cp)
 }
 
-// RecordSpanAt is RecordSpan with an explicit timestamp for the sliding
-// window. Only tests call it: they drive the controller's observation plane
-// with virtual time through it.
+// RecordSpanAt folds one completed request's span into the histograms,
+// the completion counter, and the sliding window, stamped at the given
+// time; tests drive the controller's observation plane with virtual time
+// through it. The span itself is not retained.
 func (r *Recorder) RecordSpanAt(s *Span, at time.Time) {
 	r.recordSpan(s)
 	r.win.observe(s, at)
 }
 
-// LengthDist returns the per-runtime-level request counts observed inside
-// the sliding window ending now — the raw material of the allocation
-// program's demand vector q. The slice is indexed like the profile's
-// runtime levels. Nil when no length bins are installed (a recorder no
-// cluster built, given no SetLengthBins call). Only tests call it: they
-// read the window's length binning through it.
-func (r *Recorder) LengthDist() []int64 {
-	return r.LengthDistAt(time.Now())
-}
-
-// LengthDistAt is LengthDist at an explicit query time.
+// LengthDistAt returns the per-runtime-level request counts observed inside
+// the sliding window ending at the query time — the raw material of the
+// allocation program's demand vector q. The slice is indexed like the
+// profile's runtime levels. Nil when no length bins are installed (a
+// recorder no cluster built, given no SetLengthBins call).
 func (r *Recorder) LengthDistAt(at time.Time) []int64 { return r.win.lengthDist(at) }
 
 // QuantileAt returns the p-quantile (0 < p <= 1, nearest rank) of the
@@ -275,11 +269,8 @@ func (r *Recorder) QuantileAt(p float64, at time.Time) time.Duration {
 	return d
 }
 
-// P98 is the 98th-percentile windowed latency as of now — the autoscaler's
-// target-tracking signal.
-func (r *Recorder) P98() time.Duration { return r.QuantileAt(0.98, time.Now()) }
-
-// P98At is P98 at an explicit query time.
+// P98At is the 98th-percentile windowed latency as of the query time — the
+// autoscaler's target-tracking signal.
 func (r *Recorder) P98At(at time.Time) time.Duration { return r.QuantileAt(0.98, at) }
 
 // WindowSamples returns how many request completions the sliding window

@@ -37,7 +37,7 @@ func TestWindowLengthDistKnownDistribution(t *testing.T) {
 	dist := r.LengthDistAt(now)
 	want := []int64{50, 30, 15, 5}
 	if len(dist) != len(want) {
-		t.Fatalf("LengthDist len = %d, want %d", len(dist), len(want))
+		t.Fatalf("LengthDistAt len = %d, want %d", len(dist), len(want))
 	}
 	for i := range want {
 		if dist[i] != want[i] {
@@ -134,12 +134,12 @@ func TestWindowDefaults(t *testing.T) {
 	if got := r.WindowSpan(); got != 60*time.Second {
 		t.Fatalf("reset WindowSpan = %v, want 60s", got)
 	}
-	// No bins installed: LengthDist is nil, latency still windowed.
+	// No bins installed: LengthDistAt is nil, latency still windowed.
 	r.RecordSpan(&Span{Length: 10, Total: time.Millisecond})
-	if dist := r.LengthDist(); dist != nil {
-		t.Fatalf("LengthDist without bins = %v, want nil", dist)
+	if dist := r.LengthDistAt(time.Now()); dist != nil {
+		t.Fatalf("LengthDistAt without bins = %v, want nil", dist)
 	}
-	if r.P98() == 0 {
+	if r.P98At(time.Now()) == 0 {
 		t.Fatal("wall-clock RecordSpan did not reach the window")
 	}
 }

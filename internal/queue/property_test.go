@@ -69,6 +69,7 @@ func TestMultiLevelMatchesReferenceModel(t *testing.T) {
 		}
 		nextID := 0
 		var live []int // ids currently attached
+		byID := map[int]*Instance{}
 
 		for op := 0; op < 400; op++ {
 			switch r := rng.Intn(10); {
@@ -80,6 +81,7 @@ func TestMultiLevelMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("trial %d op %d: add: %v", trial, op, err)
 				}
 				ref[rt].insts[in.ID] = in
+				byID[in.ID] = in
 				live = append(live, in.ID)
 			case r < 4 && len(live) > 0: // remove
 				i := rng.Intn(len(live))
@@ -92,11 +94,11 @@ func TestMultiLevelMatchesReferenceModel(t *testing.T) {
 				delete(ref[removed.Runtime].insts, id)
 			case r < 7 && len(live) > 0: // dispatch to some instance
 				id := live[rng.Intn(len(live))]
-				in := ml.Get(id)
+				in := byID[id]
 				ml.OnDispatch(in)
 			case len(live) > 0: // complete (sometimes spurious: must clamp)
 				id := live[rng.Intn(len(live))]
-				in := ml.Get(id)
+				in := byID[id]
 				before := in.Outstanding()
 				ml.OnComplete(in)
 				if before == 0 && in.Outstanding() != 0 {

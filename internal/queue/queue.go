@@ -243,19 +243,9 @@ func (l *Level) Depth() int {
 	return d
 }
 
-// Instances returns a snapshot of the level's instances in unspecified
-// order.
-func (l *Level) Instances() []*Instance {
-	l.mu.Lock()
-	out := make([]*Instance, len(l.h))
-	copy(out, l.h)
-	l.mu.Unlock()
-	return out
-}
-
-// AppendInstances appends a snapshot of the level's instances to dst and
-// returns the extended slice — the allocation-free variant of Instances
-// for hot paths that reuse a scratch buffer.
+// AppendInstances appends a snapshot of the level's instances, in
+// unspecified order, to dst and returns the extended slice; hot paths
+// reuse a scratch buffer for dst.
 func (l *Level) AppendInstances(dst []*Instance) []*Instance {
 	l.mu.Lock()
 	dst = append(dst, l.h...)
@@ -336,14 +326,6 @@ func (m *MultiLevel) Remove(id int) *Instance {
 	}
 	m.levels[in.Runtime].Remove(in)
 	delete(m.byID, id)
-	return in
-}
-
-// Get returns the instance with the given ID, or nil.
-func (m *MultiLevel) Get(id int) *Instance {
-	m.topo.RLock()
-	in := m.byID[id]
-	m.topo.RUnlock()
 	return in
 }
 

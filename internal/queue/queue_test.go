@@ -150,7 +150,7 @@ func TestMultiLevelQuickInvariants(t *testing.T) {
 			}
 			for lvl := 0; lvl < len(m.levels); lvl++ {
 				front := m.Level(lvl).Front()
-				for _, in := range m.Level(lvl).Instances() {
+				for _, in := range m.Level(lvl).AppendInstances(nil) {
 					if front == nil {
 						return false
 					}
@@ -230,7 +230,7 @@ func TestConcurrentDispatchCompleteStress(t *testing.T) {
 		if front == nil {
 			t.Fatalf("level %d unexpectedly empty", lvl)
 		}
-		for _, in := range m.Level(lvl).Instances() {
+		for _, in := range m.Level(lvl).AppendInstances(nil) {
 			if in.Outstanding() < front.Outstanding() {
 				t.Errorf("level %d front %d (out %d) is not least-loaded: instance %d has %d",
 					lvl, front.ID, front.Outstanding(), in.ID, in.Outstanding())
@@ -334,7 +334,7 @@ func TestMultiLevelAddRemove(t *testing.T) {
 	if err := m.Add(&Instance{ID: 9, Runtime: -1}); err == nil {
 		t.Error("negative runtime should fail")
 	}
-	if m.Get(7) != in || m.Size() != 1 {
+	if got := m.Instances(); len(got) != 1 || got[0] != in || m.Size() != 1 {
 		t.Error("instance lookup failed")
 	}
 	if m.Level(2).Front() != in {
@@ -428,7 +428,7 @@ func TestInstancesEnumeration(t *testing.T) {
 	if got := len(m.Instances()); got != 5 {
 		t.Errorf("Instances() returned %d, want 5", got)
 	}
-	if got := len(m.Level(0).Instances()); got != 3 {
+	if got := len(m.Level(0).AppendInstances(nil)); got != 3 {
 		t.Errorf("level 0 has %d instances, want 3", got)
 	}
 	buf := make([]*Instance, 0, 8)

@@ -96,9 +96,6 @@ func New[T any](shards, capacity int) *Ring[T] {
 // in [0, Shards()).
 func (r *Ring[T]) Shards() int { return len(r.shards) }
 
-// Capacity returns the per-shard slot count.
-func (r *Ring[T]) Capacity() int { return len(r.shards[0].slots) }
-
 // Enqueue publishes v to one shard, picked round-robin and spilling to
 // the next shard when the pick is full. It returns the shard the value
 // landed in, or ok=false when every shard is full (the caller should

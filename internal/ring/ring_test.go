@@ -36,14 +36,15 @@ func TestSingleShardFIFO(t *testing.T) {
 }
 
 func TestCapacityRounding(t *testing.T) {
-	if got := New[int](1, 100).Capacity(); got != 128 {
+	slots := func(r *Ring[int]) int { return len(r.shards[0].slots) }
+	if got := slots(New[int](1, 100)); got != 128 {
 		t.Fatalf("capacity 100 rounded to %d, want 128", got)
 	}
-	if got := New[int](1, 64).Capacity(); got != 64 {
+	if got := slots(New[int](1, 64)); got != 64 {
 		t.Fatalf("capacity 64 rounded to %d, want 64", got)
 	}
-	if got := New[int](0, 0); got.Shards() < 1 || got.Capacity() != DefaultShardCapacity {
-		t.Fatalf("defaults: shards %d capacity %d", got.Shards(), got.Capacity())
+	if got := New[int](0, 0); got.Shards() < 1 || slots(got) != DefaultShardCapacity {
+		t.Fatalf("defaults: shards %d capacity %d", got.Shards(), slots(got))
 	}
 }
 

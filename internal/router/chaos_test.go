@@ -105,7 +105,9 @@ func runConservation(t *testing.T, seed int64) {
 
 	type outcome struct {
 		ok   bool
+		hops int // reroute hops of a 200 reply
 		code string
+		msg  string
 	}
 	outcomes := make([]outcome, total)
 	var wg sync.WaitGroup
@@ -139,13 +141,17 @@ func runConservation(t *testing.T, seed int64) {
 				raw, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode == 200 {
-					outcomes[i] = outcome{ok: true}
+					var reply InferResponse
+					if err := json.Unmarshal(raw, &reply); err != nil {
+						t.Errorf("job %d: undecodable reply %q", j.id, raw)
+					}
+					outcomes[i] = outcome{ok: true, hops: reply.Hops}
 				} else {
 					var env serve.ErrorEnvelope
 					if err := json.Unmarshal(raw, &env); err != nil {
 						t.Errorf("job %d: non-envelope error body %q", j.id, raw)
 					} else {
-						outcomes[i] = outcome{code: env.Error.Code}
+						outcomes[i] = outcome{code: env.Error.Code, msg: env.Error.Message}
 					}
 				}
 				done.Add(1)
@@ -159,8 +165,15 @@ func runConservation(t *testing.T, seed int64) {
 	// Conservation: every job completed or failed typed; count per tenant.
 	completed := map[string]int{}
 	typed := map[string]int{}
+	maxHops := 0
 	for i, o := range outcomes {
 		j := jobs[i]
+		// Bounded reroutes: a served request took fewer hops than the
+		// budget, and no request spent it.
+		maxHops = max(maxHops, o.hops)
+		if o.hops >= r.cfg.HopBudget || strings.Contains(o.msg, "hop budget") {
+			t.Errorf("job %d: hop budget %d reached: %+v", j.id, r.cfg.HopBudget, o)
+		}
 		switch {
 		case o.ok:
 			completed[j.tenant]++
@@ -185,13 +198,9 @@ func runConservation(t *testing.T, seed int64) {
 	if allCompleted < total/2 {
 		t.Errorf("only %d/%d completed; outage handling too lossy", allCompleted, total)
 	}
-	// Bounded reroutes: no request may exceed the hop budget.
-	if r.MaxHops() >= r.cfg.HopBudget {
-		t.Errorf("max hops %d reached budget %d", r.MaxHops(), r.cfg.HopBudget)
-	}
 	if r.Reroutes() == 0 {
 		t.Log("note: no reroutes observed this run (kill window may have missed in-flight requests)")
 	}
 	t.Logf("seed %d: completed=%v typed=%v reroutes=%d maxHops=%d",
-		seed, completed, typed, r.Reroutes(), r.MaxHops())
+		seed, completed, typed, r.Reroutes(), maxHops)
 }

@@ -1,5 +1,5 @@
-// The router's own HTTP surface: its mux, the reply types a client of a
-// routed /v1/infer or /v1/generate decodes, and the /healthz aggregation.
+// The router's own HTTP surface: its mux, the reply type a client of a
+// routed /v1/infer decodes, and the /healthz aggregation.
 // The two inference endpoints themselves are serve.Frontend's handlers —
 // the code a shard runs — so a shard's typed rejection (rate_limited with
 // Retry-After, unserviceable, congested, too_long) reaches the HTTP
@@ -28,14 +28,6 @@ type InferResponse struct {
 	// Hops is how many reroute hops the request took (omitted when it
 	// was served by the first shard picked).
 	Hops int `json:"hops,omitempty"`
-}
-
-// GenerateResponse is the router's reply to POST /v1/generate.
-type GenerateResponse struct {
-	serve.GenerateResponse
-	RouteMS float64 `json:"route_ms"`
-	Shard   string  `json:"shard"`
-	Hops    int     `json:"hops,omitempty"`
 }
 
 // ServeHTTP implements http.Handler.

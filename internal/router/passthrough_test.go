@@ -375,7 +375,7 @@ func TestRouterRepliesLikeShard(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		out := reply{status: resp.StatusCode, code: "ok", retryAfter: resp.Header.Get("Retry-After")}
-		var body200 GenerateResponse // a superset of InferResponse's fields
+		var body200 serve.GenerateResponse // a superset of InferResponse's fields
 		var env serve.ErrorEnvelope
 		if resp.StatusCode == http.StatusOK {
 			err = json.NewDecoder(resp.Body).Decode(&body200)

@@ -49,14 +49,12 @@ func (r *Router) route(ctx context.Context, req *wire.Request, length int) (wire
 		if hops > 0 {
 			r.reroutes.Add(1)
 			if hops >= r.cfg.HopBudget {
-				r.noteHops(hops)
 				return wire.Response{Status: wire.StatusUnserviceable,
 					Message: fmt.Sprintf("router: reroute hop budget (%d) exhausted", r.cfg.HopBudget)}, info
 			}
 		}
 		idx := r.pick(length, tried)
 		if idx < 0 {
-			r.noteHops(hops)
 			return wire.Response{Status: wire.StatusUnserviceable,
 				Message: "router: no serviceable shard"}, info
 		}
@@ -70,7 +68,6 @@ func (r *Router) route(ctx context.Context, req *wire.Request, length int) (wire
 		if err == nil && resp.Status != wire.StatusUnavailable {
 			info = serve.Hop{Shard: sh.name, Hops: hops, Route: attemptStart.Sub(start)}
 			r.routeHist.observe(info.Route)
-			r.noteHops(hops)
 			return resp, info
 		}
 		if err != nil {
@@ -81,7 +78,6 @@ func (r *Router) route(ctx context.Context, req *wire.Request, length int) (wire
 				// of err: a shard dial that hits its one-second bound also
 				// matches context.DeadlineExceeded, and that is a transport
 				// failure to route around.
-				r.noteHops(hops)
 				return wire.Response{Status: wire.StatusDeadline, Message: cerr.Error()}, info
 			}
 			// Transport failure: the shard is unreachable until a probe
@@ -101,14 +97,4 @@ func (r *Router) forward(ctx context.Context, sh *shard, req *wire.Request) (wir
 		return wire.Response{}, err
 	}
 	return c.RoundTrip(ctx, req)
-}
-
-// noteHops records a request's hop count into the max-hops watermark.
-func (r *Router) noteHops(h int) {
-	for {
-		cur := r.maxHops.Load()
-		if int64(h) <= cur || r.maxHops.CompareAndSwap(cur, int64(h)) {
-			return
-		}
-	}
 }

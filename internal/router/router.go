@@ -165,7 +165,6 @@ type Router struct {
 
 	rr        atomic.Uint64 // round-robin cursor
 	reroutes  atomic.Uint64 // total reroute hops taken
-	maxHops   atomic.Int64  // max hops any single request took
 	routeHist histogram     // route-stage latency
 
 	closeOnce sync.Once
@@ -253,13 +252,6 @@ func (r *Router) Close() error {
 
 // Reroutes returns the total reroute hops the router has taken.
 func (r *Router) Reroutes() uint64 { return r.reroutes.Load() }
-
-// MaxHops returns the most reroute hops any single request took. Only
-// tests call it: they read the hop budget's enforcement through it.
-func (r *Router) MaxHops() int { return int(r.maxHops.Load()) }
-
-// HopBudget returns the effective per-request reroute budget.
-func (r *Router) HopBudget() int { return r.cfg.HopBudget }
 
 // dialWire dials a shard; tests swap it to inject dial failures and to
 // watch or redirect dials.

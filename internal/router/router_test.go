@@ -228,7 +228,7 @@ func TestRouterHTTPGenerate(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var out GenerateResponse
+	var out serve.GenerateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +254,9 @@ func TestRouterHTTPGenerate(t *testing.T) {
 }
 
 // The front end splices the route fields into an OK reply by hand
-// (serve.appendHop); the types a client decodes them into are declared
-// here. This pins the one to the other: a routed body is byte for byte
+// (serve.appendHop); InferResponse declares them for a client, and a
+// generate reply carries the same three after serve.GenerateResponse's.
+// This pins the one to the other: a routed body is byte for byte
 // json.Marshal of the struct it decodes into — names, order, hops omitted
 // when zero, the shard name escaped.
 func TestRoutedReplyBytes(t *testing.T) {
@@ -266,7 +267,14 @@ func TestRoutedReplyBytes(t *testing.T) {
 		reply      func() any
 	}{
 		{"/v1/infer", `{"text":"pin the routed reply bytes"}`, func() any { return new(InferResponse) }},
-		{"/v1/generate", `{"text":"pin the routed reply bytes","max_new_tokens":3}`, func() any { return new(GenerateResponse) }},
+		{"/v1/generate", `{"text":"pin the routed reply bytes","max_new_tokens":3}`, func() any {
+			return new(struct {
+				serve.GenerateResponse
+				RouteMS float64 `json:"route_ms"`
+				Shard   string  `json:"shard"`
+				Hops    int     `json:"hops,omitempty"`
+			})
+		}},
 	} {
 		// The second shard dies after the router's only refresh, so the
 		// router still counts it up. Round-robin over two candidates starts

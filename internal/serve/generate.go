@@ -71,11 +71,6 @@ type GenerateResponse struct {
 	BatchSize    int   `json:"batch_size,omitempty"`
 }
 
-// Generate posts one generative request with background context.
-func (c *Client) Generate(text string, maxNewTokens int) (*GenerateResponse, error) {
-	return c.GenerateCtx(context.Background(), text, maxNewTokens)
-}
-
 // GenerateCtx posts one generative request, honoring ctx across all
 // attempts and applying the client's per-attempt Timeout and retry policy.
 func (c *Client) GenerateCtx(ctx context.Context, text string, maxNewTokens int) (*GenerateResponse, error) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -15,7 +16,7 @@ func TestGenerateEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := &Client{BaseURL: ts.URL}
-	resp, err := c.Generate("the quick brown fox jumps over the lazy dog", 8)
+	resp, err := c.GenerateCtx(context.Background(), "the quick brown fox jumps over the lazy dog", 8)
 	if err != nil {
 		t.Fatal(err)
 	}

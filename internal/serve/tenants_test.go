@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -386,7 +387,7 @@ func TestWireTenantIdentityAndRateLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if _, err := plain.Infer("short hello"); err != nil {
+	if _, err := plain.InferCtx(context.Background(), "short hello"); err != nil {
 		t.Fatalf("V1 infer on a tenant-enabled server: %v", err)
 	}
 	if got := cl.Tenants().Get(tenant.DefaultID).Stat().Admitted; got != 1 {
@@ -400,7 +401,7 @@ func TestWireTenantIdentityAndRateLimit(t *testing.T) {
 	}
 	defer tc.Close()
 	tc.Tenant = "w"
-	if _, err := tc.Infer("short hello"); err != nil {
+	if _, err := tc.InferCtx(context.Background(), "short hello"); err != nil {
 		t.Fatalf("tenanted infer: %v", err)
 	}
 	if got := cl.Tenants().Get("w").Stat().Admitted; got != 1 {
@@ -409,7 +410,7 @@ func TestWireTenantIdentityAndRateLimit(t *testing.T) {
 
 	// The bucket is spent: the next request must rate-limit with a typed
 	// error carrying the Retry-After horizon.
-	_, err = tc.Infer("this one finds the bucket empty")
+	_, err = tc.InferCtx(context.Background(), "this one finds the bucket empty")
 	if !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("over-budget wire request returned %v, want ErrRateLimited", err)
 	}

@@ -230,11 +230,6 @@ func (c *WireClient) Load(ctx context.Context) (wire.LoadSnapshot, error) {
 	return *r.load, nil
 }
 
-// Infer sends one raw-text request with background context.
-func (c *WireClient) Infer(text string) (*InferResponse, error) {
-	return c.InferCtx(context.Background(), text)
-}
-
 // InferCtx sends one raw-text request; the server tokenizes.
 func (c *WireClient) InferCtx(ctx context.Context, text string) (*InferResponse, error) {
 	return c.infer(ctx, &wire.Request{Mode: wire.ModeText, Text: text})
@@ -253,11 +248,6 @@ func (c *WireClient) infer(ctx context.Context, req *wire.Request) (*InferRespon
 	}
 	out := inferResponse(&resp)
 	return &out, nil
-}
-
-// Generate sends one generative request with background context.
-func (c *WireClient) Generate(text string, maxNewTokens int) (*GenerateResponse, error) {
-	return c.GenerateCtx(context.Background(), text, maxNewTokens)
 }
 
 // GenerateCtx sends one KindGenRequest frame and decodes the

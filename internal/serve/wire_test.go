@@ -35,7 +35,7 @@ func TestWireInferEndToEnd(t *testing.T) {
 	}
 	defer c.Close()
 
-	resp, err := c.Infer("the data team won the game today")
+	resp, err := c.InferCtx(context.Background(), "the data team won the game today")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestWirePipelinedConcurrent(t *testing.T) {
 				"a somewhat longer sentence with several more words in it",
 				"x",
 			}
-			resp, err := c.Infer(texts[i%len(texts)])
+			resp, err := c.InferCtx(context.Background(), texts[i%len(texts)])
 			if err != nil {
 				errs <- err
 				return
@@ -134,7 +134,7 @@ func TestWireErrorMapping(t *testing.T) {
 	defer c.Close()
 
 	// Empty text is invalid at the protocol layer.
-	if _, err := c.Infer(""); err == nil {
+	if _, err := c.InferCtx(context.Background(), ""); err == nil {
 		t.Error("empty text should fail")
 	} else {
 		var apiErr *APIError
@@ -160,7 +160,7 @@ func TestWireServerWithIngress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Infer("ring fed inference request")
+	resp, err := c.InferCtx(context.Background(), "ring fed inference request")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestWireGenerateEndToEnd(t *testing.T) {
 	}
 	defer c.Close()
 
-	resp, err := c.Generate("the quick brown fox jumps over the lazy dog", 8)
+	resp, err := c.GenerateCtx(context.Background(), "the quick brown fox jumps over the lazy dog", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestWireGenerateEndToEnd(t *testing.T) {
 	}
 
 	// A budget outside [1, MaxNewTokensLimit] is invalid, not unsupported.
-	if _, err := c.Generate("hi", 0); err == nil {
+	if _, err := c.GenerateCtx(context.Background(), "hi", 0); err == nil {
 		t.Error("zero max_new_tokens should fail")
 	}
 }

@@ -102,15 +102,9 @@ func TestFailureRecoveryRestoresCluster(t *testing.T) {
 	if got := res.GPUs.Last(); got != 3 {
 		t.Errorf("GPU count after recovery = %v, want 3", got)
 	}
-	// The dip must be visible in the series.
-	sawDip := false
-	for _, pt := range res.GPUs.Series() {
-		if pt.Value == 2 {
-			sawDip = true
-		}
-	}
-	if !sawDip {
-		t.Error("GPU series should show the outage dip")
+	// The dip must be visible in the time-weighted count.
+	if got := res.TimeWeightedGPUs; got <= 2 || got >= 3 {
+		t.Errorf("time-weighted GPU count = %v, want the outage dip below 3", got)
 	}
 }
 

@@ -9,6 +9,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -308,7 +309,7 @@ func (s *Simulator) onArrival(req *pendingRequest) {
 }
 
 func (s *Simulator) dispatchRequest(req *pendingRequest) {
-	in, err := s.disp.Dispatch(req.length)
+	in, _, err := s.disp.DispatchCtx(context.Background(), req.length)
 	if err != nil {
 		if errors.Is(err, dispatch.ErrTooLong) {
 			s.res.Rejected++
@@ -351,7 +352,7 @@ func (s *Simulator) drainBuffer() {
 			kept = append(kept, s.buffer[i:]...)
 			break
 		}
-		in, err := s.disp.Dispatch(req.length)
+		in, _, err := s.disp.DispatchCtx(context.Background(), req.length)
 		if err != nil {
 			kept = append(kept, req)
 			continue

@@ -75,12 +75,11 @@ func TestSingleInstanceQueueingExact(t *testing.T) {
 	if res.Completed != 2 || res.Rejected != 0 {
 		t.Fatalf("completed=%d rejected=%d, want 2/0", res.Completed, res.Rejected)
 	}
-	got := res.Latency.Snapshot()
-	if got[0] != lat {
-		t.Errorf("first latency = %v, want %v", got[0], lat)
+	if got := res.Latency.Percentile(0); got != lat {
+		t.Errorf("first latency = %v, want %v", got, lat)
 	}
-	if got[1] != 2*lat {
-		t.Errorf("second latency = %v, want %v (one execution queued)", got[1], 2*lat)
+	if got := res.Latency.Percentile(1); got != 2*lat {
+		t.Errorf("second latency = %v, want %v (one execution queued)", got, 2*lat)
 	}
 }
 
@@ -97,7 +96,7 @@ func TestOverheadAddedToEveryRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Latency.Snapshot()[0]; got != lat+DefaultOverhead {
+	if got := res.Latency.Percentile(0); got != lat+DefaultOverhead {
 		t.Errorf("latency = %v, want %v + 0.8ms overhead", got, lat)
 	}
 }
@@ -170,7 +169,7 @@ func TestConservationUnderLoad(t *testing.T) {
 		t.Error("mean latency should be positive")
 	}
 	// Every latency at least one computation plus overhead.
-	min := res.Latency.Min()
+	min := res.Latency.Percentile(0)
 	if min < p.Runtimes[0].Latency {
 		t.Errorf("min latency %v below one execution %v", min, p.Runtimes[0].Latency)
 	}

@@ -102,7 +102,7 @@ var asciiLower = func() (tab [256]byte) {
 // appendEncode appends text's encoding to dst and returns the extended
 // slice: [CLS], the WordPiece ids, [SEP], truncated to maxLen ids in total
 // (maxLen <= 1 disables truncation). It is the one scanning loop; Borrow
-// lends its output, and Encode, SequenceLength and Tokenize borrow it.
+// lends its output, and Encode and SequenceLength borrow it.
 //
 // Basic tokenization — lowercase; split on whitespace; punctuation and
 // symbols stand alone as one-rune words — and the walk down the trie from
@@ -245,30 +245,4 @@ func (t *Tokenizer) Encode(text string, maxLen int) (ids []int) {
 func (t *Tokenizer) SequenceLength(text string) (n int) {
 	t.Borrow(text, 0, func(ids []uint32) { n = len(ids) })
 	return n
-}
-
-// Tokenize splits text into WordPiece tokens: lowercase basic
-// (whitespace + punctuation) tokenization followed by greedy
-// longest-match subword splitting.
-func (t *Tokenizer) Tokenize(text string) (toks []string) {
-	t.Borrow(text, 0, func(ids []uint32) {
-		toks = make([]string, 0, len(ids)-2)
-		for _, id := range ids[1 : len(ids)-1] {
-			toks = append(toks, t.ids[id]) // canonical spelling, no alloc
-		}
-	})
-	return toks
-}
-
-// Decode maps ids back to their token strings ([UNK] for out-of-range).
-func (t *Tokenizer) Decode(ids []int) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		if id < 0 || id >= len(t.ids) {
-			out[i] = UnkToken
-			continue
-		}
-		out[i] = t.ids[id]
-	}
-	return out
 }

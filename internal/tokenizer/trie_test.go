@@ -74,15 +74,15 @@ func TestAdversarialVocabularies(t *testing.T) {
 			ref := newReference(tok)
 			for _, maxLen := range []int{0, 2, 3, 4} {
 				if got, want := tok.Encode(c.text, maxLen), ref.referenceEncode(c.text, maxLen); !slices.Equal(got, want) {
-					t.Fatalf("Encode(%q, %d) = %q, reference %q", c.text, maxLen, tok.Decode(got), tok.Decode(want))
+					t.Fatalf("Encode(%q, %d) = %q, reference %q", c.text, maxLen, spell(tok, got), spell(tok, want))
 				}
 			}
-			got := tok.Tokenize(c.text)
+			got := pieces(tok, c.text)
 			if c.want != nil && !slices.Equal(got, c.want) {
-				t.Fatalf("Tokenize(%q) = %q, want %q", c.text, got, c.want)
+				t.Fatalf("pieces(%q) = %q, want %q", c.text, got, c.want)
 			}
 			if n := tok.SequenceLength(c.text); n != len(got)+2 {
-				t.Fatalf("SequenceLength(%q) = %d, Tokenize has %d pieces", c.text, n, len(got))
+				t.Fatalf("SequenceLength(%q) = %d, Encode has %d pieces", c.text, n, len(got))
 			}
 		})
 	}
@@ -131,7 +131,7 @@ func TestRandomVocabulariesMatchReference(t *testing.T) {
 			}
 			text, maxLen := b.String(), rng.Intn(12)
 			if got, want := tok.Encode(text, maxLen), ref.referenceEncode(text, maxLen); !slices.Equal(got, want) {
-				t.Fatalf("size %d: Encode(%q, %d) = %q, reference %q", size, text, maxLen, tok.Decode(got), tok.Decode(want))
+				t.Fatalf("size %d: Encode(%q, %d) = %q, reference %q", size, text, maxLen, spell(tok, got), spell(tok, want))
 			}
 		}
 	}

@@ -49,20 +49,6 @@ func (g GeometricOutputs) SampleOutput(rng *rand.Rand, _ time.Duration) int {
 	return n
 }
 
-// Generative returns the generative workload configuration: Poisson
-// arrivals at the given rate, the recalibrated (max 512) input-length
-// distribution, and geometric outputs with the given mean capped at
-// maxOut.
-func Generative(seed int64, rate float64, duration time.Duration, meanOut float64, maxOut int) Config {
-	return Config{
-		Seed:     seed,
-		Duration: duration,
-		Arrivals: Poisson{Rate: rate},
-		Lengths:  TwitterRecalibrated(seed),
-		Outputs:  GeometricOutputs{Mean: meanOut, Max: maxOut},
-	}
-}
-
 // Generative reports whether any request of the trace carries an output
 // budget — the predicate that selects the 4-column CSV format.
 func (t *Trace) Generative() bool {
@@ -72,15 +58,6 @@ func (t *Trace) Generative() bool {
 		}
 	}
 	return false
-}
-
-// OutTokens returns every request's output budget, in arrival order.
-func (t *Trace) OutTokens() []int {
-	out := make([]int, len(t.Requests))
-	for i, r := range t.Requests {
-		out[i] = r.OutTokens
-	}
-	return out
 }
 
 // MeanOutTokens returns the mean output budget over generative requests

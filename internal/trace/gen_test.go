@@ -39,7 +39,8 @@ func TestGeometricOutputsDegenerate(t *testing.T) {
 }
 
 func TestGenerativeTraceDeterministicAndBudgeted(t *testing.T) {
-	cfg := Generative(42, 50, 2*time.Second, 16, 256)
+	cfg := Config{Seed: 42, Duration: 2 * time.Second, Arrivals: Poisson{Rate: 50},
+		Lengths: TwitterRecalibrated(42), Outputs: GeometricOutputs{Mean: 16, Max: 256}}
 	a, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +53,7 @@ func TestGenerativeTraceDeterministicAndBudgeted(t *testing.T) {
 		t.Fatal("empty generative trace")
 	}
 	if !a.Generative() {
-		t.Fatal("Generative() false for generative preset")
+		t.Fatal("Generative() false for a trace with an output sampler")
 	}
 	for i := range a.Requests {
 		ra, rb := a.Requests[i], b.Requests[i]
@@ -69,7 +70,8 @@ func TestGenerativeTraceDeterministicAndBudgeted(t *testing.T) {
 }
 
 func TestGenerativeCSVRoundTrip(t *testing.T) {
-	tr, err := Generate(Generative(7, 100, time.Second, 8, 64))
+	tr, err := Generate(Config{Seed: 7, Duration: time.Second, Arrivals: Poisson{Rate: 100},
+		Lengths: TwitterRecalibrated(7), Outputs: GeometricOutputs{Mean: 8, Max: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestClusterOwnsOneRecorder(t *testing.T) {
 	}
 	// The run's cluster is gone, but its recorder is recognisable: only a
 	// cluster's own recorder has length bins and renders its gauges.
-	if rep.Recorder.LengthDist() == nil || !strings.Contains(exposition(t, rep.Recorder), "arlo_level_instances") {
+	if rep.Recorder.LengthDistAt(time.Now()) == nil || !strings.Contains(exposition(t, rep.Recorder), "arlo_level_instances") {
 		t.Error("chaos.Run's Report.Recorder is not its cluster's")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -34,26 +33,21 @@ var flagKinds = map[string]bool{
 }
 
 // TestConfigSurface lists, from the non-test sources under internal/ and
-// cmd/, every exported field of the settable structs, every exported
+// cmd/ that the build compiles (goSources), every exported field of the settable structs, every exported
 // top-level With* function and every flag definition, and compares the
 // list with the golden file.
 func TestConfigSurface(t *testing.T) {
+	srcs, err := goSources("internal", "cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []string
-	for _, root := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			got = append(got, surfaceOf(filepath.ToSlash(filepath.Dir(path)), f)...)
-			return nil
-		})
+	for _, path := range srcs {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got = append(got, surfaceOf(filepath.ToSlash(filepath.Dir(path)), f)...)
 	}
 	slices.Sort(got)
 	want, err := os.ReadFile(surfaceGolden)
