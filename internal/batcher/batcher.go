@@ -57,6 +57,10 @@ type Former[T any] struct {
 	// readable (a crashed worker must stop forming and start draining).
 	// Items already collected are still returned.
 	Interrupt <-chan struct{}
+	// Wake, when non-nil, is told the length of every window wait as its
+	// timer is armed, so the owner can make sure the runtime wakes on
+	// time (the cluster's workers arm a timerfd alarm for the instant).
+	Wake func(time.Duration)
 
 	// timer is the reusable window timer (allocated on first wait).
 	timer *time.Timer
@@ -150,6 +154,9 @@ func (f *Former[T]) wait(batch []T, max int) ([]T, bool) {
 			f.timer = time.NewTimer(remain)
 		} else {
 			f.timer.Reset(remain)
+		}
+		if f.Wake != nil {
+			f.Wake(remain)
 		}
 		select {
 		case it, open := <-f.Source:

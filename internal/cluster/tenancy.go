@@ -89,10 +89,12 @@ func (c *Cluster) fairEnqueue(j *job) error {
 // runFairPump is the single dispatch pump of a multi-tenant cluster: it
 // pops jobs in weighted-fair order and places them through reroute.
 // Congestion retries against a per-job budget, holding the pump (and with
-// it every tenant) for at most budget * redispatchBackoff — a saturated
-// cluster is already not making fair progress; terminal errors, here
-// including an empty level, fail the job through the done channel exactly
-// like a failover displacement. After Close the queue drains — leftover
+// it every tenant) for budget sleeps of redispatchBackoff — eight of them,
+// which last 8.7 ms at p50 and 12-16 ms at p98 on an idle 2-CPU Linux host
+// (go1.24), not the 1.6 ms their nominal sum says; a saturated cluster is
+// already not making fair progress. Terminal errors, here including an
+// empty level, fail the job through the done channel exactly like a
+// failover displacement. After Close the queue drains — leftover
 // jobs fail with ErrClusterClosed so every submitter returns.
 func (c *Cluster) runFairPump() {
 	defer c.wg.Done()

@@ -118,12 +118,15 @@ func (r *residents) advance() (owing int) {
 // Completion accounting is lock-free (atomic decrement on the instance).
 func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 	defer c.wg.Done()
-	// The reusable sleep timer starts stopped; emulate arms it per kernel.
+	// The reusable sleep timer starts stopped; emulate arms it per kernel,
+	// and the alarm beside it for the same instant.
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
 	}
 	defer timer.Stop()
+	al := newAlarm()
+	defer al.close()
 
 	slots := c.batchCapFor(rt)
 	// The deadline slack a member must keep at admission: one full-width
@@ -147,6 +150,7 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 			return j.deadline.Add(-slack), true
 		},
 		Interrupt: w.kill,
+		Wake:      al.set,
 	}
 	if c.tenants != nil {
 		// SLO-class window policy: batch-class members may stretch the
@@ -231,7 +235,7 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 		}
 		cost := time.Duration(float64(res.price(rt)) * c.scale * w.slowFactor())
 		start := time.Now()
-		end, killed := c.emulate(w, timer, start, cost)
+		end, killed := c.emulate(w, timer, al, start, cost)
 		if killed {
 			requeueResidents()
 			continue
@@ -279,20 +283,23 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 	}
 }
 
-// spinGuard is how much of each emulated execution is busy-waited instead
-// of slept: time.Sleep overshoots by OS-timer granularity, which at
-// millisecond kernel times would distort tail latencies, so the final
-// stretch spins to the deadline.
-const spinGuard = 200 * time.Microsecond
+// spinGuard is the longest kernel that is busy-waited instead of slept.
+// A longer kernel sleeps to its deadline on the worker's timer, with the
+// alarm armed for the same instant so the wake-up lands within tens of
+// microseconds of it; a shorter one would pay that wake-up's latency on
+// top of its cost, so it spins. Every closed-loop benchmark kernel at
+// TimeScale 1e-4 is below it.
+const spinGuard = 50 * time.Microsecond
 
-// emulate executes one kernel of the given wall-clock cost: sleep to
-// within spinGuard of the deadline, then spin out the residue. It returns
+// emulate executes one kernel of the given wall-clock cost: sleep to the
+// deadline, or spin to it when the kernel is within spinGuard. It returns
 // the instant the kernel was seen finished, or killed when the worker
 // died mid-kernel (the computation is lost, as on a real GPU).
-func (c *Cluster) emulate(w *worker, timer *time.Timer, start time.Time, cost time.Duration) (end time.Time, killed bool) {
+func (c *Cluster) emulate(w *worker, timer *time.Timer, al *alarm, start time.Time, cost time.Duration) (end time.Time, killed bool) {
 	deadline := start.Add(cost)
 	if cost > spinGuard {
-		timer.Reset(cost - spinGuard)
+		timer.Reset(cost)
+		al.set(cost)
 		select {
 		case <-timer.C:
 		case <-w.kill:
@@ -303,12 +310,10 @@ func (c *Cluster) emulate(w *worker, timer *time.Timer, start time.Time, cost ti
 		}
 	}
 	for end = time.Now(); end.Before(deadline); end = time.Now() {
-		// Busy-wait the residue for sub-millisecond accuracy, yielding
-		// each pass: on a single-CPU host a long batched kernel would
-		// otherwise starve the other workers' batch formers (and the
-		// submitters feeding them) for its whole spin. The dead check
-		// keeps crash interruption bounded even for kernels short enough
-		// to skip the sleep.
+		// Spin a short kernel out, yielding each pass: on a single-CPU
+		// host a spinning worker would otherwise starve the other workers'
+		// batch formers (and the submitters feeding them). The dead check
+		// keeps crash interruption bounded for kernels too short to sleep.
 		if w.dead.Load() {
 			return end, true
 		}

@@ -63,13 +63,19 @@ func DialWireContext(ctx context.Context, addr string) (*WireClient, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewWireClient(conn), nil
+}
+
+// NewWireClient speaks the binary protocol over an established
+// connection, which it owns from then on.
+func NewWireClient(conn net.Conn) *WireClient {
 	c := &WireClient{
 		conn:    conn,
 		fw:      newFrameWriter(conn),
 		pending: make(map[uint64]chan wireReply),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // readLoop delivers reply frames to their waiting callers until the
