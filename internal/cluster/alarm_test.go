@@ -52,11 +52,11 @@ func TestSleepsWakeOnTime(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := m.read(res); got < m.want {
+				got := m.read(res)
+				if got < m.want {
 					t.Fatalf("run %d: %v, shorter than the modeled %v", i, got, m.want)
-				} else {
-					overruns[i] = got - m.want
 				}
+				overruns[i] = got - m.want
 			}
 			slices.Sort(overruns)
 			med, p90 := overruns[runs/2], overruns[runs*9/10]
