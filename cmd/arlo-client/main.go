@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -42,6 +43,12 @@ func main() {
 		backoff  = flag.Duration("backoff", 50*time.Millisecond, "initial retry backoff (doubles per retry)")
 	)
 	flag.Parse()
+	if *workers < 1 {
+		log.Fatalf("arlo-client: -workers must be at least 1, got %d", *workers)
+	}
+	if !(*rate > 0) || math.IsInf(*rate, 1) {
+		log.Fatalf("arlo-client: -rate must be a positive, finite number of req/s, got %v", *rate)
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	lengths := trace.TwitterRecalibrated(*seed)
@@ -54,7 +61,7 @@ func main() {
 
 	var (
 		mu   sync.Mutex
-		rec  metrics.Recorder
+		lats []time.Duration
 		errs int
 		wg   sync.WaitGroup
 	)
@@ -76,7 +83,7 @@ func main() {
 				errs++
 				return
 			}
-			rec.Record(time.Duration(resp.LatencyMS * float64(time.Millisecond)))
+			lats = append(lats, time.Duration(resp.LatencyMS*float64(time.Millisecond)))
 		}()
 		n++
 		next := start.Add(time.Duration(n) * interval)
@@ -86,11 +93,11 @@ func main() {
 	}
 	wg.Wait()
 
-	if rec.Count() == 0 {
+	if len(lats) == 0 {
 		log.Fatalf("arlo-client: no successful requests (%d errors)", errs)
 	}
 	fmt.Printf("sent %d requests, %d errors\n", n, errs)
-	fmt.Println(rec.Summarize(0))
+	fmt.Println(metrics.Summarize(lats, 0))
 	stats, err := client.Stats()
 	if err == nil {
 		fmt.Printf("server: served=%d rejected=%d instances=%d\n", stats.Served, stats.Rejected, stats.Instances)

@@ -258,6 +258,23 @@ func TestCrossCheckAgainstSimulator(t *testing.T) {
 	if rep.FinalAllocation[1] != 1 {
 		t.Errorf("live runtime 1 allocation = %d, want 1", rep.FinalAllocation[1])
 	}
+	checkRequestParity(t, simRes, rep)
+}
+
+// checkRequestParity asserts the per-request fields that do not depend on
+// timing: request i has the same length and ideal level on both sides.
+func checkRequestParity(t *testing.T, simRes *sim.Result, rep *Report) {
+	t.Helper()
+	if len(simRes.Requests) != len(rep.Samples) {
+		t.Fatalf("simulator has %d records, live cluster %d samples", len(simRes.Requests), len(rep.Samples))
+	}
+	for i, r := range simRes.Requests {
+		span := rep.Samples[i].Span
+		if r.Length != span.Length || r.IdealLevel != span.IdealLevel {
+			t.Errorf("request %d: simulator (length %d, ideal level %d), live (length %d, ideal level %d)",
+				i, r.Length, r.IdealLevel, span.Length, span.IdealLevel)
+		}
+	}
 }
 
 // TestSimLiveBatchParity replays one trace through the discrete-event
@@ -315,11 +332,12 @@ func TestSimLiveBatchParity(t *testing.T) {
 		t.Fatalf("completions diverge: sim %d, live %d, trace %d",
 			simRes.Completed, rep.Completed, len(tr.Requests))
 	}
+	checkRequestParity(t, simRes, rep)
 	var live time.Duration
 	for i := range rep.Samples {
 		live += rep.Samples[i].Span.Total
 	}
-	simMean := simRes.Latency.Mean()
+	simMean := simRes.Summary.Mean
 	liveMean := live / time.Duration(len(rep.Samples))
 	ratio := float64(liveMean) / float64(simMean)
 	if ratio < 0.5 || ratio > 2.0 {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -175,7 +176,7 @@ type summary struct {
 func summarize(samples []chaos.Sample, slo time.Duration, keep func(chaos.Sample) bool) summary {
 	var (
 		s         summary
-		lat, ttft metrics.Recorder
+		lat, ttft []time.Duration
 		within    int
 	)
 	for _, sm := range samples {
@@ -186,14 +187,16 @@ func summarize(samples []chaos.Sample, slo time.Duration, keep func(chaos.Sample
 		if sm.Err != nil {
 			continue
 		}
-		lat.Record(sm.Span.Total)
-		ttft.Record(sm.Span.TTFT)
+		lat = append(lat, sm.Span.Total)
+		ttft = append(ttft, sm.Span.TTFT)
 		if sm.Span.Total <= slo {
 			within++
 		}
 	}
-	s.completed = lat.Count()
-	s.p50, s.p99, s.ttftP99 = lat.Percentile(0.50), lat.Percentile(0.99), ttft.Percentile(0.99)
+	slices.Sort(lat)
+	slices.Sort(ttft)
+	s.completed = len(lat)
+	s.p50, s.p99, s.ttftP99 = metrics.Quantile(lat, 0.50), metrics.Quantile(lat, 0.99), metrics.Quantile(ttft, 0.99)
 	if s.requests > 0 {
 		s.attainment = float64(within) / float64(s.requests)
 	}

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"arlo/internal/allocator"
 	"arlo/internal/core"
+	"arlo/internal/metrics"
 	"arlo/internal/model"
 	"arlo/internal/sim"
 	"arlo/internal/trace"
@@ -53,11 +55,17 @@ func Fig10(w io.Writer, opt Options) error {
 		tw := newTab(w)
 		fmt.Fprintln(tw, "scheme\tp25(ms)\tp50(ms)\tp75(ms)\tp90(ms)\tp98(ms)")
 		for _, s := range systems {
-			r := results[s.Name]
+			var lats []time.Duration
+			for _, r := range results[s.Name].Requests {
+				if r.Instance >= 0 {
+					lats = append(lats, r.Latency)
+				}
+			}
+			slices.Sort(lats)
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", s.Name,
-				ms(r.Latency.Percentile(0.25)), ms(r.Latency.Percentile(0.50)),
-				ms(r.Latency.Percentile(0.75)), ms(r.Latency.Percentile(0.90)),
-				ms(r.Latency.Percentile(0.98)))
+				ms(metrics.Quantile(lats, 0.25)), ms(metrics.Quantile(lats, 0.50)),
+				ms(metrics.Quantile(lats, 0.75)), ms(metrics.Quantile(lats, 0.90)),
+				ms(metrics.Quantile(lats, 0.98)))
 		}
 		if err := tw.Flush(); err != nil {
 			return err

@@ -354,10 +354,10 @@ func Calibration(w io.Writer, opt Options) error {
 		if err != nil {
 			return proto, simr, err
 		}
-		lats := metrics.NewRecorder(len(rep.Samples))
+		lats := make([]time.Duration, 0, len(rep.Samples))
 		for i := range rep.Samples {
 			if rep.Samples[i].Err == nil {
-				lats.Record(rep.Samples[i].Span.Total)
+				lats = append(lats, rep.Samples[i].Span.Total)
 			}
 		}
 		sr, err := sim.Run(sim.Config{
@@ -370,7 +370,7 @@ func Calibration(w io.Writer, opt Options) error {
 		if err != nil {
 			return proto, simr, err
 		}
-		return lats.Summarize(slo), sr.Summary, nil
+		return metrics.Summarize(lats, slo), sr.Summary, nil
 	}
 	// Stage 1: measure the prototype's fixed per-request overhead.
 	proto1, sim1, err := replayBoth(calibClip, -1)

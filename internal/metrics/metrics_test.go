@@ -6,91 +6,99 @@ import (
 	"time"
 )
 
-func TestRecorderEmpty(t *testing.T) {
-	var r Recorder
-	if r.Count() != 0 || r.Mean() != 0 || r.P98() != 0 || r.Max() != 0 || r.Percentile(0) != 0 {
-		t.Error("empty recorder should report zeros")
+// ms builds a latency slice from whole milliseconds.
+func ms(vals ...int) []time.Duration {
+	out := make([]time.Duration, len(vals))
+	for i, v := range vals {
+		out[i] = time.Duration(v) * time.Millisecond
 	}
-	if c, f := r.SLOViolations(time.Second); c != 0 || f != 0 {
-		t.Error("empty recorder should report no violations")
+	return out
+}
+
+// upTo returns 1..n ms in order.
+func upTo(n int) []time.Duration {
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = time.Duration(i+1) * time.Millisecond
+	}
+	return out
+}
+
+func TestSummarizeEmpty(t *testing.T) {
+	if Quantile(nil, 0) != 0 || Quantile(nil, 0.98) != 0 || Quantile(nil, 1) != 0 {
+		t.Error("quantile of no samples should be 0")
+	}
+	s := Summarize(nil, time.Second)
+	if s.Count != 0 || s.Mean != 0 || s.P50 != 0 || s.P98 != 0 || s.Max != 0 {
+		t.Errorf("empty summary = %+v, want zeros", s)
+	}
+	if s.SLOViolations != 0 || s.SLOFraction != 0 {
+		t.Error("empty summary should report no violations")
 	}
 }
 
-func TestRecorderBasicStats(t *testing.T) {
-	r := NewRecorder(4)
-	for _, ms := range []int{40, 10, 30, 20} {
-		r.Record(time.Duration(ms) * time.Millisecond)
+func TestSummarizeBasicStats(t *testing.T) {
+	lats := ms(40, 10, 30, 20)
+	s := Summarize(lats, 0)
+	if s.Mean != 25*time.Millisecond {
+		t.Errorf("mean = %v, want 25ms", s.Mean)
 	}
-	if got := r.Mean(); got != 25*time.Millisecond {
-		t.Errorf("mean = %v, want 25ms", got)
+	if s.Max != 40*time.Millisecond {
+		t.Errorf("max = %v, want 40ms", s.Max)
 	}
-	if got := r.Max(); got != 40*time.Millisecond {
-		t.Errorf("max = %v, want 40ms", got)
+	if s.P50 != 20*time.Millisecond {
+		t.Errorf("p50 = %v, want 20ms (nearest rank)", s.P50)
 	}
-	if got := r.Percentile(0.5); got != 20*time.Millisecond {
-		t.Errorf("p50 = %v, want 20ms (nearest rank)", got)
-	}
-	if got := r.Percentile(0); got != 10*time.Millisecond {
+	// Summarize leaves lats sorted for further quantile reads.
+	if got := Quantile(lats, 0); got != 10*time.Millisecond {
 		t.Errorf("p0 = %v, want min", got)
 	}
-	if got := r.Percentile(1); got != 40*time.Millisecond {
+	if got := Quantile(lats, 1); got != 40*time.Millisecond {
 		t.Errorf("p100 = %v, want max", got)
 	}
 }
 
 func TestPercentileNearestRank(t *testing.T) {
-	r := NewRecorder(100)
-	for i := 1; i <= 100; i++ {
-		r.Record(time.Duration(i) * time.Millisecond)
-	}
-	if got := r.P98(); got != 98*time.Millisecond {
+	lats := upTo(100)
+	if got := Quantile(lats, 0.98); got != 98*time.Millisecond {
 		t.Errorf("p98 of 1..100ms = %v, want 98ms", got)
 	}
-	if got := r.Percentile(0.50); got != 50*time.Millisecond {
+	if got := Quantile(lats, 0.50); got != 50*time.Millisecond {
 		t.Errorf("p50 = %v, want 50ms", got)
+	}
+	// ceil(0.98*26)-1 = 25: the top sample, where rounding half would
+	// read index 24.
+	if got := Quantile(upTo(26), 0.98); got != 26*time.Millisecond {
+		t.Errorf("p98 of 1..26ms = %v, want 26ms", got)
 	}
 }
 
 func TestSLOViolations(t *testing.T) {
-	r := NewRecorder(10)
-	for i := 1; i <= 10; i++ {
-		r.Record(time.Duration(i*10) * time.Millisecond)
+	lats := ms(10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
+	s := Summarize(lats, 70*time.Millisecond)
+	if s.SLOViolations != 3 {
+		t.Errorf("violations = %d, want 3 (80,90,100ms)", s.SLOViolations)
 	}
-	c, f := r.SLOViolations(70 * time.Millisecond)
-	if c != 3 {
-		t.Errorf("violations = %d, want 3 (80,90,100ms)", c)
-	}
-	if f != 0.3 {
-		t.Errorf("fraction = %v, want 0.3", f)
+	if s.SLOFraction != 0.3 {
+		t.Errorf("fraction = %v, want 0.3", s.SLOFraction)
 	}
 	// Boundary: exactly-at-SLO is not a violation.
-	c, _ = r.SLOViolations(100 * time.Millisecond)
-	if c != 0 {
-		t.Errorf("at-SLO sample counted as violation: %d", c)
+	if s := Summarize(lats, 100*time.Millisecond); s.SLOViolations != 0 {
+		t.Errorf("at-SLO sample counted as violation: %d", s.SLOViolations)
 	}
 }
 
-func TestRecordInterleavedWithReads(t *testing.T) {
-	var r Recorder
-	r.Record(10 * time.Millisecond)
-	_ = r.Max() // forces a sort
-	r.Record(5 * time.Millisecond)
-	if got := r.Percentile(0); got != 5*time.Millisecond {
-		t.Errorf("min after interleaved record = %v, want 5ms", got)
-	}
-}
-
-func TestRecorderQuickMeanBounds(t *testing.T) {
+func TestSummarizeQuickMeanBounds(t *testing.T) {
 	f := func(raw []uint32) bool {
 		if len(raw) == 0 {
 			return true
 		}
-		var r Recorder
-		for _, v := range raw {
-			r.Record(time.Duration(v % 1e9))
+		lats := make([]time.Duration, len(raw))
+		for i, v := range raw {
+			lats[i] = time.Duration(v % 1e9)
 		}
-		m := r.Mean()
-		return m >= r.Percentile(0) && m <= r.Max() && r.P98() <= r.Max() && r.P98() >= r.Percentile(0.5)
+		s := Summarize(lats, 0)
+		return s.Mean >= Quantile(lats, 0) && s.Mean <= s.Max && s.P98 <= s.Max && s.P98 >= s.P50
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -98,18 +106,14 @@ func TestRecorderQuickMeanBounds(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	var r Recorder
-	for i := 1; i <= 50; i++ {
-		r.Record(time.Duration(i) * time.Millisecond)
-	}
-	s := r.Summarize(40 * time.Millisecond)
+	s := Summarize(upTo(50), 40*time.Millisecond)
 	if s.Count != 50 || s.SLOViolations != 10 {
 		t.Errorf("summary = %+v, want count 50, 10 violations", s)
 	}
 	if s.String() == "" {
 		t.Error("summary string should be non-empty")
 	}
-	noSLO := r.Summarize(0)
+	noSLO := Summarize(upTo(50), 0)
 	if noSLO.SLOViolations != 0 || noSLO.SLOFraction != 0 {
 		t.Error("slo=0 should disable violation accounting")
 	}

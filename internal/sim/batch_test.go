@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"arlo/internal/metrics"
 	"arlo/internal/trace"
 )
 
@@ -33,12 +34,13 @@ func TestBatchExecutionExactCost(t *testing.T) {
 		d := a - b
 		return d > -time.Microsecond && d < time.Microsecond
 	}
-	if got := res.Latency.Percentile(0); !approxEq(got, lat) {
+	lats := completedLatencies(res)
+	if got := metrics.Quantile(lats, 0); !approxEq(got, lat) {
 		t.Errorf("first latency = %v, want %v", got, lat)
 	}
 	// Nearest rank over four samples: 0.5, 0.75 and 1 read the other three.
 	for _, q := range []float64{0.5, 0.75, 1} {
-		if g := res.Latency.Percentile(q); !approxEq(g, 3*lat) {
+		if g := metrics.Quantile(lats, q); !approxEq(g, 3*lat) {
 			t.Errorf("batched latency = %v, want ~%v", g, 3*lat)
 		}
 	}

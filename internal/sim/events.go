@@ -24,10 +24,10 @@ type event struct {
 	seq  int64 // FIFO tie-break for equal timestamps
 	kind eventKind
 
-	req      *pendingRequest // evArrival, evCompletion
-	instance *simInstance    // evCompletion, evInstanceReady
-	from, to int             // evReplace: runtime indexes of the swap
-	failure  *Failure        // evFailure
+	req      *Record      // evArrival, evCompletion
+	instance *simInstance // evCompletion, evInstanceReady
+	from, to int          // evReplace: runtime indexes of the swap
+	failure  *Failure     // evFailure
 }
 
 // eventHeap is a min-heap ordered by (at, seq).
@@ -57,7 +57,7 @@ type timeline struct {
 	seq int64
 }
 
-func (t *timeline) push(at time.Duration, kind eventKind, req *pendingRequest, in *simInstance) {
+func (t *timeline) push(at time.Duration, kind eventKind, req *Record, in *simInstance) {
 	t.seq++
 	heap.Push(&t.h, &event{at: at, seq: t.seq, kind: kind, req: req, instance: in})
 }

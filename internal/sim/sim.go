@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -87,11 +88,29 @@ type AllocationPoint struct {
 	N  []int
 }
 
+// Record is what the simulator knows of one trace request.
+type Record struct {
+	// At is the arrival time; Latency is the end-to-end latency, overhead
+	// included (0 until the request completes).
+	At, Latency time.Duration
+	// Length is the sequence length.
+	Length int
+	// IdealLevel and Level are the dispatch decision's least-padding
+	// feasible runtime level and the level of the chosen instance
+	// (Level > IdealLevel means the request was demoted).
+	IdealLevel, Level int
+	// Instance is the ID of the instance the request was last committed
+	// to, or -1 while it is not committed (rejected, parked or buffered).
+	Instance int
+}
+
 // Result collects a run's measurements.
 type Result struct {
-	// Latency holds one sample per completed request.
-	Latency *metrics.Recorder
-	// Summary is computed against the profile's SLO.
+	// Requests holds one record per trace request, indexed like
+	// Trace.Requests. A completed record has Instance >= 0.
+	Requests []Record
+	// Summary is computed over the completed records' latencies against
+	// the profile's SLO.
 	Summary metrics.Summary
 	// Completed and Rejected count requests; Rejected are requests
 	// longer than every runtime (never dispatched).
@@ -113,20 +132,13 @@ type Result struct {
 	BufferedPeak int
 }
 
-// pendingRequest is one in-flight request.
-type pendingRequest struct {
-	id      int64
-	length  int
-	arrival time.Duration
-}
-
 // simInstance is the executor state of one GPU instance.
 type simInstance struct {
 	sched        *queue.Instance
-	fifo         []*pendingRequest // dispatched, waiting to execute
-	executing    []*pendingRequest // the in-flight batch (nil when idle)
-	retired      bool              // removed from dispatching; lets executing work finish
-	countOnReady bool              // failure recovery: restore s.counts when brought up
+	fifo         []*Record // dispatched, waiting to execute
+	executing    []*Record // the in-flight batch (nil when idle)
+	retired      bool      // removed from dispatching; lets executing work finish
+	countOnReady bool      // failure recovery: restore s.counts when brought up
 }
 
 // Simulator runs one configured simulation.
@@ -144,10 +156,10 @@ type Simulator struct {
 	arrivals  []int          // arrivals per bin in the current alloc period
 	recent    []timedLatency // completion window for autoscaler observations
 	overhead  time.Duration
-	nextArr   int               // next trace request to schedule (lazy arrivals)
-	waiting   []*pendingRequest // requests stalled with no deployable instance
-	buffer    []*pendingRequest // late-binding central request buffer (FIFO)
-	lastAlloc time.Duration     // when the demand window was last reset
+	nextArr   int           // next trace request to schedule (lazy arrivals)
+	waiting   []*Record     // requests stalled with no deployable instance
+	buffer    []*Record     // late-binding central request buffer (FIFO)
+	lastAlloc time.Duration // when the demand window was last reset
 }
 
 type timedLatency struct {
@@ -214,7 +226,7 @@ func newSimulator(cfg Config) (*Simulator, error) {
 		ml:       ml,
 		disp:     disp,
 		insts:    make(map[int]*simInstance),
-		res:      &Result{Latency: metrics.NewRecorder(len(cfg.Trace.Requests))},
+		res:      &Result{Requests: make([]Record, len(cfg.Trace.Requests))},
 		counts:   append([]int{}, cfg.InitialAllocation...),
 		binUpper: cfg.Profile.MaxLengths(),
 		arrivals: make([]int, len(cfg.Profile.Runtimes)),
@@ -295,21 +307,24 @@ func (s *Simulator) scheduleNextArrival() {
 		return
 	}
 	r := &s.cfg.Trace.Requests[s.nextArr]
+	req := &s.res.Requests[s.nextArr]
+	*req = Record{At: r.At, Length: r.Length, Instance: -1}
 	s.nextArr++
-	s.tl.push(r.At, evArrival, &pendingRequest{id: r.ID, length: r.Length, arrival: r.At}, nil)
+	s.tl.push(r.At, evArrival, req, nil)
 }
 
 // onArrival dispatches a request (or rejects an over-long one).
-func (s *Simulator) onArrival(req *pendingRequest) {
+func (s *Simulator) onArrival(req *Record) {
 	s.scheduleNextArrival()
-	if bin := s.binOf(req.length); bin >= 0 {
+	if bin := s.binOf(req.Length); bin >= 0 {
 		s.arrivals[bin]++
 	}
 	s.dispatchRequest(req)
 }
 
-func (s *Simulator) dispatchRequest(req *pendingRequest) {
-	in, _, err := s.disp.DispatchCtx(context.Background(), req.length)
+func (s *Simulator) dispatchRequest(req *Record) {
+	req.Instance = -1 // until committed below
+	in, dec, err := s.disp.DispatchCtx(context.Background(), req.Length)
 	if err != nil {
 		if errors.Is(err, dispatch.ErrTooLong) {
 			s.res.Rejected++
@@ -332,6 +347,13 @@ func (s *Simulator) dispatchRequest(req *pendingRequest) {
 		}
 		return
 	}
+	s.commit(in, dec, req)
+}
+
+// commit appends req to the chosen instance's queue, books the dispatch
+// decision in its record, and starts the instance if it is idle.
+func (s *Simulator) commit(in *queue.Instance, dec dispatch.Decision, req *Record) {
+	req.IdealLevel, req.Level, req.Instance = dec.IdealLevel, dec.Level, in.ID
 	si := s.insts[in.ID]
 	si.fifo = append(si.fifo, req)
 	s.maybeStart(si)
@@ -352,7 +374,7 @@ func (s *Simulator) drainBuffer() {
 			kept = append(kept, s.buffer[i:]...)
 			break
 		}
-		in, _, err := s.disp.DispatchCtx(context.Background(), req.length)
+		in, dec, err := s.disp.DispatchCtx(context.Background(), req.Length)
 		if err != nil {
 			kept = append(kept, req)
 			continue
@@ -362,9 +384,7 @@ func (s *Simulator) drainBuffer() {
 			kept = append(kept, req)
 			continue
 		}
-		si := s.insts[in.ID]
-		si.fifo = append(si.fifo, req)
-		s.maybeStart(si)
+		s.commit(in, dec, req)
 		placed++
 	}
 	s.buffer = kept
@@ -389,11 +409,11 @@ func (s *Simulator) maybeStart(si *simInstance) {
 	rt := s.cfg.Profile.Runtimes[si.sched.Runtime]
 	var cost time.Duration
 	if take == 1 {
-		cost = rt.CostOf(batch[0].length)
+		cost = rt.CostOf(batch[0].Length)
 	} else {
 		lengths := make([]int, take)
 		for i, r := range batch {
-			lengths[i] = r.length
+			lengths[i] = r.Length
 		}
 		cost = rt.BatchCostOf(lengths)
 	}
@@ -404,18 +424,17 @@ func (s *Simulator) maybeStart(si *simInstance) {
 // completion whose lead request no longer matches the instance's
 // executing batch is stale (the instance crashed mid-execution and the
 // work was re-dispatched elsewhere) and is ignored.
-func (s *Simulator) onCompletion(si *simInstance, lead *pendingRequest) {
+func (s *Simulator) onCompletion(si *simInstance, lead *Record) {
 	if len(si.executing) == 0 || si.executing[0] != lead {
 		return
 	}
 	batch := si.executing
 	si.executing = nil
 	for _, req := range batch {
-		lat := s.now - req.arrival + s.overhead
-		s.res.Latency.Record(lat)
+		req.Latency = s.now - req.At + s.overhead
 		s.res.Completed++
 		if s.cfg.Scaler != nil {
-			s.recent = append(s.recent, timedLatency{at: s.now, lat: lat})
+			s.recent = append(s.recent, timedLatency{at: s.now, lat: req.Latency})
 		}
 		s.ml.OnComplete(si.sched) // harmless when the instance is retired
 	}
@@ -603,7 +622,12 @@ func (s *Simulator) onScaleTick() {
 	if len(s.recent) == 0 {
 		return
 	}
-	p98 := p98Of(s.recent)
+	lats := make([]time.Duration, len(s.recent))
+	for i, tl := range s.recent {
+		lats[i] = tl.lat
+	}
+	slices.Sort(lats)
+	p98 := metrics.Quantile(lats, 0.98)
 	g := 0
 	for _, n := range s.counts {
 		g += n
@@ -651,22 +675,6 @@ func (s *Simulator) utilization() float64 {
 	return float64(outstanding) / float64(capacity)
 }
 
-func p98Of(window []timedLatency) time.Duration {
-	lats := make([]time.Duration, len(window))
-	for i, tl := range window {
-		lats[i] = tl.lat
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	idx := int(0.98*float64(len(lats))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(lats) {
-		idx = len(lats) - 1
-	}
-	return lats[idx]
-}
-
 func (s *Simulator) recordAllocation(at time.Duration) {
 	s.res.Allocations = append(s.res.Allocations, AllocationPoint{
 		At: at,
@@ -675,6 +683,12 @@ func (s *Simulator) recordAllocation(at time.Duration) {
 }
 
 func (s *Simulator) finish() {
-	s.res.Summary = s.res.Latency.Summarize(s.cfg.Profile.SLO)
+	lats := make([]time.Duration, 0, s.res.Completed)
+	for _, r := range s.res.Requests {
+		if r.Instance >= 0 {
+			lats = append(lats, r.Latency)
+		}
+	}
+	s.res.Summary = metrics.Summarize(lats, s.cfg.Profile.SLO)
 	s.res.TimeWeightedGPUs = s.res.GPUs.Average(s.cfg.Trace.Duration)
 }

@@ -7,6 +7,7 @@ import (
 
 	"arlo/internal/allocator"
 	"arlo/internal/dispatch"
+	"arlo/internal/metrics"
 	"arlo/internal/model"
 	"arlo/internal/profiler"
 	"arlo/internal/queue"
@@ -75,10 +76,11 @@ func TestSingleInstanceQueueingExact(t *testing.T) {
 	if res.Completed != 2 || res.Rejected != 0 {
 		t.Fatalf("completed=%d rejected=%d, want 2/0", res.Completed, res.Rejected)
 	}
-	if got := res.Latency.Percentile(0); got != lat {
+	lats := completedLatencies(res)
+	if got := metrics.Quantile(lats, 0); got != lat {
 		t.Errorf("first latency = %v, want %v", got, lat)
 	}
-	if got := res.Latency.Percentile(1); got != 2*lat {
+	if got := metrics.Quantile(lats, 1); got != 2*lat {
 		t.Errorf("second latency = %v, want %v (one execution queued)", got, 2*lat)
 	}
 }
@@ -96,7 +98,7 @@ func TestOverheadAddedToEveryRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Latency.Percentile(0); got != lat+DefaultOverhead {
+	if got := metrics.Quantile(completedLatencies(res), 0); got != lat+DefaultOverhead {
 		t.Errorf("latency = %v, want %v + 0.8ms overhead", got, lat)
 	}
 }
@@ -169,7 +171,7 @@ func TestConservationUnderLoad(t *testing.T) {
 		t.Error("mean latency should be positive")
 	}
 	// Every latency at least one computation plus overhead.
-	min := res.Latency.Percentile(0)
+	min := metrics.Quantile(completedLatencies(res), 0)
 	if min < p.Runtimes[0].Latency {
 		t.Errorf("min latency %v below one execution %v", min, p.Runtimes[0].Latency)
 	}

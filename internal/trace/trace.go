@@ -173,7 +173,7 @@ func StatsOf(lengths []int) LengthStats {
 	}
 }
 
-// quantileInt returns the nearest-rank p-quantile of sorted values.
+// quantileInt returns sorted[round(p*n)-1]; metrics.Quantile's ceil rule would change fig1's output.
 func quantileInt(sorted []int, p float64) int {
 	if len(sorted) == 0 {
 		return 0
