@@ -68,7 +68,8 @@ bench-obs:
 # benchmarks (allocs/op is the number to watch), then the tokenizer every
 # request goes through first: its allocation guard and Encode over the
 # 8x-sentence text and over harness-like pool text (EncodePool, which
-# weights whole-word vocabulary hits the way the benchmark's pool does).
+# weights whole-word vocabulary hits the way the benchmark's pool does,
+# plus its NonASCII set: accented Latin and CJK, the per-byte path).
 bench-serve:
 	$(GO) test -run TestInferAllocGuard -v ./internal/serve/
 	$(GO) test -bench 'InferJSON' -benchmem -run '^$$' ./internal/serve/
@@ -119,7 +120,7 @@ loc:
 
 # The house rule as a gate: the root module's code lines never exceed the
 # figure the last simplicity PR ended on. A PR that ends lower lowers it.
-LOC_MAX = 11629
+LOC_MAX = 11623
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$1 == "total" { print $$2 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,13 +13,42 @@ import (
 	"arlo/internal/tenant"
 )
 
+// genCostOf is the run-to-completion cost of one generative request
+// executed alone: prefill at the request length plus out-1 decode steps at
+// the growing context. out <= 1 is the plain CostOf (the prefill yields
+// the first token).
+func genCostOf(r profiler.Runtime, length, out int) time.Duration {
+	cost := r.CostOf(length)
+	for t := 1; t < out; t++ {
+		cost += r.DecodeStepUniform(1, length+t)
+	}
+	return cost
+}
+
+// genBatchCostOf is the cost of a run-to-completion generative batch: the
+// prefill over the whole batch, then a decode tail in which every slot
+// stays occupied until the longest output finishes, so each of the
+// maxOut-1 iterations runs at full batch width — the padding-in-time that
+// continuous batching removes.
+func genBatchCostOf(r profiler.Runtime, lengths, outs []int) time.Duration {
+	cost := r.BatchCostOf(lengths)
+	ctxs := make([]int, len(lengths))
+	for t := 1; t < slices.Max(outs); t++ {
+		for i, l := range lengths {
+			ctxs[i] = l + t
+		}
+		cost += r.DecodeStepCost(ctxs)
+	}
+	return cost
+}
+
 // TestIterationPricingMatchesClosedForms is the wall-clock-free property
 // behind the single worker loop: summed over a sequence's residency, the
 // loop's per-iteration prices equal the closed-form references exactly
-// (integer nanoseconds) — Runtime.GenCostOf for one slot, and
-// Runtime.GenBatchCostOf for a run-to-completion batch, where nobody
-// leaves before the longest member. Decode step t is priced at context
-// prompt + t, like model.GenerateLatency.
+// (integer nanoseconds) — genCostOf for one slot, and genBatchCostOf for
+// a run-to-completion batch, where nobody leaves before the longest
+// member. Decode step t is priced at context prompt + t, like
+// model.GenerateLatency.
 func TestIterationPricingMatchesClosedForms(t *testing.T) {
 	static := testProfile(t, []int{512}).Runtimes[0]
 	dyn, err := profiler.DynamicProfile(model.BertBase(), []int{64, 256, 512}, 150*time.Millisecond)
@@ -54,12 +84,12 @@ func TestIterationPricingMatchesClosedForms(t *testing.T) {
 				lengths[i] = 1 + rng.Intn(512) // long prompts cross the context clamp
 				outs[i] = rng.Intn(48)         // 0 is an encoder request
 			}
-			if got, want := total(rt, lengths[:1], outs[:1]), rt.GenCostOf(lengths[0], outs[0]); got != want {
-				t.Fatalf("%s: one slot, length %d out %d: iterations sum to %d ns, GenCostOf %d ns",
+			if got, want := total(rt, lengths[:1], outs[:1]), genCostOf(rt, lengths[0], outs[0]); got != want {
+				t.Fatalf("%s: one slot, length %d out %d: iterations sum to %d ns, genCostOf %d ns",
 					name, lengths[0], outs[0], got, want)
 			}
-			if got, want := total(rt, lengths, outs), rt.GenBatchCostOf(lengths, outs); got != want {
-				t.Fatalf("%s: batch lengths %v outs %v: iterations sum to %d ns, GenBatchCostOf %d ns",
+			if got, want := total(rt, lengths, outs), genBatchCostOf(rt, lengths, outs); got != want {
+				t.Fatalf("%s: batch lengths %v outs %v: iterations sum to %d ns, genBatchCostOf %d ns",
 					name, lengths, outs, got, want)
 			}
 		}

@@ -103,21 +103,3 @@ func (a Arch) RuntimeLengthsN(n int) []int {
 	}
 	return out
 }
-
-// FLOPs returns the forward-pass floating point operations for one sequence
-// of the given length: per layer, QKV/output projections and the FFN cost
-// 24*s*H^2 (with Intermediate = 4H) and attention score/value matmuls cost
-// 4*s^2*H. Only tests call it: it is the check of section 2.2's
-// padding-waste (FLOP) figure.
-func (a Arch) FLOPs(seqLen int) int64 {
-	if seqLen <= 0 {
-		return 0
-	}
-	s := int64(seqLen)
-	h := int64(a.Hidden)
-	inter := int64(a.Intermediate)
-	proj := 4 * 2 * s * h * h // Q, K, V, output projections
-	attn := 2 * 2 * s * s * h // QK^T and attention-weighted V
-	ffn := 2 * 2 * s * h * inter
-	return int64(a.Layers) * (proj + attn + ffn)
-}

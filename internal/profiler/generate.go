@@ -2,10 +2,8 @@ package profiler
 
 // Generative (prefill + decode) profiling: the per-iteration cost queries
 // the cluster's worker loop consumes (DecodeStepCost, with BatchCostOf),
-// the closed-form whole-request costs its per-iteration pricing is tested
-// against (GenCostOf, GenBatchCostOf), and the gen-aware M_i that keeps
-// the queue's lambda-congestion estimate honest once instances hold
-// decode slots for many iterations.
+// and the gen-aware M_i that keeps the queue's lambda-congestion estimate
+// honest once instances hold decode slots for many iterations.
 
 import "time"
 
@@ -36,53 +34,6 @@ func (r Runtime) DecodeStepUniform(b, ctx int) time.Duration {
 		return r.Latency
 	}
 	return r.lm.DecodeStepLatencyUniform(b, ctx)
-}
-
-// GenCostOf returns the run-to-completion cost of one generative request
-// executed alone: prefill at the request length plus out-1 decode steps at
-// the growing context. out <= 1 is the plain CostOf (the prefill yields
-// the first token). Only tests call it: it is a reference implementation
-// per-iteration pricing is tested against.
-func (r Runtime) GenCostOf(length, out int) time.Duration {
-	cost := r.CostOf(length)
-	for t := 1; t < out; t++ {
-		cost += r.DecodeStepUniform(1, length+t)
-	}
-	return cost
-}
-
-// DecodeTailCost returns the decode cost after the prefill when the given
-// requests run as one run-to-completion batch: every slot stays occupied
-// until the longest output finishes, so each of the maxOut-1 iterations
-// runs at full batch width — the padding-in-time that continuous batching
-// removes. Add BatchCostOf(lengths) for the total. Only GenBatchCostOf
-// calls it, as part of that reference implementation.
-func (r Runtime) DecodeTailCost(lengths, outs []int) time.Duration {
-	if len(lengths) == 0 || len(lengths) != len(outs) {
-		return 0
-	}
-	maxOut := 0
-	for _, o := range outs {
-		if o > maxOut {
-			maxOut = o
-		}
-	}
-	var tail time.Duration
-	ctxs := make([]int, len(lengths))
-	for t := 1; t < maxOut; t++ {
-		for i, l := range lengths {
-			ctxs[i] = l + t
-		}
-		tail += r.DecodeStepCost(ctxs)
-	}
-	return tail
-}
-
-// GenBatchCostOf is the full run-to-completion generative batch cost:
-// prefill over the whole batch plus the decode tail. Only tests call it: it
-// is a reference implementation per-iteration pricing is tested against.
-func (r Runtime) GenBatchCostOf(lengths, outs []int) time.Duration {
-	return r.BatchCostOf(lengths) + r.DecodeTailCost(lengths, outs)
 }
 
 // GenCapacity is the generative M_i: the largest number of queued requests

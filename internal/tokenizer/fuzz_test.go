@@ -32,6 +32,24 @@ func FuzzTokenizerEncode(f *testing.F) {
 	f.Add("a\x00b\xffc", 5)
 	f.Add("    \t\n\r   ", -7)
 	f.Add("@#$%^&*()[]{};:'\",.<>/?\\|`~", 1)
+	// The edges of the eight-bytes-at-a-time scanner: texts of 15, 16
+	// and 17 bytes; words of 7, 8, 9, 15, 16 and 17 bytes, the 7- and
+	// 17-byte ones also ending the text; a one-byte last word after a space;
+	// case and digits; a run of spaces; a NUL and a non-ASCII rune inside
+	// an ASCII run; punctuation on an 8-byte boundary.
+	f.Add("the data team!!", 0)
+	f.Add("the data team!!!", 4)
+	f.Add("the data team!!!!", 0)
+	f.Add("abcdefg abcdefgh abcdefghi", 0)
+	f.Add("x abcdefg", 0)
+	f.Add("abcdefghijklmno abcdefghijklmnop abcdefghijklmnopq", 0)
+	f.Add("x abcdefghijklmnop", 3)
+	f.Add("abcdefgh x", 0)
+	f.Add("ABC123xyz Data2024 MODEL", 0)
+	f.Add("a     b        c                 d", 0)
+	f.Add("abc\x00defghij klm", 0)
+	f.Add("cafébar abcdefgé abcdefghé naïveté", 0)
+	f.Add("abcdefgh,ijklmnop.qr abcdefg!h", 0)
 
 	tok := New()
 	ref := newReference(tok)
@@ -48,8 +66,8 @@ func FuzzTokenizerEncode(f *testing.F) {
 			t.Fatalf("Encode(%q, %d) = %d ids, exceeds maxLen", text, maxLen, len(ids))
 		}
 		for i, id := range ids {
-			if id < 0 || id >= tok.VocabSize() {
-				t.Fatalf("Encode(%q, %d): id[%d] = %d outside vocabulary [0,%d)", text, maxLen, i, id, tok.VocabSize())
+			if id < 0 || id >= len(tok.ids) {
+				t.Fatalf("Encode(%q, %d): id[%d] = %d outside vocabulary [0,%d)", text, maxLen, i, id, len(tok.ids))
 			}
 		}
 		toks := spell(tok, ids)

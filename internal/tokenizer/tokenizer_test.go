@@ -1,7 +1,9 @@
 package tokenizer
 
 import (
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,10 +24,17 @@ func pieces(tok *Tokenizer, text string) []string {
 	return toks[1 : len(toks)-1]
 }
 
+// TestBuiltinVocabValid pins the built-in vocabulary — its size and an
+// FNV-1a hash of its entries in id order — so that no edit to vocab.go can
+// move an id.
 func TestBuiltinVocabValid(t *testing.T) {
-	tok := New()
-	if tok.VocabSize() < 300 {
-		t.Errorf("built-in vocab suspiciously small: %d", tok.VocabSize())
+	vocab := New().ids
+	h := fnv.New64a()
+	for _, tok := range vocab {
+		h.Write(append([]byte(tok), 0))
+	}
+	if len(vocab) != 423 || h.Sum64() != 0x89015f955838e6b {
+		t.Errorf("built-in vocabulary: %d entries, hash %#x; want 423 entries, hash 0x89015f955838e6b", len(vocab), h.Sum64())
 	}
 }
 
@@ -125,6 +134,12 @@ func TestEncodeWrapsAndTruncates(t *testing.T) {
 	if decCap[31] != SepToken {
 		t.Errorf("truncated sequence must end with SEP, got %q", decCap[31])
 	}
+	// maxLen 1, like 0 and below, leaves the encoding whole.
+	for _, maxLen := range []int{1, -1} {
+		if got := tok.Encode(long, maxLen); !slices.Equal(got, tok.Encode(long, 0)) {
+			t.Errorf("Encode(long, %d) has %d ids, Encode(long, 0) %d", maxLen, len(got), len(tok.Encode(long, 0)))
+		}
+	}
 }
 
 func TestSequenceLengthMatchesEncode(t *testing.T) {
@@ -209,54 +224,69 @@ func BenchmarkSequenceLength(b *testing.B) {
 // many pieces, punctuation — joined by spaces to about 500 bytes a text.
 // benchText above is two thirds multi-piece words, which under-weights the
 // whole-word hit that dominates the serving workloads.
-var poolTexts = func() []string {
-	lexicon := strings.Fields(`the of and to in is was for it with as on be at by this
-		not are but from have they which you were all there would their been when who will
-		more about into than them only other new some time these first now like our over
-		even most after also many before through back years where much your well down
-		because people world still work long here between life never another while last
-		great since against right house during without again place around however home
-		school every number always something water public think enough government system
-		better nothing night program city business group young model data news today love
-		really happy twitter tweet post follow share best thanks video game team music
-		serving latency request tokens dispatch scheduler throughput transformer inference
-		allocation congestion runtime polymorph demotion benchmark , . ! ? : ; - ( )`)
+var poolTexts = lexiconTexts(`the of and to in is was for it with as on be at by this
+	not are but from have they which you were all there would their been when who will
+	more about into than them only other new some time these first now like our over
+	even most after also many before through back years where much your well down
+	because people world still work long here between life never another while last
+	great since against right house during without again place around however home
+	school every number always something water public think enough government system
+	better nothing night program city business group young model data news today love
+	really happy twitter tweet post follow share best thanks video game team music
+	serving latency request tokens dispatch scheduler throughput transformer inference
+	allocation congestion runtime polymorph demotion benchmark , . ! ? : ; - ( )`)
+
+// nonASCIITexts is text the eight-bytes-at-a-time scanner hands to the
+// per-byte path: accented Latin words, CJK runs and non-ASCII punctuation,
+// with a few ASCII words between them.
+var nonASCIITexts = lexiconTexts(`café naïve résumé déjà façade garçon élève über straße
+	señor año piñata crème brûlée soirée 日本語 東京 中文 テキスト 한국어 服务 延迟 请求
+	— 、 。 « » the data`)
+
+// lexiconTexts draws 64 texts of 200 to 800 bytes from the words of lexicon,
+// joined by spaces.
+func lexiconTexts(lexicon string) []string {
+	words := strings.Fields(lexicon)
 	rng := rand.New(rand.NewSource(1))
 	texts := make([]string, 64)
 	for i := range texts {
 		var b strings.Builder
 		for size := 200 + rng.Intn(600); b.Len() < size; {
-			b.WriteString(lexicon[rng.Intn(len(lexicon))])
+			b.WriteString(words[rng.Intn(len(words))])
 			b.WriteByte(' ')
 		}
 		texts[i] = b.String()
 	}
 	return texts
-}()
+}
 
 // BenchmarkEncodePool is Encode over harness-like text; the Borrow
-// sub-benchmark is what the server pays, which keeps no ids.
+// sub-benchmark is what the server pays, which keeps no ids, and NonASCII
+// is Borrow over text the fast path does not take.
 func BenchmarkEncodePool(b *testing.B) {
 	tok := New()
-	bytes := 0
-	for _, s := range poolTexts {
-		bytes += len(s)
+	for _, c := range []struct {
+		name   string
+		texts  []string
+		borrow bool
+	}{{"Encode", poolTexts, false}, {"Borrow", poolTexts, true}, {"NonASCII", nonASCIITexts, true}} {
+		bytes := 0
+		for _, s := range c.texts {
+			bytes += len(s)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(bytes / len(c.texts)))
+			n := 0
+			for i := 0; i < b.N; i++ {
+				if text := c.texts[i%len(c.texts)]; c.borrow {
+					tok.Borrow(text, 512, func(ids []uint32) { n += len(ids) })
+				} else {
+					n += len(tok.Encode(text, 512))
+				}
+			}
+		})
 	}
-	b.Run("Encode", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(bytes / len(poolTexts)))
-		for i := 0; i < b.N; i++ {
-			_ = tok.Encode(poolTexts[i%len(poolTexts)], 512)
-		}
-	})
-	b.Run("Borrow", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(bytes / len(poolTexts)))
-		n := 0
-		for i := 0; i < b.N; i++ {
-			tok.Borrow(poolTexts[i%len(poolTexts)], 512, func(ids []uint32) { n += len(ids) })
-		}
-	})
 }
 
 // BenchmarkEncodeParallel exercises the pooled scratch path the way the

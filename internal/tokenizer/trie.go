@@ -46,15 +46,6 @@ func step(nodes []node, at int32, c byte) int32 {
 	return dead
 }
 
-// lookup returns the id of tok as spelled, or -1.
-func (t *trie) lookup(tok string) int32 {
-	at := root
-	for i := 0; i < len(tok); i++ {
-		at = step(t.nodes, at, tok[i])
-	}
-	return t.nodes[at].id
-}
-
 // compile builds the trie over vocab, whose ids are its indices. Sorting
 // puts the tokens under one node side by side, so the build walks runs of
 // the sorted order and duplicates sit next to each other.

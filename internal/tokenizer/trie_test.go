@@ -9,6 +9,15 @@ import (
 	"unsafe"
 )
 
+// trieLookup returns the id the trie holds for tok as spelled, or -1.
+func trieLookup(tok *Tokenizer, s string) int32 {
+	at := root
+	for i := 0; i < len(s); i++ {
+		at = step(tok.nodes, at, s[i])
+	}
+	return tok.nodes[at].id
+}
+
 func mustVocab(t *testing.T, toks ...string) *Tokenizer {
 	t.Helper()
 	tok, err := NewFromVocab(append([]string{PadToken, UnkToken, ClsToken, SepToken}, toks...))
@@ -18,57 +27,62 @@ func mustVocab(t *testing.T, toks ...string) *Tokenizer {
 	return tok
 }
 
+var (
+	ascii100, ascii101 = strings.Repeat("a", 100), strings.Repeat("a", 101)
+	rune99, rune102    = strings.Repeat("日", 33), strings.Repeat("日", 34)
+)
+
+// adversarial lists the vocabularies and inputs a byte-keyed index can get
+// wrong and a map keyed by whole strings cannot.
+var adversarial = []struct {
+	name  string
+	vocab []string
+	text  string
+	want  []string // nil: only the reference is consulted
+}{
+	{"token ending mid-rune does not match inside the rune",
+		[]string{"\xc3", "##\xc3", "a", "a\xc3"}, "é aé \xc3", []string{UnkToken, UnkToken, UnkToken}},
+	{"whole rune still matches next to its lead byte",
+		[]string{"\xc3", "é", "##é", "a"}, "é aé", []string{"é", "a", "##é"}},
+	{"bare ## is inert",
+		[]string{"##", "#", "a", "##b"}, "## ab a#b #", []string{"#", "#", "a", "##b", "a", "#", UnkToken, "#"}},
+	{"### only ever continues, and # never does",
+		[]string{"###", "#", "a"}, "a# ###", []string{"a", "#", "#", "#", "#"}},
+	{"no continuation pieces at all",
+		[]string{"a", "ab"}, "ab abc a", []string{"ab", UnkToken, "a"}},
+	{"longest wins, then backs off",
+		[]string{"a", "ab", "abc", "##c", "##bc", "##d"}, "abc abcd abd abcc ac abce",
+		[]string{"abc", "abc", "##d", "ab", "##d", "abc", "##c", "a", "##c", UnkToken}},
+	{"head matches, tail has no continuation",
+		[]string{"un", "##aff", "##able"}, "unaffable unaffablex unx", []string{"un", "##aff", "##able", UnkToken, UnkToken}},
+	{"100-byte ASCII word is matched, 101 is not",
+		[]string{"a", "##a"}, ascii100 + " " + ascii101, nil},
+	{"99- and 102-byte words of 3-byte runes",
+		[]string{"日", "##日"}, rune99 + " " + rune102, nil},
+	{"a long word that is itself an entry",
+		[]string{ascii100, ascii101}, ascii100 + " " + ascii101, []string{ascii100, UnkToken}},
+	{"NUL and an invalid byte stand alone",
+		[]string{"a", "b", "c", "\x00", "�"}, "a\x00b\xffc", []string{"a", "\x00", "b", "�", "c"}},
+	{"invalid byte without an entry",
+		[]string{"a", "b", "c", "\xff"}, "a\x00b\xffc", []string{"a", UnkToken, "b", UnkToken, "c"}},
+	{"upper case that lowers to fewer bytes",
+		[]string{"i", "k", "##k", "istanbul", "İ", "K"}, "İ İstanbul K kK", []string{"i", "istanbul", "k", "k", "##k"}},
+	{"upper case that lowers to more bytes",
+		[]string{"ⱥ", "##ⱥ", "a", "Ⱥ"}, "Ⱥ aȺ", []string{"ⱥ", "a", "##ⱥ"}},
+	{"the cap counts lowered bytes",
+		[]string{"k", "##k"}, strings.Repeat("K", 100) + " " + strings.Repeat("K", 101), nil},
+	{"upper-case entries are unreachable, specials included",
+		[]string{"Hello", "hello", "[", "]", "cls"}, "Hello [CLS] HELLO", []string{"hello", "[", "cls", "]", "hello"}},
+	{"symbols are lowered too",
+		[]string{"ⓐ", "Ⓐ"}, "Ⓐⓐ", []string{"ⓐ", "ⓐ"}},
+	{"non-ASCII space and punctuation split words",
+		[]string{"a", "b", "—", "##b"}, "a b a—b a　ab", []string{"a", "b", "a", "—", "b", "a", "a", "##b"}},
+}
+
 // TestAdversarialVocabularies holds the trie to the reference on the
-// vocabularies and inputs a byte-keyed index can get wrong and a map keyed
-// by whole strings cannot.
+// adversarial vocabularies.
 func TestAdversarialVocabularies(t *testing.T) {
-	ascii100, ascii101 := strings.Repeat("a", 100), strings.Repeat("a", 101)
-	rune99, rune102 := strings.Repeat("日", 33), strings.Repeat("日", 34)
-	cases := []struct {
-		name  string
-		vocab []string
-		text  string
-		want  []string // nil: only the reference is consulted
-	}{
-		{"token ending mid-rune does not match inside the rune",
-			[]string{"\xc3", "##\xc3", "a", "a\xc3"}, "é aé \xc3", []string{UnkToken, UnkToken, UnkToken}},
-		{"whole rune still matches next to its lead byte",
-			[]string{"\xc3", "é", "##é", "a"}, "é aé", []string{"é", "a", "##é"}},
-		{"bare ## is inert",
-			[]string{"##", "#", "a", "##b"}, "## ab a#b #", []string{"#", "#", "a", "##b", "a", "#", UnkToken, "#"}},
-		{"### only ever continues, and # never does",
-			[]string{"###", "#", "a"}, "a# ###", []string{"a", "#", "#", "#", "#"}},
-		{"no continuation pieces at all",
-			[]string{"a", "ab"}, "ab abc a", []string{"ab", UnkToken, "a"}},
-		{"longest wins, then backs off",
-			[]string{"a", "ab", "abc", "##c", "##bc", "##d"}, "abc abcd abd abcc ac abce",
-			[]string{"abc", "abc", "##d", "ab", "##d", "abc", "##c", "a", "##c", UnkToken}},
-		{"head matches, tail has no continuation",
-			[]string{"un", "##aff", "##able"}, "unaffable unaffablex unx", []string{"un", "##aff", "##able", UnkToken, UnkToken}},
-		{"100-byte ASCII word is matched, 101 is not",
-			[]string{"a", "##a"}, ascii100 + " " + ascii101, nil},
-		{"99- and 102-byte words of 3-byte runes",
-			[]string{"日", "##日"}, rune99 + " " + rune102, nil},
-		{"a long word that is itself an entry",
-			[]string{ascii100, ascii101}, ascii100 + " " + ascii101, []string{ascii100, UnkToken}},
-		{"NUL and an invalid byte stand alone",
-			[]string{"a", "b", "c", "\x00", "�"}, "a\x00b\xffc", []string{"a", "\x00", "b", "�", "c"}},
-		{"invalid byte without an entry",
-			[]string{"a", "b", "c", "\xff"}, "a\x00b\xffc", []string{"a", UnkToken, "b", UnkToken, "c"}},
-		{"upper case that lowers to fewer bytes",
-			[]string{"i", "k", "##k", "istanbul", "İ", "K"}, "İ İstanbul K kK", []string{"i", "istanbul", "k", "k", "##k"}},
-		{"upper case that lowers to more bytes",
-			[]string{"ⱥ", "##ⱥ", "a", "Ⱥ"}, "Ⱥ aȺ", []string{"ⱥ", "a", "##ⱥ"}},
-		{"the cap counts lowered bytes",
-			[]string{"k", "##k"}, strings.Repeat("K", 100) + " " + strings.Repeat("K", 101), nil},
-		{"upper-case entries are unreachable, specials included",
-			[]string{"Hello", "hello", "[", "]", "cls"}, "Hello [CLS] HELLO", []string{"hello", "[", "cls", "]", "hello"}},
-		{"symbols are lowered too",
-			[]string{"ⓐ", "Ⓐ"}, "Ⓐⓐ", []string{"ⓐ", "ⓐ"}},
-		{"non-ASCII space and punctuation split words",
-			[]string{"a", "b", "—", "##b"}, "a b a—b a　ab", []string{"a", "b", "a", "—", "b", "a", "a", "##b"}},
-	}
-	for _, c := range cases {
+	for _, c := range adversarial {
 		t.Run(c.name, func(t *testing.T) {
 			tok := mustVocab(t, c.vocab...)
 			ref := newReference(tok)
@@ -85,6 +99,61 @@ func TestAdversarialVocabularies(t *testing.T) {
 				t.Fatalf("SequenceLength(%q) = %d, Encode has %d pieces", c.text, n, len(got))
 			}
 		})
+	}
+}
+
+// TestTableAgreesWithTrie holds the word-initial table to the trie, the
+// index it short-cuts: every entry the table can key (up to 16 bytes, no
+// "##", no NUL) is in it under the trie's id and nothing else is; every
+// proper prefix of an entry that is not itself one misses; and through the
+// encode path a word that is an entry resolves to the trie's id, whichever
+// path reads it. The vocabularies are the built-in one, the adversarial
+// ones, and one with entries of 7, 8, 15, 16 and 17 bytes — either side of
+// the scanner's 8-byte loads — a non-ASCII one, and one that would pack
+// like another but for its NUL.
+func TestTableAgreesWithTrie(t *testing.T) {
+	toks := []*Tokenizer{New(), mustVocab(t, "abcdefg", "abcdefgh", "abcdefghijklmno", "abcdefghijklmnop",
+		"abcdefghijklmnopq", "café", "a", "##b", "abcdefgi", "abcdefg\x00")}
+	for _, c := range adversarial {
+		toks = append(toks, mustVocab(t, c.vocab...))
+	}
+	for _, tok := range toks {
+		find := func(s string) *entry { return slot(tok.table, load64(s, 0), load64(s, 8)) }
+		ref := newReference(tok)
+		keyed := 0
+		for id, v := range tok.ids {
+			if len(v) > 16 || strings.HasPrefix(v, "##") || strings.Contains(v, "\x00") {
+				continue
+			}
+			keyed++
+			if e := find(v); e.lo == 0 || e.id != uint32(id) || trieLookup(tok, v) != int32(id) {
+				t.Errorf("%q (id %d): table slot %+v, trie id %d", v, id, *e, trieLookup(tok, v))
+			}
+			for n := 1; n < len(v); n++ {
+				if p := v[:n]; trieLookup(tok, p) < 0 && find(p).lo != 0 {
+					t.Errorf("%q, a prefix of %q and no entry, is in the table as id %d", p, v, find(p).id)
+				}
+			}
+			// Followed by room for both 8-byte loads, so that an ASCII word
+			// of up to 15 bytes takes the fast path.
+			text := v + strings.Repeat(" ", 17)
+			got, want := tok.Encode(text, 0), ref.referenceEncode(text, 0)
+			if strings.Trim(v, "abcdefghijklmnopqrstuvwxyz0123456789") == "" {
+				want = []int{int(tok.cls), int(trieLookup(tok, v)), int(tok.sep)}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("Encode(%q) = %q, want %q", text, spell(tok, got), spell(tok, want))
+			}
+		}
+		used := 0
+		for _, e := range tok.table {
+			if e.lo != 0 {
+				used++
+			}
+		}
+		if used != keyed {
+			t.Errorf("table holds %d entries, want the %d it can key", used, keyed)
+		}
 	}
 }
 
@@ -118,8 +187,8 @@ func TestRandomVocabulariesMatchReference(t *testing.T) {
 		}
 		tok := mustVocab(t, vocab...)
 		for _, v := range vocab {
-			if id := tok.lookup(v); id < 0 || tok.ids[id] != v {
-				t.Fatalf("size %d: lookup(%q) = %d", size, v, id)
+			if id := trieLookup(tok, v); id < 0 || tok.ids[id] != v {
+				t.Fatalf("size %d: trieLookup(%q) = %d", size, v, id)
 			}
 		}
 		ref := newReference(tok)

@@ -3,7 +3,7 @@ package tokenizer
 // builtinVocab assembles the compact default vocabulary: special tokens,
 // single characters (so every ASCII word is always tokenizable), common
 // English words, and frequent subword suffixes. Roughly BERT-flavoured,
-// ~600 entries — small enough to live in source, rich enough that typical
+// 423 entries — small enough to live in source, rich enough that typical
 // English text tokenizes to sensible lengths.
 func builtinVocab() []string {
 	vocab := []string{PadToken, UnkToken, ClsToken, SepToken}
@@ -16,9 +16,11 @@ func builtinVocab() []string {
 	for _, p := range []string{".", ",", "!", "?", "'", "\"", "-", ":", ";", "(", ")", "/", "@", "#", "&", "%", "$", "+", "=", "*", "_", "~", "<", ">", "[", "]", "{", "}", "|", "\\", "^", "`"} {
 		vocab = append(vocab, p)
 	}
-	words := []string{
-		"the", "of", "and", "a", "to", "in", "is", "was", "he", "for",
-		"it", "with", "as", "his", "on", "be", "at", "by", "i", "this",
+	// Common English words, then frequent subword suffixes. None repeats an
+	// entry above: NewFromVocab rejects a duplicate.
+	vocab = append(vocab,
+		"the", "of", "and", "to", "in", "is", "was", "he", "for",
+		"it", "with", "as", "his", "on", "be", "at", "by", "this",
 		"had", "not", "are", "but", "from", "or", "have", "an", "they",
 		"which", "one", "you", "were", "her", "all", "she", "there",
 		"would", "their", "we", "him", "been", "has", "when", "who",
@@ -49,35 +51,18 @@ func builtinVocab() []string {
 		"give", "group", "toward", "young", "days", "let", "room",
 		"word", "things", "want", "face", "second", "need", "model",
 		"data", "news", "today", "love", "really", "happy", "twitter",
-		"tweet", "post", "follow", "like", "share", "best", "thanks",
-		"lol", "omg", "haha", "yes", "good", "morning", "check",
+		"tweet", "post", "follow", "share", "best", "thanks",
+		"lol", "omg", "haha", "yes", "morning", "check",
 		"please", "watch", "video", "live", "game", "team", "win",
 		"play", "song", "music", "free", "click", "link", "read",
 		"story", "photo", "media", "social", "phone", "online",
-	}
-	seen := map[string]bool{}
-	for _, v := range vocab {
-		seen[v] = true
-	}
-	for _, w := range words {
-		if !seen[w] {
-			seen[w] = true
-			vocab = append(vocab, w)
-		}
-	}
-	suffixes := []string{
-		"##s", "##ed", "##ing", "##er", "##est", "##ly", "##tion",
+	)
+	return append(vocab,
+		"##ed", "##ing", "##er", "##est", "##ly", "##tion",
 		"##ment", "##ness", "##able", "##al", "##ic", "##ous", "##ive",
-		"##ful", "##less", "##ity", "##y", "##es", "##en", "##an",
+		"##ful", "##less", "##ity", "##es", "##en", "##an",
 		"##on", "##in", "##at", "##or", "##ar", "##it", "##is", "##le",
 		"##re", "##th", "##nd", "##st", "##nt", "##ch", "##sh", "##ck",
 		"##ll", "##ss", "##ee", "##oo", "##ion", "##ers", "##ings",
-	}
-	for _, s := range suffixes {
-		if !seen[s] {
-			seen[s] = true
-			vocab = append(vocab, s)
-		}
-	}
-	return vocab
+	)
 }
