@@ -22,7 +22,7 @@ benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/queue/ ./internal/dispatch/ ./internal/cluster/ ./internal/serve/ ./internal/core/ ./internal/metrics/ ./internal/tokenizer/ ./internal/obs/ ./internal/failover/ ./internal/chaos/ ./internal/batcher/ ./internal/ring/ ./internal/wire/ ./internal/trace/ ./internal/model/ ./internal/tenant/ ./internal/controller/ ./internal/allocator/ ./internal/router/
+	$(GO) test -race ./internal/queue/ ./internal/dispatch/ ./internal/cluster/ ./internal/serve/ ./internal/core/ ./internal/metrics/ ./internal/tokenizer/ ./internal/obs/ ./internal/chaos/ ./internal/batcher/ ./internal/ring/ ./internal/wire/ ./internal/trace/ ./internal/model/ ./internal/tenant/ ./internal/controller/ ./internal/allocator/ ./internal/router/
 
 # The deterministic fault-injection harness: 500 seeded runs of the live
 # cluster under scripted crashes, slowdowns and cancellations, with the
@@ -34,8 +34,8 @@ race:
 chaos:
 	$(GO) test -race -run 'TestConservationManySeeds|TestScripted|TestRecovery|TestCrossCheck' -v ./internal/chaos/
 
-# Short local fuzz pass over the checked-in corpora plus 30s of search
-# per target (same budget CI uses).
+# Short fuzz pass over the checked-in corpora plus 30s of search per
+# target. This is the one list of fuzz targets: CI's fuzz job runs it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTokenizerEncode -fuzztime 30s ./internal/tokenizer/
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceParse$$' -fuzztime 30s ./internal/trace/

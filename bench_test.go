@@ -243,14 +243,11 @@ func BenchmarkFig9DispatchObserverOn(b *testing.B) {
 		}
 		ml.OnComplete(in)
 		span := obs.Span{
-			Length:     length,
-			Queue:      50 * time.Microsecond,
-			Exec:       2 * time.Millisecond,
-			Total:      2050 * time.Microsecond,
-			IdealLevel: dec.IdealLevel,
-			Level:      dec.Level,
-			Instance:   in.ID,
-			Peeked:     dec.Peeked,
+			Length:   length,
+			Queue:    50 * time.Microsecond,
+			Exec:     2 * time.Millisecond,
+			Total:    2050 * time.Microsecond,
+			Decision: dec,
 		}
 		rec.RecordSpan(&span)
 	}

@@ -14,7 +14,7 @@
 // interleaving, and the harness checks them after each run. The same
 // failure schedule can be cross-checked against the discrete-event
 // simulator's failure model (sim.Failure), which shares its victim
-// selection and demotion rule through internal/failover.
+// selection and demotion rule through queue.PickVictim.
 package chaos
 
 import (

@@ -197,7 +197,7 @@ func TestRecoveryRestoresAllocation(t *testing.T) {
 
 // TestCrossCheckAgainstSimulator runs the same profile, allocation, load
 // and failure schedule through the discrete-event simulator and the live
-// harness. The two share the failover rule (internal/failover), so their
+// harness. The two share the failure rule (queue.PickVictim), so their
 // steady-state routing must agree: both absorb the crash, serve every
 // request, and end at the same GPU count.
 func TestCrossCheckAgainstSimulator(t *testing.T) {

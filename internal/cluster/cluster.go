@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"arlo/internal/dispatch"
-	"arlo/internal/failover"
 	"arlo/internal/obs"
 	"arlo/internal/profiler"
 	"arlo/internal/queue"
@@ -433,13 +432,10 @@ type Request struct {
 	Tenant string
 }
 
-// Result is the outcome of one completed request: the modeled latency
-// plus the full lifecycle span (queueing delay, execution time, demotion
-// attribution).
+// Result is the outcome of one completed request: its lifecycle span
+// (queueing delay, execution time, the dispatch decision), whose Total is
+// the end-to-end modeled latency.
 type Result struct {
-	// Latency is the end-to-end modeled latency (queueing + compute +
-	// overhead) — what Submit used to return bare.
-	Latency time.Duration
 	// Span is the request's lifecycle record.
 	Span obs.Span
 }
@@ -455,7 +451,7 @@ func (c *Cluster) Submit(length int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	return res.Latency, nil
+	return res.Span.Total, nil
 }
 
 // SubmitCtx dispatches one request and blocks until it completes or the
@@ -512,7 +508,7 @@ func (c *Cluster) lease(ctx context.Context, req Request) (*job, error) {
 // await blocks until a routed job completes or its context fires — the
 // shared back half of SubmitCtx, Ingress.SubmitCtx and SubmitBatch. A
 // completion is written into *res, which is otherwise left alone: the
-// 192-byte Result travels by pointer because on the wire surface this
+// 184-byte Result travels by pointer because on the wire surface this
 // chain runs on a fresh goroutine stack per request, where every by-value
 // hop is frame the runtime has to grow the stack for. On cancellation
 // await races the worker for the job's state: winning the CAS hands
@@ -560,7 +556,7 @@ func (c *Cluster) deliver(j *job, lat time.Duration, res *Result) error {
 	}
 	j.span.Total = lat
 	c.rec.RecordSpan(&j.span)
-	res.Latency, res.Span = lat, j.span
+	res.Span = j.span
 	jobPool.Put(j)
 	return nil
 }
@@ -640,8 +636,7 @@ func (c *Cluster) place(ctx context.Context, j *job) error {
 	}
 	sp := &j.span
 	sp.Dispatch = time.Since(t0)
-	sp.IdealLevel, sp.Level, sp.Peeked, sp.Fallback = dec.IdealLevel, dec.Level, dec.Peeked, dec.Fallback
-	sp.Instance = inst.ID
+	sp.Decision = dec
 	if dec.Level > dec.IdealLevel {
 		c.rec.RecordDemotion(dec.IdealLevel, dec.Level)
 	}
@@ -674,10 +669,10 @@ const redispatchBackoff = 200 * time.Microsecond
 
 // requeueBudget bounds how many times one request is displaced or retried
 // before it fails with ErrUnserviceable.
-const requeueBudget = failover.DefaultRequeueBudget
+const requeueBudget = queue.DefaultRequeueBudget
 
 // redispatch pushes a failure-displaced job back through the normal
-// dispatch path — the failover demotion rule (see internal/failover): no
+// dispatch path — the failure rule's demotion step (see queue.PickVictim): no
 // special placement, the active policy decides, so work from a dead
 // small-runtime instance degrades into larger runtimes exactly like a
 // congestion demotion. The displacement and every transient retry consume

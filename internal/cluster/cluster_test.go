@@ -34,9 +34,9 @@ func submitAsync(c *Cluster, length int) (<-chan time.Duration, error) {
 	go func() {
 		var res Result
 		if err := c.await(ctx, j, &res); err != nil {
-			res.Latency = -1
+			res.Span.Total = -1
 		}
-		done <- res.Latency
+		done <- res.Span.Total
 	}()
 	return done, nil
 }

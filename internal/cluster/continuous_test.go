@@ -112,9 +112,9 @@ func TestContinuousJoinMidFlight(t *testing.T) {
 	// The short join must share iterations with the resident long request,
 	// not queue behind its full run: 2 tokens cost ~2 iterations, far less
 	// than the long request's 200.
-	if shortWall > long.Latency/4 {
+	if shortWall > long.Span.Total/4 {
 		t.Errorf("short request wall %v not far below long latency %v — no mid-flight join",
-			shortWall, long.Latency)
+			shortWall, long.Span.Total)
 	}
 	if res.Span.BatchSize < 2 {
 		t.Errorf("short request prefilled alone (batch size %d), expected to share the iteration", res.Span.BatchSize)
@@ -203,7 +203,7 @@ func TestContinuousServesEncoderRequests(t *testing.T) {
 	if res.Span.TTFT != 0 {
 		t.Errorf("encoder request got TTFT %v", res.Span.TTFT)
 	}
-	if res.Latency <= 0 {
-		t.Errorf("latency = %v", res.Latency)
+	if res.Span.Total <= 0 {
+		t.Errorf("latency = %v", res.Span.Total)
 	}
 }

@@ -13,12 +13,11 @@ import (
 	"math"
 	"time"
 
-	"arlo/internal/failover"
 	"arlo/internal/queue"
 )
 
 // FailInstance crashes one instance of runtime rtIdx (any runtime when
-// rtIdx is -1), selecting the victim by the shared failover rule: the most
+// rtIdx is -1), selecting the victim by the shared failure rule (queue.PickVictim): the most
 // loaded instance, ties toward the smaller ID — the same choice the
 // simulator's failure model makes. The victim detaches from the queue
 // atomically with respect to in-flight submissions (they hold the
@@ -41,7 +40,7 @@ func (c *Cluster) FailInstance(rtIdx int, downtime time.Duration) (int, error) {
 	if rtIdx < -1 || rtIdx >= len(c.cfg.Profile.Runtimes) {
 		return 0, fmt.Errorf("cluster: runtime %d outside [-1, %d)", rtIdx, len(c.cfg.Profile.Runtimes))
 	}
-	victim := failover.PickVictim(c.lockedInstances(), rtIdx)
+	victim := queue.PickVictim(c.lockedInstances(), rtIdx)
 	if victim == nil {
 		return 0, fmt.Errorf("cluster: no instance to fail for runtime %d", rtIdx)
 	}
@@ -104,7 +103,7 @@ func (c *Cluster) SlowInstance(rtIdx int, factor float64) (int, error) {
 	if rtIdx < -1 || rtIdx >= len(c.cfg.Profile.Runtimes) {
 		return 0, fmt.Errorf("cluster: runtime %d outside [-1, %d)", rtIdx, len(c.cfg.Profile.Runtimes))
 	}
-	victim := failover.PickVictim(c.lockedInstances(), rtIdx)
+	victim := queue.PickVictim(c.lockedInstances(), rtIdx)
 	if victim == nil {
 		return 0, fmt.Errorf("cluster: no instance to slow for runtime %d", rtIdx)
 	}

@@ -38,8 +38,8 @@ func TestIngressSubmitCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Latency <= 0 {
-		t.Errorf("latency = %v, want > 0", res.Latency)
+	if res.Span.Total <= 0 {
+		t.Errorf("latency = %v, want > 0", res.Span.Total)
 	}
 	if res.Span.IngressWait <= 0 {
 		t.Errorf("span ingress_wait = %v, want > 0", res.Span.IngressWait)
@@ -83,8 +83,8 @@ func TestIngressCancelWhileRinged(t *testing.T) {
 			if err != nil && !errors.Is(err, ErrDeadlineExceeded) && !errors.Is(err, ErrCongested) {
 				t.Errorf("unexpected error: %v", err)
 			}
-			if err == nil && res.Latency <= 0 {
-				t.Errorf("nil error but latency %v", res.Latency)
+			if err == nil && res.Span.Total <= 0 {
+				t.Errorf("nil error but latency %v", res.Span.Total)
 			}
 		}(i)
 	}
@@ -124,8 +124,8 @@ func TestSubmitBatchCompletes(t *testing.T) {
 	for i, br := range out {
 		if br.Err != nil {
 			t.Errorf("member %d: %v", i, br.Err)
-		} else if br.Result.Latency <= 0 {
-			t.Errorf("member %d: latency %v", i, br.Result.Latency)
+		} else if br.Result.Span.Total <= 0 {
+			t.Errorf("member %d: latency %v", i, br.Result.Span.Total)
 		}
 	}
 	if got := rec.Completed(); got != int64(len(reqs)) {
@@ -188,7 +188,7 @@ func TestSubmitBatchSpentDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, should also match context.DeadlineExceeded", err)
 	}
-	if err := c.await(context.Background(), jobs[1], &res); err != nil || res.Latency <= 0 {
+	if err := c.await(context.Background(), jobs[1], &res); err != nil || res.Span.Total <= 0 {
 		t.Fatalf("live member: res=%v err=%v, want completion", res, err)
 	}
 	if got := rec.RejectedFor(obs.RejectDeadline); got != 1 {
@@ -214,7 +214,7 @@ func TestSubmitBatchCancelledMemberDiscarded(t *testing.T) {
 	live := newJob(100)
 	c.submitBatch([]*job{j, live})
 	var res Result
-	if err := c.await(context.Background(), live, &res); err != nil || res.Latency <= 0 {
+	if err := c.await(context.Background(), live, &res); err != nil || res.Span.Total <= 0 {
 		t.Fatalf("live member: res=%v err=%v, want completion", res, err)
 	}
 	if got := c.Outstanding(); got != 0 {

@@ -59,7 +59,7 @@ func vt(d time.Duration) time.Time { return time.Unix(0, 0).Add(d) }
 // given end-to-end latency.
 func feed(rec *obs.Recorder, lengths []int, total time.Duration, at time.Time) {
 	for _, l := range lengths {
-		rec.RecordSpanAt(&obs.Span{Length: l, Total: total, Instance: l}, at)
+		rec.RecordSpanAt(&obs.Span{Length: l, Total: total, Decision: dispatch.Decision{Instance: l}}, at)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"arlo/internal/allocator"
 	"arlo/internal/controller"
 	"arlo/internal/obs"
+
+	"arlo/internal/dispatch"
 )
 
 // ctrlVT maps a virtual offset onto the absolute timeline the obs window
@@ -66,7 +68,7 @@ func TestControllerReallocatesTowardDemand(t *testing.T) {
 	rec := cl.Recorder()
 	now := ctrlVT(time.Minute)
 	for i := 0; i < 400; i++ {
-		rec.RecordSpanAt(&obs.Span{Length: 20, Total: 2 * time.Millisecond, Instance: i}, now)
+		rec.RecordSpanAt(&obs.Span{Length: 20, Total: 2 * time.Millisecond, Decision: dispatch.Decision{Instance: i}}, now)
 	}
 	var target []int
 	for period := 0; period < 8; period++ { // budget-bounded: iterate periods to convergence
@@ -120,7 +122,7 @@ func TestControllerAutoScalesOut(t *testing.T) {
 	rec := cl.Recorder()
 	now := ctrlVT(time.Minute)
 	for i := 0; i < 200; i++ {
-		rec.RecordSpanAt(&obs.Span{Length: 100, Total: a.SLO(), Instance: i}, now)
+		rec.RecordSpanAt(&obs.Span{Length: 100, Total: a.SLO(), Decision: dispatch.Decision{Instance: i}}, now)
 	}
 	if act := ctrl.Autoscale(now); act != allocator.ScaleOut {
 		t.Fatalf("autoscale = %v, want scale-out", act)

@@ -23,17 +23,37 @@ func TestDecisionPaperExample(t *testing.T) {
 	if in.ID != 40 {
 		t.Errorf("instance = %d, want 40", in.ID)
 	}
-	if dec.IdealLevel != 2 {
-		t.Errorf("ideal level = %d, want 2 (max_length 256)", dec.IdealLevel)
+	// Ideal level 2 (max_length 256) is congested; level 3 (512) takes the
+	// request at the second peek, with no fallback.
+	if want := (Decision{IdealLevel: 2, Level: 3, Instance: 40, Peeked: 2}); dec != want {
+		t.Errorf("decision = %+v, want %+v", dec, want)
 	}
-	if dec.Level != 3 {
-		t.Errorf("chosen level = %d, want 3 (max_length 512)", dec.Level)
-	}
-	if dec.Peeked != 2 {
-		t.Errorf("peeked = %d, want 2 (256 congested, 512 taken)", dec.Peeked)
-	}
-	if dec.Fallback {
-		t.Error("fallback set on a normal demotion")
+}
+
+// TestDecisionNamesInstance drives every policy over the Fig. 5 queue
+// with no completions in between, so the walks run through demotion and
+// fallback, and checks that each successful dispatch's decision names the
+// instance it returns and that instance's level.
+func TestDecisionNamesInstance(t *testing.T) {
+	for _, name := range []string{"RS", "ILB", "IG", "LL", "INFaaS"} {
+		d, err := New(name, fig5Queue(t))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ok := 0
+		for i := 0; i < 200; i++ {
+			in, dec, err := d.DispatchCtx(context.Background(), 1+(i*37)%520)
+			if err != nil {
+				continue
+			}
+			ok++
+			if dec.Instance != in.ID || dec.Level != in.Runtime {
+				t.Fatalf("%s: dispatch %d: decision %+v, instance %d at level %d", name, i, dec, in.ID, in.Runtime)
+			}
+		}
+		if ok == 0 {
+			t.Errorf("%s: no dispatch succeeded", name)
+		}
 	}
 }
 

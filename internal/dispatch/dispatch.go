@@ -57,12 +57,23 @@ type Decision struct {
 	// Level is the runtime level of the chosen instance. Level >
 	// IdealLevel means the request was demoted.
 	Level int
+	// Instance is the ID of the chosen instance.
+	Instance int
 	// Peeked is how many candidate levels the policy examined before
 	// choosing.
 	Peeked int
 	// Fallback reports that every peeked level was congested and the
 	// policy fell back to the top candidate (Algorithm 1 lines 18-20).
 	Fallback bool
+}
+
+// DemotionHops is how many levels past the ideal runtime the request was
+// pushed (0 when served at its ideal level).
+func (d Decision) DemotionHops() int {
+	if h := d.Level - d.IdealLevel; h > 0 {
+		return h
+	}
+	return 0
 }
 
 // RequestScheduler is Arlo's multi-level-queue heuristic (Algorithm 1).
@@ -148,7 +159,7 @@ func (rs *RequestScheduler) DispatchCtx(_ context.Context, length int) (*queue.I
 	if chosen == nil {
 		return nil, dec, ErrNoInstances
 	}
-	dec.Level = chosen.Runtime
+	dec.Level, dec.Instance = chosen.Runtime, chosen.ID
 	rs.ml.OnDispatch(chosen) // lines 21-22
 	return chosen, dec, nil
 }
@@ -180,7 +191,7 @@ func (d *ILB) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decis
 	for _, lvl := range cands {
 		dec.Peeked++
 		if head := d.ml.Level(lvl).Front(); head != nil {
-			dec.Level = head.Runtime
+			dec.Level, dec.Instance = head.Runtime, head.ID
 			d.ml.OnDispatch(head)
 			return head, dec, nil
 		}
@@ -230,7 +241,7 @@ func (d *IG) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decisi
 	if best == nil {
 		return nil, dec, ErrNoInstances
 	}
-	dec.Level = best.Runtime
+	dec.Level, dec.Instance = best.Runtime, best.ID
 	d.ml.OnDispatch(best)
 	return best, dec, nil
 }
@@ -278,7 +289,7 @@ func (d *LeastLoaded) DispatchCtx(_ context.Context, length int) (*queue.Instanc
 	if best == nil {
 		return nil, dec, ErrNoInstances
 	}
-	dec.Level = best.Runtime
+	dec.Level, dec.Instance = best.Runtime, best.ID
 	d.ml.OnDispatch(best)
 	return best, dec, nil
 }
@@ -351,7 +362,7 @@ func (d *BinPacking) DispatchCtx(_ context.Context, length int) (*queue.Instance
 	if chosen == nil {
 		return nil, dec, ErrNoInstances
 	}
-	dec.Level = chosen.Runtime
+	dec.Level, dec.Instance = chosen.Runtime, chosen.ID
 	d.ml.OnDispatch(chosen)
 	return chosen, dec, nil
 }

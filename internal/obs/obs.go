@@ -24,6 +24,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"arlo/internal/dispatch"
 )
 
 // Span is the lifecycle record of one request. All durations are in the
@@ -52,19 +54,11 @@ type Span struct {
 	Exec time.Duration
 	// Total is the end-to-end modeled latency (queue + exec + overhead).
 	Total time.Duration
-	// IdealLevel is the least-padding feasible runtime level (the head of
-	// the Algorithm 1 candidate set).
-	IdealLevel int
-	// Level is the runtime level the request actually executed on;
-	// Level > IdealLevel means the request was demoted.
-	Level int
-	// Instance is the ID of the instance that executed the request.
-	Instance int
-	// Peeked is how many candidate levels the scheduler examined.
-	Peeked int
-	// Fallback reports that every peeked level was congested and the
-	// scheduler fell back to the top candidate (Algorithm 1 lines 18-20).
-	Fallback bool
+	// Decision is the dispatch decision that placed the request: its ideal
+	// and chosen runtime levels, the chosen instance, the levels peeked
+	// and whether the scheduler fell back. A failover requeue overwrites
+	// it, so it names where the request finally executed.
+	dispatch.Decision
 	// Batch is the cluster-wide sequence number of the batched kernel the
 	// request executed in (0 when it ran as a sequential singleton): spans
 	// sharing a Batch value rode the same kernel.
@@ -100,15 +94,6 @@ func (s *Span) TPOT() time.Duration {
 		return 0
 	}
 	return (s.Total - s.TTFT) / time.Duration(s.OutTokens-1)
-}
-
-// DemotionHops is how many levels past the ideal runtime the request was
-// pushed (0 when served at its ideal level).
-func (s *Span) DemotionHops() int {
-	if h := s.Level - s.IdealLevel; h > 0 {
-		return h
-	}
-	return 0
 }
 
 // RejectReason classifies why a submission was refused.

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"arlo/internal/dispatch"
 )
 
 func TestBucketOf(t *testing.T) {
@@ -78,16 +80,16 @@ func TestRecorderCounts(t *testing.T) {
 }
 
 func TestSpanDemotionHops(t *testing.T) {
-	s := Span{IdealLevel: 1, Level: 4}
+	s := Span{Decision: dispatch.Decision{IdealLevel: 1, Level: 4}}
 	if got := s.DemotionHops(); got != 3 {
 		t.Errorf("hops = %d, want 3", got)
 	}
-	s = Span{IdealLevel: 2, Level: 2}
+	s = Span{Decision: dispatch.Decision{IdealLevel: 2, Level: 2}}
 	if got := s.DemotionHops(); got != 0 {
 		t.Errorf("hops = %d, want 0", got)
 	}
 	// A promotion (shouldn't happen, but) never reports negative hops.
-	s = Span{IdealLevel: 3, Level: 1}
+	s = Span{Decision: dispatch.Decision{IdealLevel: 3, Level: 1}}
 	if got := s.DemotionHops(); got != 0 {
 		t.Errorf("hops = %d, want 0", got)
 	}
@@ -97,7 +99,7 @@ func TestWritePrometheusShape(t *testing.T) {
 	r := NewRecorder(3)
 	r.RecordSubmit()
 	r.RecordDemotion(0, 1)
-	r.RecordSpan(&Span{Length: 64, Instance: 5, Queue: time.Millisecond, Exec: 40 * time.Millisecond, Total: 42 * time.Millisecond})
+	r.RecordSpan(&Span{Length: 64, Decision: dispatch.Decision{Instance: 5}, Queue: time.Millisecond, Exec: 40 * time.Millisecond, Total: 42 * time.Millisecond})
 	r.SetSnapshot(func() Snapshot {
 		return Snapshot{
 			Levels: []LevelStat{
@@ -191,11 +193,10 @@ func TestRecorderConcurrent(t *testing.T) {
 				r.RecordSubmit()
 				s := Span{
 					Length:   1 + (g*perG+i)%512,
-					Instance: g,
+					Decision: dispatch.Decision{Instance: g, Level: (g + i) % 4},
 					Queue:    time.Duration(i) * time.Microsecond,
 					Exec:     time.Duration(i) * 10 * time.Microsecond,
 					Total:    time.Duration(i) * 11 * time.Microsecond,
-					Level:    (g + i) % 4,
 				}
 				if i%7 == 0 {
 					r.RecordDemotion(i%4, (i+1)%4)

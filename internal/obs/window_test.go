@@ -4,13 +4,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"arlo/internal/dispatch"
 )
 
 // vt maps a virtual offset onto the absolute timeline the window slots on.
 func vt(d time.Duration) time.Time { return time.Unix(0, 0).Add(d) }
 
 func spanAt(r *Recorder, length int, total time.Duration, at time.Time) {
-	r.RecordSpanAt(&Span{Length: length, Total: total, Instance: length}, at)
+	r.RecordSpanAt(&Span{Length: length, Total: total, Decision: dispatch.Decision{Instance: length}}, at)
 }
 
 func TestWindowLengthDistKnownDistribution(t *testing.T) {

@@ -100,6 +100,51 @@ func (in *Instance) Congestion() float64 {
 	return float64(in.outstanding.Load()) / float64(in.MaxCapacity)
 }
 
+// DefaultRequeueBudget is how many times one request displaced by instance
+// failures (or congested during a failure transient) is re-dispatched
+// before it fails as unserviceable: by the live cluster per request, and
+// by the router per shard hop. It is sized to survive a couple of
+// back-to-back crashes plus the congestion retries of the recovery window
+// without ever allowing livelock.
+const DefaultRequeueBudget = 8
+
+// PickVictim returns the instance a failure of runtime rtIdx crashes (any
+// runtime when rtIdx is -1), or nil when no instance matches. The
+// simulator and the live cluster share this one failure rule, so the two
+// failure models cannot drift apart. The rule has three steps:
+//
+//  1. Victim selection (this function): the most loaded instance, ties
+//     broken toward the smaller ID. It is the worst case the scheduler
+//     must absorb, because it strands the most queued work.
+//  2. Demotion through the normal dispatch path: every request the crash
+//     displaces (queued or in flight; in-flight work restarts from
+//     scratch) re-enters through the active dispatch policy with no
+//     special placement. Under Algorithm 1, displaced work from a dead
+//     small-runtime instance degrades into larger runtimes exactly the way
+//     congestion-demoted requests do.
+//  3. Bounded displacement: the live cluster fails a request with a typed
+//     unserviceable error after DefaultRequeueBudget displacements, and
+//     the simulator's event loop is finite by construction.
+//
+// The paper motivates the Request Scheduler's dynamics-awareness with
+// "idiosyncratic factors such as failures and bugs" (section 1): a crash
+// unbalances load faster than the Runtime Scheduler can react. Outstanding
+// counts are read atomically, so the caller needs only a consistent
+// snapshot of the instance set.
+func PickVictim(insts []*Instance, rtIdx int) *Instance {
+	var worst *Instance
+	for _, in := range insts {
+		if rtIdx >= 0 && in.Runtime != rtIdx {
+			continue
+		}
+		if worst == nil || in.Outstanding() > worst.Outstanding() ||
+			(in.Outstanding() == worst.Outstanding() && in.ID < worst.ID) {
+			worst = in
+		}
+	}
+	return worst
+}
+
 // instanceHeap is a min-heap of instances ordered by outstanding load,
 // breaking ties by ID for determinism.
 type instanceHeap []*Instance

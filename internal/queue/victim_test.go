@@ -1,17 +1,15 @@
-package failover
+package queue
 
 import (
 	"math/rand"
 	"testing"
-
-	"arlo/internal/queue"
 )
 
 // refVictim is the naive reference spelling of the selection rule, kept
 // deliberately close to the simulator's historical mostLoadedOf /
 // mostLoadedAny implementations so PickVictim cannot drift from them.
-func refVictim(insts []*queue.Instance, rtIdx int) *queue.Instance {
-	var worst *queue.Instance
+func refVictim(insts []*Instance, rtIdx int) *Instance {
+	var worst *Instance
 	for _, in := range insts {
 		if rtIdx >= 0 && in.Runtime != rtIdx {
 			continue
@@ -36,9 +34,9 @@ func TestPickVictimMatchesSimRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 500; trial++ {
 		n := rng.Intn(12)
-		insts := make([]*queue.Instance, n)
+		insts := make([]*Instance, n)
 		for i := range insts {
-			insts[i] = queue.NewInstance(i, rng.Intn(3), rng.Intn(5), 10)
+			insts[i] = NewInstance(i, rng.Intn(3), rng.Intn(5), 10)
 		}
 		// Shuffle so selection cannot depend on slice order.
 		rng.Shuffle(n, func(i, j int) { insts[i], insts[j] = insts[j], insts[i] })
@@ -55,17 +53,17 @@ func TestPickVictimEmpty(t *testing.T) {
 	if v := PickVictim(nil, -1); v != nil {
 		t.Errorf("PickVictim(nil) = %v, want nil", v)
 	}
-	insts := []*queue.Instance{queue.NewInstance(0, 0, 3, 10)}
+	insts := []*Instance{NewInstance(0, 0, 3, 10)}
 	if v := PickVictim(insts, 1); v != nil {
 		t.Errorf("PickVictim for runtime with no instances = %v, want nil", v)
 	}
 }
 
 func TestPickVictimPrefersMostLoaded(t *testing.T) {
-	insts := []*queue.Instance{
-		queue.NewInstance(0, 0, 2, 10),
-		queue.NewInstance(1, 0, 7, 10),
-		queue.NewInstance(2, 1, 9, 10),
+	insts := []*Instance{
+		NewInstance(0, 0, 2, 10),
+		NewInstance(1, 0, 7, 10),
+		NewInstance(2, 1, 9, 10),
 	}
 	if v := PickVictim(insts, 0); v.ID != 1 {
 		t.Errorf("victim of runtime 0 = %d, want 1 (most loaded)", v.ID)

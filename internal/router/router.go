@@ -15,10 +15,11 @@
 // shard) and a local in-flight correction (requests this router routed
 // since the snapshot was taken are added to the score).
 //
-// Shard failover reuses the failover package's demotion discipline at
-// tier level: a request whose shard dies mid-flight or answers
-// StatusUnavailable re-routes to another shard under a bounded hop
-// budget (failover.DefaultRequeueBudget by default); when the budget is
+// Shard failover follows steps 2 and 3 of the cluster's failure rule
+// (queue.PickVictim) at tier level: a request whose shard dies
+// mid-flight or answers StatusUnavailable re-routes to another shard
+// under a bounded hop budget (queue.DefaultRequeueBudget by default);
+// when the budget is
 // spent or no serviceable shard remains, the client gets a typed
 // unserviceable error, never a silent drop. Every other shard answer —
 // rate_limited with its Retry-After hint, unserviceable, congested,
@@ -34,7 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"arlo/internal/failover"
+	"arlo/internal/queue"
 	"arlo/internal/serve"
 	"arlo/internal/tokenizer"
 	"arlo/internal/wire"
@@ -108,8 +109,8 @@ type Config struct {
 	// refreshed in the background (<= 0: DefaultSnapshotRefresh).
 	SnapshotRefreshInterval time.Duration
 	// HopBudget bounds how many times one request may re-route after
-	// transport failures or unavailable shards (0 = the failover
-	// package's DefaultRequeueBudget).
+	// transport failures or unavailable shards (0 =
+	// queue.DefaultRequeueBudget).
 	HopBudget int
 	// MaxLength caps router-side tokenization (0 = 512). Keep it at the
 	// shards' model max length so the router and shards bucket requests
@@ -179,7 +180,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("router: no shards configured")
 	}
 	if cfg.HopBudget == 0 {
-		cfg.HopBudget = failover.DefaultRequeueBudget
+		cfg.HopBudget = queue.DefaultRequeueBudget
 	}
 	if cfg.HopBudget < 1 {
 		return nil, fmt.Errorf("router: hop budget must be >= 1, got %d", cfg.HopBudget)

@@ -368,7 +368,7 @@ func (s *Server) Do(ctx context.Context, req wire.Request) (wire.Response, Hop) 
 	resp := wire.Response{
 		Label:        label,
 		SeqLen:       uint32(creq.Length),
-		LatencyNS:    uint64(res.Latency),
+		LatencyNS:    uint64(res.Span.Total),
 		QueueNS:      uint64(res.Span.Queue),
 		ExecNS:       uint64(res.Span.Exec),
 		DemotionHops: uint16(res.Span.DemotionHops()),

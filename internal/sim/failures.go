@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"arlo/internal/failover"
 	"arlo/internal/queue"
 )
 
@@ -57,7 +56,7 @@ func (s *Simulator) scheduleFailures() {
 // onFailure crashes an instance: queued and executing work is
 // re-dispatched (the executing request restarts from scratch elsewhere),
 // and recovery is scheduled when Downtime is positive. Victim selection
-// delegates to the failover rule shared with the live cluster.
+// delegates to the failure rule shared with the live cluster.
 func (s *Simulator) onFailure(f *Failure) {
 	victim := s.pickVictim(f.Runtime)
 	if victim == nil {
@@ -95,7 +94,7 @@ func (s *Simulator) onFailure(f *Failure) {
 	}
 }
 
-// pickVictim applies failover.PickVictim (most loaded, ties toward the
+// pickVictim applies queue.PickVictim (most loaded, ties toward the
 // smaller ID, -1 for cluster-wide) over the active instances and maps the
 // choice back to its simInstance, or nil when none matches.
 func (s *Simulator) pickVictim(rtIdx int) *simInstance {
@@ -106,7 +105,7 @@ func (s *Simulator) pickVictim(rtIdx int) *simInstance {
 		}
 		insts = append(insts, si.sched)
 	}
-	chosen := failover.PickVictim(insts, rtIdx)
+	chosen := queue.PickVictim(insts, rtIdx)
 	if chosen == nil {
 		return nil
 	}

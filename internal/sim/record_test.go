@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"arlo/internal/dispatch"
 	"arlo/internal/metrics"
 	"arlo/internal/model"
 	"arlo/internal/trace"
@@ -172,4 +173,45 @@ func TestRecordsStrandedByCrashStayUncommitted(t *testing.T) {
 		t.Fatalf("completed %d, want none before the crash", res.Completed)
 	}
 	checkRecords(t, tr, p.MaxLengths(), res)
+}
+
+// TestRecordsCarryCongestedWalk bursts requests of one length onto one
+// instance per level, all at time 0 so none completes while the burst
+// dispatches. Algorithm 1 takes level 0 until it is congested, then
+// demotes to level 1 at the second peek, then, with both levels congested,
+// falls back to level 0. Each record carries the whole decision of its
+// phase, Peeked and Fallback included, and the phases come in that order.
+func TestRecordsCarryCongestedWalk(t *testing.T) {
+	p := bertProfile(t, []int{64, 512})
+	var reqs []trace.Request
+	for i := 0; i < 400; i++ {
+		reqs = append(reqs, trace.Request{ID: int64(i), Length: 40})
+	}
+	tr := manualTrace(time.Second, reqs...)
+	res, err := Run(Config{Profile: p, Trace: tr, InitialAllocation: []int{1, 1}, Dispatcher: rsFactory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, tr, p.MaxLengths(), res)
+	phases := []dispatch.Decision{
+		{IdealLevel: 0, Level: 0, Instance: 0, Peeked: 1},
+		{IdealLevel: 0, Level: 1, Instance: 1, Peeked: 2},
+		{IdealLevel: 0, Level: 0, Instance: 0, Peeked: 2, Fallback: true},
+	}
+	seen := make([]int, len(phases))
+	phase := 0
+	for i, r := range res.Requests {
+		for phase < len(phases) && r.Decision != phases[phase] {
+			phase++
+		}
+		if phase == len(phases) {
+			t.Fatalf("record %d: decision %+v is not the next phase's", i, r.Decision)
+		}
+		seen[phase]++
+	}
+	for i, n := range seen {
+		if n == 0 {
+			t.Errorf("no record took phase %d's decision %+v (per phase: %v)", i, phases[i], seen)
+		}
+	}
 }

@@ -95,13 +95,10 @@ type Record struct {
 	At, Latency time.Duration
 	// Length is the sequence length.
 	Length int
-	// IdealLevel and Level are the dispatch decision's least-padding
-	// feasible runtime level and the level of the chosen instance
-	// (Level > IdealLevel means the request was demoted).
-	IdealLevel, Level int
-	// Instance is the ID of the instance the request was last committed
-	// to, or -1 while it is not committed (rejected, parked or buffered).
-	Instance int
+	// Decision is the dispatch decision that last committed the request
+	// to an instance. Its Instance is -1 while the request is not
+	// committed (rejected, parked or buffered).
+	dispatch.Decision
 }
 
 // Result collects a run's measurements.
@@ -308,7 +305,7 @@ func (s *Simulator) scheduleNextArrival() {
 	}
 	r := &s.cfg.Trace.Requests[s.nextArr]
 	req := &s.res.Requests[s.nextArr]
-	*req = Record{At: r.At, Length: r.Length, Instance: -1}
+	*req = Record{At: r.At, Length: r.Length, Decision: dispatch.Decision{Instance: -1}}
 	s.nextArr++
 	s.tl.push(r.At, evArrival, req, nil)
 }
@@ -353,7 +350,7 @@ func (s *Simulator) dispatchRequest(req *Record) {
 // commit appends req to the chosen instance's queue, books the dispatch
 // decision in its record, and starts the instance if it is idle.
 func (s *Simulator) commit(in *queue.Instance, dec dispatch.Decision, req *Record) {
-	req.IdealLevel, req.Level, req.Instance = dec.IdealLevel, dec.Level, in.ID
+	req.Decision = dec
 	si := s.insts[in.ID]
 	si.fifo = append(si.fifo, req)
 	s.maybeStart(si)

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -12,35 +13,33 @@ import (
 )
 
 // WriteCSV serializes the trace as "id,at_ms,length" rows with a header —
-// the format cmd/arlotrace emits. Generative traces (any request with an
-// output budget) add a fourth out_tokens column; ReadCSV accepts both.
+// the format cmd/arlotrace emits. Arrivals are printed to the microsecond.
+// Generative traces (any request with an output budget) add a fourth
+// out_tokens column; ReadCSV accepts both.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if t.Generative() {
-		if _, err := fmt.Fprintln(bw, "id,at_ms,length,out_tokens"); err != nil {
-			return err
-		}
-		for _, r := range t.Requests {
-			if _, err := fmt.Fprintf(bw, "%d,%.3f,%d,%d\n", r.ID, float64(r.At)/float64(time.Millisecond), r.Length, r.OutTokens); err != nil {
-				return err
-			}
-		}
-		return bw.Flush()
+	gen := t.Generative()
+	if gen {
+		bw.WriteString("id,at_ms,length,out_tokens\n")
+	} else {
+		bw.WriteString("id,at_ms,length\n")
 	}
-	if _, err := fmt.Fprintln(bw, "id,at_ms,length"); err != nil {
-		return err
-	}
+	// bufio.Writer keeps its first error and Flush returns it.
 	for _, r := range t.Requests {
-		if _, err := fmt.Fprintf(bw, "%d,%.3f,%d\n", r.ID, float64(r.At)/float64(time.Millisecond), r.Length); err != nil {
-			return err
+		fmt.Fprintf(bw, "%d,%.3f,%d", r.ID, float64(r.At)/float64(time.Millisecond), r.Length)
+		if gen {
+			fmt.Fprintf(bw, ",%d", r.OutTokens)
 		}
+		bw.WriteByte('\n')
 	}
 	return bw.Flush()
 }
 
 // ReadCSV parses a trace from the WriteCSV format: 3-column encoder rows
 // ("id,at_ms,length") or 4-column generative rows (+ out_tokens), mixed
-// freely. Requests must be sorted by arrival time; the trace duration is
+// freely. Each arrival is rounded to the microsecond, the unit WriteCSV
+// prints, so writing a parsed trace and reading it back gives the same
+// trace. Requests must be sorted by arrival time; the trace duration is
 // the given value, or just past the last arrival when duration <= 0.
 func ReadCSV(r io.Reader, duration time.Duration) (*Trace, error) {
 	cr := csv.NewReader(r)
@@ -67,7 +66,8 @@ func ReadCSV(r io.Reader, duration time.Duration) (*Trace, error) {
 			return nil, fmt.Errorf("trace: row %d: bad id %q", i, rows[i][0])
 		}
 		atMS, err := strconv.ParseFloat(rows[i][1], 64)
-		if err != nil || atMS < 0 {
+		atUS := math.Round(atMS * 1e3)
+		if err != nil || !(atMS >= 0) || atUS >= math.MaxInt64/1e3 {
 			return nil, fmt.Errorf("trace: row %d: bad arrival %q", i, rows[i][1])
 		}
 		length, err := strconv.Atoi(rows[i][2])
@@ -81,7 +81,7 @@ func ReadCSV(r io.Reader, duration time.Duration) (*Trace, error) {
 				return nil, fmt.Errorf("trace: row %d: bad out_tokens %q", i, rows[i][3])
 			}
 		}
-		at := time.Duration(atMS * float64(time.Millisecond))
+		at := time.Duration(atUS) * time.Microsecond
 		if at < prev {
 			return nil, fmt.Errorf("trace: row %d: arrivals not sorted (%v after %v)", i, at, prev)
 		}

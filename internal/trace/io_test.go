@@ -53,6 +53,39 @@ func TestReadCSVInferredDuration(t *testing.T) {
 	}
 }
 
+// TestReadCSVRoundsToMicrosecond pins the format's unit: an arrival is
+// read to the nearest microsecond, the precision WriteCSV prints, so a
+// parsed trace writes back byte for byte and reads back unchanged.
+func TestReadCSVRoundsToMicrosecond(t *testing.T) {
+	in := "id,at_ms,length\n0,1.001,5\n1,2.0004,5\n2,2.0006,5\n"
+	tr, err := ReadCSV(strings.NewReader(in), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{1001 * time.Microsecond, 2000 * time.Microsecond, 2001 * time.Microsecond}
+	for i, r := range tr.Requests {
+		if r.At != want[i] {
+			t.Errorf("row %d: arrival %d ns, want %d ns", i, r.At, want[i])
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "id,at_ms,length\n0,1.001,5\n1,2.000,5\n2,2.001,5\n"; got != want {
+		t.Errorf("written %q, want %q", got, want)
+	}
+	back, err := ReadCSV(&buf, tr.Duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range back.Requests {
+		if back.Requests[i] != tr.Requests[i] {
+			t.Errorf("row %d: %+v read back as %+v", i, tr.Requests[i], back.Requests[i])
+		}
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -63,6 +96,8 @@ func TestReadCSVErrors(t *testing.T) {
 		{"bad id", "x,0.0,5\n", 0},
 		{"bad arrival", "0,abc,5\n", 0},
 		{"negative arrival", "0,-5.0,5\n", 0},
+		{"NaN arrival", "0,nan,5\n", 0},
+		{"arrival past the duration range", "0,1e300,5\n", 0},
 		{"bad length", "0,0.0,zero\n", 0},
 		{"zero length", "0,0.0,0\n", 0},
 		{"unsorted", "0,10.0,5\n1,5.0,5\n", 0},

@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -106,6 +107,55 @@ func exportImporter(fset *token.FileSet, paths []string) (types.Importer, error)
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) }), nil
 }
 
+// module is the type-checked non-test sources under internal/, cmd/,
+// examples/ and benchmark/: one Info over all of them, the module's
+// import paths in walk order, and the standard library packages they
+// import.
+type module struct {
+	im    *srcImporter
+	paths []string
+	std   []string
+}
+
+// loadModule type-checks the module once per test binary; the reach gate
+// and the docs gate share the result.
+var loadModule = sync.OnceValues(func() (*module, error) {
+	srcs, err := goSources("internal", "cmd", "examples", "benchmark")
+	if err != nil {
+		return nil, err
+	}
+	m := &module{im: &srcImporter{
+		fset: token.NewFileSet(), files: map[string][]*ast.File{}, pkgs: map[string]*types.Package{},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}}
+	im := m.im
+	for _, src := range srcs {
+		f, err := parser.ParseFile(im.fset, src, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		path := "arlo/" + filepath.ToSlash(filepath.Dir(src))
+		if im.files[path] == nil {
+			m.paths = append(m.paths, path)
+		}
+		im.files[path] = append(im.files[path], f)
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); !strings.HasPrefix(p, "arlo/") && !slices.Contains(m.std, p) {
+				m.std = append(m.std, p)
+			}
+		}
+	}
+	if im.std, err = exportImporter(im.fset, m.std); err != nil {
+		return nil, err
+	}
+	for _, path := range m.paths {
+		if _, err := im.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+})
+
 // reachDecl is one top-level declaration: a function, a method, or one name
 // of a type, var or const spec.
 type reachDecl struct {
@@ -123,41 +173,15 @@ type reachDecl struct {
 // that method on every module type that implements the interface. The list
 // must equal the names in the golden file.
 func TestEveryDeclarationReached(t *testing.T) {
-	srcs, err := goSources("internal", "cmd", "examples", "benchmark")
+	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	im := &srcImporter{
-		fset: token.NewFileSet(), files: map[string][]*ast.File{}, pkgs: map[string]*types.Package{},
-		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-	}
-	var paths, std []string
-	for _, src := range srcs {
-		f, err := parser.ParseFile(im.fset, src, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := "arlo/" + filepath.ToSlash(filepath.Dir(src))
-		if im.files[path] == nil {
-			paths = append(paths, path)
-		}
-		im.files[path] = append(im.files[path], f)
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); !strings.HasPrefix(p, "arlo/") && !slices.Contains(std, p) {
-				std = append(std, p)
-			}
-		}
-	}
-	if im.std, err = exportImporter(im.fset, std); err != nil {
-		t.Fatal(err)
-	}
+	im := m.im
 	decls := map[types.Object]*reachDecl{}
 	var named []*types.Named // the module's non-generic, non-interface types
 	var work []*reachDecl
-	for _, path := range paths {
-		if _, err := im.Import(path); err != nil {
-			t.Fatal(err)
-		}
+	for _, path := range m.paths {
 		for _, f := range im.files[path] {
 			for obj, d := range declsOf(f, im.info, strings.HasPrefix(path, "arlo/internal/")) {
 				decls[obj] = d
