@@ -85,7 +85,7 @@ func TestDocsResolve(t *testing.T) {
 				continue
 			}
 			if fenced {
-				cmd, _, _ := strings.Cut(strings.TrimSpace(line), "#")
+				cmd, _, _ := strings.Cut(strings.TrimPrefix(strings.TrimSpace(line), "$ "), "#")
 				checkMake(t, where, cmd, targets)
 				continue
 			}
