@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTenantConfigParse -fuzztime 30s ./internal/tenant/
 	$(GO) test -run '^$$' -fuzz FuzzPlanReplacements -fuzztime 30s ./internal/allocator/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshotDecode -fuzztime 30s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzServeWire -fuzztime 30s ./internal/serve/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -120,7 +121,7 @@ loc:
 
 # The house rule as a gate: the root module's code lines never exceed the
 # figure the last simplicity PR ended on. A PR that ends lower lowers it.
-LOC_MAX = 11609
+LOC_MAX = 11597
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$1 == "total" { print $$2 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \

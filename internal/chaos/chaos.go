@@ -223,7 +223,7 @@ func (r *Report) Check() error {
 	if got, want := rec.Rejected()-spent, int64(r.Unserviceable+r.OtherRejected+r.RateLimited); got != want {
 		return fmt.Errorf("chaos: recorder rejected %d, harness saw %d", got, want)
 	}
-	if bal := rec.Submitted() - rec.Completed() - rec.Cancelled() - rec.Rejected(); bal != 0 {
+	if bal := rec.InFlight(); bal != 0 {
 		return fmt.Errorf("chaos: recorder books unbalanced by %d", bal)
 	}
 	return r.checkTenants()

@@ -219,7 +219,7 @@ func TestBatchFormationCancellationRace(t *testing.T) {
 	if got, want := rec.Cancelled(), int64(cancelled); got != want {
 		t.Errorf("recorder cancelled %d, harness saw %d", got, want)
 	}
-	if bal := rec.Submitted() - rec.Completed() - rec.Cancelled() - rec.Rejected(); bal != 0 {
+	if bal := rec.InFlight(); bal != 0 {
 		t.Errorf("recorder books unbalanced by %d", bal)
 	}
 }

@@ -513,7 +513,7 @@ func (c *Cluster) lease(ctx context.Context, req Request) (*job, error) {
 // hop is frame the runtime has to grow the stack for. On cancellation
 // await races the worker for the job's state: winning the CAS hands
 // ownership to whichever goroutine holds the job next (worker, ring
-// consumer or requeuer), which discards it.
+// drain or requeuer), which discards it.
 func (c *Cluster) await(ctx context.Context, j *job, res *Result) error {
 	if ctx.Done() == nil {
 		return c.deliver(j, <-j.done, res)

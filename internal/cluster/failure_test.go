@@ -74,7 +74,7 @@ func TestFailInstanceRequeuesToSurvivors(t *testing.T) {
 		t.Fatalf("conservation violated: %d completed + %d unserviceable != %d submitted",
 			completed, unserviceable, n)
 	}
-	if got := rec.Submitted() - rec.Completed() - rec.Cancelled() - rec.Rejected(); got != 0 {
+	if got := rec.InFlight(); got != 0 {
 		t.Errorf("recorder books unbalanced by %d", got)
 	}
 	if c.Instances() != 1 {
@@ -179,7 +179,7 @@ func TestUnserviceableAfterBudget(t *testing.T) {
 	if rec.Requeues() == 0 {
 		t.Error("no requeues recorded for displaced work")
 	}
-	if got := rec.Submitted() - rec.Completed() - rec.Cancelled() - rec.Rejected(); got != 0 {
+	if got := rec.InFlight(); got != 0 {
 		t.Errorf("recorder books unbalanced by %d", got)
 	}
 }
@@ -293,7 +293,7 @@ func TestCancelDuringRequeue(t *testing.T) {
 			t.Errorf("unexpected outcome: %v", err)
 		}
 	}
-	if got := rec.Submitted() - rec.Completed() - rec.Cancelled() - rec.Rejected(); got != 0 {
+	if got := rec.InFlight(); got != 0 {
 		t.Errorf("recorder books unbalanced by %d", got)
 	}
 }

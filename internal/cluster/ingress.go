@@ -1,13 +1,19 @@
 // Ingress is the batched submission path: sharded MPSC rings amortize the
-// per-request handoff (topology read lock, queue stripe locks, scheduler
-// wakeups) across groups of requests while preserving SubmitCtx semantics
-// per member — cancellation-while-queued, typed errors, pooled jobs, and
-// spans that now also carry the ingress_wait stage.
+// per-request handoff (topology read lock, clock read) across groups of
+// requests while preserving SubmitCtx semantics per member —
+// cancellation-while-queued, typed errors, pooled jobs, and spans that
+// now also carry the ingress_wait stage.
 //
-//	producer goroutines              ring consumers           workers
-//	SubmitCtx ─lease─enqueue──► [shard 0..P-1] ──drain G──► submitBatch ──► w.ch
-//	   │                                                        │
-//	   └────────────────── await(j.done) ◄──────────────────────┘
+//	submitter goroutines                                      workers
+//	SubmitCtx ─lease─enqueue──► [shard 0..P-1]
+//	   │  flag free: drain G ──► submitBatch ─────────────────► w.ch
+//	   │  flag taken: the holder drains this job                 │
+//	   └────────────────── await(j.done) ◄───────────────────────┘
+//
+// No goroutine of the Ingress's own sits between a request and its
+// placement: the submitter that takes its shard's drain flag places what
+// the shard holds, its own job and any that collided with it, so a group
+// forms only when submitters really contend (flat combining).
 //
 // submitBatch is where the amortization happens: one topology RLock (under
 // which closed is settled) and one clock read per group. Dispatch itself
@@ -18,7 +24,7 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -105,16 +111,12 @@ func (c *Cluster) submitBatch(jobs []*job) {
 	}
 }
 
-// IngressConfig tunes an Ingress. The zero value gives GOMAXPROCS shards
-// of ring.DefaultShardCapacity slots drained in groups of DefaultMaxGroup.
+// IngressConfig tunes an Ingress. The zero value drains groups of
+// DefaultMaxGroup from GOMAXPROCS shards of ring.DefaultShardCapacity
+// slots; a full ring rejects with ErrCongested — explicit backpressure
+// instead of queueing latency.
 type IngressConfig struct {
-	// Shards is the submit-ring shard count (<= 0: GOMAXPROCS).
-	Shards int
-	// ShardCapacity is the per-shard slot count, rounded up to a power of
-	// two (<= 0: ring.DefaultShardCapacity). A full ring rejects with
-	// ErrCongested — explicit backpressure instead of queueing latency.
-	ShardCapacity int
-	// MaxGroup caps how many requests one drain hands to SubmitBatch
+	// MaxGroup caps how many requests one drain hands to submitBatch
 	// (<= 0: DefaultMaxGroup). Larger groups amortize more but let the
 	// head of the group wait longer behind the tail's dispatches.
 	MaxGroup int
@@ -124,60 +126,55 @@ type IngressConfig struct {
 // MaxGroup unset.
 const DefaultMaxGroup = 64
 
-// Ingress is the ring-fed submission front end of a cluster: producers
-// enqueue lock-free into per-shard MPSC rings, and one consumer goroutine
-// per shard drains groups into submitBatch. SubmitCtx is a drop-in
-// replacement for Cluster.SubmitCtx with identical per-request semantics.
+// Ingress is the ring-fed submission front end of a cluster: submitters
+// enqueue lock-free into per-shard MPSC rings and drain their own shard
+// into submitBatch unless another submitter already is. SubmitCtx is a
+// drop-in replacement for Cluster.SubmitCtx with identical per-request
+// semantics.
 type Ingress struct {
 	c      *Cluster
 	r      *ring.Ring[*job]
 	group  int
-	stop   chan struct{}
 	closed atomic.Bool
-	wg     sync.WaitGroup
+	// bufs holds one drain buffer of capacity group per shard, used only
+	// by the holder of that shard's drain flag.
+	bufs [][]*job
 }
 
-// NewIngress starts the ring consumers over a running cluster. Close the
-// Ingress before closing the cluster.
+// NewIngress builds the rings over a running cluster; it starts no
+// goroutine. Close the Ingress before closing the cluster.
 func NewIngress(c *Cluster, cfg IngressConfig) *Ingress {
 	group := cfg.MaxGroup
 	if group <= 0 {
 		group = DefaultMaxGroup
 	}
-	g := &Ingress{
-		c:     c,
-		r:     ring.New[*job](cfg.Shards, cfg.ShardCapacity),
-		group: group,
-		stop:  make(chan struct{}),
-	}
-	for s := 0; s < g.r.Shards(); s++ {
-		g.wg.Add(1)
-		go g.consume(s)
+	g := &Ingress{c: c, r: ring.New[*job](0, 0), group: group}
+	g.bufs = make([][]*job, g.r.Shards())
+	for s := range g.bufs {
+		g.bufs[s] = make([]*job, 0, group)
 	}
 	return g
 }
 
-// consume drains one shard in groups for the Ingress's lifetime. A wakeup
-// may race the producer, so an empty drain just parks again.
-func (g *Ingress) consume(shard int) {
-	defer g.wg.Done()
-	buf := make([]*job, 0, g.group)
-	for {
-		buf = g.r.Drain(shard, buf[:0], g.group)
-		if len(buf) > 0 {
-			g.c.submitBatch(buf)
-			continue
-		}
-		if !g.r.Wait(shard, g.stop) {
-			// Stopping: flush what is already published. Anything enqueued
-			// after this final pass is swept by Close.
-			for {
-				buf = g.r.Drain(shard, buf[:0], g.group)
-				if len(buf) == 0 {
-					return
-				}
-				g.c.submitBatch(buf)
+// drain places what the shard holds, in groups, for as long as this
+// goroutine can take the shard's drain flag: a submitter that finds the
+// flag taken returns at once, leaving its job to the holder, and the
+// holder tries again whenever Release reports a job published behind its
+// last drain. submitBatch never waits on a worker (place is a
+// non-blocking send), so a submitter drains for microseconds before it
+// awaits its own job.
+func (g *Ingress) drain(shard int) {
+	for g.r.TryAcquire(shard) {
+		buf := g.bufs[shard]
+		for {
+			buf = g.r.Drain(shard, buf[:0], g.group)
+			if len(buf) == 0 {
+				break
 			}
+			g.c.submitBatch(buf)
+		}
+		if !g.r.Release(shard) {
+			return
 		}
 	}
 }
@@ -198,14 +195,17 @@ func (g *Ingress) SubmitCtx(ctx context.Context, req Request) (res Result, err e
 	if err != nil {
 		return res, err
 	}
-	if _, ok := g.r.Enqueue(j); !ok {
+	shard, ok := g.r.Enqueue(j)
+	if !ok {
 		jobPool.Put(j)
 		rec.RecordReject(obs.RejectCongested)
 		return res, fmt.Errorf("%w: ingress ring full", ErrCongested)
 	}
+	g.drain(shard)
 	if g.closed.Load() {
-		// Close may already have swept the rings; reclaim the job if the
-		// sweep has not resolved it, so this submitter cannot hang.
+		// Close may already hold the drain flags and have swept the rings;
+		// reclaim the job if nothing has resolved it, so this submitter
+		// cannot hang.
 		if j.state.CompareAndSwap(jobPending, jobCancelled) {
 			rec.RecordReject(obs.RejectClosed)
 			return res, ErrClusterClosed
@@ -215,23 +215,26 @@ func (g *Ingress) SubmitCtx(ctx context.Context, req Request) (res Result, err e
 	return res, err
 }
 
-// Close stops the consumers, drains the rings, and fails anything still
-// ringed with ErrClusterClosed. Idempotent.
+// Close takes every shard's drain flag and keeps it, waiting out any
+// submitter that holds one, then fails whatever is still ringed with
+// ErrClusterClosed. Idempotent.
 func (g *Ingress) Close() {
 	if g.closed.Swap(true) {
 		return
 	}
-	close(g.stop)
-	g.wg.Wait()
-	// Sweep stragglers that raced the closed flag: their submitters are
-	// parked in await and must see a typed error. Enqueuers that arrive
-	// after this sweep observe closed==true and reclaim their own job.
-	buf := make([]*job, 0, g.group)
-	for s := 0; s < g.r.Shards(); s++ {
-		for {
-			buf = g.r.Drain(s, buf[:0], g.group)
+	for s := range g.bufs {
+		for !g.r.TryAcquire(s) {
+			runtime.Gosched()
+		}
+		// Sweep until the drain cursor reaches every claimed slot: a
+		// producer between its claim and its publish is waited for, or the
+		// jobs published behind its slot would strand. Enqueuers that
+		// arrive after this sweep observe closed==true and reclaim their
+		// own job.
+		for g.r.Len(s) > 0 {
+			buf := g.r.Drain(s, g.bufs[s][:0], g.group)
 			if len(buf) == 0 {
-				break
+				runtime.Gosched()
 			}
 			for _, j := range buf {
 				g.c.failJob(j, ErrClusterClosed)

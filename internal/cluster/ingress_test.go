@@ -3,7 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,7 +63,7 @@ func TestIngressCancelWhileRinged(t *testing.T) {
 	c := ingressCluster(t, []int{1}, []int{512})
 	rec := c.Recorder()
 	defer c.Close()
-	g := NewIngress(c, IngressConfig{Shards: 1})
+	g := NewIngress(c, IngressConfig{})
 	defer g.Close()
 
 	const n = 64
@@ -93,17 +96,105 @@ func TestIngressCancelWhileRinged(t *testing.T) {
 	// Conservation at the cluster boundary: every submission resolved
 	// exactly one way.
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if rec.Submitted() == rec.Completed()+rec.Cancelled()+rec.Rejected() {
-			break
-		}
+	for time.Now().Before(deadline) && rec.InFlight() != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if s, c2, x, r := rec.Submitted(), rec.Completed(), rec.Cancelled(), rec.Rejected(); s != c2+x+r {
-		t.Errorf("books: submitted %d != completed %d + cancelled %d + rejected %d", s, c2, x, r)
+	if got := rec.InFlight(); got != 0 {
+		t.Errorf("books: %d in flight (completed %d, cancelled %d, rejected %d)",
+			got, rec.Completed(), rec.Cancelled(), rec.Rejected())
 	}
 	if got := rec.Submitted(); got != n {
 		t.Errorf("submitted = %d, want %d", got, n)
+	}
+}
+
+// TestIngressContendedSelfDrain drives the self-draining ring the way a
+// busy server does: 64 goroutines submit 200 requests each through one
+// Ingress, in rounds that end when every call of the round has returned,
+// so each round ends on an idle ring where a job left behind by a drain
+// holder would hang its submitter. Close lands in the middle round. Every
+// call must return exactly once, with a result or a typed error; nothing
+// may stay in flight; and NewIngress starts no goroutine.
+func TestIngressContendedSelfDrain(t *testing.T) {
+	const (
+		workers = 64
+		rounds  = 200
+	)
+	c, err := New(Config{
+		Profile:           testProfile(t, []int{512}),
+		InitialAllocation: []int{4},
+		Dispatcher:        rsFactory,
+		TimeScale:         1e-6, // near-zero compute: the ring is the contended part
+		Overhead:          -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := c.Recorder()
+	defer c.Close()
+
+	before := runtime.NumGoroutine()
+	g := NewIngress(c, IngressConfig{})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("NewIngress started %d goroutines", after-before)
+	}
+
+	start := make([]chan struct{}, workers)
+	returned := make(chan error, workers)
+	for w := range start {
+		start[w] = make(chan struct{}, 1)
+		go func(next <-chan struct{}) {
+			for range next {
+				res, err := g.SubmitCtx(context.Background(), Request{Length: 100})
+				if err == nil && res.Span.Total <= 0 {
+					err = fmt.Errorf("nil error but latency %v", res.Span.Total)
+				}
+				returned <- err
+			}
+		}(start[w])
+	}
+	defer func() {
+		for _, ch := range start {
+			close(ch)
+		}
+	}()
+
+	closed := make(chan struct{})
+	var served, refused int
+	for r := 0; r < rounds; r++ {
+		for _, ch := range start {
+			ch <- struct{}{}
+		}
+		if r == rounds/2 {
+			go func() { g.Close(); close(closed) }()
+		}
+		timeout := time.After(10 * time.Second)
+		for n := 0; n < workers; n++ {
+			select {
+			case err := <-returned:
+				switch {
+				case err == nil:
+					served++
+				case errors.Is(err, ErrClusterClosed) || errors.Is(err, ErrCongested):
+					refused++
+				default:
+					t.Fatalf("round %d: untyped error %v", r, err)
+				}
+			case <-timeout:
+				t.Fatalf("round %d: %d of %d calls never returned (a job stranded in the ring)", r, workers-n, workers)
+			}
+		}
+	}
+	<-closed
+	t.Logf("served %d, refused %d", served, refused)
+	if served == 0 || refused == 0 {
+		t.Errorf("served %d, refused %d: want both before and after Close", served, refused)
+	}
+	if got := rec.Submitted(); got != workers*rounds {
+		t.Errorf("submitted = %d, want %d", got, workers*rounds)
+	}
+	if got := rec.InFlight(); got != 0 {
+		t.Errorf("in flight = %d after every call returned, want 0", got)
 	}
 }
 
@@ -228,7 +319,7 @@ func TestSubmitBatchCancelledMemberDiscarded(t *testing.T) {
 func TestIngressClose(t *testing.T) {
 	c := ingressCluster(t, []int{1}, []int{512})
 	defer c.Close()
-	g := NewIngress(c, IngressConfig{Shards: 2})
+	g := NewIngress(c, IngressConfig{})
 
 	const n = 32
 	var wg sync.WaitGroup
@@ -314,4 +405,42 @@ func BenchmarkSubmitGrouped(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkIngressContended is the case the ring exists for: 64
+// goroutines submitting through one Ingress at once, with near-zero
+// emulated compute, so submitters collide on their shards and the drains
+// form groups.
+func BenchmarkIngressContended(b *testing.B) {
+	c, err := New(Config{
+		Profile:           testProfile(b, []int{512}),
+		InitialAllocation: []int{4},
+		Dispatcher:        rsFactory,
+		TimeScale:         1e-9,
+		Overhead:          -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	g := NewIngress(c, IngressConfig{})
+	defer g.Close()
+	const submitters = 64
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				if _, err := g.SubmitCtx(context.Background(), Request{Length: 100}); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -473,6 +473,16 @@ func (r *Recorder) Rejected() int64 {
 	return total
 }
 
+// InFlight returns the requests submitted and not yet resolved:
+// submitted − completed − cancelled − rejected. It reads four separate
+// counters, so it is exact only at rest; under load it may count requests
+// that resolved between the reads. It reads the resolutions before the
+// submissions, so it never reads below 0.
+func (r *Recorder) InFlight() int64 {
+	resolved := r.Completed() + r.Cancelled() + r.Rejected()
+	return r.Submitted() - resolved
+}
+
 // Requeues returns the total failure-displaced requeues across all
 // reasons.
 func (r *Recorder) Requeues() int64 {

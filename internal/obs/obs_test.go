@@ -41,6 +41,24 @@ func TestBucketOf(t *testing.T) {
 	}
 }
 
+// TestInFlight pins the one definition of "in flight": submitted minus
+// every way a submission resolves.
+func TestInFlight(t *testing.T) {
+	r := NewRecorder(1)
+	for i := 0; i < 3; i++ {
+		r.RecordSubmit()
+	}
+	r.RecordSpan(&Span{Total: time.Millisecond})
+	if got := r.InFlight(); got != 2 {
+		t.Errorf("in flight = %d after 3 submits and 1 completion, want 2", got)
+	}
+	r.RecordCancel()
+	r.RecordReject(RejectDeadline)
+	if got := r.InFlight(); got != 0 {
+		t.Errorf("in flight = %d at rest, want 0", got)
+	}
+}
+
 func TestRecorderCounts(t *testing.T) {
 	r := NewRecorder(4)
 	r.RecordSubmit()
@@ -120,6 +138,8 @@ func TestWritePrometheusShape(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE arlo_requests_submitted_total counter",
 		"arlo_requests_submitted_total 1",
+		"# TYPE arlo_requests_in_flight gauge",
+		"arlo_requests_in_flight 0",
 		"# TYPE arlo_demotions_total counter",
 		`arlo_demotions_total{from="0",to="1"} 1`,
 		"# TYPE arlo_queue_depth gauge",

@@ -122,6 +122,10 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 			reason.String(), r.rejected[reason].Load())
 	}
 
+	fmt.Fprint(bw, "# HELP arlo_requests_in_flight Requests submitted and not yet completed, cancelled or rejected.\n")
+	fmt.Fprint(bw, "# TYPE arlo_requests_in_flight gauge\n")
+	fmt.Fprintf(bw, "arlo_requests_in_flight %d\n", r.InFlight())
+
 	fmt.Fprint(bw, "# HELP arlo_requeues_total Requests displaced by instance failures and re-dispatched, by displacement point.\n")
 	fmt.Fprint(bw, "# TYPE arlo_requeues_total counter\n")
 	for reason := RequeueReason(0); reason < numRequeueReasons; reason++ {

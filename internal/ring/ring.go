@@ -1,8 +1,10 @@
 // Package ring provides the sharded MPSC submit rings of the batched
-// ingress path: many producer goroutines enqueue lock-free, one consumer
-// goroutine per shard drains in groups and feeds the dispatcher through
-// the cluster's group submit, amortizing the per-request handoff (topology
-// lock, clock read, scheduler wakeups) across the group.
+// ingress path: many producer goroutines enqueue lock-free, and whoever
+// holds a shard's drain flag drains it in groups and feeds the dispatcher
+// through the cluster's group submit, amortizing the per-request handoff
+// (topology lock, clock read) across the group. The ring starts no
+// goroutine: a producer that finds the flag free drains the shard itself,
+// and one that finds it taken leaves its value to the holder.
 //
 // Layout follows the lock-free idiom the rest of the repo uses
 // (obs histogram striping, queue.Level padding): shard count defaults to
@@ -12,12 +14,17 @@
 // the drain cursor.
 //
 // Each shard is a bounded Vyukov-style sequence ring specialized to a
-// single consumer: producers claim a slot with one CAS on the shard's tail
-// and publish the value by storing the slot's sequence number; the
-// consumer observes published slots in claim order, so each shard is FIFO
-// in enqueue order. A full shard rejects the enqueue (the producer spills
-// to the next shard, and Enqueue fails only when every shard is full) —
-// backpressure is explicit, never blocking.
+// single consumer at a time: producers claim a slot with one CAS on the
+// shard's tail and publish the value by storing the slot's sequence
+// number; the drain flag's holder observes published slots in claim order,
+// so each shard is FIFO in enqueue order. A full shard rejects the enqueue
+// (the producer spills to the next shard, and Enqueue fails only when every
+// shard is full) — backpressure is explicit, never blocking.
+//
+// Release is what keeps a value from stranding: it drops the flag and then
+// reports whether the shard's next slot is published. A producer that lost
+// the flag published before it tried, so the holder's release happens
+// after that publish and sees it, and the holder tries the flag again.
 package ring
 
 import (
@@ -37,7 +44,7 @@ type slot[T any] struct {
 type pad [64]byte
 
 // shard is one MPSC ring. tail is shared by producers (CAS), head is
-// owned by the shard's single consumer (atomic so Len and the race
+// owned by the holder of draining (atomic so Len, Release and the race
 // detector see clean publication).
 type shard[T any] struct {
 	slots []slot[T]
@@ -49,10 +56,8 @@ type shard[T any] struct {
 	head atomic.Uint64
 	_    pad
 
-	// notify wakes the parked consumer after an enqueue into an idle
-	// shard; capacity 1 so a pending wakeup is never lost and producers
-	// never block on it.
-	notify chan struct{}
+	// draining is the drain flag: its holder is the shard's one consumer.
+	draining atomic.Bool
 }
 
 // Ring is a set of MPSC shards with a round-robin producer cursor.
@@ -84,7 +89,6 @@ func New[T any](shards, capacity int) *Ring[T] {
 		s := &r.shards[i]
 		s.slots = make([]slot[T], capacity)
 		s.mask = uint64(capacity - 1)
-		s.notify = make(chan struct{}, 1)
 		for j := range s.slots {
 			s.slots[j].seq.Store(uint64(j))
 		}
@@ -92,8 +96,8 @@ func New[T any](shards, capacity int) *Ring[T] {
 	return r
 }
 
-// Shards returns the shard count; Drain and Wait address shards by index
-// in [0, Shards()).
+// Shards returns the shard count; TryAcquire, Release, Drain and Len
+// address shards by index in [0, Shards()).
 func (r *Ring[T]) Shards() int { return len(r.shards) }
 
 // Enqueue publishes v to one shard, picked round-robin and spilling to
@@ -124,12 +128,6 @@ func (s *shard[T]) enqueue(v T) bool {
 			if s.tail.CompareAndSwap(pos, pos+1) {
 				sl.val = v
 				sl.seq.Store(pos + 1)
-				// Wake the consumer if it is parked; a full notify
-				// channel already carries the wakeup.
-				select {
-				case s.notify <- struct{}{}:
-				default:
-				}
 				return true
 			}
 		case seq < pos:
@@ -141,9 +139,27 @@ func (s *shard[T]) enqueue(v T) bool {
 	}
 }
 
+// TryAcquire takes the shard's drain flag and reports whether it did; it
+// fails while another goroutine holds it.
+func (r *Ring[T]) TryAcquire(shard int) bool {
+	return r.shards[shard].draining.CompareAndSwap(false, true)
+}
+
+// Release drops the shard's drain flag and then reports whether the
+// shard's next slot is already published: a value whose producer found
+// the flag taken and left it to the holder. On true the caller tries
+// TryAcquire again; on false any value still to come has a producer that
+// has not yet published it, and that producer tries the flag itself.
+func (r *Ring[T]) Release(shard int) bool {
+	s := &r.shards[shard]
+	s.draining.Store(false)
+	pos := s.head.Load()
+	return s.slots[pos&s.mask].seq.Load() == pos+1
+}
+
 // Drain appends up to max published values from the shard to buf in FIFO
-// order and returns the extended slice. Only the shard's single consumer
-// goroutine may call Drain (and Wait) for a given shard index.
+// order and returns the extended slice. One goroutine at a time may
+// drain a shard: where several might, the one holding its drain flag.
 func (r *Ring[T]) Drain(shard int, buf []T, max int) []T {
 	s := &r.shards[shard]
 	pos := s.head.Load()
@@ -167,21 +183,4 @@ func (r *Ring[T]) Drain(shard int, buf []T, max int) []T {
 func (r *Ring[T]) Len(shard int) int {
 	s := &r.shards[shard]
 	return int(s.tail.Load() - s.head.Load())
-}
-
-// Wait parks the consumer until the shard has (or likely has) work, or
-// stop is closed. It returns false on stop. A true return does not
-// guarantee a non-empty drain — wakeups may race with the producer — so
-// callers loop Drain/Wait.
-func (r *Ring[T]) Wait(shard int, stop <-chan struct{}) bool {
-	s := &r.shards[shard]
-	if s.tail.Load() != s.head.Load() {
-		return true
-	}
-	select {
-	case <-s.notify:
-		return true
-	case <-stop:
-		return false
-	}
 }

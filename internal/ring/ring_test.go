@@ -1,7 +1,9 @@
 package ring
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -71,10 +73,11 @@ func TestBackpressure(t *testing.T) {
 }
 
 // TestConcurrentNoLossNoDup hammers the ring with many producers and one
-// consumer per shard under -race, then checks the multiset of drained
-// values against what producers report enqueued: nothing lost, nothing
-// duplicated, and each producer's values appear in its enqueue order
-// within every shard (per-shard FIFO implies per-producer order there).
+// polling consumer per shard under -race, then checks the multiset of
+// drained values against what producers report enqueued: nothing lost,
+// nothing duplicated, and each producer's values appear in its enqueue
+// order within every shard (per-shard FIFO implies per-producer order
+// there).
 func TestConcurrentNoLossNoDup(t *testing.T) {
 	const (
 		producers = 8
@@ -83,26 +86,24 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 	r := New[uint64](4, 64)
 
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var mu sync.Mutex
+	var stop atomic.Bool
 	perShard := make([][]uint64, r.Shards())
 	for s := 0; s < r.Shards(); s++ {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			var got []uint64
 			buf := make([]uint64, 0, 32)
 			for {
+				// Read stop before draining, so the pass after it is set
+				// sees every value published before it was.
+				stopped := stop.Load()
 				buf = r.Drain(shard, buf[:0], 32)
-				got = append(got, buf...)
-				if len(buf) == 0 && !r.Wait(shard, stop) {
-					// Stopped: one final drain for values published
-					// after the last pass.
-					got = append(got, r.Drain(shard, buf[:0], 1<<20)...)
-					mu.Lock()
-					perShard[shard] = got
-					mu.Unlock()
-					return
+				perShard[shard] = append(perShard[shard], buf...)
+				if len(buf) == 0 {
+					if stopped {
+						return
+					}
+					runtime.Gosched()
 				}
 			}
 		}(s)
@@ -114,26 +115,112 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 		go func(p int) {
 			defer pwg.Done()
 			for i := 0; i < perProd; i++ {
-				v := uint64(p)<<32 | uint64(i)
-				for {
-					if _, ok := r.Enqueue(v); ok {
-						break
-					}
-					time.Sleep(10 * time.Microsecond) // full: back off
-				}
+				enqueueRetry(r, uint64(p)<<32|uint64(i))
 			}
 		}(p)
 	}
 	pwg.Wait()
-	close(stop)
+	stop.Store(true)
 	wg.Wait()
+	checkDrained(t, perShard, producers, perProd)
+}
 
+// TestSelfDrainNoStrand runs the protocol Ingress runs, with no consumer
+// of its own: each producer enqueues and then drains its shard while it
+// can take the flag, trying again whenever Release reports a published
+// value. Once every producer has returned, every value must have been
+// drained — a value left to a holder that released without looking
+// would still be in the ring.
+func TestSelfDrainNoStrand(t *testing.T) {
+	const (
+		producers = 8
+		perProd   = 5000
+	)
+	r := New[uint64](2, 64)
+	perShard := make([][]uint64, r.Shards()) // written only by the flag holder
+
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			buf := make([]uint64, 0, 16)
+			for i := 0; i < perProd; i++ {
+				shard := enqueueRetry(r, uint64(p)<<32|uint64(i))
+				for r.TryAcquire(shard) {
+					for {
+						buf = r.Drain(shard, buf[:0], 16)
+						if len(buf) == 0 {
+							break
+						}
+						perShard[shard] = append(perShard[shard], buf...)
+					}
+					if !r.Release(shard) {
+						break
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	for s := 0; s < r.Shards(); s++ {
+		if n := r.Len(s); n != 0 {
+			t.Errorf("shard %d: %d values stranded after every producer returned", s, n)
+		}
+	}
+	checkDrained(t, perShard, producers, perProd)
+}
+
+// TestReleaseSeesLoser pins the interleaving the self-drain protocol
+// exists for, step by step: the holder's last drain finds the shard
+// empty, a producer then publishes and finds the flag taken, and the
+// holder's Release must report the value so that the holder drains it.
+func TestReleaseSeesLoser(t *testing.T) {
+	r := New[int](1, 4)
+	if !r.TryAcquire(0) {
+		t.Fatal("fresh shard's flag is taken")
+	}
+	if got := r.Drain(0, nil, 4); len(got) != 0 {
+		t.Fatalf("empty shard drained %v", got)
+	}
+	r.Enqueue(7)
+	if r.TryAcquire(0) {
+		t.Fatal("a second goroutine took a held flag")
+	}
+	if !r.Release(0) {
+		t.Fatal("Release did not report the value published while the flag was held")
+	}
+	if !r.TryAcquire(0) {
+		t.Fatal("flag still taken after Release")
+	}
+	if got := r.Drain(0, nil, 4); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("drained %v, want [7]", got)
+	}
+	if r.Release(0) {
+		t.Fatal("Release reported a value on an empty shard")
+	}
+}
+
+// enqueueRetry enqueues v, backing off while the ring is full, and returns
+// the shard it landed in.
+func enqueueRetry(r *Ring[uint64], v uint64) int {
+	for {
+		if shard, ok := r.Enqueue(v); ok {
+			return shard
+		}
+		time.Sleep(10 * time.Microsecond) // full: back off
+	}
+}
+
+// checkDrained checks the per-shard drain logs against producers values
+// each of perProd: nothing lost, nothing duplicated, per-producer order
+// kept within every shard.
+func checkDrained(t *testing.T, perShard [][]uint64, producers, perProd int) {
+	t.Helper()
 	seen := make(map[uint64]bool, producers*perProd)
-	lastPerProd := make(map[int]map[uint64]int64) // shard -> producer -> last index
 	total := 0
 	for shard, got := range perShard {
-		last := make(map[uint64]int64)
-		lastPerProd[shard] = last
+		last := make(map[uint64]int64) // producer -> last index
 		for _, v := range got {
 			if seen[v] {
 				t.Fatalf("value %x drained twice", v)
@@ -149,23 +236,6 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 	}
 	if total != producers*perProd {
 		t.Fatalf("drained %d values, enqueued %d", total, producers*perProd)
-	}
-}
-
-// TestWaitStop checks that a parked consumer wakes on stop.
-func TestWaitStop(t *testing.T) {
-	r := New[int](1, 4)
-	stop := make(chan struct{})
-	done := make(chan bool, 1)
-	go func() { done <- r.Wait(0, stop) }()
-	close(stop)
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("Wait returned true on stop")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Wait did not return on stop")
 	}
 }
 

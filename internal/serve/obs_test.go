@@ -64,6 +64,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"arlo_requests_submitted_total 1",
 		"arlo_requests_completed_total 1",
+		"arlo_requests_in_flight 0",
 		"# TYPE arlo_demotions_total counter",
 		`arlo_queue_depth{level="0",max_length="64"} 0`,
 		`arlo_level_instances{level="0",max_length="64"} 1`,

@@ -153,7 +153,7 @@ func TestWireErrorMapping(t *testing.T) {
 }
 
 func TestWireServerWithIngress(t *testing.T) {
-	srv, _ := testServerOpts(t, WithIngress(cluster.IngressConfig{Shards: 2}))
+	srv, _ := testServerOpts(t, WithIngress(cluster.IngressConfig{}))
 	addr := startWire(t, srv)
 	c, err := DialWire(addr)
 	if err != nil {
