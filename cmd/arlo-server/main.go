@@ -50,7 +50,7 @@ func main() {
 		wireAddr   = flag.String("wire-addr", "", "binary wire-protocol listen address (empty disables, e.g. :8081)")
 		ingressOn  = flag.Bool("ingress", false, "submit through sharded ingress rings drained in groups")
 		ingressGrp = flag.Int("ingress-group", 0, "ingress drain group size (0 = default)")
-		tenantsCfg = flag.String("tenants-config", "", "JSON tenant config file enabling multi-tenant admission and fair sharing")
+		tenantsCfg = flag.String("tenants-config", "", "JSON tenant config file enabling multi-tenant admission and SLO classes")
 		shardName  = flag.String("shard", "", "shard name for router registration (requires -wire-addr)")
 	)
 	flag.Parse()

@@ -74,12 +74,6 @@ type Config struct {
 	// simulator's 0.8 ms; negative forces zero). It models network +
 	// host-device transfer and is not slept.
 	Overhead time.Duration
-	// QueueDepth bounds each worker's channel (default 8192). Only tests
-	// set it, and it stays because it is the one lever under which the
-	// tenant fair queue changes anything: the pump's send never blocks
-	// below this depth, so at the default every admitted job is placed as
-	// soon as it is popped and queue.Fair reorders nothing (ROADMAP).
-	QueueDepth int
 	// MaxBatch enables dynamic batching: an idle worker coalesces up to
 	// B_i = min(MaxBatch, Runtime.BatchWithinSLO(MaxBatch)) queued
 	// requests and executes them as one emulated kernel at the sub-linear
@@ -107,9 +101,10 @@ type Config struct {
 	// when Continuous is set.
 	MeanOutTokens float64
 	// Tenants enables multi-tenant serving: token-bucket admission runs in
-	// front of every submit path and admitted jobs dispatch in weighted
-	// fair order across tenants (see tenancy.go). nil keeps the
-	// single-tenant fast path unchanged.
+	// front of every submit path and each tenant's SLO class stamps its
+	// requests' deadline and batch window; admitted jobs place inline like
+	// any other (see tenancy.go). nil keeps the single-tenant fast path
+	// unchanged.
 	Tenants *tenant.Registry
 }
 
@@ -120,7 +115,6 @@ type Cluster struct {
 	disp     dispatch.Dispatcher
 	overhead time.Duration
 	scale    float64
-	depth    int
 
 	// maxBatch and batchDelay are the normalized batching knobs (1 / 0
 	// when batching is off); batchSeq numbers executed iterations for span
@@ -137,11 +131,9 @@ type Cluster struct {
 	// only books of what it served, and the window the control loop reads.
 	rec *obs.Recorder
 
-	// tenants and fairQ are the multi-tenancy state: nil when
-	// Config.Tenants is unset. Admitted jobs queue in fairQ and a single
-	// pump goroutine drains them in weighted-fair order (tenancy.go).
+	// tenants is the multi-tenancy registry: nil when Config.Tenants is
+	// unset (tenancy.go).
 	tenants *tenant.Registry
-	fairQ   *queue.Fair[*job]
 
 	// mu guards topology only: the workers map, nextID and closed.
 	// Submissions hold it shared across dispatch + channel send; worker
@@ -313,10 +305,6 @@ func New(cfg Config) (*Cluster, error) {
 	} else if overhead < 0 {
 		overhead = 0
 	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 8192
-	}
 	maxBatch := cfg.MaxBatch
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -341,24 +329,18 @@ func New(cfg Config) (*Cluster, error) {
 		failed:     make(map[int]*failedInstance),
 		overhead:   overhead,
 		scale:      scale,
-		depth:      depth,
 		maxBatch:   maxBatch,
 		batchDelay: batchDelay,
 		continuous: cfg.Continuous,
 		meanOut:    meanOut,
 		rec:        obs.NewRecorder(len(cfg.Profile.Runtimes)),
+		tenants:    cfg.Tenants,
 	}
 	// The profile's runtime boundaries are the sliding window's length
 	// bins, so the control loop reads the demand vector q straight off the
 	// recorder; its gauges render this cluster's Snapshot.
 	c.rec.SetLengthBins(cfg.Profile.MaxLengths())
 	c.rec.SetSnapshot(c.Snapshot)
-	if cfg.Tenants != nil {
-		c.tenants = cfg.Tenants
-		c.fairQ = queue.NewFair[*job]()
-		c.wg.Add(1)
-		go c.runFairPump()
-	}
 	c.mu.Lock()
 	for rtIdx, n := range cfg.InitialAllocation {
 		for k := 0; k < n; k++ {
@@ -394,13 +376,18 @@ func (c *Cluster) addWorker(rtIdx int) error {
 	if err := c.ml.Add(inst); err != nil {
 		return err
 	}
-	w := &worker{inst: inst, ch: make(chan *job, c.depth), kill: make(chan struct{})}
+	w := &worker{inst: inst, ch: make(chan *job, workerQueueDepth), kill: make(chan struct{})}
 	w.slow.Store(math.Float64bits(1))
 	c.workers[inst.ID] = w
 	c.wg.Add(1)
 	go c.runWorker(w, rt)
 	return nil
 }
+
+// workerQueueDepth bounds each worker's channel. It is deep enough that
+// no workload here has filled it; place never blocks on it, and a full
+// channel refuses the job with ErrCongested instead.
+const workerQueueDepth = 8192
 
 // batchCapFor returns the effective per-instance batch cap B_i for one
 // runtime: the configured cap clamped to the profiled SLO headroom
@@ -426,8 +413,8 @@ type Request struct {
 	// this many tokens (the prefill yields the first). 0 submits a plain
 	// encoder request.
 	MaxNewTokens int
-	// Tenant identifies the submitting tenant for admission, fair-share
-	// accounting and the span label. Empty (and any unregistered id)
+	// Tenant identifies the submitting tenant for admission, the
+	// dispatched books and the span label. Empty (and any unregistered id)
 	// resolves to the "default" tenant; ignored without a tenant registry.
 	Tenant string
 }
@@ -592,25 +579,25 @@ func rejectReason(err error) obs.RejectReason {
 	}
 }
 
-// submit places a freshly leased job: in its tenant's fair turn when a
-// registry is configured, inline otherwise. On failure the rejection is
-// recorded and the job recycled.
+// submit places a freshly leased job and books its tenant's dispatched
+// cost. On failure the rejection is recorded and the job recycled.
 func (c *Cluster) submit(ctx context.Context, j *job) error {
-	var err error
-	if c.fairQ != nil {
-		err = c.fairEnqueue(j)
-	} else {
-		err = c.route(ctx, j)
-	}
-	if err != nil {
+	// Once placed the job belongs to its worker: it can complete and be
+	// recycled before route returns, so read the books' fields first.
+	t, cost := j.tenant, j.span.Length+j.maxNew
+	err := c.route(ctx, j)
+	switch {
+	case err != nil:
 		c.rec.RecordReject(rejectReason(err))
 		jobPool.Put(j)
+	case t != nil:
+		t.RecordDispatched(cost)
 	}
 	return err
 }
 
-// route places one job under the shared topology lock — first submission,
-// the fair pump and failure requeue all come through here. Holding the
+// route places one job under the shared topology lock — first submission
+// and failure requeue both come through here. Holding the
 // lock shared lets submissions run concurrently with each other (the
 // queue stripes its own locks) while Close and worker removal are
 // excluded — the channel send can never race a close.
@@ -676,9 +663,10 @@ const requeueBudget = queue.DefaultRequeueBudget
 // special placement, the active policy decides, so work from a dead
 // small-runtime instance degrades into larger runtimes exactly like a
 // congestion demotion. The displacement and every transient retry consume
-// one unit of the request's requeue budget; exhaustion, closure and
-// permanent dispatch errors terminate the job with a typed error instead
-// of livelocking it.
+// one unit of the request's requeue budget, and transient dispatch
+// failures (congestion; no instance up yet mid-recovery) retry after a
+// backoff; exhaustion, closure and permanent dispatch errors terminate the
+// job with a typed error instead of livelocking it.
 //
 // Runs on the dying worker's goroutine, never on a submitter's.
 func (c *Cluster) redispatch(j *job, reason obs.RequeueReason) {
@@ -695,37 +683,25 @@ func (c *Cluster) redispatch(j *job, reason obs.RequeueReason) {
 		return
 	}
 	j.requeues++
-	c.reroute(j, &j.requeues, false)
-}
-
-// reroute places a job that is between owners — displaced by a crash, or
-// popped by the fair pump — retrying transient dispatch failures
-// (congestion; no instance up yet mid-recovery, unless noInstancesFatal)
-// after a backoff, each retry charged to *spent against the requeue
-// budget. It reports whether the job reached a worker; if not it was
-// resolved here: discarded because its submitter cancelled, or failed
-// with a typed error through its done channel.
-func (c *Cluster) reroute(j *job, spent *int, noInstancesFatal bool) bool {
 	for {
-		if j.state.Load() == jobCancelled {
-			jobPool.Put(j)
-			return false
-		}
 		err := c.route(context.Background(), j)
 		switch {
 		case err == nil:
-			return true
-		case errors.Is(err, ErrClusterClosed), errors.Is(err, dispatch.ErrTooLong),
-			noInstancesFatal && errors.Is(err, dispatch.ErrNoInstances):
+			return
+		case errors.Is(err, ErrClusterClosed), errors.Is(err, dispatch.ErrTooLong):
 			c.failJob(j, err)
-			return false
-		case *spent >= requeueBudget:
+			return
+		case j.requeues >= requeueBudget:
 			c.failJob(j, fmt.Errorf("%w: placement retries spent (budget %d): %w",
 				ErrUnserviceable, requeueBudget, err))
-			return false
+			return
 		}
-		*spent++
+		j.requeues++
 		time.Sleep(redispatchBackoff)
+		if j.state.Load() == jobCancelled {
+			jobPool.Put(j)
+			return
+		}
 	}
 }
 
@@ -830,10 +806,5 @@ func (c *Cluster) Close() {
 		close(w.ch)
 	}
 	c.mu.Unlock()
-	if c.fairQ != nil {
-		// The pump drains the fair queue (failing leftovers with
-		// ErrClusterClosed) and exits; wg.Wait covers it.
-		c.fairQ.Close()
-	}
 	c.wg.Wait()
 }

@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"arlo/internal/dispatch"
 	"arlo/internal/model"
+	"arlo/internal/obs"
 	"arlo/internal/profiler"
 	"arlo/internal/queue"
 )
@@ -222,27 +225,55 @@ func TestSubmitErrors(t *testing.T) {
 	c.Close() // double close is safe
 }
 
+// TestQueueOverflow fills a busy worker's channel: while the one worker is
+// held in an hour-long kernel, workerQueueDepth more jobs queue behind it,
+// and the next submission is refused at once with ErrCongested and booked
+// as a congestion rejection.
 func TestQueueOverflow(t *testing.T) {
-	p := testProfile(t, []int{512})
 	c, err := New(Config{
-		Profile:           p,
+		Profile:           testProfile(t, []int{512}),
 		InitialAllocation: []int{1},
 		Dispatcher:        rsFactory,
-		QueueDepth:        2,
+		Overhead:          -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	overflowed := false
-	for i := 0; i < 10; i++ {
-		if _, err := submitAsync(c, 100); err != nil {
-			overflowed = true
-			break
+	if _, err := c.SlowInstance(0, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	submit := func() error {
+		j, err := c.lease(ctx, Request{Length: 512})
+		if err == nil {
+			err = c.submit(ctx, j)
+		}
+		return err
+	}
+	if err := submit(); err != nil {
+		t.Fatal(err)
+	}
+	// An empty channel means the worker has taken the job into its kernel
+	// and reads no further.
+	for w := c.workers[0]; len(w.ch) > 0; {
+		runtime.Gosched()
+	}
+	for i := 0; i < workerQueueDepth; i++ {
+		if err := submit(); err != nil {
+			t.Fatalf("submission %d of %d refused: %v", i+1, workerQueueDepth, err)
 		}
 	}
-	if !overflowed {
-		t.Error("depth-2 queue should overflow under a burst of 10")
+	if err := submit(); !errors.Is(err, ErrCongested) {
+		t.Fatalf("submission past a full channel returned %v, want ErrCongested", err)
+	}
+	if got := c.Recorder().RejectedFor(obs.RejectCongested); got != 1 {
+		t.Errorf("recorder booked %d congestion rejections, want 1", got)
+	}
+	// The crash interrupts the kernel; the deferred Close then fails every
+	// job the dead worker requeues.
+	if _, err := c.FailInstance(0, 0); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -74,10 +74,8 @@ func (c *Cluster) Allocation() []int {
 	return out
 }
 
-// Outstanding returns the total dispatched-but-unfinished request count,
-// including jobs admitted but still waiting their fair turn in a
-// multi-tenant cluster. The sum reads atomic counters; no cluster lock is
-// taken.
+// Outstanding returns the total dispatched-but-unfinished request count.
+// The sum reads atomic counters; no cluster lock is taken.
 func (c *Cluster) Outstanding() int {
-	return c.ml.TotalOutstanding() + c.fairQueueLen()
+	return c.ml.TotalOutstanding()
 }

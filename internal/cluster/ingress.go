@@ -69,11 +69,11 @@ func (c *Cluster) SubmitBatch(ctx context.Context, reqs []Request) []BatchResult
 // submitBatch places one group of leased jobs — a SubmitBatch call or a
 // ring drain — the amortized counterpart of route: one shared acquisition
 // of the topology lock (so closed is settled once) and one clock read
-// cover the whole group. With a tenant registry members take their fair
-// turn through the pump instead of placing inline. Every job is resolved
-// exactly once: handed on, discarded if its submitter already cancelled,
-// or failed with a typed error through its done channel. nil slots are
-// members lease already resolved.
+// cover the whole group. Every placed member's cost goes on its tenant's
+// dispatched books, as in submit. Every job is resolved exactly once:
+// handed on, discarded if its submitter already cancelled, or failed with
+// a typed error through its done channel. nil slots are members lease
+// already resolved.
 func (c *Cluster) submitBatch(jobs []*job) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -99,10 +99,9 @@ func (c *Cluster) submitBatch(jobs []*job) {
 			err = cancelErr(context.DeadlineExceeded)
 		default:
 			j.span.IngressWait = now.Sub(j.span.Enqueued)
-			if c.fairQ != nil {
-				err = c.fairEnqueue(j)
-			} else {
-				err = c.place(context.Background(), j)
+			t, cost := j.tenant, j.span.Length+j.maxNew
+			if err = c.place(context.Background(), j); err == nil && t != nil {
+				t.RecordDispatched(cost)
 			}
 		}
 		if err != nil {

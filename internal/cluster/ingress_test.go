@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"arlo/internal/obs"
+	"arlo/internal/tenant"
 )
 
 func ingressCluster(t *testing.T, alloc []int, lengths []int) *Cluster {
@@ -114,11 +115,27 @@ func TestIngressCancelWhileRinged(t *testing.T) {
 // so each round ends on an idle ring where a job left behind by a drain
 // holder would hang its submitter. Close lands in the middle round. Every
 // call must return exactly once, with a result or a typed error; nothing
-// may stay in flight; and NewIngress starts no goroutine.
+// may stay in flight; and NewIngress starts no goroutine. The tenancy arm
+// runs the same drive with a registry, each submitter alternating two
+// unlimited tenants, so drain holders place tenant jobs, and the
+// tenants' dispatched books must cover the served requests.
 func TestIngressContendedSelfDrain(t *testing.T) {
+	for _, arm := range []struct {
+		name    string
+		tenants *tenant.Registry
+	}{
+		{"plain", nil},
+		{"tenants", testRegistry(t, tenant.Config{ID: "a"}, tenant.Config{ID: "b"})},
+	} {
+		t.Run(arm.name, func(t *testing.T) { contendedSelfDrain(t, arm.tenants) })
+	}
+}
+
+func contendedSelfDrain(t *testing.T, reg *tenant.Registry) {
 	const (
 		workers = 64
 		rounds  = 200
+		length  = 100
 	)
 	c, err := New(Config{
 		Profile:           testProfile(t, []int{512}),
@@ -126,6 +143,7 @@ func TestIngressContendedSelfDrain(t *testing.T) {
 		Dispatcher:        rsFactory,
 		TimeScale:         1e-6, // near-zero compute: the ring is the contended part
 		Overhead:          -1,
+		Tenants:           reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,15 +161,20 @@ func TestIngressContendedSelfDrain(t *testing.T) {
 	returned := make(chan error, workers)
 	for w := range start {
 		start[w] = make(chan struct{}, 1)
-		go func(next <-chan struct{}) {
-			for range next {
-				res, err := g.SubmitCtx(context.Background(), Request{Length: 100})
+		go func(w int, next <-chan struct{}) {
+			ids := [2]string{"a", "b"}
+			for r := 0; ; r++ {
+				if _, ok := <-next; !ok {
+					return
+				}
+				req := Request{Length: length, Tenant: ids[(w+r)%2]}
+				res, err := g.SubmitCtx(context.Background(), req)
 				if err == nil && res.Span.Total <= 0 {
 					err = fmt.Errorf("nil error but latency %v", res.Span.Total)
 				}
 				returned <- err
 			}
-		}(start[w])
+		}(w, start[w])
 	}
 	defer func() {
 		for _, ch := range start {
@@ -195,6 +218,21 @@ func TestIngressContendedSelfDrain(t *testing.T) {
 	}
 	if got := rec.InFlight(); got != 0 {
 		t.Errorf("in flight = %d after every call returned, want 0", got)
+	}
+	if reg != nil {
+		// A job a drain placed can still be reclaimed by its submitter once
+		// Close lands (it returns ErrClusterClosed and the worker discards
+		// it), so the books may exceed the served cost by refused jobs but
+		// never fall short of it.
+		a, b := reg.Get("a").Stat(), reg.Get("b").Stat()
+		got := a.Dispatched + b.Dispatched
+		if got < int64(served*length) || got > int64((served+refused)*length) {
+			t.Errorf("tenants' dispatched books hold %d tokens; served requests cost %d, refused %d",
+				got, served*length, refused*length)
+		}
+		if a.Admitted == 0 || b.Admitted == 0 {
+			t.Errorf("admitted a=%d b=%d: want both tenants placed", a.Admitted, b.Admitted)
+		}
 	}
 }
 

@@ -3,8 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,7 +97,7 @@ func TestTenantUnknownFallsBackToDefault(t *testing.T) {
 }
 
 // TestTenantNilRegistryUnchanged: without a registry the tenant field is
-// inert — no admission, no fair queue, Tenants() is nil. This is the
+// inert — no admission, no class policy, Tenants() is nil. This is the
 // single-tenant fast path the Fig. 9 benchmark runs on.
 func TestTenantNilRegistryUnchanged(t *testing.T) {
 	p := testProfile(t, []int{512})
@@ -116,9 +116,6 @@ func TestTenantNilRegistryUnchanged(t *testing.T) {
 	}
 	if _, err := c.SubmitCtx(context.Background(), Request{Length: 128, Tenant: "anyone"}); err != nil {
 		t.Fatalf("tenant-labeled request on single-tenant cluster: %v", err)
-	}
-	if n := c.fairQueueLen(); n != 0 {
-		t.Fatalf("fair queue reports %d jobs without a registry", n)
 	}
 }
 
@@ -186,161 +183,118 @@ func TestTenantClassPolicyOnJob(t *testing.T) {
 	jobPool.Put(j)
 }
 
-// TestTenantFairShareNoStarvation is the end-to-end starvation test: a
-// noisy tenant floods 9x the victim's request count into a one-instance
-// cluster, and weighted-fair dispatch must interleave the victim's
-// requests near the front instead of behind the noisy backlog. With a
-// FIFO (the pre-tenancy order) the victim's last completion would be near
-// position 1000; fair sharing bounds it near 2x the victim's own count.
-func TestTenantFairShareNoStarvation(t *testing.T) {
-	const noisyN, victimN = 900, 100
-	p := testProfile(t, []int{512})
-	reg := testRegistry(t,
-		tenant.Config{ID: "noisy", Weight: 1},
-		tenant.Config{ID: "victim", Weight: 1},
-	)
-	c, err := New(Config{
-		Profile:           p,
-		InitialAllocation: []int{1},
-		Dispatcher:        rsFactory,
-		TimeScale:         0.02,
-		Overhead:          -1,
-		QueueDepth:        8,
-		Tenants:           reg,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestTenantDispatchedBooks pins the dispatched books on both entry
+// points: each tenant's Dispatched is the token cost (Length +
+// MaxNewTokens) of exactly its completed requests, and a request refused
+// at admission adds nothing. SubmitCtx places through submit, the ingress
+// ring through submitBatch.
+func TestTenantDispatchedBooks(t *testing.T) {
+	type submitFunc func(context.Context, Request) (Result, error)
+	entries := []struct {
+		name  string
+		entry func(t *testing.T, c *Cluster) submitFunc
+	}{
+		{"SubmitCtx", func(_ *testing.T, c *Cluster) submitFunc { return c.SubmitCtx }},
+		{"Ingress.SubmitCtx", func(t *testing.T, c *Cluster) submitFunc {
+			g := NewIngress(c, IngressConfig{})
+			t.Cleanup(g.Close) // before the cluster's Close
+			return g.SubmitCtx
+		}},
 	}
-	defer c.Close()
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			reg := testRegistry(t,
+				tenant.Config{ID: "open"},
+				tenant.Config{ID: "tight", Capacity: 1000})
+			c, err := New(Config{
+				Profile:           testProfile(t, []int{512}),
+				InitialAllocation: []int{2},
+				Dispatcher:        rsFactory,
+				TimeScale:         1e-4,
+				Overhead:          -1,
+				Tenants:           reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			submit := e.entry(t, c)
 
-	// Completion order equals fair dispatch order on one instance; each
-	// submitter records its finishing position.
-	var pos atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	victimPos := make([]int64, 0, victimN)
-	var failures atomic.Int64
-	submit := func(id string, n int, record bool) {
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, err := c.SubmitCtx(context.Background(), Request{Length: 512, Tenant: id})
-				at := pos.Add(1)
-				if err != nil {
-					failures.Add(1)
-					return
+			want := map[string]int64{}
+			refused := 0
+			for i := 0; i < 24; i++ {
+				req := Request{Length: 50 + 20*i, MaxNewTokens: 4 * (i % 3), Tenant: []string{"open", "tight"}[i%2]}
+				_, err := submit(context.Background(), req)
+				switch {
+				case err == nil:
+					want[req.Tenant] += int64(req.Length + req.MaxNewTokens)
+				case errors.Is(err, ErrRateLimited):
+					refused++
+				default:
+					t.Fatalf("request %d: %v", i, err)
 				}
-				if record {
-					mu.Lock()
-					victimPos = append(victimPos, at)
-					mu.Unlock()
+			}
+			if refused == 0 || want["tight"] == 0 {
+				t.Fatalf("tight tenant: %d refused, %d tokens served; want both > 0", refused, want["tight"])
+			}
+			for _, id := range []string{"open", "tight"} {
+				if got := reg.Get(id).Stat().Dispatched; got != want[id] {
+					t.Errorf("%s: dispatched %d tokens, completed requests cost %d", id, got, want[id])
 				}
-			}()
-		}
-	}
-	submit("noisy", noisyN, false)
-	// Let the noisy backlog build in the fair queue before the victim
-	// arrives — the worst case for a FIFO.
-	time.Sleep(8 * time.Millisecond)
-	submit("victim", victimN, true)
-	wg.Wait()
-
-	// A heavily backlogged one-instance cluster may shed a stray request
-	// through the dispatch congestion budget; tolerate noise but not a
-	// pattern.
-	if n := failures.Load(); n > 10 {
-		t.Fatalf("%d requests failed", n)
-	}
-	if len(victimPos) < victimN-10 {
-		t.Fatalf("recorded only %d victim completions", len(victimPos))
-	}
-	var worst int64
-	for _, p := range victimPos {
-		if p > worst {
-			worst = p
-		}
-	}
-	// Equal weights entitle the victim to every other dispatch once
-	// present: its 100 requests finish within ~200 slots of its arrival
-	// point. 450 of 1000 leaves headroom for the head start and in-flight
-	// skew while still being far from the FIFO's ~1000.
-	if worst > 450 {
-		t.Fatalf("victim's last completion at position %d of %d — starved behind the noisy backlog",
-			worst, noisyN+victimN)
-	}
-
-	// Every completed request was dispatched through the fair pump and
-	// booked at its token cost — the books cover the whole drained load.
-	noisySt := reg.Get("noisy").Stat()
-	victimSt := reg.Get("victim").Stat()
-	wantTokens := int64(noisyN+victimN-int(failures.Load())) * 512
-	if got := noisySt.Dispatched + victimSt.Dispatched; got != wantTokens {
-		t.Fatalf("dispatched books total %d tokens, want %d", got, wantTokens)
+			}
+		})
 	}
 }
 
-// TestTenantWeightBiasesOrder: with a 9:1 weight edge the victim's whole
-// backlog overtakes most of the noisy queue even though the noisy tenant
-// arrived first.
-func TestTenantWeightBiasesOrder(t *testing.T) {
-	const noisyN, victimN = 600, 100
-	p := testProfile(t, []int{512})
-	reg := testRegistry(t,
-		tenant.Config{ID: "noisy", Weight: 1},
-		tenant.Config{ID: "victim", Weight: 9},
-	)
+// TestTenantClusterRunsOnlyWorkers: a cluster with a tenant registry
+// starts one goroutine per worker and no other. The goroutines New starts
+// are told apart from the rest of the process by their ids and by their
+// creator, a function of this package.
+func TestTenantClusterRunsOnlyWorkers(t *testing.T) {
+	before := clusterGoroutines()
 	c, err := New(Config{
-		Profile:           p,
-		InitialAllocation: []int{1},
+		Profile:           testProfile(t, []int{128, 512}),
+		InitialAllocation: []int{2, 1},
 		Dispatcher:        rsFactory,
-		TimeScale:         0.02,
 		Overhead:          -1,
-		QueueDepth:        8,
-		Tenants:           reg,
+		Tenants:           testRegistry(t, tenant.Config{ID: "a"}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	var pos atomic.Int64
-	var wg sync.WaitGroup
-	var worst atomic.Int64
-	var failures atomic.Int64
-	run := func(id string, n int, track bool) {
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, err := c.SubmitCtx(context.Background(), Request{Length: 512, Tenant: id})
-				at := pos.Add(1)
-				if err != nil {
-					failures.Add(1)
-					return
-				}
-				if track {
-					for {
-						w := worst.Load()
-						if at <= w || worst.CompareAndSwap(w, at) {
-							break
-						}
-					}
-				}
-			}()
+	started := 0
+	for id, stack := range clusterGoroutines() {
+		if before[id] != "" {
+			continue
+		}
+		started++
+		if !strings.Contains(stack, "\ncreated by arlo/internal/cluster.(*Cluster).addWorker ") {
+			t.Errorf("New started a goroutine that is not a worker:\n%s", stack)
 		}
 	}
-	run("noisy", noisyN, false)
-	time.Sleep(8 * time.Millisecond)
-	run("victim", victimN, true)
-	wg.Wait()
+	if started != 3 {
+		t.Errorf("New started %d goroutines, want one per worker (3)", started)
+	}
+}
 
-	if n := failures.Load(); n > 7 {
-		t.Fatalf("%d requests failed", n)
+// clusterGoroutines returns the stack of every live goroutine that a
+// function of this package created, keyed by goroutine id.
+func clusterGoroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
 	}
-	// At 9:1 the victim takes ~9 of every 10 dispatches while backlogged:
-	// 100 requests fit in ~112 slots past its arrival point.
-	if w := worst.Load(); w > 350 {
-		t.Fatalf("victim's last completion at position %d of %d despite 9x weight", w, noisyN+victimN)
+	out := make(map[string]string)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if f := strings.Fields(g); len(f) > 1 && strings.Contains(g, "\ncreated by arlo/internal/cluster.") {
+			out[f[1]] = g
+		}
 	}
+	return out
 }

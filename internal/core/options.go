@@ -89,9 +89,8 @@ func WithContinuousBatching(maxSize int, meanOutTokens float64) Option {
 
 // WithTenants enables multi-tenant serving in clusters built by
 // NewCluster: the given tenant records (id, SLO class, token-bucket
-// capacity/refill, fair-queue weight) form the admission registry. A
-// "default" record (unlimited, standard class, weight 1) is added when
-// none is given.
+// capacity/refill) form the admission registry. A "default" record
+// (unlimited, standard class) is added when none is given.
 func WithTenants(cfgs ...tenant.Config) Option {
 	return func(o *options) { o.Tenants = append([]tenant.Config(nil), cfgs...) }
 }

@@ -69,8 +69,8 @@ func claims() []claim {
 			"batched(8) vs sequential", "drain speedup", 1.5, measureBatch},
 		{"claim-generate", "Continuous (iteration-level) batching out-drains run-to-completion on a generative burst at no worse p99 TTFT",
 			"continuous vs run-to-completion", "throughput ratio", 1.2, measureGenerate},
-		{"claim-tenants", "Token-bucket admission shields a steady tenant's p99 from a 9x bursting neighbour (the 8:1 weight rides along and reorders nothing)",
-			"bucket+weights vs shared queue", "victim p99 ratio", 2, measureTenants},
+		{"claim-tenants", "Token-bucket admission shields a steady tenant's p99 from a 9x bursting neighbour",
+			"token bucket vs shared queue", "victim p99 ratio", 2, measureTenants},
 		{"claim-controller", "Live replanning recovers SLO attainment after the length mix drifts, inside its replacement budget",
 			"controller vs frozen allocation", "post-drift attainment gain", 0.2, measureController},
 		{"claim-router", "Length-aware routing on 1 s stale snapshots balances three unequal shards where round-robin cannot and least-loaded herds",
@@ -373,14 +373,12 @@ func measureGenerate(opt Options) (float64, string, error) {
 
 // measureTenants replays a steady interactive victim (100 req/s) beside a
 // noisy tenant bursting at 9x that through the middle half of the window,
-// once through one shared queue and once behind the tenant registry: a
-// token bucket that caps the noisy tenant near its fair share of token
-// throughput, and an 8:1 dispatch weight for the victim. The ratio is the
-// bucket's: the fair pump places every job as soon as it pops it (worker
-// queues never fill at their default depth), so the weight orders
-// nothing, and placing inline instead reads the same (ROADMAP). Admission
-// must fire, and every noisy refusal must be the typed rate-limit error;
-// that the per-tenant books agree with the registry's is the arm's audit.
+// once through one shared queue and once behind the tenant registry, whose
+// token bucket caps the noisy tenant near its fair share of token
+// throughput; admitted jobs of both tenants place inline in arrival order.
+// Admission must fire, and every noisy refusal must be the typed
+// rate-limit error; that the per-tenant books agree with the registry's is
+// the arm's audit.
 func measureTenants(opt Options) (float64, string, error) {
 	const victim, noisy = "victim", "noisy"
 	dur := 2 * time.Second
@@ -411,10 +409,10 @@ func measureTenants(opt Options) (float64, string, error) {
 		return 0, "", err
 	}
 	cfg.Tenants = []tenant.Config{
-		{ID: victim, SLOClass: "interactive", Weight: 8},
-		{ID: noisy, SLOClass: "batch", Weight: 1, Capacity: 3000, RefillPerSec: 4000},
+		{ID: victim, SLOClass: "interactive"},
+		{ID: noisy, SLOClass: "batch", Capacity: 3000, RefillPerSec: 4000},
 	}
-	prot, err := runArm("bucket+weights", cfg)
+	prot, err := runArm("token bucket", cfg)
 	if err != nil {
 		return 0, "", err
 	}

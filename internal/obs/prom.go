@@ -56,8 +56,7 @@ type TenantStat struct {
 	// Admitted and Rejected count token-bucket admission decisions.
 	Admitted int64
 	Rejected int64
-	// Share is the tenant's fraction of cumulative dispatched token cost —
-	// the realized fair-share split across the dispatch order.
+	// Share is the tenant's fraction of cumulative dispatched token cost.
 	Share float64
 }
 
@@ -186,7 +185,7 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(bw, "arlo_admission_total{tenant=%q,decision=\"admitted\"} %d\n", t.Tenant, t.Admitted)
 				fmt.Fprintf(bw, "arlo_admission_total{tenant=%q,decision=\"rejected\"} %d\n", t.Tenant, t.Rejected)
 			}
-			fmt.Fprint(bw, "# HELP arlo_tenant_queue_share Tenant share of cumulative dispatched token cost.\n")
+			fmt.Fprint(bw, "# HELP arlo_tenant_queue_share Tenant share of the cumulative token cost placed on workers; admitted requests place inline in arrival order.\n")
 			fmt.Fprint(bw, "# TYPE arlo_tenant_queue_share gauge\n")
 			for _, t := range snap.Tenants {
 				fmt.Fprintf(bw, "arlo_tenant_queue_share{tenant=%q} %g\n", t.Tenant, t.Share)

@@ -321,7 +321,7 @@ func TestTenantsAdminCRUD(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update: status %d", resp.StatusCode)
 	}
-	if w := cl.Tenants().Get("a").Weight(); w != 9 {
+	if w := cl.Tenants().Get("a").Config().Weight; w != 9 {
 		t.Fatalf("live weight %v after PUT, want 9", w)
 	}
 

@@ -156,6 +156,7 @@ type Simulator struct {
 	nextArr   int           // next trace request to schedule (lazy arrivals)
 	waiting   []*Record     // requests stalled with no deployable instance
 	buffer    []*Record     // late-binding central request buffer (FIFO)
+	full      []bool        // per ideal level: a drain attempt failed since the last placement
 	lastAlloc time.Duration // when the demand window was last reset
 }
 
@@ -227,6 +228,7 @@ func newSimulator(cfg Config) (*Simulator, error) {
 		counts:   append([]int{}, cfg.InitialAllocation...),
 		binUpper: cfg.Profile.MaxLengths(),
 		arrivals: make([]int, len(cfg.Profile.Runtimes)),
+		full:     make([]bool, len(cfg.Profile.Runtimes)),
 		overhead: overhead,
 	}
 	for rtIdx, n := range cfg.InitialAllocation {
@@ -358,7 +360,11 @@ func (s *Simulator) commit(in *queue.Instance, dec dispatch.Decision, req *Recor
 
 // drainBuffer re-attempts dispatch for buffered requests in FIFO order,
 // scanning past head-of-line requests whose candidates are still full
-// (bounded so a deep buffer cannot stall the event loop).
+// (bounded so a deep buffer cannot stall the event loop). A dispatcher's
+// choice depends only on the level fronts and the request's ideal level,
+// so once an attempt at an ideal level fails, every later request of that
+// level fails the same way until a placement moves a front: it is kept
+// without a second attempt.
 func (s *Simulator) drainBuffer() {
 	if len(s.buffer) == 0 {
 		return
@@ -366,23 +372,26 @@ func (s *Simulator) drainBuffer() {
 	const scanLimit = 64
 	kept := s.buffer[:0]
 	placed := 0
+	clear(s.full)
 	for i, req := range s.buffer {
 		if i >= scanLimit && placed == 0 {
 			kept = append(kept, s.buffer[i:]...)
 			break
 		}
-		in, dec, err := s.disp.DispatchCtx(context.Background(), req.Length)
-		if err != nil {
-			kept = append(kept, req)
-			continue
+		if ideal := s.ml.CandidateLevels(req.Length)[0]; !s.full[ideal] {
+			in, dec, err := s.disp.DispatchCtx(context.Background(), req.Length)
+			if err == nil && in.Outstanding() <= in.MaxCapacity {
+				s.commit(in, dec, req)
+				placed++
+				clear(s.full)
+				continue
+			}
+			if err == nil {
+				s.ml.OnComplete(in) // revert the dispatch accounting
+			}
+			s.full[ideal] = true
 		}
-		if in.Outstanding() > in.MaxCapacity {
-			s.ml.OnComplete(in)
-			kept = append(kept, req)
-			continue
-		}
-		s.commit(in, dec, req)
-		placed++
+		kept = append(kept, req)
 	}
 	s.buffer = kept
 }

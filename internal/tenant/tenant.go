@@ -1,6 +1,6 @@
 // Package tenant implements multi-tenant serving policy for the live
 // cluster: a registry of tenant records (identity, SLO class, token-bucket
-// admission budget, fair-share weight) consulted on every submit path.
+// admission budget) consulted on every submit path.
 //
 // The registry sits *in front* of the cluster queue: admission runs before
 // a request touches the multi-level queue or the ingress rings, so a
@@ -58,17 +58,16 @@ func (e *RateLimitError) Error() string {
 func (e *RateLimitError) Unwrap() error { return ErrRateLimited }
 
 // Class is a tenant's SLO class. Classes map to per-class deadline
-// defaults, batching-window policy and queue-priority bias:
+// defaults and batching-window policy:
 //
-//	class        deadline default  batch window  priority bias
-//	interactive  the model SLO     0.25x         2.0
-//	standard     none              1x            1.0
-//	batch        none              4x            0.5
+//	class        deadline default  batch window
+//	interactive  the model SLO     0.25x
+//	standard     none              1x
+//	batch        none              4x
 //
 // The deadline default bounds the batch-collection window for requests
 // submitted without a context deadline; the window factor scales the
-// Former's collection window per member; the bias multiplies the tenant's
-// fair-share weight in the dispatch order.
+// Former's collection window per member.
 type Class uint8
 
 const (
@@ -79,7 +78,7 @@ const (
 	// shortened batch-collection window.
 	Interactive
 	// Batch requests tolerate a stretched collection window in exchange
-	// for better batching amortization, and yield dispatch priority.
+	// for better batching amortization.
 	Batch
 )
 
@@ -133,18 +132,6 @@ func (c Class) WindowFactor() float64 {
 	return 1
 }
 
-// PriorityBias multiplies the tenant's fair-share weight in dispatch
-// ordering.
-func (c Class) PriorityBias() float64 {
-	switch c {
-	case Interactive:
-		return 2
-	case Batch:
-		return 0.5
-	}
-	return 1
-}
-
 // Config is one tenant record as configured (the -tenants-config file
 // schema and the PUT /v1/tenants/{id} body).
 type Config struct {
@@ -158,8 +145,8 @@ type Config struct {
 	Capacity float64 `json:"capacity,omitempty"`
 	// RefillPerSec is the bucket's sustained refill rate in tokens/second.
 	RefillPerSec float64 `json:"refill_per_sec,omitempty"`
-	// Weight is the tenant's fair-share weight in dispatch ordering
-	// (default 1 when <= 0).
+	// Weight is accepted, validated (non-negative) and listed back, but
+	// orders nothing: every admitted job places inline in arrival order.
 	Weight float64 `json:"weight,omitempty"`
 }
 
@@ -233,7 +220,8 @@ type Tenant struct {
 	id    string
 	base  time.Time // monotonic epoch shared with the registry
 	class atomic.Uint32
-	// weight holds math.Float64bits of the fair-share weight.
+	// weight holds math.Float64bits of the configured weight, which is
+	// only listed back.
 	weight atomic.Uint64
 
 	// bucket state, guarded by mu. capacity <= 0 means unlimited.
@@ -253,16 +241,6 @@ func (t *Tenant) ID() string { return t.id }
 
 // Class returns the tenant's SLO class.
 func (t *Tenant) Class() Class { return Class(t.class.Load()) }
-
-// Weight returns the tenant's fair-share weight (>= a small positive
-// floor, so stride arithmetic never divides by zero).
-func (t *Tenant) Weight() float64 {
-	w := math.Float64frombits(t.weight.Load())
-	if w <= 0 {
-		return 1
-	}
-	return w
-}
 
 // Admit runs token-bucket admission for a request costing the given
 // number of tokens (input length + requested output tokens). ok reports
@@ -315,8 +293,8 @@ func (t *Tenant) admitAt(nowNS int64, tokens int) (bool, time.Duration) {
 	return false, retry
 }
 
-// RecordDispatched accounts token cost handed to a worker in fair-share
-// order — the numerator of the arlo_tenant_queue_share gauge.
+// RecordDispatched accounts token cost handed to a worker — the numerator
+// of the arlo_tenant_queue_share gauge.
 func (t *Tenant) RecordDispatched(tokens int) {
 	if tokens < 1 {
 		tokens = 1
@@ -382,7 +360,7 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry from validated configs. A DefaultID
-// record (unlimited, standard, weight 1) is added when the configs don't
+// record (unlimited, standard) is added when the configs don't
 // provide one.
 func NewRegistry(cfgs ...Config) (*Registry, error) {
 	r := &Registry{base: time.Now()}

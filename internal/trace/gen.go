@@ -79,7 +79,7 @@ func (t *Trace) MeanOutTokens() float64 {
 // Multi-tenant trace mode: each request carries a tenant identity drawn
 // from a tenant sampler, so noisy-neighbor scenarios (one tenant bursting
 // against steady victims) replay deterministically through the cluster's
-// admission and fair-share machinery.
+// admission and SLO-class policy.
 
 // TenantSampler draws per-request tenant identities.
 type TenantSampler interface {
