@@ -121,7 +121,7 @@ loc:
 
 # The house rule as a gate: the root module's code lines never exceed the
 # figure the last simplicity PR ended on. A PR that ends lower lowers it.
-LOC_MAX = 11536
+LOC_MAX = 11466
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$1 == "total" { print $$2 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \

@@ -34,7 +34,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		model      = flag.String("model", "bert-base", "model preset (bert-base, bert-large)")
 		gpus       = flag.Int("gpus", 8, "emulated GPU count")
-		policy     = flag.String("policy", "RS", "dispatch policy (RS, ILB, IG, LL, INFaaS)")
+		policy     = flag.String("policy", "RS", "dispatch policy (RS, ILB, IG, INFaaS)")
 		ctrlOn     = flag.Bool("controller", false, "run the closed control loop (live replanning + autoscaling)")
 		ctrlPeriod = flag.Duration("controller-period", 15*time.Second, "control-loop replanning period")
 		ctrlScaler = flag.String("controller-scaler", "target", "autoscaler: target (p98 tracking), headroom (utilization), none")
@@ -48,7 +48,6 @@ func main() {
 		continuous = flag.Bool("continuous", false, "iteration-level (continuous) batching for generative workloads")
 		meanOut    = flag.Float64("mean-out-tokens", 0, "expected output length hint for continuous capacity planning (0 = default 16)")
 		wireAddr   = flag.String("wire-addr", "", "binary wire-protocol listen address (empty disables, e.g. :8081)")
-		ingressOn  = flag.Bool("ingress", false, "submit through sharded ingress rings drained in groups")
 		ingressGrp = flag.Int("ingress-group", 0, "ingress drain group size (0 = default)")
 		tenantsCfg = flag.String("tenants-config", "", "JSON tenant config file enabling multi-tenant admission and SLO classes")
 		shardName  = flag.String("shard", "", "shard name for router registration (requires -wire-addr)")
@@ -134,9 +133,7 @@ func main() {
 		srvOpts = append(srvOpts, serve.WithChaos())
 		fmt.Println("arlo-server: chaos endpoints enabled at /v1/chaos/{fail,slow,restore}")
 	}
-	if *ingressOn || *ingressGrp > 0 {
-		srvOpts = append(srvOpts, serve.WithIngress(cluster.IngressConfig{MaxGroup: *ingressGrp}))
-	}
+	srvOpts = append(srvOpts, serve.WithIngress(cluster.IngressConfig{MaxGroup: *ingressGrp}))
 	if *shardName != "" {
 		srvOpts = append(srvOpts, serve.WithShardName(*shardName))
 	}
@@ -145,9 +142,6 @@ func main() {
 		log.Fatalf("arlo-server: %v", err)
 	}
 	defer srv.Close()
-	if *ingressOn || *ingressGrp > 0 {
-		fmt.Println("arlo-server: ring ingress on (grouped submit); watch arlo_ingress_wait_seconds on /metrics")
-	}
 	if *wireAddr != "" {
 		wl, err := net.Listen("tcp", *wireAddr)
 		if err != nil {

@@ -24,7 +24,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -161,7 +160,8 @@ func NewIngress(c *Cluster, cfg IngressConfig) *Ingress {
 // holder tries again whenever Release reports a job published behind its
 // last drain. submitBatch never waits on a worker (place is a
 // non-blocking send), so a submitter drains for microseconds before it
-// awaits its own job.
+// awaits its own job. A group taken after Close fails with
+// ErrClusterClosed: closing the ring is a drain.
 func (g *Ingress) drain(shard int) {
 	for g.r.TryAcquire(shard) {
 		buf := g.bufs[shard]
@@ -170,7 +170,13 @@ func (g *Ingress) drain(shard int) {
 			if len(buf) == 0 {
 				break
 			}
-			g.c.submitBatch(buf)
+			if g.closed.Load() {
+				for _, j := range buf {
+					g.c.failJob(j, ErrClusterClosed)
+				}
+			} else {
+				g.c.submitBatch(buf)
+			}
 		}
 		if !g.r.Release(shard) {
 			return
@@ -201,43 +207,19 @@ func (g *Ingress) SubmitCtx(ctx context.Context, req Request) (res Result, err e
 		return res, fmt.Errorf("%w: ingress ring full", ErrCongested)
 	}
 	g.drain(shard)
-	if g.closed.Load() {
-		// Close may already hold the drain flags and have swept the rings;
-		// reclaim the job if nothing has resolved it, so this submitter
-		// cannot hang.
-		if j.state.CompareAndSwap(jobPending, jobCancelled) {
-			rec.RecordReject(obs.RejectClosed)
-			return res, ErrClusterClosed
-		}
-	}
 	err = g.c.await(ctx, j, &res)
 	return res, err
 }
 
-// Close takes every shard's drain flag and keeps it, waiting out any
-// submitter that holds one, then fails whatever is still ringed with
-// ErrClusterClosed. Idempotent.
+// Close refuses every later submission and drains every shard: what a
+// shard still holds fails with ErrClusterClosed, by this drain or, where
+// a submitter holds the shard's flag, by that holder's next group or its
+// Release re-read. Idempotent.
 func (g *Ingress) Close() {
 	if g.closed.Swap(true) {
 		return
 	}
 	for s := range g.bufs {
-		for !g.r.TryAcquire(s) {
-			runtime.Gosched()
-		}
-		// Sweep until the drain cursor reaches every claimed slot: a
-		// producer between its claim and its publish is waited for, or the
-		// jobs published behind its slot would strand. Enqueuers that
-		// arrive after this sweep observe closed==true and reclaim their
-		// own job.
-		for g.r.Len(s) > 0 {
-			buf := g.r.Drain(s, g.bufs[s][:0], g.group)
-			if len(buf) == 0 {
-				runtime.Gosched()
-			}
-			for _, j := range buf {
-				g.c.failJob(j, ErrClusterClosed)
-			}
-		}
+		g.drain(s)
 	}
 }

@@ -118,7 +118,7 @@ func TestIngressCancelWhileRinged(t *testing.T) {
 // may stay in flight; and NewIngress starts no goroutine. The tenancy arm
 // runs the same drive with a registry, each submitter alternating two
 // unlimited tenants, so drain holders place tenant jobs, and the
-// tenants' dispatched books must cover the served requests.
+// tenants' dispatched books must equal the served requests' cost.
 func TestIngressContendedSelfDrain(t *testing.T) {
 	for _, arm := range []struct {
 		name    string
@@ -220,15 +220,10 @@ func contendedSelfDrain(t *testing.T, reg *tenant.Registry) {
 		t.Errorf("in flight = %d after every call returned, want 0", got)
 	}
 	if reg != nil {
-		// A job a drain placed can still be reclaimed by its submitter once
-		// Close lands (it returns ErrClusterClosed and the worker discards
-		// it), so the books may exceed the served cost by refused jobs but
-		// never fall short of it.
 		a, b := reg.Get("a").Stat(), reg.Get("b").Stat()
-		got := a.Dispatched + b.Dispatched
-		if got < int64(served*length) || got > int64((served+refused)*length) {
-			t.Errorf("tenants' dispatched books hold %d tokens; served requests cost %d, refused %d",
-				got, served*length, refused*length)
+		if got := a.Dispatched + b.Dispatched; got != int64(served*length) {
+			t.Errorf("tenants' dispatched books hold %d tokens; served requests cost %d",
+				got, served*length)
 		}
 		if a.Admitted == 0 || b.Admitted == 0 {
 			t.Errorf("admitted a=%d b=%d: want both tenants placed", a.Admitted, b.Admitted)
@@ -383,6 +378,60 @@ func TestIngressClose(t *testing.T) {
 		t.Errorf("submit after Close: err = %v, want ErrClusterClosed", err)
 	}
 	g.Close() // idempotent
+}
+
+// TestIngressCloseDrainsHeldShard pins close-as-a-drain at the one
+// interleaving where Close cannot drain a shard itself: a submitter holds
+// every shard's drain flag mid-drain, having placed job a, when job b is
+// published behind it and Close lands. Close's own drains find the flags
+// taken; the holder's Release re-read then drains b, and that drain must
+// see closed: b fails with ErrClusterClosed and books a closed rejection,
+// while a, placed before Close, completes.
+func TestIngressCloseDrainsHeldShard(t *testing.T) {
+	c := ingressCluster(t, []int{1}, []int{512})
+	rec := c.Recorder()
+	defer c.Close()
+	g := NewIngress(c, IngressConfig{})
+	ctx := context.Background()
+
+	for s := 0; s < g.r.Shards(); s++ {
+		if !g.r.TryAcquire(s) {
+			t.Fatalf("shard %d: fresh drain flag is taken", s)
+		}
+	}
+	enqueue := func() (*job, int) {
+		j, err := c.lease(ctx, Request{Length: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard, ok := g.r.Enqueue(j)
+		if !ok {
+			t.Fatal("ring full")
+		}
+		return j, shard
+	}
+	a, sa := enqueue()
+	c.submitBatch(g.r.Drain(sa, nil, g.group))
+	b, sb := enqueue()
+
+	g.Close()
+	for s := 0; s < g.r.Shards(); s++ {
+		if g.r.Release(s) != (s == sb) {
+			t.Fatalf("shard %d: Release re-read disagrees with where b was published (shard %d)", s, sb)
+		}
+	}
+	g.drain(sb)
+
+	var res Result
+	if err := c.await(ctx, b, &res); !errors.Is(err, ErrClusterClosed) {
+		t.Errorf("job published behind the holder: err = %v, want ErrClusterClosed", err)
+	}
+	if got := rec.RejectedFor(obs.RejectClosed); got != 1 {
+		t.Errorf("closed rejections = %d, want 1", got)
+	}
+	if err := c.await(ctx, a, &res); err != nil {
+		t.Errorf("job placed before Close: err = %v, want completion", err)
+	}
 }
 
 // BenchmarkSubmitPerRequest is the baseline for BenchmarkSubmitGrouped:

@@ -6,17 +6,19 @@
 // the pre-tenancy code path, which is what keeps the Fig. 9 dispatch hot
 // path allocation-free and unchanged. With a registry configured:
 //
-//  1. Every submit path (SubmitCtx, SubmitBatch, the ingress rings)
-//     comes through lease, which resolves the request's tenant and runs
-//     token-bucket admission *before* leasing queue state: a rejected
-//     request never touches the multi-level queue, so a bursting tenant
-//     cannot trigger λ-congestion demotions for everyone else.
+//  1. Every submit path (SubmitCtx, SubmitBatch, and the ingress rings
+//     every server request enters through) comes through lease, which
+//     resolves the request's tenant and runs token-bucket admission
+//     *before* leasing queue state: a rejected request never touches the
+//     multi-level queue, so a bursting tenant cannot trigger λ-congestion
+//     demotions for everyone else.
 //  2. The tenant's SLO class stamps per-request policy: an implicit
 //     deadline for interactive requests and a batching-window factor the
 //     worker loop's Former honors per member.
 //  3. An admitted job places inline, exactly as an untenanted one does
 //     (submit, submitBatch), and each placement adds the job's token cost
-//     to its tenant's dispatched books.
+//     to its tenant's dispatched books. Nothing takes a placed job back:
+//     closing the ingress fails only jobs its drains have not placed.
 package cluster
 
 import (

@@ -54,7 +54,7 @@ type options struct {
 	// AllocPeriod is the Runtime Scheduler period (default 120 s).
 	AllocPeriod time.Duration
 	// DispatchPolicy names the dispatch policy: "RS" (default, the
-	// paper's Request Scheduler) or a baseline ("ILB", "IG", "LL",
+	// paper's Request Scheduler) or a baseline ("ILB", "IG",
 	// "INFaaS"). The Lambda/Alpha/MaxPeek knobs only apply to "RS".
 	DispatchPolicy string
 	// BatchSize enables dynamic batching in clusters built by NewCluster

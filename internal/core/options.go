@@ -48,7 +48,7 @@ func WithSchedulerParams(lambda, alpha float64, maxPeek int) Option {
 
 // WithDispatchPolicy selects the dispatch policy by name: "RS" (the
 // paper's Request Scheduler, the default), or the baselines "ILB", "IG",
-// "LL", "INFaaS".
+// "INFaaS".
 func WithDispatchPolicy(name string) Option {
 	return func(o *options) { o.DispatchPolicy = name }
 }

@@ -52,7 +52,7 @@ func TestDispatchAllocGuard(t *testing.T) {
 		}
 		guard(fmt.Sprintf("RS 1200 instances L=%d", maxPeek), ml, rs)
 	}
-	for _, name := range []string{"ILB", "IG", "LL", "INFaaS"} {
+	for _, name := range []string{"ILB", "IG", "INFaaS"} {
 		ml := build(12 * 64)
 		d, err := New(name, ml)
 		if err != nil {

@@ -35,7 +35,7 @@ func TestDecisionPaperExample(t *testing.T) {
 // fallback, and checks that each successful dispatch's decision names the
 // instance it returns and that instance's level.
 func TestDecisionNamesInstance(t *testing.T) {
-	for _, name := range []string{"RS", "ILB", "IG", "LL", "INFaaS"} {
+	for _, name := range []string{"RS", "ILB", "IG", "INFaaS"} {
 		d, err := New(name, fig5Queue(t))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -120,7 +120,7 @@ func TestAllPoliciesImplementContextDispatcher(t *testing.T) {
 		name    string
 		spreads bool
 	}{
-		{"RS", true}, {"ILB", true}, {"IG", true}, {"LL", true},
+		{"RS", true}, {"ILB", true}, {"IG", true},
 		{"INFaaS", false}, // packs the fullest bin below its depth by design
 	} {
 		name := tc.name

@@ -1,7 +1,7 @@
 // Package dispatch implements Arlo's Request Scheduler (paper section 3.4,
 // Algorithm 1) and the dispatching baselines it is evaluated against:
-// intra-group load balance (ILB), inter-group greedy (IG), plain global
-// least-loaded (LL, the ST/DT policy), and INFaaS-style bin packing. All
+// intra-group load balance (ILB, the policy of the single-runtime ST/DT
+// systems), inter-group greedy (IG), and INFaaS-style bin packing. All
 // dispatchers operate on the multi-level queue of package queue and share
 // a common interface so systems can swap policies.
 //
@@ -246,54 +246,6 @@ func (d *IG) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decisi
 	return best, dec, nil
 }
 
-// LeastLoaded is the plain global least-loaded policy the single-runtime
-// baselines (ST/DT) degenerate to: route to the least busy length-feasible
-// instance, breaking ties by instance ID across all candidate levels. It
-// differs from IG only in the tie-break — IG prefers the earlier level's
-// head, LeastLoaded the globally smallest ID — which makes it the natural
-// policy when levels carry no padding-cost meaning (one runtime, or
-// homogeneous replicas).
-type LeastLoaded struct {
-	ml *queue.MultiLevel
-}
-
-// NewLeastLoaded builds the baseline over a multi-level queue.
-func NewLeastLoaded(ml *queue.MultiLevel) (*LeastLoaded, error) {
-	if ml == nil {
-		return nil, fmt.Errorf("dispatch: nil multi-level queue")
-	}
-	return &LeastLoaded{ml: ml}, nil
-}
-
-// DispatchCtx implements Dispatcher.
-func (d *LeastLoaded) DispatchCtx(_ context.Context, length int) (*queue.Instance, Decision, error) {
-	var dec Decision
-	cands := d.ml.CandidateLevels(length)
-	if len(cands) == 0 {
-		return nil, dec, ErrTooLong
-	}
-	dec.IdealLevel = cands[0]
-	dec.Peeked = len(cands)
-	var best *queue.Instance
-	bestOut := 0
-	for _, lvl := range cands {
-		head := d.ml.Level(lvl).Front()
-		if head == nil {
-			continue
-		}
-		o := head.Outstanding()
-		if best == nil || o < bestOut || (o == bestOut && head.ID < best.ID) {
-			best, bestOut = head, o
-		}
-	}
-	if best == nil {
-		return nil, dec, ErrNoInstances
-	}
-	dec.Level, dec.Instance = best.Runtime, best.ID
-	d.ml.OnDispatch(best)
-	return best, dec, nil
-}
-
 // BinPacking is the INFaaS-style dispatcher (section 2.3, 5): requests
 // are packed onto already-busy instances that satisfy the length
 // requirement, up to a small per-instance bin depth (INFaaS packs work
@@ -304,17 +256,18 @@ func (d *LeastLoaded) DispatchCtx(_ context.Context, length int) (*queue.Instanc
 // attributes to INFaaS.
 type BinPacking struct {
 	ml *queue.MultiLevel
-	// PackDepth is the bin size: the outstanding count up to which an
-	// instance keeps accepting packed requests (default 4).
-	PackDepth int
 }
+
+// packDepth is BinPacking's bin size: the outstanding count up to which
+// an instance keeps accepting packed requests.
+const packDepth = 4
 
 // NewBinPacking builds the INFaaS-style dispatcher.
 func NewBinPacking(ml *queue.MultiLevel) (*BinPacking, error) {
 	if ml == nil {
 		return nil, fmt.Errorf("dispatch: nil multi-level queue")
 	}
-	return &BinPacking{ml: ml, PackDepth: 4}, nil
+	return &BinPacking{ml: ml}, nil
 }
 
 // DispatchCtx implements Dispatcher. Selection is fully deterministic:
@@ -340,7 +293,7 @@ func (d *BinPacking) DispatchCtx(_ context.Context, length int) (*queue.Instance
 		scan = d.ml.Level(lvl).AppendInstances(scan[:0])
 		for _, in := range scan {
 			o := in.Outstanding()
-			if o < d.PackDepth {
+			if o < packDepth {
 				// Fullest bin below the depth wins; earlier (smaller)
 				// levels win ties, then smaller IDs.
 				if packed == nil || o > packedOut ||
@@ -387,7 +340,7 @@ func SchedulerParams(lambda, alpha float64, maxPeek int) Factory {
 }
 
 // New returns the named dispatcher over the multi-level queue: "RS",
-// "ILB", "IG", "LL", or "INFaaS".
+// "ILB", "IG", or "INFaaS".
 func New(name string, ml *queue.MultiLevel) (Dispatcher, error) {
 	switch name {
 	case "RS":
@@ -396,8 +349,6 @@ func New(name string, ml *queue.MultiLevel) (Dispatcher, error) {
 		return NewILB(ml)
 	case "IG":
 		return NewIG(ml)
-	case "LL":
-		return NewLeastLoaded(ml)
 	case "INFaaS":
 		return NewBinPacking(ml)
 	default:

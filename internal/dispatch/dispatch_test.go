@@ -259,13 +259,13 @@ func TestBinPackingFillsOneBinBeforeSpilling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First PackDepth dispatches all pack onto the same instance (the
+	// First packDepth dispatches all pack onto the same instance (the
 	// fullest non-full bin), then spill to the next.
 	first, _, err := d.DispatchCtx(context.Background(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < d.PackDepth-1; i++ {
+	for i := 0; i < packDepth-1; i++ {
 		in, _, err := d.DispatchCtx(context.Background(), 200)
 		if err != nil {
 			t.Fatal(err)
@@ -333,7 +333,7 @@ func TestParamValidation(t *testing.T) {
 func TestNamesStable(t *testing.T) {
 	ml := fig5Queue(t)
 	for name, want := range map[string]Dispatcher{
-		"RS": &RequestScheduler{}, "ILB": &ILB{}, "IG": &IG{}, "LL": &LeastLoaded{}, "INFaaS": &BinPacking{},
+		"RS": &RequestScheduler{}, "ILB": &ILB{}, "IG": &IG{}, "INFaaS": &BinPacking{},
 	} {
 		d, err := New(name, ml)
 		if err != nil {

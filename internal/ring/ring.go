@@ -44,8 +44,8 @@ type slot[T any] struct {
 type pad [64]byte
 
 // shard is one MPSC ring. tail is shared by producers (CAS), head is
-// owned by the holder of draining (atomic so Len, Release and the race
-// detector see clean publication).
+// owned by the holder of draining (atomic so Release and the race detector
+// see clean publication).
 type shard[T any] struct {
 	slots []slot[T]
 	mask  uint64
@@ -96,8 +96,8 @@ func New[T any](shards, capacity int) *Ring[T] {
 	return r
 }
 
-// Shards returns the shard count; TryAcquire, Release, Drain and Len
-// address shards by index in [0, Shards()).
+// Shards returns the shard count; TryAcquire, Release and Drain address
+// shards by index in [0, Shards()).
 func (r *Ring[T]) Shards() int { return len(r.shards) }
 
 // Enqueue publishes v to one shard, picked round-robin and spilling to
@@ -176,11 +176,4 @@ func (r *Ring[T]) Drain(shard int, buf []T, max int) []T {
 	}
 	s.head.Store(pos)
 	return buf
-}
-
-// Len reports the number of published-but-undrained values in the shard.
-// Approximate under concurrent enqueues.
-func (r *Ring[T]) Len(shard int) int {
-	s := &r.shards[shard]
-	return int(s.tail.Load() - s.head.Load())
 }

@@ -22,8 +22,7 @@ func TestSingleShardFIFO(t *testing.T) {
 			}
 			want = append(want, round*100+i)
 		}
-		for r.Len(0) > 0 {
-			got := r.Drain(0, nil, 3)
+		for got := r.Drain(0, nil, 3); len(got) > 0; got = r.Drain(0, nil, 3) {
 			for _, v := range got {
 				if v != want[0] {
 					t.Fatalf("round %d: drained %d, want %d", round, v, want[0])
@@ -164,8 +163,8 @@ func TestSelfDrainNoStrand(t *testing.T) {
 	}
 	wg.Wait()
 	for s := 0; s < r.Shards(); s++ {
-		if n := r.Len(s); n != 0 {
-			t.Errorf("shard %d: %d values stranded after every producer returned", s, n)
+		if left := r.Drain(s, nil, producers*perProd); len(left) != 0 {
+			t.Errorf("shard %d: %d values stranded after every producer returned", s, len(left))
 		}
 	}
 	checkDrained(t, perShard, producers, perProd)

@@ -138,6 +138,9 @@ func hammer(t *testing.T, srv *Server, rec *obs.Recorder) {
 	}
 }
 
+// TestHammerInferDirect hammers a server built with no ingress option, so
+// its ring drains default-sized groups; TestHammerInferIngress tunes the
+// group down to 8.
 func TestHammerInferDirect(t *testing.T) {
 	srv, rec := hammerServer(t)
 	hammer(t, srv, rec)

@@ -9,7 +9,10 @@
 // The package also holds the protocol front end itself (frontend.go,
 // wire_serve.go): the /v1/infer + /v1/generate handlers and the binary
 // frame listener are written once against a Backend, which Server
-// implements over its cluster and router.Router over its shards.
+// implements over its cluster and router.Router over its shards. A
+// Server has one way into its cluster: every request, JSON or wire,
+// enters through the server's cluster.Ingress rings (WithIngress tunes
+// their drain group), and Close closes them.
 //
 // Endpoints. The first two, and the binary listener (ServeWire), are the
 // Frontend's, so a router serves them too — same validation, statuses and
@@ -167,11 +170,10 @@ type Server struct {
 	shard   string
 	loadSeq atomic.Uint64
 
-	// ingress, when configured with WithIngress, is the ring-fed submit
-	// path both protocols dispatch through instead of per-request
-	// Cluster.SubmitCtx.
+	// ingress is the ring-fed submit path both protocols dispatch
+	// through; ingressCfg tunes it (WithIngress).
 	ingress    *cluster.Ingress
-	ingressCfg *cluster.IngressConfig
+	ingressCfg cluster.IngressConfig
 
 	// ctrl, when attached with WithController, backs GET /v1/controller.
 	// The server only reads status; the caller owns the loop's lifecycle.
@@ -212,12 +214,12 @@ func WithChaos() Option {
 	}
 }
 
-// WithIngress routes submissions through a cluster.Ingress (sharded
-// submit rings drained in groups) instead of per-request SubmitCtx — the
-// amortized hot path. The server owns the ingress; Close shuts it down.
+// WithIngress tunes the server's cluster.Ingress, the sharded submit
+// rings drained in groups that every request enters through. The server
+// owns the ingress; Close shuts it down.
 func WithIngress(cfg cluster.IngressConfig) Option {
 	return func(s *Server) error {
-		s.ingressCfg = &cfg
+		s.ingressCfg = cfg
 		return nil
 	}
 }
@@ -272,9 +274,7 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 			return nil, err
 		}
 	}
-	if s.ingressCfg != nil {
-		s.ingress = cluster.NewIngress(cl, *s.ingressCfg)
-	}
+	s.ingress = cluster.NewIngress(cl, s.ingressCfg)
 	s.mux.HandleFunc("/v1/infer", s.HandleInfer)
 	s.mux.HandleFunc("/v1/generate", s.HandleGenerate)
 	s.mux.HandleFunc("/v1/tenants", s.handleTenants)
@@ -303,23 +303,12 @@ func New(tok *tokenizer.Tokenizer, cl *cluster.Cluster, opts ...Option) (*Server
 // /metrics and /v1/stats: the server's only record of what it served.
 func (s *Server) Recorder() *obs.Recorder { return s.rec }
 
-// submit dispatches one request through the configured path: the ring
-// ingress when WithIngress was given, per-request SubmitCtx otherwise.
-func (s *Server) submit(ctx context.Context, req cluster.Request) (cluster.Result, error) {
-	if s.ingress != nil {
-		return s.ingress.SubmitCtx(ctx, req)
-	}
-	return s.cluster.SubmitCtx(ctx, req)
-}
-
 // Close stops the wire listeners, drops accepted wire connections, and
-// stops the ingress (when configured). The cluster itself stays up — the
-// caller owns it. Idempotent.
+// closes the ingress. The cluster itself stays up — the caller owns it.
+// Idempotent.
 func (s *Server) Close() error {
 	_ = s.Frontend.Close()
-	if s.ingress != nil {
-		s.ingress.Close()
-	}
+	s.ingress.Close()
 	return nil
 }
 
@@ -328,8 +317,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Do implements Backend over the cluster: tokenize text (or clamp
 // pre-encoded ids to the model maximum, mirroring the tokenizer's cap),
-// classify, submit through the ring or directly under the server's
-// request timeout, and build the reply (the cluster has already booked
+// classify, submit through the ingress ring under the server's request
+// timeout, and build the reply (the cluster has already booked
 // the outcome on the recorder) — a KindGenResponse with TTFT and the
 // generated token count for a generative request.
 func (s *Server) Do(ctx context.Context, req wire.Request) (wire.Response, Hop) {
@@ -357,7 +346,7 @@ func (s *Server) Do(ctx context.Context, req wire.Request) (wire.Response, Hop) 
 		ctx, cancel = context.WithTimeout(ctx, s.reqTimeout)
 		defer cancel()
 	}
-	res, err := s.submit(ctx, creq)
+	res, err := s.ingress.SubmitCtx(ctx, creq)
 	if err != nil {
 		return wire.Response{
 			Status:       wireStatus(err),

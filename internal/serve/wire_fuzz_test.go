@@ -20,8 +20,8 @@ import (
 )
 
 // FuzzServeWire feeds arbitrary frame sequences to Frontend.ServeWire over
-// net.Pipe, against a server built WithIngress, so every request that
-// decodes crosses the ring's self-drain. The stream is cut into frames the
+// net.Pipe, so every request that decodes crosses the server's ring and
+// its self-drain. The stream is cut into frames the
 // way the server cuts it; every complete frame must get exactly one reply
 // (a decodable request one carrying its id), a stream that ends in an
 // oversized length prefix must end in a close, and once the replies are in
@@ -192,7 +192,7 @@ func fuzzServer(f *testing.F) *Server {
 		f.Fatal(err)
 	}
 	f.Cleanup(cl.Close)
-	srv, err := New(tokenizer.New(), cl, WithMaxLength(512), WithIngress(cluster.IngressConfig{}))
+	srv, err := New(tokenizer.New(), cl, WithMaxLength(512))
 	if err != nil {
 		f.Fatal(err)
 	}
