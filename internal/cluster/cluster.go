@@ -267,25 +267,11 @@ func (w *worker) health() obs.Health {
 
 // New starts the cluster's workers.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.Profile == nil || len(cfg.Profile.Runtimes) == 0 {
-		return nil, fmt.Errorf("cluster: profile with no runtimes")
-	}
-	if len(cfg.InitialAllocation) != len(cfg.Profile.Runtimes) {
-		return nil, fmt.Errorf("cluster: allocation has %d entries for %d runtimes",
-			len(cfg.InitialAllocation), len(cfg.Profile.Runtimes))
+	if _, err := cfg.Profile.CheckAllocation(cfg.InitialAllocation); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if cfg.Dispatcher == nil {
 		return nil, fmt.Errorf("cluster: nil dispatcher factory")
-	}
-	total := 0
-	for i, n := range cfg.InitialAllocation {
-		if n < 0 {
-			return nil, fmt.Errorf("cluster: negative allocation at runtime %d", i)
-		}
-		total += n
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("cluster: no instances deployed")
 	}
 	ml, err := queue.NewMultiLevel(cfg.Profile.MaxLengths())
 	if err != nil {
@@ -364,12 +350,10 @@ func (c *Cluster) addWorker(rtIdx int) error {
 	// the SLO, over-demoting into larger runtimes. A continuous-batching
 	// instance additionally holds decode slots for many iterations per
 	// request, so its ceiling is the generative M_i.
-	capn := rt.Capacity
-	bcap := c.batchCapFor(rt)
+	slots := rt.BatchWithinSLO(c.maxBatch)
+	capn := rt.BatchCapacity(slots)
 	if c.continuous {
-		capn = rt.GenCapacity(bcap, c.meanOut)
-	} else if bcap > 1 {
-		capn = rt.BatchCapacity(bcap)
+		capn = rt.GenCapacity(slots, c.meanOut)
 	}
 	inst := &queue.Instance{ID: c.nextID, Runtime: rtIdx, MaxCapacity: capn}
 	c.nextID++
@@ -388,18 +372,6 @@ func (c *Cluster) addWorker(rtIdx int) error {
 // no workload here has filled it; place never blocks on it, and a full
 // channel refuses the job with ErrCongested instead.
 const workerQueueDepth = 8192
-
-// batchCapFor returns the effective per-instance batch cap B_i for one
-// runtime: the configured cap clamped to the profiled SLO headroom
-// (Runtime.BatchWithinSLO), or 1 when batching is disabled. Long runtimes
-// whose kernels already fill the SLO run with one slot even in a batched
-// cluster. This is the worker loop's slot count.
-func (c *Cluster) batchCapFor(rt profiler.Runtime) int {
-	if c.maxBatch <= 1 {
-		return 1
-	}
-	return rt.BatchWithinSLO(c.maxBatch)
-}
 
 // Request describes one submission to the cluster.
 type Request struct {
@@ -761,7 +733,7 @@ func (c *Cluster) Snapshot() obs.Snapshot {
 			Depth:     lvl.Depth(),
 		}
 		if c.maxBatch > 1 {
-			snap.Levels[k].BatchCap = c.batchCapFor(c.cfg.Profile.Runtimes[k])
+			snap.Levels[k].BatchCap = c.cfg.Profile.Runtimes[k].BatchWithinSLO(c.maxBatch)
 		}
 	}
 	snap.Instances = make([]obs.InstanceStat, 0, len(c.workers)+len(c.failed))

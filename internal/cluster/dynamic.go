@@ -1,6 +1,10 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"arlo/internal/queue"
+)
 
 // AddInstance provisions one new worker serving the given runtime. It is
 // the real-time counterpart of the simulator's scale-out/replacement
@@ -22,7 +26,8 @@ func (c *Cluster) AddInstance(rtIdx int) (int, error) {
 }
 
 // RemoveInstance drains and stops the least busy worker of the given
-// runtime (any runtime when rtIdx is -1): it stops receiving dispatches
+// runtime (any runtime when rtIdx is -1), chosen by the graceful-removal
+// rule the simulator shares (queue.PickIdlest): it stops receiving dispatches
 // immediately and finishes its queued work in the background. It returns
 // the removed instance's ID, or an error when the runtime has no workers.
 func (c *Cluster) RemoveInstance(rtIdx int) (int, error) {
@@ -31,25 +36,14 @@ func (c *Cluster) RemoveInstance(rtIdx int) (int, error) {
 	if c.closed {
 		return 0, ErrClusterClosed
 	}
-	var victim *worker
-	victimOut := 0
-	for _, w := range c.workers {
-		if rtIdx >= 0 && w.inst.Runtime != rtIdx {
-			continue
-		}
-		o := w.inst.Outstanding()
-		if victim == nil || o < victimOut ||
-			(o == victimOut && w.inst.ID < victim.inst.ID) {
-			victim, victimOut = w, o
-		}
-	}
+	victim := queue.PickIdlest(c.ml.Instances(), rtIdx)
 	if victim == nil {
 		return 0, fmt.Errorf("cluster: no instance to remove for runtime %d", rtIdx)
 	}
-	c.ml.Remove(victim.inst.ID)
-	delete(c.workers, victim.inst.ID)
-	close(victim.ch) // the worker goroutine drains its queue and exits
-	return victim.inst.ID, nil
+	c.ml.Remove(victim.ID)
+	close(c.workers[victim.ID].ch) // the worker goroutine drains its queue and exits
+	delete(c.workers, victim.ID)
+	return victim.ID, nil
 }
 
 // Replace swaps one instance from runtime from to runtime to: the old

@@ -40,7 +40,7 @@ func (c *Cluster) FailInstance(rtIdx int, downtime time.Duration) (int, error) {
 	if rtIdx < -1 || rtIdx >= len(c.cfg.Profile.Runtimes) {
 		return 0, fmt.Errorf("cluster: runtime %d outside [-1, %d)", rtIdx, len(c.cfg.Profile.Runtimes))
 	}
-	victim := queue.PickVictim(c.lockedInstances(), rtIdx)
+	victim := queue.PickVictim(c.ml.Instances(), rtIdx)
 	if victim == nil {
 		return 0, fmt.Errorf("cluster: no instance to fail for runtime %d", rtIdx)
 	}
@@ -103,7 +103,7 @@ func (c *Cluster) SlowInstance(rtIdx int, factor float64) (int, error) {
 	if rtIdx < -1 || rtIdx >= len(c.cfg.Profile.Runtimes) {
 		return 0, fmt.Errorf("cluster: runtime %d outside [-1, %d)", rtIdx, len(c.cfg.Profile.Runtimes))
 	}
-	victim := queue.PickVictim(c.lockedInstances(), rtIdx)
+	victim := queue.PickVictim(c.ml.Instances(), rtIdx)
 	if victim == nil {
 		return 0, fmt.Errorf("cluster: no instance to slow for runtime %d", rtIdx)
 	}
@@ -122,13 +122,4 @@ func (c *Cluster) RestoreInstance(id int) error {
 	}
 	w.slow.Store(math.Float64bits(1))
 	return nil
-}
-
-// lockedInstances snapshots the deployed instances; caller holds c.mu.
-func (c *Cluster) lockedInstances() []*queue.Instance {
-	insts := make([]*queue.Instance, 0, len(c.workers))
-	for _, w := range c.workers {
-		insts = append(insts, w.inst)
-	}
-	return insts
 }

@@ -128,7 +128,10 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 	al := newAlarm()
 	defer al.close()
 
-	slots := c.batchCapFor(rt)
+	// B_i: the configured cap clamped to the profiled SLO headroom, so a
+	// long runtime whose kernel already fills the SLO keeps one slot even
+	// in a batched cluster (maxBatch is 1 when batching is off).
+	slots := rt.BatchWithinSLO(c.maxBatch)
 	// The deadline slack a member must keep at admission: one full-width
 	// kernel, plus its expected decode residency when sequences stay for
 	// many iterations, in wall time.

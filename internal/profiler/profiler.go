@@ -290,6 +290,31 @@ func (p *Profile) IdealRuntime(length int) (idx int, ok bool) {
 	return 0, false
 }
 
+// CheckAllocation validates a per-runtime instance allocation against the
+// profile and returns the number of instances it deploys: the profile has
+// runtimes, the allocation has one count per runtime, no count is negative,
+// and at least one instance is deployed. The simulator and the live cluster
+// both check their starting deployment here and prefix the error with
+// their own package name. A nil profile is an error, not a panic.
+func (p *Profile) CheckAllocation(alloc []int) (instances int, err error) {
+	if p == nil || len(p.Runtimes) == 0 {
+		return 0, fmt.Errorf("profile with no runtimes")
+	}
+	if len(alloc) != len(p.Runtimes) {
+		return 0, fmt.Errorf("allocation has %d entries for %d runtimes", len(alloc), len(p.Runtimes))
+	}
+	for i, n := range alloc {
+		if n < 0 {
+			return 0, fmt.Errorf("negative allocation at runtime %d", i)
+		}
+		instances += n
+	}
+	if instances == 0 {
+		return 0, fmt.Errorf("allocation deploys no instances")
+	}
+	return instances, nil
+}
+
 // capacityWithin returns how many sequential executions of duration lat
 // fit in the SLO.
 func capacityWithin(slo, lat time.Duration) int {

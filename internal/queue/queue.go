@@ -145,6 +145,28 @@ func PickVictim(insts []*Instance, rtIdx int) *Instance {
 	return worst
 }
 
+// PickIdlest returns the instance a graceful removal of runtime rtIdx
+// retires (any runtime when rtIdx is -1), or nil when no instance matches:
+// the least loaded instance, ties broken toward the smaller ID. This is the
+// graceful-removal rule, the mirror of PickVictim's failure rule: a
+// scale-in or a replacement drains the instance with the least queued work,
+// so the fewest requests wait behind a worker that takes no new dispatches.
+// The simulator and the live cluster share it, so their scale-ins and
+// replacements retire the same instance.
+func PickIdlest(insts []*Instance, rtIdx int) *Instance {
+	var best *Instance
+	for _, in := range insts {
+		if rtIdx >= 0 && in.Runtime != rtIdx {
+			continue
+		}
+		if best == nil || in.Outstanding() < best.Outstanding() ||
+			(in.Outstanding() == best.Outstanding() && in.ID < best.ID) {
+			best = in
+		}
+	}
+	return best
+}
+
 // instanceHeap is a min-heap of instances ordered by outstanding load,
 // breaking ties by ID for determinism.
 type instanceHeap []*Instance

@@ -58,7 +58,7 @@ func (s *Simulator) scheduleFailures() {
 // and recovery is scheduled when Downtime is positive. Victim selection
 // delegates to the failure rule shared with the live cluster.
 func (s *Simulator) onFailure(f *Failure) {
-	victim := s.pickVictim(f.Runtime)
+	victim := s.pick(queue.PickVictim, f.Runtime)
 	if victim == nil {
 		return // nothing to crash (e.g. runtime currently has no instances)
 	}
@@ -81,33 +81,6 @@ func (s *Simulator) onFailure(f *Failure) {
 	}
 	s.res.GPUs.Set(s.now, s.res.GPUs.Last()-1)
 	if f.Downtime > 0 {
-		recovered := &simInstance{
-			sched: &queue.Instance{
-				ID:          s.nextID,
-				Runtime:     rtIdx,
-				MaxCapacity: s.cfg.Profile.Runtimes[rtIdx].Capacity,
-			},
-			countOnReady: true,
-		}
-		s.nextID++
-		s.tl.push(s.now+f.Downtime, evInstanceReady, nil, recovered)
+		s.provision(rtIdx, f.Downtime, true)
 	}
-}
-
-// pickVictim applies queue.PickVictim (most loaded, ties toward the
-// smaller ID, -1 for cluster-wide) over the active instances and maps the
-// choice back to its simInstance, or nil when none matches.
-func (s *Simulator) pickVictim(rtIdx int) *simInstance {
-	insts := make([]*queue.Instance, 0, len(s.insts))
-	for _, si := range s.insts {
-		if si.retired {
-			continue
-		}
-		insts = append(insts, si.sched)
-	}
-	chosen := queue.PickVictim(insts, rtIdx)
-	if chosen == nil {
-		return nil
-	}
-	return s.insts[chosen.ID]
 }

@@ -175,28 +175,15 @@ func Run(cfg Config) (*Result, error) {
 }
 
 func newSimulator(cfg Config) (*Simulator, error) {
-	if cfg.Profile == nil || len(cfg.Profile.Runtimes) == 0 {
-		return nil, fmt.Errorf("sim: profile with no runtimes")
+	totalGPUs, err := cfg.Profile.CheckAllocation(cfg.InitialAllocation)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if cfg.Trace == nil {
 		return nil, fmt.Errorf("sim: nil trace")
 	}
 	if cfg.Dispatcher == nil {
 		return nil, fmt.Errorf("sim: nil dispatcher factory")
-	}
-	if len(cfg.InitialAllocation) != len(cfg.Profile.Runtimes) {
-		return nil, fmt.Errorf("sim: initial allocation has %d entries for %d runtimes",
-			len(cfg.InitialAllocation), len(cfg.Profile.Runtimes))
-	}
-	totalGPUs := 0
-	for i, n := range cfg.InitialAllocation {
-		if n < 0 {
-			return nil, fmt.Errorf("sim: negative allocation at runtime %d", i)
-		}
-		totalGPUs += n
-	}
-	if totalGPUs == 0 {
-		return nil, fmt.Errorf("sim: initial allocation deploys no instances")
 	}
 	if cfg.Allocate != nil && cfg.AllocPeriod <= 0 {
 		return nil, fmt.Errorf("sim: periodic allocation requires a positive period")
@@ -233,9 +220,7 @@ func newSimulator(cfg Config) (*Simulator, error) {
 	}
 	for rtIdx, n := range cfg.InitialAllocation {
 		for k := 0; k < n; k++ {
-			if err := s.addInstance(rtIdx); err != nil {
-				return nil, err
-			}
+			s.onInstanceReady(s.newInstance(rtIdx))
 		}
 	}
 	s.res.GPUs.Set(0, float64(totalGPUs))
@@ -287,16 +272,35 @@ func (s *Simulator) run() (*Result, error) {
 	return s.res, nil
 }
 
-// addInstance creates an instance of runtime rtIdx, registers it for
-// dispatching, and returns nil. The caller maintains s.counts.
-func (s *Simulator) addInstance(rtIdx int) error {
+// newInstance builds an instance of runtime rtIdx under a fresh ID, not
+// yet registered for dispatching: every instance the simulator deploys,
+// initial, provisioned or rejoining, is built here.
+func (s *Simulator) newInstance(rtIdx int) *simInstance {
 	rt := s.cfg.Profile.Runtimes[rtIdx]
-	in := &queue.Instance{ID: s.nextID, Runtime: rtIdx, MaxCapacity: rt.Capacity}
+	si := &simInstance{sched: &queue.Instance{ID: s.nextID, Runtime: rtIdx, MaxCapacity: rt.Capacity}}
 	s.nextID++
-	if err := s.ml.Add(in); err != nil {
-		return err
+	return si
+}
+
+// provision brings a new instance of runtime rtIdx up after the given
+// delay: a replacement, a scale-out or a failed GPU's rejoin. countOnReady
+// restores s.counts and the GPU count when it comes up (a rejoin; the
+// other two book them when they are decided).
+func (s *Simulator) provision(rtIdx int, after time.Duration, countOnReady bool) {
+	si := s.newInstance(rtIdx)
+	si.countOnReady = countOnReady
+	s.tl.push(s.now+after, evInstanceReady, nil, si)
+}
+
+// pick applies one instance rule over the active instances (those
+// registered for dispatching) and maps its choice back to the
+// simInstance, or nil when none matches. The rules are the live
+// cluster's: queue.PickVictim for a crash, queue.PickIdlest for a graceful
+// removal.
+func (s *Simulator) pick(rule func([]*queue.Instance, int) *queue.Instance, rtIdx int) *simInstance {
+	if chosen := rule(s.ml.Instances(), rtIdx); chosen != nil {
+		return s.insts[chosen.ID]
 	}
-	s.insts[in.ID] = &simInstance{sched: in}
 	return nil
 }
 
@@ -519,23 +523,18 @@ func (s *Simulator) onAllocTick() {
 	s.recordAllocation(s.now)
 }
 
-// replaceOne retires the least-loaded instance of runtime from and
-// provisions one of runtime to after the replacement delay. Queued (not
-// yet executing) requests of the retired instance are re-dispatched.
+// replaceOne retires the least-loaded instance of runtime from
+// (queue.PickIdlest) and provisions one of runtime to after the
+// replacement delay. Queued (not yet executing) requests of the retired
+// instance are re-dispatched.
 func (s *Simulator) replaceOne(from, to int) {
-	victim := s.leastLoadedOf(from)
+	victim := s.pick(queue.PickIdlest, from)
 	if victim == nil {
 		return
 	}
 	s.retire(victim)
 	s.res.Replacements++
-	ready := &simInstance{sched: &queue.Instance{
-		ID:          s.nextID,
-		Runtime:     to,
-		MaxCapacity: s.cfg.Profile.Runtimes[to].Capacity,
-	}}
-	s.nextID++
-	s.tl.push(s.now+replacementTime, evInstanceReady, nil, ready)
+	s.provision(to, replacementTime, false)
 }
 
 // retire removes an instance from dispatching and re-dispatches its
@@ -558,37 +557,6 @@ func (s *Simulator) retire(si *simInstance) {
 	for _, req := range queued {
 		s.dispatchRequest(req)
 	}
-}
-
-// leastLoadedOf returns the active instance of the runtime with the
-// fewest outstanding requests, or nil.
-func (s *Simulator) leastLoadedOf(rtIdx int) *simInstance {
-	var best *simInstance
-	for _, si := range s.insts {
-		if si.retired || si.sched.Runtime != rtIdx {
-			continue
-		}
-		if best == nil || si.sched.Outstanding() < best.sched.Outstanding() ||
-			(si.sched.Outstanding() == best.sched.Outstanding() && si.sched.ID < best.sched.ID) {
-			best = si
-		}
-	}
-	return best
-}
-
-// leastLoadedAny returns the least loaded active instance cluster-wide.
-func (s *Simulator) leastLoadedAny() *simInstance {
-	var best *simInstance
-	for _, si := range s.insts {
-		if si.retired {
-			continue
-		}
-		if best == nil || si.sched.Outstanding() < best.sched.Outstanding() ||
-			(si.sched.Outstanding() == best.sched.Outstanding() && si.sched.ID < best.sched.ID) {
-			best = si
-		}
-	}
-	return best
 }
 
 // onInstanceReady brings a provisioned/replaced instance online and
@@ -643,18 +611,12 @@ func (s *Simulator) onScaleTick() {
 		last := len(s.counts) - 1
 		s.counts[last]++
 		s.res.ScaleOuts++
-		ready := &simInstance{sched: &queue.Instance{
-			ID:          s.nextID,
-			Runtime:     last,
-			MaxCapacity: s.cfg.Profile.Runtimes[last].Capacity,
-		}}
-		s.nextID++
-		s.tl.push(s.now+replacementTime, evInstanceReady, nil, ready)
+		s.provision(last, replacementTime, false)
 		s.res.GPUs.Set(s.now, float64(g+1))
 		s.recordAllocation(s.now)
 		s.onAllocTick() // rebalance runtimes for the new cluster size
 	case allocator.ScaleIn:
-		victim := s.leastLoadedAny()
+		victim := s.pick(queue.PickIdlest, -1)
 		if victim == nil {
 			return
 		}
