@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"arlo/internal/cluster"
 	"arlo/internal/metrics"
+	"arlo/internal/model"
+	"arlo/internal/profiler"
 	"arlo/internal/trace"
 )
 
@@ -183,5 +186,99 @@ func TestLateBindingImprovesTailUnderLengthBurst(t *testing.T) {
 	if late.Summary.P98 > early.Summary.P98 {
 		t.Errorf("late binding p98 %v should not exceed early binding %v",
 			late.Summary.P98, early.Summary.P98)
+	}
+}
+
+// TestBatchingInstanceSizedLikeCluster holds a batching simulator to the
+// live cluster's sizing of an instance. At a 15 ms SLO the 512 runtime's
+// B_i is clamped to 5 below MaxBatch 8, while the 128 runtime keeps 8.
+// Every simulated instance's M_i must equal the capacity the live cluster
+// reports for the same deployment, and no simulated kernel may take more
+// than its runtime's B_i members.
+func TestBatchingInstanceSizedLikeCluster(t *testing.T) {
+	const maxBatch = 8
+	p, err := profiler.StaticProfile(model.BertBase(), []int{128, 512}, 15*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := make([]int, len(p.Runtimes))
+	clamped := false
+	for i, rt := range p.Runtimes {
+		slots[i] = rt.BatchWithinSLO(maxBatch)
+		clamped = clamped || slots[i] < maxBatch
+	}
+	if !clamped {
+		t.Fatalf("no runtime's B_i is clamped below %d (%v): the profile tests nothing", maxBatch, slots)
+	}
+	alloc := []int{2, 2}
+
+	live, err := cluster.New(cluster.Config{
+		Profile: p, InitialAllocation: alloc, Dispatcher: rsFactory, MaxBatch: maxBatch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := live.Snapshot()
+	live.Close()
+	want := make([]int, len(p.Runtimes))
+	for _, in := range snap.Instances {
+		want[in.Runtime] = in.Capacity
+	}
+
+	// Bursts of simultaneous requests on both runtimes keep the queues
+	// deeper than any B_i, so every kernel is as wide as the instance allows.
+	var reqs []trace.Request
+	for burst := 0; burst < 4; burst++ {
+		at := time.Duration(burst) * 100 * time.Millisecond
+		for i := 0; i < 40; i++ {
+			length := 100
+			if i%2 == 1 {
+				length = 400
+			}
+			reqs = append(reqs, trace.Request{ID: int64(len(reqs)), At: at, Length: length})
+		}
+	}
+	s, err := newSimulator(Config{
+		Profile: p, Trace: manualTrace(time.Second, reqs...), InitialAllocation: alloc,
+		Dispatcher: rsFactory, Overhead: -1, MaxBatch: maxBatch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range s.ml.Instances() {
+		if in.MaxCapacity != want[in.Runtime] {
+			t.Errorf("instance %d (runtime %d): M_i = %d, live cluster's = %d",
+				in.ID, in.Runtime, in.MaxCapacity, want[in.Runtime])
+		}
+	}
+	res, err := s.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != len(reqs) {
+		t.Fatalf("completed %d of %d", res.Completed, len(reqs))
+	}
+	// A kernel's members finish on one instance at one instant, and two
+	// kernels of one instance never do, so a kernel is one such group.
+	type kernel struct {
+		instance int
+		end      time.Duration
+	}
+	width := make(map[kernel]int)
+	level := make(map[int]int)
+	for _, r := range res.Requests {
+		width[kernel{r.Instance, r.At + r.Latency}]++
+		level[r.Instance] = r.Level
+	}
+	widest := make([]int, len(p.Runtimes))
+	for k, n := range width {
+		rt := level[k.instance]
+		if n > slots[rt] {
+			t.Errorf("instance %d (runtime %d) ran a kernel of %d members, B_i = %d", k.instance, rt, n, slots[rt])
+		}
+		widest[rt] = max(widest[rt], n)
+	}
+	if widest[1] != slots[1] {
+		t.Errorf("widest kernel on the clamped runtime = %d, want B_i = %d (the bursts should fill it)", widest[1], slots[1])
 	}
 }

@@ -66,8 +66,10 @@ type Config struct {
 	Scaler allocator.Scaler
 	// Failures injects instance outages (see Failure).
 	Failures []Failure
-	// MaxBatch lets an idle instance execute up to this many queued
-	// requests as one batch (sub-linear batch cost, model.BatchScale).
+	// MaxBatch lets an idle instance execute up to B_i queued requests as
+	// one batch (sub-linear batch cost, model.BatchScale), where B_i is
+	// MaxBatch clamped to the runtime's SLO headroom and the instance's
+	// M_i is the batch-aware capacity at B_i, both as in the live cluster.
 	// The paper serves at batch size 1 (its latency-sensitive default)
 	// and discusses dynamic batching as future work (section 6); values
 	// > 1 enable that extension. 0 or 1 means batch size 1.
@@ -274,10 +276,13 @@ func (s *Simulator) run() (*Result, error) {
 
 // newInstance builds an instance of runtime rtIdx under a fresh ID, not
 // yet registered for dispatching: every instance the simulator deploys,
-// initial, provisioned or rejoining, is built here.
+// initial, provisioned or rejoining, is built here. Its M_i is the live
+// cluster's: the batch-aware capacity at the SLO-clamped slot count B_i,
+// which is the sequential capacity when B_i is 1.
 func (s *Simulator) newInstance(rtIdx int) *simInstance {
 	rt := s.cfg.Profile.Runtimes[rtIdx]
-	si := &simInstance{sched: &queue.Instance{ID: s.nextID, Runtime: rtIdx, MaxCapacity: rt.Capacity}}
+	capn := rt.BatchCapacity(rt.BatchWithinSLO(s.cfg.MaxBatch))
+	si := &simInstance{sched: &queue.Instance{ID: s.nextID, Runtime: rtIdx, MaxCapacity: capn}}
 	s.nextID++
 	return si
 }
@@ -401,22 +406,18 @@ func (s *Simulator) drainBuffer() {
 }
 
 // maybeStart begins executing the instance's next batch when idle: up to
-// MaxBatch queued requests run together at the sub-linear batch cost.
+// B_i queued requests run together at the sub-linear batch cost, where B_i
+// is MaxBatch clamped to the runtime's SLO headroom exactly as the live
+// cluster's worker clamps its slot count (Runtime.BatchWithinSLO).
 func (s *Simulator) maybeStart(si *simInstance) {
 	if si.executing != nil || len(si.fifo) == 0 {
 		return
 	}
-	take := 1
-	if s.cfg.MaxBatch > 1 {
-		take = s.cfg.MaxBatch
-		if take > len(si.fifo) {
-			take = len(si.fifo)
-		}
-	}
+	rt := s.cfg.Profile.Runtimes[si.sched.Runtime]
+	take := min(rt.BatchWithinSLO(s.cfg.MaxBatch), len(si.fifo))
 	batch := si.fifo[:take:take]
 	si.fifo = si.fifo[take:]
 	si.executing = batch
-	rt := s.cfg.Profile.Runtimes[si.sched.Runtime]
 	var cost time.Duration
 	if take == 1 {
 		cost = rt.CostOf(batch[0].Length)
