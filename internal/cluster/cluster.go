@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -162,25 +161,23 @@ type failedInstance struct {
 // with CAS transitions, which is what makes context cancellation safe
 // against the pooled-job recycling:
 //
-//	pending --worker--> running --worker--> done      (worker sends on done;
-//	                                                   submitter recycles)
-//	pending --ctx-----> cancelled                     (worker skips execution
-//	                                                   and recycles)
-//	running --ctx-----> abandoned                     (worker finishes, sends
-//	                                                   nothing, recycles)
+//	pending --worker--> running --worker--> done   (worker signals done;
+//	                                                submitter recycles)
+//	pending|running --ctx--> cancelled             (whoever holds the job
+//	                                                next discards it)
 //
-// Exactly one side wins each transition, so exactly one side returns the
-// job to the pool and the done channel never holds a stale value.
+// A failed job goes pending -> done with j.err set. Exactly one side wins
+// each transition, so exactly one side returns the job to the pool and the
+// done channel never holds a stale signal.
 const (
 	jobPending int32 = iota
 	jobRunning
 	jobDone
 	jobCancelled
-	jobAbandoned
 )
 
 type job struct {
-	done chan time.Duration
+	done chan struct{}
 
 	state atomic.Int32
 
@@ -189,9 +186,8 @@ type job struct {
 	requeues int
 
 	// err carries a terminal failure (requeue budget exhausted, cluster
-	// closed mid-requeue) delivered through the done channel as a
-	// negative latency; the send orders the write before the submitter's
-	// read.
+	// closed mid-requeue), nil on a completion; the done signal orders the
+	// write before the submitter's read.
 	err error
 
 	// deadline is the submitter's context deadline (zero when none): the
@@ -201,8 +197,9 @@ type job struct {
 	// span is the request's lifecycle record, written in place: by the
 	// submitter side (length, submission time, tokenize, tenant, the
 	// dispatch decision, ingress wait) and then by the worker before the
-	// done send (queue wait, exec, batch fields, TTFT, output tokens) — the
-	// channel send orders the worker's writes before deliver reads them.
+	// done signal (queue wait, exec, batch fields, TTFT, output tokens,
+	// total) — the signal orders the worker's writes before deliver reads
+	// them.
 	span obs.Span
 
 	// maxNew is the request's output token budget (0 = encoder request).
@@ -215,16 +212,12 @@ type job struct {
 	window time.Duration
 }
 
-// failedLatency is the sentinel delivered on the done channel when a job
-// terminates with j.err instead of a completion.
-const failedLatency = time.Duration(-1)
-
 // jobPool recycles job structs together with their completion channels so
 // the steady-state submit path allocates nothing. The buffered channel is
 // used for exactly one send and one receive per lease, so a recycled
 // channel is always empty.
 var jobPool = sync.Pool{
-	New: func() any { return &job{done: make(chan time.Duration, 1)} },
+	New: func() any { return &job{done: make(chan struct{}, 1)} },
 }
 
 func newJob(length int) *job {
@@ -472,52 +465,38 @@ func (c *Cluster) lease(ctx context.Context, req Request) (*job, error) {
 // hop is frame the runtime has to grow the stack for. On cancellation
 // await races the worker for the job's state: winning the CAS hands
 // ownership to whichever goroutine holds the job next (worker, ring
-// drain or requeuer), which discards it.
+// drain or requeuer), which discards it. A CAS lost to a requeue
+// (running -> pending) is retried on the new state; one lost to done
+// means the signal is on its way.
 func (c *Cluster) await(ctx context.Context, j *job, res *Result) error {
-	if ctx.Done() == nil {
-		return c.deliver(j, <-j.done, res)
-	}
-	select {
-	case lat := <-j.done:
-		return c.deliver(j, lat, res)
-	case <-ctx.Done():
-		for {
-			if j.state.CompareAndSwap(jobPending, jobCancelled) ||
-				j.state.CompareAndSwap(jobRunning, jobAbandoned) {
-				// The worker now owns the job (it will discard or recycle
-				// it); the submitter must not touch j again.
+	if ctx.Done() != nil {
+		select {
+		case <-j.done:
+			return c.deliver(j, res)
+		case <-ctx.Done():
+		}
+		for s := j.state.Load(); s != jobDone; s = j.state.Load() {
+			if j.state.CompareAndSwap(s, jobCancelled) {
 				c.rec.RecordCancel()
 				return cancelErr(ctx.Err())
 			}
-			// Neither CAS won: the job either terminated (its result is on
-			// the channel) or a failure requeue flipped it running ->
-			// pending between the two CAS attempts. Poll the channel and
-			// retry — the state settles within a few iterations.
-			select {
-			case lat := <-j.done:
-				return c.deliver(j, lat, res)
-			default:
-				runtime.Gosched()
-			}
 		}
 	}
+	<-j.done
+	return c.deliver(j, res)
 }
 
-// deliver consumes a value received from the job's done channel: a
-// failure sentinel yields the job's terminal error, anything else is a
-// normal completion, whose span is closed, recorded and copied — once —
+// deliver resolves a signalled job: a set j.err is its terminal error,
+// anything else a completion, whose span is recorded and copied — once —
 // into the caller's Result. Either way the job returns to the pool.
-func (c *Cluster) deliver(j *job, lat time.Duration, res *Result) error {
-	if lat == failedLatency {
-		err := j.err
-		jobPool.Put(j)
-		return err
+func (c *Cluster) deliver(j *job, res *Result) error {
+	err := j.err
+	if err == nil {
+		c.rec.RecordSpan(&j.span)
+		res.Span = j.span
 	}
-	j.span.Total = lat
-	c.rec.RecordSpan(&j.span)
-	res.Span = j.span
 	jobPool.Put(j)
-	return nil
+	return err
 }
 
 // cancelErr maps a context error to the cluster's sentinel while keeping
@@ -685,7 +664,7 @@ func (c *Cluster) failJob(j *job, err error) {
 	if j.state.CompareAndSwap(jobPending, jobDone) {
 		j.err = err
 		c.rec.RecordReject(rejectReason(err))
-		j.done <- failedLatency
+		j.done <- struct{}{}
 		return
 	}
 	// Cancelled concurrently: the submitter already returned and counted

@@ -103,7 +103,7 @@ func (r *residents) advance() (owing int) {
 //   - cancellation while queued: each admission is promoted pending ->
 //     running by CAS; a lost CAS means the submitter's context fired first,
 //     and only that request is dropped, unexecuted;
-//   - cancellation mid-execution: the submitter's running -> abandoned CAS
+//   - cancellation mid-execution: the submitter's running -> cancelled CAS
 //     detaches it at once. A continuous worker frees the slot at the end of
 //     the iteration; otherwise the member keeps its width until its batch
 //     leaves (the kernel cannot be interrupted). Either way the worker
@@ -170,7 +170,7 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 	)
 	// requeueResidents displaces every resident through the failover path
 	// (crash semantics: partial generations are lost), unless its submitter
-	// abandoned it concurrently.
+	// cancelled it concurrently.
 	requeueResidents := func() {
 		for _, s := range res.seqs {
 			c.ml.OnComplete(w.inst)
@@ -262,11 +262,11 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 			continue
 		}
 
-		// Release finished (and, mid-flight, abandoned) sequences.
+		// Release finished (and, mid-flight, cancelled) sequences.
 		keep := res.seqs[:0]
 		for _, s := range res.seqs {
 			j := s.j
-			if s.remain > 0 && j.state.Load() != jobAbandoned {
+			if s.remain > 0 && j.state.Load() != jobCancelled {
 				keep = append(keep, s)
 				continue
 			}
@@ -276,8 +276,9 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 			lat := time.Duration(float64(end.Sub(j.span.Enqueued)) / c.scale)
 			j.span.Exec = lat - j.span.Queue
 			j.span.OutTokens = j.maxNew
+			j.span.Total = lat + c.overhead
 			if j.state.CompareAndSwap(jobRunning, jobDone) {
-				j.done <- lat + c.overhead
+				j.done <- struct{}{}
 			} else {
 				jobPool.Put(j)
 			}
