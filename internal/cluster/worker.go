@@ -14,16 +14,16 @@ import (
 // iteration prefills the sequences admitted this round and advances every
 // other resident sequence by one decode token, as a single emulated
 // kernel priced by the prefill+decode model (Runtime.BatchCostOf +
-// Runtime.DecodeStepCost). What used to be three loops are three settings
-// of two values the cluster already derives:
+// Runtime.DecodeStepCost). Its modes are three settings of two values the
+// cluster already derives:
 //
-//	slots = batchCapFor(rt)   continuous   behaviour
-//	1                         either       sequential: one request per kernel
-//	> 1                       false        run-to-completion batching: members
-//	                                       admitted together leave together
-//	> 1                       true         continuous batching: finished
-//	                                       sequences leave at once and queued
-//	                                       requests join freed slots mid-flight
+//	slots = BatchWithinSLO(maxBatch)   continuous   behaviour
+//	1                                  either       sequential: one request per kernel
+//	> 1                                false        run-to-completion batching: members
+//	                                                admitted together leave together
+//	> 1                                true         continuous batching: finished
+//	                                                sequences leave at once and queued
+//	                                                requests join freed slots mid-flight
 //
 // An encoder request is a sequence that owes no decode steps, so it costs
 // exactly one iteration in every mode.

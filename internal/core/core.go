@@ -75,8 +75,9 @@ type options struct {
 	// continuous capacity model (0 defaults to 16).
 	MeanOutTokens float64
 	// Tenants, when non-empty, enables multi-tenant serving in clusters
-	// built by NewCluster: token-bucket admission plus weighted fair
-	// dispatch across the given tenant records.
+	// built by NewCluster: token-bucket admission, and each SLO class's
+	// implicit deadline and batch window, for the given tenant records.
+	// Admitted jobs place inline in arrival order; weight orders nothing.
 	Tenants []tenant.Config
 }
 

@@ -12,9 +12,9 @@
 // (max(own pass, vtime)), the standard SFQ rule that prevents an idle
 // tenant from banking credit and then monopolizing the queue.
 //
-// The cluster drains a Fair with a single pump goroutine, so ordering
-// decisions here directly become multi-level-queue dispatch order; the
-// per-level λ-congestion logic downstream is unchanged.
+// No product path uses Fair: the cluster places admitted tenant jobs
+// inline, in arrival order. Only the benchmark's queue.fair_push_pop_ns
+// leaf times it; ROADMAP item 12 decides whether it stays.
 
 package queue
 
