@@ -149,10 +149,10 @@ func PickVictim(insts []*Instance, rtIdx int) *Instance {
 // retires (any runtime when rtIdx is -1), or nil when no instance matches:
 // the least loaded instance, ties broken toward the smaller ID. This is the
 // graceful-removal rule, the mirror of PickVictim's failure rule: a
-// scale-in or a replacement drains the instance with the least queued work,
-// so the fewest requests wait behind a worker that takes no new dispatches.
-// The simulator and the live cluster share it, so their scale-ins and
-// replacements retire the same instance.
+// scale-in or a replacement retires the instance with the least
+// outstanding work, so it disturbs the fewest requests. The simulator and
+// the live cluster share it, so their scale-ins and replacements retire
+// the same instance.
 func PickIdlest(insts []*Instance, rtIdx int) *Instance {
 	var best *Instance
 	for _, in := range insts {

@@ -560,8 +560,9 @@ func (s *Simulator) retire(si *simInstance) {
 	}
 }
 
-// onInstanceReady brings a provisioned/replaced instance online and
-// re-dispatches any requests that were stalled with no instance available.
+// onInstanceReady brings an instance online (initial, provisioned,
+// replacing or rejoining) and re-dispatches any requests that were stalled
+// with no instance available.
 func (s *Simulator) onInstanceReady(si *simInstance) {
 	if err := s.ml.Add(si.sched); err != nil {
 		return
