@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("allocation for 10 GPUs: %v (instances per runtime)\n", alloc)
+	fmt.Printf("allocation for 10 GPUs: %v (instances per runtime)\n", alloc.N)
 
 	// 4. Simulate Arlo end to end.
 	res, err := a.Simulate(tr, 10)

@@ -101,6 +101,43 @@ func (s *Solver) Allocate(g int, q []float64) (*Allocation, error) {
 	return &Allocation{N: n, Cost: cost, Relaxed: relaxed}, nil
 }
 
+// Func is an allocation policy: the per-runtime instance counts for g GPUs
+// under demand q (requests per SLO window per runtime bin). Solver.Allocate
+// is Arlo's; a baseline wraps its heuristic in one.
+type Func func(g int, q []float64) (*Allocation, error)
+
+// Replan is one period of the Runtime Scheduler (sections 3.3 and 4): it
+// solves for the GPUs the current deployment holds and plans the minimal
+// replacements toward the result. Two dampers are the values its callers
+// set differently: the simulator applies every plan whole (hold 0, budget
+// 0, as the paper's loop does), and the live controller sets both from its
+// Options. A positive hold keeps the current deployment unless the target
+// beats its objective by more than that fraction (held reports this, with
+// the whole plan), but never when the current deployment breaks Eq. 7. A
+// positive budget keeps only the plan's first budget replacements. A solve
+// error returns a nil target; a plan error still returns the target.
+func Replan(solve Func, p *profiler.Profile, current []int, q []float64, hold float64, budget int) (target *Allocation, plan []Replacement, held bool, err error) {
+	g := 0
+	for _, n := range current {
+		g += n
+	}
+	if target, err = solve(g, q); err != nil {
+		return nil, nil, false, err
+	}
+	if plan, err = PlanReplacements(current, target.N); err != nil {
+		return target, nil, false, err
+	}
+	if hold > 0 && len(plan) > 0 {
+		if cur, cerr := EvaluateObjective(p, q, current); cerr == nil && cur <= target.Cost*(1+hold) {
+			return target, plan, true, nil
+		}
+	}
+	if budget > 0 && len(plan) > budget {
+		plan = plan[:budget]
+	}
+	return target, plan, false, nil
+}
+
 // dpState is one Pareto-frontier entry: after allocating some prefix of
 // runtimes with a given GPU total, carry requests R remain demoted and
 // cost has accrued. choice/parent reconstruct the allocation.

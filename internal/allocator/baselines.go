@@ -82,17 +82,3 @@ func ProportionalAllocation(g int, q []float64, capacities []int) ([]int, error)
 	}
 	return n, nil
 }
-
-// SingleRuntimeAllocation puts all g GPUs on one runtime index — how the
-// ST (all max-length) and DT (one dynamic runtime) baselines deploy.
-func SingleRuntimeAllocation(g, numRuntimes, idx int) ([]int, error) {
-	if idx < 0 || idx >= numRuntimes {
-		return nil, fmt.Errorf("allocator: runtime index %d outside [0, %d)", idx, numRuntimes)
-	}
-	if g < 1 {
-		return nil, fmt.Errorf("allocator: need at least one GPU")
-	}
-	n := make([]int, numRuntimes)
-	n[idx] = g
-	return n, nil
-}

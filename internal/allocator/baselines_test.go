@@ -108,19 +108,3 @@ func TestProportionalAllocationConserves(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSingleRuntimeAllocation(t *testing.T) {
-	n, err := SingleRuntimeAllocation(7, 8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n[7] != 7 || sumInts(n) != 7 {
-		t.Errorf("allocation = %v", n)
-	}
-	if _, err := SingleRuntimeAllocation(7, 8, 8); err == nil {
-		t.Error("out-of-range index should fail")
-	}
-	if _, err := SingleRuntimeAllocation(0, 8, 0); err == nil {
-		t.Error("zero GPUs should fail")
-	}
-}

@@ -4,20 +4,20 @@
 // experiments, run here against the serving topology itself.
 //
 // Every control period the loop reads the observed request-length
-// distribution and p98 latency from the obs plane's sliding window,
-// re-solves the allocation program for the current GPU count, diffs the
-// result against the live topology, and applies the minimal-replacement
-// plan through the cluster's Replace path. A separate, faster loop feeds
-// the autoscaler (target-tracking on p98, or utilization headroom) and
-// grows or shrinks the GPU pool through AddInstance/RemoveInstance. Three
-// dampers keep the loop from thrashing, mirroring the k8s-HPA
-// desired/current pattern:
+// distribution from the obs plane's sliding window, takes the Runtime
+// Scheduler's one step (allocator.Replan, the simulator's step too) for
+// the live GPU count, and applies the plan through the cluster's Replace
+// path. A separate, faster loop feeds the autoscaler (target-tracking on
+// p98, or utilization headroom) and grows or shrinks the GPU pool through
+// AddInstance/RemoveInstance. Three dampers keep the loop from thrashing,
+// mirroring the k8s-HPA desired/current pattern:
 //
 //   - hysteresis: a plan is applied only when the solver's objective beats
 //     the current topology's objective by a configurable margin, so noise
-//     around an optimum does not churn instances;
+//     around an optimum does not churn instances (Replan's hold);
 //   - a max-replacements-per-period budget: large drifts converge over
-//     several periods instead of restarting half the fleet at once;
+//     several periods instead of restarting half the fleet at once
+//     (Replan's budget);
 //   - dry-run mode: observe, solve and record without touching topology.
 //
 // Determinism is a design constraint, not an afterthought: Step and
@@ -30,6 +30,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +38,7 @@ import (
 	"arlo/internal/allocator"
 	"arlo/internal/cluster"
 	"arlo/internal/obs"
+	"arlo/internal/trace"
 )
 
 // Defaults for Options' zero values, and the autoscaler's fixed tick.
@@ -158,89 +160,37 @@ func New(cl *cluster.Cluster, solver *allocator.Solver, opts Options) (*Controll
 	return c, nil
 }
 
-// demand converts windowed per-runtime counts into the allocation
-// program's q-vector: expected requests per SLO window. The obs window
-// counts wall-clock arrivals while the profile's capacities are in modeled
-// time, so on a time-compressed emulated cluster the raw estimate
-// overstates modeled demand by 1/TimeScale; the cluster's own TimeScale
-// corrects it (1 on a real-time cluster).
-func (c *Controller) demand(counts []int64, at time.Time) []float64 {
-	span := c.cl.Recorder().WindowSpan()
-	slo := c.solver.Profile.SLO
-	windows := 1.0
-	if span > 0 && slo > 0 {
-		windows = float64(span) / float64(slo)
-	}
-	q := make([]float64, len(counts))
-	for i, n := range counts {
-		q[i] = float64(n) / windows * c.cl.TimeScale()
-	}
-	return q
-}
-
 // Step runs one replanning period at the given timestamp: read the
-// windowed length distribution, solve the allocation program for the
-// live GPU count, and apply (up to the budget, subject to hysteresis)
-// the minimal replacement plan. Production calls it from the Start
-// ticker with time.Now(); tests call it directly with virtual time.
+// windowed length distribution, take one allocator.Replan step for the
+// live GPU count, and apply its plan (up to the budget, subject to
+// hysteresis). Production calls it from the Start ticker with time.Now();
+// tests call it directly with virtual time.
 func (c *Controller) Step(now time.Time) StepResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
 	counts := c.cl.Recorder().LengthDistAt(now)
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	if total == 0 {
+	if !slices.ContainsFunc(counts, func(n int64) bool { return n > 0 }) {
 		return StepResult{} // an idle window says nothing; keep the topology
 	}
-	current := c.cl.Allocation()
-	g := 0
-	for _, n := range current {
-		g += n
-	}
-	if g == 0 {
-		return c.fail(errors.New("controller: cluster has no instances"))
-	}
-
-	q := c.demand(counts, now)
-	target, err := c.solver.Allocate(g, q)
-	if err != nil {
+	q := trace.PerWindow(counts, c.cl.Recorder().WindowSpan(), c.solver.Profile.SLO, c.cl.TimeScale())
+	target, plan, held, err := allocator.Replan(c.solver.Allocate, c.solver.Profile, c.cl.Allocation(), q, c.opts.Hysteresis, c.opts.MaxReplacements)
+	if target == nil {
 		return c.fail(fmt.Errorf("controller: solve: %w", err))
 	}
 	c.replans.Add(1)
 	c.lastDemand = q
 	c.lastTarget = target.N
 	c.lastErr = ""
-
-	plan, err := allocator.PlanReplacements(current, target.N)
 	if err != nil {
 		// The topology changed size between Allocation() and the solve
 		// (an autoscaler or operator racing us); retry next period.
 		return c.fail(fmt.Errorf("controller: diff: %w", err))
 	}
-	res := StepResult{Replanned: true, Target: target.N, Plan: plan}
-	if len(plan) == 0 {
+	res := StepResult{Replanned: true, Held: held, Target: target.N, Plan: plan}
+	if held {
+		c.plansHeld.Add(1)
 		return res
-	}
-
-	// Hysteresis: the plan must promise a real objective win over the
-	// topology we already have. An unevaluable current topology (e.g. the
-	// top runtime lost its last instance, violating Eq. 7) must be fixed,
-	// so it never holds the plan.
-	if c.opts.Hysteresis > 0 {
-		curCost, cerr := allocator.EvaluateObjective(c.solver.Profile, q, current)
-		if cerr == nil && curCost <= target.Cost*(1+c.opts.Hysteresis) {
-			c.plansHeld.Add(1)
-			res.Held = true
-			return res
-		}
-	}
-
-	if c.opts.MaxReplacements > 0 && len(plan) > c.opts.MaxReplacements {
-		plan = plan[:c.opts.MaxReplacements]
-		res.Plan = plan
 	}
 	if c.opts.DryRun {
 		return res

@@ -1,8 +1,8 @@
 // Package core is the top-level entry point of the Arlo reproduction. It
 // holds the one description of a serving scheme — System: a runtime
-// profile, a dispatch policy, an allocation policy and an initial
-// allocation, which SimConfig turns into a simulation — with the paper's
-// three baselines (ST, DT, INFaaS) as constructors of it, and Arlo, which
+// profile, a dispatch policy and one allocation policy, which SimConfig
+// turns into a simulation — with the paper's three baselines (ST, DT,
+// INFaaS) as constructors of it, and Arlo, which
 // embeds its System and wires the calibrated latency model, the offline
 // profiler, the Runtime Scheduler (allocation, replacement, auto-scaling)
 // and the Request Scheduler (multi-level-queue dispatch) into one system
@@ -134,13 +134,6 @@ func build(opts options) (*Arlo, error) {
 	if opts.DispatchPolicy == "RS" {
 		factory = dispatch.SchedulerParams(opts.Lambda, opts.Alpha, opts.MaxPeek)
 	}
-	allocate := func(g int, q []float64) ([]int, error) {
-		al, err := solver.Allocate(g, q)
-		if err != nil {
-			return nil, err
-		}
-		return al.N, nil
-	}
 	// Validate dispatch policy and parameters eagerly.
 	ml, err := queue.NewMultiLevel(p.MaxLengths())
 	if err != nil {
@@ -150,7 +143,7 @@ func build(opts options) (*Arlo, error) {
 		return nil, err
 	}
 	return &Arlo{
-		System: System{Name: "Arlo", Profile: p, Dispatcher: factory, Allocate: allocate, Initial: allocate},
+		System: System{Name: "Arlo", Profile: p, Dispatcher: factory, Allocate: solver.Allocate},
 		Model:  lm,
 		Solver: solver,
 		opts:   opts,
@@ -190,13 +183,7 @@ func (a *Arlo) Simulate(tr *trace.Trace, g int) (*sim.Result, error) {
 // NewCluster starts a real-time emulated cluster of g GPUs allocated for
 // the given expected demand (nil demand spreads GPUs evenly).
 func (a *Arlo) NewCluster(g int, q []float64) (*cluster.Cluster, error) {
-	var initial []int
-	var err error
-	if q == nil {
-		initial, err = allocator.EvenAllocation(g, len(a.Profile.Runtimes))
-	} else {
-		initial, err = a.Initial(g, q)
-	}
+	initial, err := a.initial(g, q)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ import (
 
 // System is one of the serving schemes the evaluation compares (paper
 // section 5, "Compared schemes") — ST, DT, INFaaS or Arlo — described by
-// the five things they differ in. SimConfig turns any of them into a
+// the four things they differ in. SimConfig turns any of them into a
 // simulation, so experiments treat them uniformly; Arlo embeds its own.
 type System struct {
 	// Name is the scheme label used in experiment output.
@@ -23,12 +23,11 @@ type System struct {
 	Profile *profiler.Profile
 	// Dispatcher builds the request-dispatch policy.
 	Dispatcher dispatch.Factory
-	// Allocate is the periodic Runtime Scheduler policy (nil = fixed
-	// deployment).
-	Allocate sim.AllocatorFunc
-	// Initial computes the starting allocation for g GPUs given warm-up
-	// demand (requests per SLO window per runtime bin).
-	Initial sim.AllocatorFunc
+	// Allocate is the scheme's one allocation policy: it sets the starting
+	// deployment from warm-up demand and, in the simulator, every period's
+	// Runtime Scheduler step. Nil is a fixed deployment, which starts
+	// evenly split (ST and DT: all GPUs on their one runtime).
+	Allocate allocator.Func
 }
 
 // ST assembles the uniform zero-padding baseline: one static runtime at
@@ -42,7 +41,7 @@ func ST(lm *model.LatencyModel, slo time.Duration) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return singleRuntime("ST", p), nil
+	return &System{Name: "ST", Profile: p, Dispatcher: dispatch.Policy("ILB")}, nil
 }
 
 // DT assembles the dynamic-compilation baseline: one dynamic runtime
@@ -56,20 +55,7 @@ func DT(lm *model.LatencyModel, sampleLengths []int, slo time.Duration) (*System
 	if err != nil {
 		return nil, err
 	}
-	return singleRuntime("DT", p), nil
-}
-
-// singleRuntime deploys every GPU on the profile's one runtime; with a
-// single level ILB is pure load balance.
-func singleRuntime(name string, p *profiler.Profile) *System {
-	return &System{
-		Name:       name,
-		Profile:    p,
-		Dispatcher: dispatch.Policy("ILB"),
-		Initial: func(g int, _ []float64) ([]int, error) {
-			return allocator.SingleRuntimeAllocation(g, 1, 0)
-		},
-	}
+	return &System{Name: "DT", Profile: p, Dispatcher: dispatch.Policy("ILB")}, nil
 }
 
 // INFaaS assembles the multi-variant baseline: the same runtimes as Arlo
@@ -84,20 +70,23 @@ func INFaaS(lm *model.LatencyModel, slo time.Duration) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	countProportional := func(g int, q []float64) ([]int, error) {
+	countProportional := func(g int, q []float64) (*allocator.Allocation, error) {
 		// Equal per-instance weights: shares follow request counts only.
 		flat := make([]int, len(q))
 		for i := range flat {
 			flat[i] = 1
 		}
-		return allocator.ProportionalAllocation(g, q, flat)
+		n, err := allocator.ProportionalAllocation(g, q, flat)
+		if err != nil {
+			return nil, err
+		}
+		return &allocator.Allocation{N: n}, nil
 	}
 	return &System{
 		Name:       "INFaaS",
 		Profile:    p,
 		Dispatcher: dispatch.Policy("INFaaS"),
 		Allocate:   countProportional,
-		Initial:    countProportional,
 	}, nil
 }
 
@@ -123,7 +112,7 @@ func (s *System) SimConfig(tr *trace.Trace, g int, warmup time.Duration) (sim.Co
 	if warmup > 0 && warmup < tr.Duration {
 		window = tr.Clip(0, warmup)
 	}
-	initial, err := s.Initial(g, s.Demand(window))
+	initial, err := s.initial(g, s.Demand(window))
 	if err != nil {
 		return sim.Config{}, fmt.Errorf("core: initial allocation for %s: %w", s.Name, err)
 	}
@@ -138,4 +127,18 @@ func (s *System) SimConfig(tr *trace.Trace, g int, warmup time.Duration) (sim.Co
 		cfg.AllocPeriod = defaultAllocPeriod
 	}
 	return cfg, nil
+}
+
+// initial is the scheme's starting deployment of g GPUs: its allocation
+// policy on the warm-up demand q, or an even split for a fixed scheme or
+// an unknown (nil) demand.
+func (s *System) initial(g int, q []float64) ([]int, error) {
+	if s.Allocate == nil || q == nil {
+		return allocator.EvenAllocation(g, len(s.Profile.Runtimes))
+	}
+	al, err := s.Allocate(g, q)
+	if err != nil {
+		return nil, err
+	}
+	return al.N, nil
 }

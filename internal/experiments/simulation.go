@@ -157,7 +157,7 @@ func Table3(w io.Writer, opt Options) error {
 	type policy struct {
 		name    string
 		initial func() ([]int, error)
-		alloc   sim.AllocatorFunc
+		alloc   allocator.Func
 	}
 	caps := make([]int, numRt)
 	for i, rt := range arlo.Profile.Runtimes {
@@ -180,7 +180,11 @@ func Table3(w io.Writer, opt Options) error {
 		{
 			name: "periodic (Runtime Scheduler)",
 			initial: func() ([]int, error) {
-				return arlo.Initial(gpus, arlo.Demand(tr.Clip(0, period)))
+				al, err := arlo.Allocate(gpus, arlo.Demand(tr.Clip(0, period)))
+				if err != nil {
+					return nil, err
+				}
+				return al.N, nil
 			},
 			alloc: arlo.Allocate,
 		},

@@ -36,10 +36,6 @@ const (
 	scalePeriod = time.Second
 )
 
-// AllocatorFunc computes a per-runtime instance allocation for g GPUs
-// given the observed demand q (requests per SLO window per length bin).
-type AllocatorFunc func(g int, q []float64) ([]int, error)
-
 // Config describes one simulation run.
 type Config struct {
 	// Profile is the offline runtime profile (defines runtimes and SLO).
@@ -51,9 +47,10 @@ type Config struct {
 	InitialAllocation []int
 	// Dispatcher builds the request-dispatch policy (required).
 	Dispatcher dispatch.Factory
-	// Allocate is the Runtime Scheduler policy invoked every AllocPeriod;
-	// nil disables periodic reallocation (fixed deployment).
-	Allocate AllocatorFunc
+	// Allocate is the allocation policy the Runtime Scheduler's step
+	// (allocator.Replan) solves with every AllocPeriod; nil disables
+	// periodic reallocation (fixed deployment).
+	Allocate allocator.Func
 	// AllocPeriod is the Runtime Scheduler period (paper: 120 s).
 	AllocPeriod time.Duration
 	// Overhead is added to every request's latency (default 0.8 ms; set
@@ -473,8 +470,8 @@ func (s *Simulator) binOf(length int) int {
 }
 
 // onAllocTick runs the Runtime Scheduler: estimate demand from the
-// arrivals of the elapsed window, solve the allocation, and apply a
-// minimal replacement plan. It runs on the decision period and — per the
+// arrivals of the elapsed window and take one allocator.Replan step,
+// applying its plan whole. It runs on the decision period and — per the
 // paper's "automatically adapt to the length distribution with scaled
 // resources" — immediately after every auto-scaling action.
 func (s *Simulator) onAllocTick() {
@@ -486,29 +483,16 @@ func (s *Simulator) onAllocTick() {
 	if elapsed < slo {
 		return // window too short to estimate demand
 	}
-	windows := float64(elapsed) / float64(slo)
-	q := make([]float64, len(s.arrivals))
-	total := 0
-	for i, c := range s.arrivals {
-		q[i] = float64(c) / windows
-		total += c
-		s.arrivals[i] = 0
-	}
+	q := trace.PerWindow(s.arrivals, elapsed, slo, 1)
+	idle := !slices.ContainsFunc(s.arrivals, func(c int) bool { return c > 0 })
+	clear(s.arrivals)
 	s.lastAlloc = s.now
-	if total == 0 {
+	if idle {
 		return // an idle window says nothing; keep the deployment
 	}
-	g := 0
-	for _, n := range s.counts {
-		g += n
-	}
-	target, err := s.cfg.Allocate(g, q)
-	if err != nil || len(target) != len(s.counts) {
-		return // keep the current deployment on solver failure
-	}
-	plan, err := allocator.PlanReplacements(s.counts, target)
+	target, plan, _, err := allocator.Replan(s.cfg.Allocate, s.cfg.Profile, s.counts, q, 0, 0)
 	if err != nil {
-		return
+		return // keep the current deployment on solver failure
 	}
 	// Roll the plan out in small batches (section 4): each batch starts
 	// when the previous batch's replacements complete, so only a couple
@@ -520,7 +504,7 @@ func (s *Simulator) onAllocTick() {
 			s.tl.pushReplace(start, rep.From, rep.To)
 		}
 	}
-	copy(s.counts, target)
+	copy(s.counts, target.N)
 	s.recordAllocation(s.now)
 }
 

@@ -45,7 +45,9 @@ func TestConfigValidation(t *testing.T) {
 		{"negative alloc", Config{Profile: p, Trace: tr, InitialAllocation: []int{-1}, Dispatcher: rsFactory}},
 		{"no instances", Config{Profile: p, Trace: tr, InitialAllocation: []int{0}, Dispatcher: rsFactory}},
 		{"alloc without period", Config{Profile: p, Trace: tr, InitialAllocation: []int{1}, Dispatcher: rsFactory,
-			Allocate: func(g int, q []float64) ([]int, error) { return []int{g}, nil }}},
+			Allocate: func(g int, q []float64) (*allocator.Allocation, error) {
+				return &allocator.Allocation{N: []int{g}}, nil
+			}}},
 	}
 	for _, tc := range cases {
 		if _, err := Run(tc.cfg); err == nil {
@@ -224,14 +226,8 @@ func TestPeriodicReallocationFollowsDemandShift(t *testing.T) {
 		Profile: p, Trace: tr,
 		InitialAllocation: []int{3, 1},
 		Dispatcher:        rsFactory,
-		Allocate: func(g int, q []float64) ([]int, error) {
-			a, err := solver.Allocate(g, q)
-			if err != nil {
-				return nil, err
-			}
-			return a.N, nil
-		},
-		AllocPeriod: 5 * time.Second,
+		Allocate:          solver.Allocate,
+		AllocPeriod:       5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,14 +324,14 @@ func TestRequestsWaitAcrossFullReplacement(t *testing.T) {
 		Profile: p, Trace: tr,
 		InitialAllocation: []int{1, 0},
 		Dispatcher:        rsFactory,
-		Allocate: func(g int, q []float64) ([]int, error) {
+		Allocate: func(g int, q []float64) (*allocator.Allocation, error) {
 			// Alternate the single GPU between the two runtimes to force
 			// a full-cluster replacement every period.
 			flip = !flip
 			if flip {
-				return []int{0, 1}, nil
+				return &allocator.Allocation{N: []int{0, 1}}, nil
 			}
-			return []int{1, 0}, nil
+			return &allocator.Allocation{N: []int{1, 0}}, nil
 		},
 		AllocPeriod: 2 * time.Second,
 	})

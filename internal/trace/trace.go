@@ -219,14 +219,24 @@ type LengthCDFPoint struct {
 // Q_i input of the runtime-allocation program (Eq. 1-7). Requests longer
 // than the last bin are counted in the last bin.
 func (t *Trace) BinDemand(binUppers []int, sloWindow time.Duration) []float64 {
-	counts := BinCounts(t.Lengths(), binUppers)
+	return PerWindow(BinCounts(t.Lengths(), binUppers), t.Duration, sloWindow, 1)
+}
+
+// PerWindow turns counts observed over span into the average count per
+// window, times scale: the one demand estimate the allocation program
+// reads. Each caller passes its own counts and span (a trace, arrivals
+// since the simulator's last tick, the recorder's sliding window); scale
+// is 1 except on a time-compressed live cluster, whose wall-clock counts
+// overstate modeled demand by 1/TimeScale. It is all zeros when span or
+// window is not positive.
+func PerWindow[T int | int64](counts []T, span, window time.Duration, scale float64) []float64 {
 	out := make([]float64, len(counts))
-	if t.Duration <= 0 || sloWindow <= 0 {
+	if span <= 0 || window <= 0 {
 		return out
 	}
-	windows := float64(t.Duration) / float64(sloWindow)
+	windows := float64(span) / float64(window)
 	for i, c := range counts {
-		out[i] = float64(c) / windows
+		out[i] = float64(c) / windows * scale
 	}
 	return out
 }

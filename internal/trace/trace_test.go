@@ -282,6 +282,36 @@ func TestBinDemand(t *testing.T) {
 	}
 }
 
+// TestPerWindowPinsBinDemand pins the one demand estimate bit for bit
+// against the formula BinDemand, the simulator and the controller each
+// wrote before they shared it: counts / (span/window), times the
+// controller's time scale.
+func TestPerWindowPinsBinDemand(t *testing.T) {
+	tr, err := Generate(Stable(3, 700, 9*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uppers := []int{64, 128, 192, 256, 320, 384, 448, 512}
+	counts := BinCounts(tr.Lengths(), uppers)
+	wide := make([]int64, len(counts))
+	for i, c := range counts {
+		wide[i] = int64(c)
+	}
+	for _, slo := range []time.Duration{7 * time.Millisecond, 150 * time.Millisecond, 450 * time.Millisecond} {
+		windows := float64(tr.Duration) / float64(slo)
+		q := tr.BinDemand(uppers, slo)
+		scaled := PerWindow(wide, tr.Duration, slo, 0.02)
+		for i, c := range counts {
+			if want := float64(c) / windows; math.Float64bits(q[i]) != math.Float64bits(want) {
+				t.Errorf("slo %v bin %d: BinDemand %v, want %v", slo, i, q[i], want)
+			}
+			if want := float64(c) / windows * 0.02; math.Float64bits(scaled[i]) != math.Float64bits(want) {
+				t.Errorf("slo %v bin %d: scaled %v, want %v", slo, i, scaled[i], want)
+			}
+		}
+	}
+}
+
 func TestLengthCDF(t *testing.T) {
 	tr := &Trace{Requests: []Request{
 		{Length: 5}, {Length: 5}, {Length: 10}, {Length: 20},
