@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short benchmark-check race chaos fuzz bench bench-dispatch bench-obs bench-serve bench-claims experiments experiments-full vet staticcheck lint fmt loc loc-check clean
+.PHONY: all build test test-short benchmark-check race chaos virtual fuzz bench bench-dispatch bench-obs bench-serve bench-claims experiments experiments-full vet staticcheck lint fmt loc loc-check clean
 
 all: build test
 
@@ -33,6 +33,15 @@ race:
 # through the ingress rings and even seeds through Cluster.SubmitCtx.
 chaos:
 	$(GO) test -race -run 'TestConservationManySeeds|TestScripted|TestRecovery|TestCrossCheck' -v ./internal/chaos/
+
+# The live cluster on virtual time: each package's tagged TestMain runs
+# its tests inside one testing/synctest bubble (Go 1.24's experiment), the
+# worker's spin guard is 0, and internal/chaos holds the simulator to the
+# live cluster request by request. Tier-1 builds none of these files.
+# internal/ring is left out: its polling tests spin on runtime.Gosched,
+# which never lets a bubble's clock advance.
+virtual:
+	GOEXPERIMENT=synctest $(GO) test -race ./internal/chaos/ ./internal/cluster/ ./internal/controller/ ./internal/batcher/ ./internal/queue/ ./internal/tenant/ ./internal/obs/
 
 # Short fuzz pass over the checked-in corpora plus 30s of search per
 # target. This is the one list of fuzz targets: CI's fuzz job runs it.
@@ -121,7 +130,7 @@ loc:
 
 # The house rule as a gate: the root module's code lines never exceed the
 # figure the last simplicity PR ended on. A PR that ends lower lowers it.
-LOC_MAX = 11375
+LOC_MAX = 11336
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$1 == "total" { print $$2 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \

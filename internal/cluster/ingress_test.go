@@ -28,34 +28,6 @@ func ingressCluster(t *testing.T, alloc []int, lengths []int) *Cluster {
 	return c
 }
 
-// TestIngressSubmitCtx pins the drop-in contract: a request through the
-// ring completes like one through Cluster.SubmitCtx, and its span gains
-// the ingress_wait stage.
-func TestIngressSubmitCtx(t *testing.T) {
-	c := ingressCluster(t, []int{2}, []int{512})
-	rec := c.Recorder()
-	defer c.Close()
-	g := NewIngress(c, IngressConfig{})
-	defer g.Close()
-
-	res, err := g.SubmitCtx(context.Background(), Request{Length: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Span.Total <= 0 {
-		t.Errorf("latency = %v, want > 0", res.Span.Total)
-	}
-	if res.Span.IngressWait <= 0 {
-		t.Errorf("span ingress_wait = %v, want > 0", res.Span.IngressWait)
-	}
-	if res.Span.Exec <= 0 {
-		t.Errorf("span exec = %v, want > 0", res.Span.Exec)
-	}
-	if got := rec.Completed(); got != 1 {
-		t.Errorf("completed = %d, want 1", got)
-	}
-}
-
 // TestIngressCancelWhileRinged drives a job through the ring while its
 // context is already on the way out: whichever side wins the CAS, the
 // submitter gets a typed error or a result, never a hang, and the books

@@ -287,14 +287,6 @@ func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
 	}
 }
 
-// spinGuard is the longest kernel that is busy-waited instead of slept.
-// A longer kernel sleeps to its deadline on the worker's timer, with the
-// alarm armed for the same instant so the wake-up lands within tens of
-// microseconds of it; a shorter one would pay that wake-up's latency on
-// top of its cost, so it spins. Every closed-loop benchmark kernel at
-// TimeScale 1e-4 is below it.
-const spinGuard = 50 * time.Microsecond
-
 // emulate executes one kernel of the given wall-clock cost: sleep to the
 // deadline, or spin to it when the kernel is within spinGuard. It returns
 // the instant the kernel was seen finished, or killed when the worker
