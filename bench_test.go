@@ -233,7 +233,7 @@ func BenchmarkFig9DispatchObserverOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		length := lengths[i%len(lengths)]
-		rec.RecordSubmit()
+		rec.RecordSubmit(length)
 		in, dec, err := rs.DispatchCtx(ctx, length)
 		if err != nil {
 			b.Fatal(err)

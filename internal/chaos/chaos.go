@@ -99,10 +99,10 @@ type Config struct {
 	MaxNewTokens int
 	// Controller, when non-nil, runs the closed control loop during the
 	// run with these options: at every ControllerPeriod of modeled time the
-	// loop re-solves the allocation program from the observed length
-	// distribution and applies the replacement plan — so replans race the
-	// scripted failures, slowdowns and rejoins. Run sets the recorder's
-	// window to one period of wall time.
+	// loop re-solves the allocation program from the period's arrivals and
+	// applies the replacement plan — so replans race the scripted
+	// failures, slowdowns and rejoins. Run sets the options' Period to
+	// ControllerPeriod in wall time.
 	// The conservation audit is unchanged: a replacement that displaces
 	// in-flight work must still deliver every request exactly once or
 	// reject it with a typed error.
@@ -163,6 +163,9 @@ type Report struct {
 	// replacements the plans applied while racing the fault schedule.
 	Replans      int64
 	Replacements int64
+	// Allocations is the cluster's per-runtime allocation after each
+	// controller tick, in tick order (controller runs only).
+	Allocations [][]int
 
 	// Requeues splits the displaced-work counter by displacement point.
 	RequeuesQueued   int64
@@ -338,21 +341,21 @@ func Run(cfg Config) (*Report, error) {
 
 	// The control loop shares the run's recorder and cluster. Replace
 	// errors are expected mid-schedule (the plan races failures); Step
-	// already tolerates them and replans next period. The recorder's window
-	// covers one period of wall time, so the demand estimate tracks the
-	// load instead of averaging the whole run.
+	// already tolerates them and replans next period. Its Period is the
+	// modeled period in wall time, the span each tick's arrivals cover.
 	var ctrl *controller.Controller
 	period := cfg.ControllerPeriod
 	if cfg.Controller != nil {
 		if period <= 0 {
 			period = cfg.Trace.Duration / 4
 		}
-		rec.SetWindow(time.Duration(float64(period) * scale))
 		solver, err := allocator.NewSolver(cfg.Profile)
 		if err != nil {
 			return nil, err
 		}
-		if ctrl, err = controller.New(cl, solver, *cfg.Controller); err != nil {
+		opts := *cfg.Controller
+		opts.Period = time.Duration(float64(period) * scale)
+		if ctrl, err = controller.New(cl, solver, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -481,7 +484,8 @@ func Run(cfg Config) (*Report, error) {
 				// Replace errors are legal here — the plan races failures
 				// and rejoins; the loop replans from whatever topology
 				// exists next tick. Conservation is what Check audits.
-				_ = ctrl.Step(time.Now())
+				_ = ctrl.Step()
+				rep.Allocations = append(rep.Allocations, cl.Allocation())
 				continue
 			}
 			switch st.ev.Kind {

@@ -31,10 +31,11 @@ func TestConservationManySeedsController(t *testing.T) {
 			// real replacements to apply while the schedule fires.
 			Allocation: []int{1, 3},
 			Trace:      testTrace(t, int64(seed), 150, 200*time.Millisecond),
-			// One control period is a quarter of the trace, and Run sizes
-			// the recorder's window to it in wall time: 2.5 ms here. At the
-			// other sweeps' 0.02 it would be 1 ms, inside scheduler jitter,
-			// and a seed could find every window empty and never replan.
+			// One control period is a quarter of the trace, 2.5 ms of wall
+			// time here. Each tick's demand is the arrivals booked since
+			// the previous tick, which the dispatch barrier has placed, so
+			// the scale sets how hard replans race the faults, not whether
+			// a tick sees its quarter's arrivals.
 			TimeScale:      0.05,
 			Seed:           int64(seed),
 			CancelFraction: 0.2,
@@ -69,11 +70,10 @@ func TestConservationManySeedsController(t *testing.T) {
 
 // TestControllerReplansConverge pins the control loop's steady-state
 // effect without faults: the start is lopsided against the mostly-short
-// Twitter lengths, the windowed demand estimate (one control period of
-// wall time, sized by Run) sees that, and periodic replans move GPUs from
-// the overweight max-length runtime to the small one — and the books still
-// balance afterwards. The time scale keeps one period at 10 ms of wall
-// time, well clear of scheduler jitter.
+// Twitter lengths, each period's arrivals show that, and periodic replans
+// move GPUs from the overweight max-length runtime to the small one — and
+// the books still balance afterwards. The time scale keeps one period at
+// 10 ms of wall time.
 func TestControllerReplansConverge(t *testing.T) {
 	p := testProfile(t)
 	rep, err := Run(Config{
@@ -105,8 +105,5 @@ func TestControllerReplansConverge(t *testing.T) {
 	}
 	if gpus != 4 {
 		t.Errorf("replanning must conserve the GPU pool: final %v sums to %d, want 4", rep.FinalAllocation, gpus)
-	}
-	if want := time.Duration(float64(50*time.Millisecond) * 0.2); rep.Recorder.WindowSpan() != want {
-		t.Errorf("recorder window = %v, want one control period of wall time (%v)", rep.Recorder.WindowSpan(), want)
 	}
 }

@@ -4,6 +4,8 @@ package chaos
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"arlo/internal/model"
 	"arlo/internal/profiler"
 	"arlo/internal/sim"
+	"arlo/internal/trace"
 )
 
 // equalityRow is one configuration that the simulator and the live
@@ -137,6 +140,106 @@ func demoted(rep *Report) int {
 		}
 	}
 	return n
+}
+
+// TestSimLiveControllerRow holds the simulator's period tick to the live
+// controller. Both count a period's arrivals per runtime bin, divide them
+// over one period into demand per SLO window and take the same
+// allocator.Replan step with no hold and no budget, so on a drifting trace
+// they must leave the same allocation after every tick. Every request that
+// arrives before the first replacement must also get the same decision;
+// after it the two differ by design (the simulator keeps a replaced GPU
+// offline for a second, cluster.Replace swaps at once).
+func TestSimLiveControllerRow(t *testing.T) {
+	const period = 200 * time.Millisecond
+	p, err := profiler.StaticProfile(model.BertBase(), []int{128, 256, 512}, 150*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, err := allocator.NewSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The median length swings between ~60 and ~300 tokens over the
+	// trace, so the demand moves across all three bins.
+	tr, err := trace.Generate(trace.Config{
+		Seed: 11, Duration: 2 * time.Second, Arrivals: trace.Poisson{Rate: 600},
+		Lengths: trace.DriftingLengths{Mu: math.Log(140), SigmaWindow: 0.3, DriftAmp: 0.8, DriftPeriod: 2 * time.Second, Min: 1, Max: 512},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := []int{2, 2, 2}
+	simRes, err := sim.Run(sim.Config{
+		Profile:           p,
+		Trace:             tr,
+		InitialAllocation: alloc,
+		Dispatcher:        dispatch.Policy("RS"),
+		Overhead:          -1,
+		Allocate:          solver.Allocate,
+		AllocPeriod:       period,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(Config{
+		Profile:          p,
+		Allocation:       alloc,
+		Trace:            tr,
+		TimeScale:        1,
+		BatchDelay:       -1,
+		Controller:       &controller.Options{Hysteresis: -1, MaxReplacements: -1},
+		ControllerPeriod: period,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if want := int(tr.Duration / period); len(rep.Allocations) != want {
+		t.Fatalf("%d controller ticks, want %d", len(rep.Allocations), want)
+	}
+	plans, firstReplacement := 0, time.Duration(math.MaxInt64)
+	prev := alloc
+	for k, live := range rep.Allocations {
+		at := time.Duration(k+1) * period
+		// The simulator books an allocation at every tick that replans.
+		var simN []int
+		for _, pt := range simRes.Allocations {
+			if pt.At <= at {
+				simN = pt.N
+			}
+		}
+		if !slices.Equal(simN, live) {
+			t.Errorf("tick %d at %v: simulator allocation %v, live %v", k+1, at, simN, live)
+		}
+		if !slices.Equal(simN, prev) {
+			plans++
+			firstReplacement = min(firstReplacement, at)
+		}
+		prev = simN
+	}
+	if plans < 2 {
+		t.Fatalf("%d non-empty plans over %d ticks, want at least 2 on a drifting trace", plans, len(rep.Allocations))
+	}
+	compared, decisions := 0, 0
+	for i, r := range simRes.Requests {
+		if r.At >= firstReplacement {
+			break
+		}
+		compared++
+		if s := rep.Samples[i]; r.Decision != s.Span.Decision {
+			if decisions++; decisions <= 3 {
+				t.Logf("request %d: simulator decision %+v, live %+v", i, r.Decision, s.Span.Decision)
+			}
+		}
+	}
+	if compared == 0 || decisions != 0 {
+		t.Errorf("%d decision differences in the %d requests before the first replacement", decisions, compared)
+	}
+	t.Logf("%d ticks, %d plans, first replacement at %v, %d requests compared, final %v",
+		len(rep.Allocations), plans, firstReplacement, compared, rep.FinalAllocation)
 }
 
 // TestBubbledRunReplays runs one seed twice in the bubble, with crashes,

@@ -315,9 +315,9 @@ func New(cfg Config) (*Cluster, error) {
 		rec:        obs.NewRecorder(len(cfg.Profile.Runtimes)),
 		tenants:    cfg.Tenants,
 	}
-	// The profile's runtime boundaries are the sliding window's length
-	// bins, so the control loop reads the demand vector q straight off the
-	// recorder; its gauges render this cluster's Snapshot.
+	// The profile's runtime boundaries are the recorder's arrival bins, so
+	// the control loop reads each period's demand straight off the books;
+	// its gauges render this cluster's Snapshot.
 	c.rec.SetLengthBins(cfg.Profile.MaxLengths())
 	c.rec.SetSnapshot(c.Snapshot)
 	c.mu.Lock()
@@ -429,15 +429,16 @@ func (c *Cluster) SubmitCtx(ctx context.Context, req Request) (res Result, err e
 }
 
 // lease opens one submission — the shared front half of SubmitCtx,
-// Ingress.SubmitCtx and SubmitBatch. It books the attempt, runs
-// tenant admission, and leases a pooled job stamped with the request's
+// Ingress.SubmitCtx and SubmitBatch. It books the attempt and its
+// arrival in the length's bin (the controller's demand), runs tenant
+// admission, and leases a pooled job stamped with the request's
 // fields, the context's deadline (the batch former bounds its collection
 // window by the slack it leaves) and the tenant's class policy. A context
 // that is already done, or an admission refusal, resolves the request
 // here with its typed error and its outcome on the books: no job is
 // leased and the queue is never touched.
 func (c *Cluster) lease(ctx context.Context, req Request) (*job, error) {
-	c.rec.RecordSubmit()
+	c.rec.RecordSubmit(req.Length)
 	if err := ctx.Err(); err != nil {
 		c.rec.RecordCancel()
 		return nil, cancelErr(err)

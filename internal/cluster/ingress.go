@@ -192,7 +192,7 @@ func (g *Ingress) drain(shard int) {
 func (g *Ingress) SubmitCtx(ctx context.Context, req Request) (res Result, err error) {
 	rec := g.c.rec
 	if g.closed.Load() {
-		rec.RecordSubmit()
+		rec.RecordSubmit(req.Length)
 		rec.RecordReject(obs.RejectClosed)
 		return res, ErrClusterClosed
 	}

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"arlo/internal/dispatch"
 	"arlo/internal/obs"
 	"arlo/internal/tenant"
 )
@@ -502,4 +504,64 @@ func BenchmarkIngressContended(b *testing.B) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestArrivalBinsBookEachSubmission pins the controller's demand books:
+// every submission, through either entry point and whatever its outcome,
+// is counted once in its length's arrival bin, so for positive lengths the
+// bins sum to Submitted(), and a take starts the next period at zero.
+func TestArrivalBinsBookEachSubmission(t *testing.T) {
+	c, err := New(Config{
+		Profile:           testProfile(t, []int{128, 512}),
+		InitialAllocation: []int{1, 1},
+		Dispatcher:        rsFactory,
+		Overhead:          -1,
+		Tenants:           testRegistry(t, tenant.Config{ID: "tight", Capacity: 100}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	g := NewIngress(c, IngressConfig{})
+	rec := c.Recorder()
+	bg := context.Background()
+	dead, cancel := context.WithCancel(bg)
+	cancel()
+
+	submits := []struct {
+		name   string
+		submit func(context.Context, Request) (Result, error)
+		ctx    context.Context
+		req    Request
+		want   error
+	}{
+		{"direct", c.SubmitCtx, bg, Request{Length: 50}, nil},
+		{"direct, long", c.SubmitCtx, bg, Request{Length: 300}, nil},
+		{"direct, dead on arrival", c.SubmitCtx, dead, Request{Length: 60}, ErrDeadlineExceeded},
+		{"direct, rate-limited", c.SubmitCtx, bg, Request{Length: 200, Tenant: "tight"}, ErrRateLimited},
+		{"direct, too long", c.SubmitCtx, bg, Request{Length: 9999}, dispatch.ErrTooLong},
+		{"ingress", g.SubmitCtx, bg, Request{Length: 100}, nil},
+		{"ingress, dead on arrival", g.SubmitCtx, dead, Request{Length: 400}, ErrDeadlineExceeded},
+		{"ingress, rate-limited", g.SubmitCtx, bg, Request{Length: 120, Tenant: "tight"}, ErrRateLimited},
+	}
+	for _, s := range submits {
+		if _, err := s.submit(s.ctx, s.req); !errors.Is(err, s.want) {
+			t.Fatalf("%s: err = %v, want %v", s.name, err, s.want)
+		}
+	}
+	g.Close()
+	if _, err := g.SubmitCtx(bg, Request{Length: 500}); !errors.Is(err, ErrClusterClosed) {
+		t.Fatalf("ingress after Close: err = %v, want ErrClusterClosed", err)
+	}
+
+	bins := rec.TakeArrivals()
+	if want := []int64{4, 5}; !slices.Equal(bins, want) {
+		t.Errorf("arrival bins = %v, want %v", bins, want)
+	}
+	if sum := bins[0] + bins[1]; sum != rec.Submitted() {
+		t.Errorf("arrival bins sum to %d, recorder booked %d submissions", sum, rec.Submitted())
+	}
+	if bins := rec.TakeArrivals(); !slices.Equal(bins, []int64{0, 0}) {
+		t.Errorf("arrival bins after a take = %v, want [0 0]", bins)
+	}
 }

@@ -3,12 +3,13 @@
 // target-tracking autoscaler, until now only exercised inside simulator
 // experiments, run here against the serving topology itself.
 //
-// Every control period the loop reads the observed request-length
-// distribution from the obs plane's sliding window, takes the Runtime
-// Scheduler's one step (allocator.Replan, the simulator's step too) for
-// the live GPU count, and applies the plan through the cluster's Replace
-// path. A separate, faster loop feeds the autoscaler (target-tracking on
-// p98, or utilization headroom) and grows or shrinks the GPU pool through
+// Every control period the loop takes the arrivals the cluster booked
+// since the previous period, per runtime length bin (the demand the
+// simulator's tick counts), takes the Runtime Scheduler's one step
+// (allocator.Replan, the simulator's step too) for the live GPU count, and
+// applies the plan through the cluster's Replace path. A separate, faster
+// loop feeds the autoscaler (target-tracking on p98, or utilization
+// headroom) and grows or shrinks the GPU pool through
 // AddInstance/RemoveInstance. Three dampers keep the loop from thrashing,
 // mirroring the k8s-HPA desired/current pattern:
 //
@@ -20,11 +21,11 @@
 //     (Replan's budget);
 //   - dry-run mode: observe, solve and record without touching topology.
 //
-// Determinism is a design constraint, not an afterthought: Step and
-// Autoscale take explicit timestamps and do all their work synchronously,
-// so the convergence test suite drives the loop with a fake clock and
-// seeded traces — Start merely wraps the same methods in wall-clock
-// tickers for production use.
+// Determinism is a design constraint, not an afterthought: Step reads
+// only the arrival books, Autoscale takes an explicit timestamp, and both
+// do all their work synchronously, so the convergence test suite drives
+// the loop with a fake clock and seeded demand — Start merely wraps the
+// same methods in wall-clock tickers for production use.
 package controller
 
 import (
@@ -44,8 +45,8 @@ import (
 // Defaults for Options' zero values, and the autoscaler's fixed tick.
 const (
 	// DefaultPeriod is the replanning interval: frequent enough to track
-	// minute-scale drift, infrequent enough that the observation window
-	// fully refreshes between solves.
+	// minute-scale drift, long enough that one period's arrivals estimate
+	// the length distribution.
 	DefaultPeriod = 15 * time.Second
 	// ScalePeriod is the autoscaler observation interval (the paper
 	// evaluates the target tracker on second-scale ticks).
@@ -60,7 +61,8 @@ const (
 // Options tune the control loop. The zero value is usable: paper-shaped
 // defaults are filled in by New.
 type Options struct {
-	// Period is the replanning interval (default DefaultPeriod).
+	// Period is the replanning interval (default DefaultPeriod), and the
+	// span Step divides one period's arrivals over.
 	Period time.Duration
 	// Scaler decides the total GPU count; nil disables autoscaling and the
 	// loop only replans the split across runtimes.
@@ -71,8 +73,9 @@ type Options struct {
 	// Hysteresis is the fractional objective improvement required before a
 	// replacement plan is applied (0 means DefaultHysteresis; negative
 	// means none — every non-empty plan is applied). Only tests set it (six
-	// controller tests and two chaos sweeps, all but one to run with none);
-	// it stays because restating them on the shipped 5% is its own change.
+	// controller tests and three chaos tests, all but one to run with none;
+	// the simulator row needs none to match the simulator's hold of 0); it
+	// stays because restating them on the shipped 5% is its own change.
 	Hysteresis float64
 	// DryRun observes, solves and records decisions without mutating the
 	// cluster.
@@ -111,7 +114,7 @@ type Controller struct {
 // StepResult reports what one control period decided, for tests and logs.
 type StepResult struct {
 	// Replanned reports the allocation program was solved this period
-	// (false when the window held no observations).
+	// (false when no request arrived in it).
 	Replanned bool
 	// Held reports hysteresis suppressed a non-empty plan.
 	Held bool
@@ -130,7 +133,8 @@ type StepResult struct {
 // New builds a controller over the cluster and solver. The loop reads its
 // demand and latency signals from the cluster's recorder, and installs
 // itself there as the controller-stats source for the arlo_controller_*
-// metrics.
+// metrics. The first period starts here: arrivals booked before New are
+// not its demand.
 func New(cl *cluster.Cluster, solver *allocator.Solver, opts Options) (*Controller, error) {
 	if cl == nil {
 		return nil, errors.New("controller: nil cluster")
@@ -157,23 +161,25 @@ func New(cl *cluster.Cluster, solver *allocator.Solver, opts Options) (*Controll
 		done:   make(chan struct{}),
 	}
 	cl.Recorder().SetControllerStats(c.controllerStat)
+	cl.Recorder().TakeArrivals()
 	return c, nil
 }
 
-// Step runs one replanning period at the given timestamp: read the
-// windowed length distribution, take one allocator.Replan step for the
-// live GPU count, and apply its plan (up to the budget, subject to
-// hysteresis). Production calls it from the Start ticker with time.Now();
-// tests call it directly with virtual time.
-func (c *Controller) Step(now time.Time) StepResult {
+// Step runs one replanning period: take the arrivals booked since the
+// previous Step, divide them over one Period into demand per SLO window
+// (trace.PerWindow, as the simulator's tick does), take one
+// allocator.Replan step for the live GPU count, and apply its plan (up to
+// the budget, subject to hysteresis). The Start ticker calls it every
+// Period; tests and chaos.Run call it directly.
+func (c *Controller) Step() StepResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	counts := c.cl.Recorder().LengthDistAt(now)
+	counts := c.cl.Recorder().TakeArrivals()
 	if !slices.ContainsFunc(counts, func(n int64) bool { return n > 0 }) {
-		return StepResult{} // an idle window says nothing; keep the topology
+		return StepResult{} // an idle period says nothing; keep the topology
 	}
-	q := trace.PerWindow(counts, c.cl.Recorder().WindowSpan(), c.solver.Profile.SLO, c.cl.TimeScale())
+	q := trace.PerWindow(counts, c.opts.Period, c.solver.Profile.SLO, c.cl.TimeScale())
 	target, plan, held, err := allocator.Replan(c.solver.Allocate, c.solver.Profile, c.cl.Allocation(), q, c.opts.Hysteresis, c.opts.MaxReplacements)
 	if target == nil {
 		return c.fail(fmt.Errorf("controller: solve: %w", err))
@@ -294,7 +300,7 @@ func (c *Controller) run() {
 		case <-c.stop:
 			return
 		case <-replan.C:
-			c.Step(time.Now())
+			c.Step()
 		case <-scaleC:
 			c.Autoscale(time.Now())
 		}
@@ -370,7 +376,7 @@ func (c *Controller) Status() Status {
 		Allocation:      alloc,
 		P98MS:           float64(rec.P98At(now)) / float64(time.Millisecond),
 		WindowSamples:   rec.WindowSamples(now),
-		WindowMS:        float64(rec.WindowSpan()) / float64(time.Millisecond),
+		WindowMS:        float64(obs.WindowSpan) / float64(time.Millisecond),
 		Replans:         c.replans.Load(),
 		PlansHeld:       c.plansHeld.Load(),
 		Replacements:    c.replacements.Load(),

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"arlo/internal/obs"
 	"arlo/internal/profiler"
 	"arlo/internal/queue"
+	"arlo/internal/trace"
 )
 
 const testSLO = 150 * time.Millisecond
@@ -30,8 +30,8 @@ func testProfile(t testing.TB, lengths ...int) *profiler.Profile {
 }
 
 // testTimeScale compresses the test clusters' emulated compute. The
-// controller reads it off the cluster to turn wall-clock window counts
-// into modeled-time demand, so demandOf applies it too.
+// controller reads it off the cluster to turn a wall-clock period's
+// arrivals into modeled-time demand, so demandOf applies it too.
 const testTimeScale = 0.01
 
 func testCluster(t testing.TB, p *profiler.Profile, alloc []int) *cluster.Cluster {
@@ -52,37 +52,31 @@ func testCluster(t testing.TB, p *profiler.Profile, alloc []int) *cluster.Cluste
 	return cl
 }
 
-// vt maps a virtual offset onto the absolute timeline the window slots on.
+// vt maps a virtual offset onto the absolute timeline the latency window
+// slots on.
 func vt(d time.Duration) time.Time { return time.Unix(0, 0).Add(d) }
 
 // feed records one span per length at the given virtual time with the
-// given end-to-end latency.
+// given end-to-end latency: the autoscaler's signal.
 func feed(rec *obs.Recorder, lengths []int, total time.Duration, at time.Time) {
 	for _, l := range lengths {
 		rec.RecordSpanAt(&obs.Span{Length: l, Total: total, Decision: dispatch.Decision{Instance: l}}, at)
 	}
 }
 
-// binCounts mirrors the window's binning: first upper >= length, clamped
-// into the last bin.
-func binCounts(lengths []int, uppers []int) []int64 {
-	counts := make([]int64, len(uppers))
+// arrive books one submission per length: the next Step's demand.
+func arrive(rec *obs.Recorder, lengths []int) {
 	for _, l := range lengths {
-		b := sort.SearchInts(uppers, l)
-		if b >= len(uppers) {
-			b = len(uppers) - 1
-		}
-		counts[b]++
+		rec.RecordSubmit(l)
 	}
-	return counts
 }
 
-// demandOf converts fed-span bin counts into the q-vector the controller
-// derives: requests per SLO window of modeled time, over the default window
-// every test cluster's recorder keeps.
+// demandOf converts the bin counts of one period's arrivals into the
+// q-vector the controller derives: requests per SLO window of modeled
+// time, over the default period every test controller runs.
 func demandOf(p *profiler.Profile, lengths []int) []float64 {
-	counts := binCounts(lengths, p.MaxLengths())
-	windows := float64(obs.NewRecorder(1).WindowSpan()) / float64(p.SLO)
+	counts := trace.BinCounts(lengths, p.MaxLengths())
+	windows := float64(DefaultPeriod) / float64(p.SLO)
 	q := make([]float64, len(counts))
 	for i, n := range counts {
 		q[i] = float64(n) / windows * testTimeScale
@@ -164,7 +158,7 @@ func TestStepSkipsIdleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := c.Step(vt(time.Minute))
+	res := c.Step()
 	if res.Replanned || res.Err != nil {
 		t.Fatalf("idle step = %+v, want inert", res)
 	}
@@ -188,9 +182,8 @@ func TestDryRunPlansWithoutTouchingTopology(t *testing.T) {
 	for i := range lengths {
 		lengths[i] = 500
 	}
-	now := vt(time.Minute)
-	feed(rec, lengths, time.Millisecond, now)
-	res := c.Step(now)
+	arrive(rec, lengths)
+	res := c.Step()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -223,9 +216,8 @@ func TestHysteresisHoldsMarginalPlans(t *testing.T) {
 	for i := range lengths {
 		lengths[i] = 30
 	}
-	now := vt(time.Minute)
-	feed(rec, lengths, time.Millisecond, now)
-	res := c.Step(now)
+	arrive(rec, lengths)
+	res := c.Step()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -1,11 +1,10 @@
 // The deterministic convergence suite — the headline test of the control
-// loop. Everything here runs on a fake clock: the controller's Step and
-// Autoscale take explicit timestamps, the observation window is fed with
-// seeded, virtually-timestamped spans, and the allocation solver plus
-// PlanReplacements are deterministic, so every assertion is exact — no
-// wall-clock sleeps, no tolerance bands — and the whole suite is run
-// under -race in CI (live cluster workers keep running underneath while
-// the loop swaps their instances).
+// loop. Everything here runs on a fake clock: each Step's demand is the
+// seeded arrivals booked before it, Autoscale takes explicit timestamps,
+// and the allocation solver plus PlanReplacements are deterministic, so
+// every assertion is exact — no wall-clock sleeps, no tolerance bands —
+// and the whole suite is run under -race in CI (live cluster workers keep
+// running underneath while the loop swaps their instances).
 package controller
 
 import (
@@ -66,20 +65,17 @@ func TestConvergenceOnDriftingTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 1: spans spread across the trailing window. The loop must
-	// recognize the topology is already optimal and plan nothing.
-	t1 := vt(60 * time.Second)
-	for i, l := range phase1 {
-		feed(rec, []int{l}, 2*time.Millisecond, t1.Add(-time.Duration(i%4)*10*time.Second))
-	}
-	res := c.Step(t1)
+	// Phase 1: one period's arrivals. The loop must recognize the topology
+	// is already optimal and plan nothing.
+	arrive(rec, phase1)
+	res := c.Step()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if !res.Replanned || !equalInts(res.Target, want1.N) {
 		t.Fatalf("phase-1 step: %+v, want target %v", res, want1.N)
 	}
-	// The demand it solved for is the window's count per SLO window scaled
+	// The demand it solved for is the period's count per SLO window scaled
 	// by the cluster's own TimeScale — nobody told the controller.
 	for i, q := range c.Status().DemandPerSLO {
 		if math.Abs(q-q1[i]) > 1e-9 {
@@ -90,14 +86,10 @@ func TestConvergenceOnDriftingTrace(t *testing.T) {
 		t.Fatalf("phase-1 step planned %v on a converged topology", res.Plan)
 	}
 
-	// Phase 2: two windows later (phase-1 slots all evicted), the
-	// distribution has drifted long.
-	t2 := t1.Add(2 * rec.WindowSpan())
-	for i, l := range phase2 {
-		feed(rec, []int{l}, 2*time.Millisecond, t2.Add(-time.Duration(i%4)*10*time.Second))
-	}
+	// Phase 2: the next period's arrivals have drifted long.
+	arrive(rec, phase2)
 	wantMoves := l1(want1.N, want2.N) / 2
-	res = c.Step(t2)
+	res = c.Step()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -111,8 +103,9 @@ func TestConvergenceOnDriftingTrace(t *testing.T) {
 		t.Fatalf("final topology %v, want MILP target %v", got, want2.N)
 	}
 
-	// A further period on the same window is a fixed point.
-	res = c.Step(t2)
+	// A further period with the same arrivals is a fixed point.
+	arrive(rec, phase2)
+	res = c.Step()
 	if len(res.Plan) != 0 || res.Applied != 0 {
 		t.Fatalf("converged topology replanned: %+v", res)
 	}
@@ -154,11 +147,9 @@ func TestBudgetedConvergenceIsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := vt(60 * time.Second)
-	feed(rec, phase2, 2*time.Millisecond, now)
-
 	for step := 1; step <= dist/2; step++ {
-		res := c.Step(now)
+		arrive(rec, phase2)
+		res := c.Step()
 		if res.Err != nil {
 			t.Fatalf("step %d: %v", step, res.Err)
 		}
@@ -172,7 +163,8 @@ func TestBudgetedConvergenceIsMonotone(t *testing.T) {
 	if got := cl.Allocation(); !equalInts(got, want.N) {
 		t.Fatalf("after %d budgeted steps topology is %v, want %v", dist/2, got, want.N)
 	}
-	if res := c.Step(now); res.Applied != 0 {
+	arrive(rec, phase2)
+	if res := c.Step(); res.Applied != 0 {
 		t.Fatalf("converged topology kept churning: %+v", res)
 	}
 }
@@ -231,11 +223,9 @@ func TestConvergenceUnderLiveLoad(t *testing.T) {
 		}(int64(100 + w))
 	}
 
-	// The demand is fed an hour ahead of the wall clock, on the recorder the
-	// live completions are booked on too: they land in slots a query at now
-	// never reads, and cannot rotate the fed slot, which holds a newer epoch.
-	now := time.Now().Add(time.Hour)
-	feed(cl.Recorder(), longLens, 2*time.Millisecond, now)
+	// The live submissions book arrivals too, but all in the long bin the
+	// fed demand fills: the short runtime sees no demand, so the target
+	// does not depend on how many arrive between Steps.
 	deadline := time.Now().Add(30 * time.Second)
 	// Wait for traffic to flow before the first swap so replacements
 	// genuinely race in-flight work, then keep stepping until the
@@ -253,7 +243,8 @@ func TestConvergenceUnderLiveLoad(t *testing.T) {
 		}
 		// A Step on a converged topology is a no-op; one that races a
 		// congested drain returns a typed error and retries next lap.
-		c.Step(now)
+		arrive(cl.Recorder(), longLens)
+		c.Step()
 		time.Sleep(100 * time.Microsecond)
 	}
 	close(stop)

@@ -15,8 +15,8 @@ import (
 // system's AllocPeriod.
 //
 // The controller is returned stopped: call Start for the wall-clock
-// ticker loop, or drive Step/Autoscale directly with explicit timestamps
-// (the deterministic path the convergence tests use).
+// ticker loop, or drive Step and Autoscale directly (the deterministic
+// path the convergence tests use).
 func (a *Arlo) NewController(cl *cluster.Cluster, opts controller.Options) (*controller.Controller, error) {
 	if cl == nil {
 		return nil, fmt.Errorf("core: nil cluster")

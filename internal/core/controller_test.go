@@ -12,8 +12,8 @@ import (
 )
 
 // ctrlVT maps a virtual offset onto the absolute timeline the obs window
-// slots on: the controller tests here drive Step/Autoscale with explicit
-// timestamps instead of wall-clock sleeps.
+// slots on: the autoscale test here drives Autoscale with an explicit
+// timestamp instead of wall-clock sleeps.
 func ctrlVT(d time.Duration) time.Time { return time.Unix(0, 0).Add(d) }
 
 func TestNewControllerValidation(t *testing.T) {
@@ -62,17 +62,16 @@ func TestControllerReallocatesTowardDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pure short traffic in the observation window: replanning must walk
-	// the topology to the solver's target for that demand. Fed at virtual
-	// timestamps — no wall-clock control loop involved.
+	// Pure short traffic in every period: replanning must walk the
+	// topology to the solver's target for that demand. Booked before each
+	// Step — no wall-clock control loop involved.
 	rec := cl.Recorder()
-	now := ctrlVT(time.Minute)
-	for i := 0; i < 400; i++ {
-		rec.RecordSpanAt(&obs.Span{Length: 20, Total: 2 * time.Millisecond, Decision: dispatch.Decision{Instance: i}}, now)
-	}
 	var target []int
 	for period := 0; period < 8; period++ { // budget-bounded: iterate periods to convergence
-		res := ctrl.Step(now)
+		for i := 0; i < 400; i++ {
+			rec.RecordSubmit(20)
+		}
+		res := ctrl.Step()
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}

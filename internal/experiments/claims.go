@@ -438,7 +438,7 @@ func measureTenants(opt Options) (float64, string, error) {
 // where every request exceeds the 256 tile so only the max-length runtime
 // serves it — at twice the capacity of the one such instance the frozen
 // arm keeps, a quarter of the cluster's if every GPU converged there. The
-// controller arm replans from the windowed demand 16 times a phase with
+// controller arm replans from each period's arrivals 16 times a phase with
 // the default hysteresis (phase 1 stays quiet: the split is already
 // right) and at most 2 replacements a period, as section 4 prescribes.
 func measureController(opt Options) (float64, string, error) {

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"arlo/internal/dispatch"
+	"arlo/internal/trace"
 )
 
 // Span is the lifecycle record of one request. All durations are in the
@@ -313,9 +314,15 @@ type Recorder struct {
 	// arlo_controller_* metrics at scrape time (see window.go).
 	ctrlStats atomic.Pointer[func() ControllerStat]
 
-	// win is the sliding-window view of recent lengths and latencies the
-	// controller reads (see window.go).
+	// win is the sliding-window view of recent latencies (see window.go).
 	win window
+
+	// bins are the runtime max-length upper bounds submissions are counted
+	// on, and arrivals the submissions per bin since the last
+	// TakeArrivals: the Runtime Scheduler's demand. Both are set once, by
+	// SetLengthBins, before the recorder books anything.
+	bins     []int
+	arrivals []atomic.Int64
 }
 
 // NewRecorder builds a recorder for a cluster with the given number of
@@ -325,14 +332,12 @@ func NewRecorder(levels int) *Recorder {
 	if levels < 1 {
 		levels = 1
 	}
-	r := &Recorder{
+	return &Recorder{
 		levels:         levels,
 		demotions:      make([]atomic.Int64, levels*levels),
 		levelBatches:   make([]atomic.Int64, levels),
 		levelBatchReqs: make([]atomic.Int64, levels),
 	}
-	r.win.init(levels)
-	return r
 }
 
 // Batch-size histogram layout: power-of-two buckets le 1,2,4,...,64 plus
@@ -389,8 +394,35 @@ func (r *Recorder) MeanBatchSize(level int) float64 {
 	return float64(r.levelBatchReqs[level].Load()) / float64(n)
 }
 
-// RecordSubmit counts one submission attempt.
-func (r *Recorder) RecordSubmit() { r.submitted.Add(1) }
+// RecordSubmit counts one submission attempt of a request of the given
+// length, and its arrival in the length's bin (trace.BinOf).
+func (r *Recorder) RecordSubmit(length int) {
+	r.submitted.Add(1)
+	if b := trace.BinOf(r.bins, length); b >= 0 {
+		r.arrivals[b].Add(1)
+	}
+}
+
+// SetLengthBins installs the ascending runtime max-length upper bounds,
+// one per runtime level, that RecordSubmit counts arrivals on (cluster.New
+// installs its profile's MaxLengths) and keeps the slice. Call it before
+// recording: the bins are not guarded.
+func (r *Recorder) SetLengthBins(uppers []int) {
+	r.bins = uppers
+	r.arrivals = make([]atomic.Int64, len(uppers))
+}
+
+// TakeArrivals returns the submissions counted per length bin since the
+// previous call, swapping each bin to zero: the arrivals of one control
+// period, indexed like the profile's runtime levels. Empty when no bins
+// are installed.
+func (r *Recorder) TakeArrivals() []int64 {
+	out := make([]int64, len(r.arrivals))
+	for i := range r.arrivals {
+		out[i] = r.arrivals[i].Swap(0)
+	}
+	return out
+}
 
 // RecordDemotion counts one Algorithm 1 demotion from the ideal runtime
 // level to the chosen one. Out-of-range pairs are dropped.

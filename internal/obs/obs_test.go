@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"arlo/internal/dispatch"
+	"arlo/internal/trace"
 )
 
 func TestBucketOf(t *testing.T) {
@@ -46,7 +47,7 @@ func TestBucketOf(t *testing.T) {
 func TestInFlight(t *testing.T) {
 	r := NewRecorder(1)
 	for i := 0; i < 3; i++ {
-		r.RecordSubmit()
+		r.RecordSubmit(64)
 	}
 	r.RecordSpan(&Span{Total: time.Millisecond})
 	if got := r.InFlight(); got != 2 {
@@ -61,8 +62,8 @@ func TestInFlight(t *testing.T) {
 
 func TestRecorderCounts(t *testing.T) {
 	r := NewRecorder(4)
-	r.RecordSubmit()
-	r.RecordSubmit()
+	r.RecordSubmit(64)
+	r.RecordSubmit(64)
 	r.RecordDemotion(0, 2)
 	r.RecordDemotion(0, 2)
 	r.RecordDemotion(1, 3)
@@ -115,7 +116,7 @@ func TestSpanDemotionHops(t *testing.T) {
 
 func TestWritePrometheusShape(t *testing.T) {
 	r := NewRecorder(3)
-	r.RecordSubmit()
+	r.RecordSubmit(64)
 	r.RecordDemotion(0, 1)
 	r.RecordSpan(&Span{Length: 64, Decision: dispatch.Decision{Instance: 5}, Queue: time.Millisecond, Exec: 40 * time.Millisecond, Total: 42 * time.Millisecond})
 	r.SetSnapshot(func() Snapshot {
@@ -172,7 +173,7 @@ func TestWritePrometheusShape(t *testing.T) {
 
 func TestHandlerServesMetrics(t *testing.T) {
 	r := NewRecorder(2)
-	r.RecordSubmit()
+	r.RecordSubmit(64)
 	ts := httptest.NewServer(r.Handler())
 	defer ts.Close()
 
@@ -200,6 +201,7 @@ func TestHandlerServesMetrics(t *testing.T) {
 
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder(4)
+	r.SetLengthBins([]int{64, 128, 256, 512})
 	const (
 		goroutines = 8
 		perG       = 2000
@@ -210,7 +212,6 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				r.RecordSubmit()
 				s := Span{
 					Length:   1 + (g*perG+i)%512,
 					Decision: dispatch.Decision{Instance: g, Level: (g + i) % 4},
@@ -221,6 +222,7 @@ func TestRecorderConcurrent(t *testing.T) {
 				if i%7 == 0 {
 					r.RecordDemotion(i%4, (i+1)%4)
 				}
+				r.RecordSubmit(s.Length)
 				r.RecordSpan(&s)
 			}
 		}(g)
@@ -228,6 +230,17 @@ func TestRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Submitted(); got != goroutines*perG {
 		t.Errorf("submitted = %d, want %d", got, goroutines*perG)
+	}
+	// No concurrent submission is lost from, or booked twice in, its bin.
+	lengths := make([]int, goroutines*perG)
+	for i := range lengths {
+		lengths[i] = 1 + i%512
+	}
+	want := trace.BinCounts(lengths, []int{64, 128, 256, 512})
+	for b, n := range r.TakeArrivals() {
+		if n != int64(want[b]) {
+			t.Errorf("arrival bin %d = %d, want %d", b, n, want[b])
+		}
 	}
 	if got := r.Completed(); got != goroutines*perG {
 		t.Errorf("completed = %d, want %d", got, goroutines*perG)

@@ -15,80 +15,104 @@ func spanAt(r *Recorder, length int, total time.Duration, at time.Time) {
 	r.RecordSpanAt(&Span{Length: length, Total: total, Decision: dispatch.Decision{Instance: length}}, at)
 }
 
-func TestWindowLengthDistKnownDistribution(t *testing.T) {
+func TestArrivalBinsKnownDistribution(t *testing.T) {
 	r := NewRecorder(4)
 	r.SetLengthBins([]int{64, 128, 256, 512})
-	r.SetWindow(80 * time.Second) // 10s slots
 
-	// A known mixture inside one window: 50 short, 30 medium, 15 large,
-	// 5 clamped past the last runtime.
-	now := vt(40 * time.Second)
+	// A known mixture inside one period: 50 short, 30 medium, 15 large,
+	// 5 clamped past the last runtime, and one non-positive length that
+	// counts as a submission but in no bin.
 	for i := 0; i < 50; i++ {
-		spanAt(r, 32, time.Millisecond, now)
+		r.RecordSubmit(32)
 	}
 	for i := 0; i < 30; i++ {
-		spanAt(r, 100, time.Millisecond, now.Add(-9*time.Second))
+		r.RecordSubmit(100)
 	}
 	for i := 0; i < 15; i++ {
-		spanAt(r, 256, time.Millisecond, now.Add(-30*time.Second))
+		r.RecordSubmit(256)
 	}
 	for i := 0; i < 5; i++ {
-		spanAt(r, 9999, time.Millisecond, now)
+		r.RecordSubmit(9999)
 	}
+	r.RecordSubmit(0)
 
-	dist := r.LengthDistAt(now)
+	dist := r.TakeArrivals()
 	want := []int64{50, 30, 15, 5}
 	if len(dist) != len(want) {
-		t.Fatalf("LengthDistAt len = %d, want %d", len(dist), len(want))
+		t.Fatalf("TakeArrivals len = %d, want %d", len(dist), len(want))
 	}
 	for i := range want {
 		if dist[i] != want[i] {
 			t.Errorf("bin %d = %d, want %d", i, dist[i], want[i])
 		}
 	}
-	if n := r.WindowSamples(now); n != 100 {
-		t.Errorf("WindowSamples = %d, want 100", n)
+	if n := r.Submitted(); n != 101 {
+		t.Errorf("Submitted = %d, want 101", n)
+	}
+	// A take starts the next period: every bin is back at zero.
+	for i, n := range r.TakeArrivals() {
+		if n != 0 {
+			t.Errorf("bin %d = %d after a take, want 0", i, n)
+		}
+	}
+}
+
+func TestArrivalBinsFollowDrift(t *testing.T) {
+	r := NewRecorder(2)
+	r.SetLengthBins([]int{128, 512})
+
+	r.RecordSubmit(64)
+	if dist := r.TakeArrivals(); dist[0] != 1 || dist[1] != 0 {
+		t.Fatalf("first period = %v, want [1 0]", dist)
+	}
+	// An idle period reads empty, though nothing was ever overwritten.
+	if dist := r.TakeArrivals(); dist[0] != 0 || dist[1] != 0 {
+		t.Fatalf("idle period = %v, want [0 0]", dist)
+	}
+	// Drift: the next period is all long requests; only they are counted.
+	for i := 0; i < 10; i++ {
+		r.RecordSubmit(400)
+	}
+	if dist := r.TakeArrivals(); dist[0] != 0 || dist[1] != 10 {
+		t.Fatalf("post-drift period = %v, want [0 10]", dist)
 	}
 }
 
 func TestWindowEvictsOldSlots(t *testing.T) {
-	r := NewRecorder(2)
-	r.SetLengthBins([]int{128, 512})
-	r.SetWindow(80 * time.Second)
-
-	spanAt(r, 64, time.Millisecond, vt(5*time.Second))
-	if dist := r.LengthDistAt(vt(5 * time.Second)); dist[0] != 1 {
-		t.Fatalf("fresh sample not visible: %v", dist)
+	r := NewRecorder(1)
+	now := vt(40 * time.Second)
+	// Samples spread across the trailing window all count.
+	spanAt(r, 32, time.Millisecond, now)
+	spanAt(r, 32, time.Millisecond, now.Add(-9*time.Second))
+	spanAt(r, 32, time.Millisecond, now.Add(-30*time.Second))
+	if n := r.WindowSamples(now); n != 3 {
+		t.Fatalf("WindowSamples = %d, want 3", n)
 	}
-	// One full window later the sample's slot is stale: excluded even
-	// though its counters were never overwritten.
-	later := vt(5*time.Second + 81*time.Second)
-	if dist := r.LengthDistAt(later); dist[0] != 0 || dist[1] != 0 {
-		t.Fatalf("stale sample still visible at +window: %v", dist)
+	// One full window later every slot is stale: excluded even though
+	// its counters were never overwritten.
+	later := now.Add(WindowSpan + 8*time.Second)
+	if n := r.WindowSamples(later); n != 0 {
+		t.Fatalf("stale samples still visible at +window: %d", n)
 	}
-	// Drift: refill with long requests; only they are observed.
+	// Refilled, the window holds only the new samples.
 	for i := 0; i < 10; i++ {
 		spanAt(r, 400, time.Millisecond, later)
 	}
-	dist := r.LengthDistAt(later)
-	if dist[0] != 0 || dist[1] != 10 {
-		t.Fatalf("post-drift dist = %v, want [0 10]", dist)
+	if n := r.WindowSamples(later); n != 10 {
+		t.Fatalf("refilled window holds %d samples, want 10", n)
 	}
 }
 
 func TestWindowFutureSamplesExcluded(t *testing.T) {
 	r := NewRecorder(1)
-	r.SetLengthBins([]int{512})
-	r.SetWindow(80 * time.Second)
 	spanAt(r, 10, time.Millisecond, vt(200*time.Second))
-	if dist := r.LengthDistAt(vt(100 * time.Second)); dist[0] != 0 {
-		t.Fatalf("future sample visible in earlier query: %v", dist)
+	if n := r.WindowSamples(vt(100 * time.Second)); n != 0 {
+		t.Fatalf("future sample visible in earlier query: %d", n)
 	}
 }
 
 func TestWindowP98KnownDistribution(t *testing.T) {
 	r := NewRecorder(1)
-	r.SetWindow(80 * time.Second)
 	now := vt(10 * time.Second)
 
 	// 98 fast + 2 slow: nearest rank 98 lands in the fast bucket whose
@@ -125,22 +149,13 @@ func TestWindowP98EmptyIsZero(t *testing.T) {
 
 func TestWindowDefaults(t *testing.T) {
 	r := NewRecorder(2)
-	if got := r.WindowSpan(); got != 60*time.Second {
-		t.Fatalf("default WindowSpan = %v, want 60s", got)
+	// No bins installed: submissions count, arrivals are booked nowhere,
+	// and latency is still windowed.
+	r.RecordSubmit(10)
+	if dist := r.TakeArrivals(); len(dist) != 0 {
+		t.Fatalf("TakeArrivals without bins = %v, want empty", dist)
 	}
-	r.SetWindow(8 * time.Second)
-	if got := r.WindowSpan(); got != 8*time.Second {
-		t.Fatalf("WindowSpan = %v, want 8s", got)
-	}
-	r.SetWindow(0)
-	if got := r.WindowSpan(); got != 60*time.Second {
-		t.Fatalf("reset WindowSpan = %v, want 60s", got)
-	}
-	// No bins installed: LengthDistAt is nil, latency still windowed.
 	r.RecordSpan(&Span{Length: 10, Total: time.Millisecond})
-	if dist := r.LengthDistAt(time.Now()); dist != nil {
-		t.Fatalf("LengthDistAt without bins = %v, want nil", dist)
-	}
 	if r.P98At(time.Now()) == 0 {
 		t.Fatal("wall-clock RecordSpan did not reach the window")
 	}

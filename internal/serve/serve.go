@@ -142,8 +142,8 @@ const (
 // same books /metrics and /v1/controller report from. Served is the
 // recorder's completions; Rejected is everything that resolved to an error
 // (rejections plus cancellations). P50MS and P98MS are the nearest-rank
-// histogram bucket's upper bound (125 us * 2^k) over the recorder's window:
-// 60 s by default, one control period when a controller sized it.
+// histogram bucket's upper bound (125 us * 2^k) over the recorder's 60 s
+// window.
 type Stats struct {
 	Served    int64   `json:"served"`
 	Rejected  int64   `json:"rejected"`

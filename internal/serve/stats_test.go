@@ -44,7 +44,7 @@ func TestStatsPinned(t *testing.T) {
 	now := time.Now()
 	record := func(n int, total time.Duration, at time.Time) {
 		for i := 0; i < n; i++ {
-			rec.RecordSubmit()
+			rec.RecordSubmit(100)
 			rec.RecordSpanAt(&obs.Span{Length: 100, Total: total}, at)
 		}
 	}
@@ -53,7 +53,7 @@ func TestStatsPinned(t *testing.T) {
 	record(97, 900*time.Microsecond, now) // (0.5, 1] ms bucket
 	record(3, 40*time.Millisecond, now)   // (32, 64] ms bucket
 	for i := 0; i < 3; i++ {
-		rec.RecordSubmit()
+		rec.RecordSubmit(100)
 	}
 	rec.RecordCancel()
 	rec.RecordReject(obs.RejectCongested)

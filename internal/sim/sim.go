@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"arlo/internal/allocator"
@@ -321,7 +320,7 @@ func (s *Simulator) scheduleNextArrival() {
 // onArrival dispatches a request (or rejects an over-long one).
 func (s *Simulator) onArrival(req *Record) {
 	s.scheduleNextArrival()
-	if bin := s.binOf(req.Length); bin >= 0 {
+	if bin := trace.BinOf(s.binUpper, req.Length); bin >= 0 {
 		s.arrivals[bin]++
 	}
 	s.dispatchRequest(req)
@@ -454,19 +453,6 @@ func (s *Simulator) onCompletion(si *simInstance, lead *Record) {
 		s.drainBuffer()
 	}
 	s.maybeStart(si)
-}
-
-// binOf maps a request length to its runtime bin (largest bin for
-// over-long requests mirrors trace.BinCounts; -1 for non-positive).
-func (s *Simulator) binOf(length int) int {
-	if length <= 0 {
-		return -1
-	}
-	i := sort.SearchInts(s.binUpper, length)
-	if i >= len(s.binUpper) {
-		i = len(s.binUpper) - 1
-	}
-	return i
 }
 
 // onAllocTick runs the Runtime Scheduler: estimate demand from the

@@ -224,8 +224,9 @@ func (t *Trace) BinDemand(binUppers []int, sloWindow time.Duration) []float64 {
 
 // PerWindow turns counts observed over span into the average count per
 // window, times scale: the one demand estimate the allocation program
-// reads. Each caller passes its own counts and span (a trace, arrivals
-// since the simulator's last tick, the recorder's sliding window); scale
+// reads. Each caller passes its own counts and span (a trace, the
+// simulator's arrivals since its last tick, the live recorder's arrivals
+// over one controller period); scale
 // is 1 except on a time-compressed live cluster, whose wall-clock counts
 // overstate modeled demand by 1/TimeScale. It is all zeros when span or
 // window is not positive.
@@ -241,20 +242,26 @@ func PerWindow[T int | int64](counts []T, span, window time.Duration, scale floa
 	return out
 }
 
-// BinCounts counts requests per length bin; bin i covers lengths in
-// (binUppers[i-1], binUppers[i]], with bin 0 starting at 1. Lengths above
-// the last upper bound fall into the last bin.
+// BinCounts counts requests per length bin (BinOf); a non-positive length
+// is counted in none.
 func BinCounts(lengths []int, binUppers []int) []int {
 	out := make([]int, len(binUppers))
-	if len(binUppers) == 0 {
-		return out
-	}
 	for _, l := range lengths {
-		i := sort.SearchInts(binUppers, l)
-		if i >= len(binUppers) {
-			i = len(binUppers) - 1
+		if i := BinOf(binUppers, l); i >= 0 {
+			out[i]++
 		}
-		out[i]++
 	}
 	return out
+}
+
+// BinOf is the one length-to-bin rule every demand count uses (a trace's,
+// the simulator's arrivals, the live recorder's): bin i of the ascending
+// binUppers covers lengths in (binUppers[i-1], binUppers[i]], bin 0
+// starting at 1, and lengths above the last upper bound fall into the
+// last bin. A non-positive length, or no bins, is -1: counted nowhere.
+func BinOf(binUppers []int, length int) int {
+	if length <= 0 || len(binUppers) == 0 {
+		return -1
+	}
+	return min(sort.SearchInts(binUppers, length), len(binUppers)-1)
 }

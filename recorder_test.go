@@ -63,9 +63,14 @@ func TestClusterOwnsOneRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The run's cluster is gone, but its recorder is recognisable: only a
-	// cluster's own recorder has length bins and renders its gauges.
-	if rep.Recorder.LengthDistAt(time.Now()) == nil || !strings.Contains(exposition(t, rep.Recorder), "arlo_level_instances") {
-		t.Error("chaos.Run's Report.Recorder is not its cluster's")
+	// cluster's own recorder has arrival bins, which booked every request
+	// of the trace, and renders its gauges.
+	var arrived int64
+	for _, n := range rep.Recorder.TakeArrivals() {
+		arrived += n
+	}
+	if arrived != int64(len(tr.Requests)) || !strings.Contains(exposition(t, rep.Recorder), "arlo_level_instances") {
+		t.Errorf("chaos.Run's Report.Recorder is not its cluster's (%d of %d requests in its arrival bins)", arrived, len(tr.Requests))
 	}
 }
 
